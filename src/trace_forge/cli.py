@@ -9,6 +9,7 @@ certificate document with a versioned schema key.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,11 +23,13 @@ from .decide import (
 )
 from .errors import TraceForgeError
 from .formats import EDGELIST, GRAPH6, load_graph, load_trace_sequence
-from .search import TraceSpec, find_trace, spec_satisfied
+from .search import UNBUDGETED_EDGE_LIMIT, TraceSpec, find_trace, spec_satisfied
 from .walks import (
+    TraceClass,
     classify_trace,
     format_trace_text,
     repetition_analysis,
+    trace_direction,
     validate_double_trace,
 )
 
@@ -75,7 +78,7 @@ def _budget_for(g) -> int | None:
     env = os.environ.get("TRACE_FORGE_BUDGET")
     if env is not None:
         return int(env)
-    if g.num_edges > 12:
+    if g.num_edges > UNBUDGETED_EDGE_LIMIT:
         return DEFAULT_BUDGET
     return None
 
@@ -158,8 +161,13 @@ def cmd_verify(args) -> int:
     g = load_graph(args.input, args.format)
     sequence = load_trace_sequence(args.trace)
     trace = validate_double_trace(g, sequence)
-    cls = classify_trace(trace)
     report = repetition_analysis(trace, "components")
+    cls = TraceClass(
+        is_double=True,
+        direction=trace_direction(trace),
+        stability_order=report.stability_order,
+        strong=report.strong,
+    )
     spec = TraceSpec(args.kind, args.direction, args.d)
     ok = spec_satisfied(spec, cls)
     doc = {
@@ -211,8 +219,11 @@ def cmd_table(args) -> int:
     d_values = args.d_list or [1]
     table = condition_table(g, d_values, witness=False, budget=budget)
     if args.oracle:
-        if g.num_edges > 12:
-            print("oracle cross-check needs at most 12 edges", file=sys.stderr)
+        if g.num_edges > UNBUDGETED_EDGE_LIMIT:
+            print(
+                f"oracle cross-check needs at most {UNBUDGETED_EDGE_LIMIT} edges",
+                file=sys.stderr,
+            )
             return EXIT_ERROR
         for (kind, direction, d), cert in table.items():
             oracle_trace = find_trace(g, TraceSpec(kind, direction, d), budget)
@@ -321,9 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on the first call of the process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except TraceForgeError as exc:

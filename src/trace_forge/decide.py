@@ -162,7 +162,7 @@ def decide_existence(
     if not witness:
         return DecisionCertificate(verdict=True, kind=kind, direction=direction, d=d)
     if direction == PARALLEL:
-        trace = find_parallel_trace(g, d)
+        trace = find_parallel_trace(g, d, budget=budget)
         if trace is not None and kind == "strong":
             if not classify_trace(trace).strong:
                 trace = None

@@ -402,13 +402,16 @@ def euler_tour(g: Graph) -> list[int] | None:
     return tour
 
 
-def find_parallel_trace(g: Graph, d: int | None = None) -> DoubleTrace | None:
+def find_parallel_trace(
+    g: Graph, d: int | None = None, *, budget: int | None = None
+) -> DoubleTrace | None:
     """Parallel double trace, optionally d-stable.
 
     Doubles an Euler tour in the same direction; when that misses the
-    requested stability, falls back to the complete backtracking search.
-    Returns ``None`` iff the graph is not Eulerian or (d given and the
-    minimum degree is at most d).
+    requested stability, falls back to the complete backtracking search,
+    which runs under ``budget`` as in :func:`find_trace`.  Returns ``None``
+    iff the graph is not Eulerian or (d given and the minimum degree is at
+    most d).
     """
     require_connected(g)
     if g.num_edges == 0:
@@ -424,4 +427,4 @@ def find_parallel_trace(g: Graph, d: int | None = None) -> DoubleTrace | None:
         return None
     if classify_trace(trace).stability_order >= d:
         return trace
-    return find_trace(g, TraceSpec("stable", PARALLEL, d))
+    return find_trace(g, TraceSpec("stable", PARALLEL, d), budget)

@@ -257,6 +257,15 @@ def qualified_deficiency(
             witness_tree=t,
             qualified_bound=threshold,
         )
+    if g.max_degree() < threshold:
+        # no vertex can cover an odd component, so a qualified tree has an
+        # all-even co-tree; the first such tree is the one the loop would pick
+        even = find_even_cotree_tree(g)
+        if even is None:
+            return None
+        return DeficiencyCertificate(
+            value=0, witness_tree=even, qualified_bound=threshold
+        )
     lower = (g.num_edges - g.num_vertices + 1) % 2
     best: tuple[int, SpanningTree] | None = None
     for tree in iter_spanning_trees(g):

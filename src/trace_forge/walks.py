@@ -33,9 +33,30 @@ Mode = Literal["components", "brute_force"]
 
 
 def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically minimal rotation; reflections are left alone."""
+    """Lexicographically minimal rotation; reflections are left alone.
+
+    Booth's algorithm (Lexicographically least circular substrings, IPL 10,
+    1980): a failure function over the doubled sequence finds the start of
+    the least rotation in O(len(seq)) comparisons.
+    """
     seq = tuple(seq)
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    doubled = seq + seq
+    fail = [-1] * len(doubled)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(doubled)):
+        x = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != doubled[k + i + 1]:
+            if x < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if x != doubled[k + i + 1]:  # here i == -1
+            if x < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return seq[k:] + seq[:k]
 
 
 @dataclass(frozen=True)
@@ -59,12 +80,19 @@ class DoubleTrace:
         for i in range(n):
             yield self.sequence[i], self.sequence[(i + 1) % n]
 
+    @cached_property
+    def _visit_index(self) -> dict[int, list[tuple[int, int]]]:
+        """vertex -> (predecessor, successor) of each visit, in sequence order;
+        built in one pass over the sequence."""
+        seq = self.sequence
+        index: dict[int, list[tuple[int, int]]] = {}
+        for pred, x, succ in zip(seq[-1:] + seq[:-1], seq, seq[1:] + seq[:1]):
+            index.setdefault(x, []).append((pred, succ))
+        return index
+
     def visits(self, v: int) -> Iterator[tuple[int, int]]:
         """(predecessor, successor) for every cyclic visit of v."""
-        n = len(self.sequence)
-        for i, x in enumerate(self.sequence):
-            if x == v:
-                yield self.sequence[(i - 1) % n], self.sequence[(i + 1) % n]
+        return iter(self._visit_index.get(v, ()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DoubleTrace({' '.join(map(str, self.sequence))})"
@@ -263,16 +291,7 @@ def stability_order(w: DoubleTrace) -> int:
 
     Always finite: bounded above by the host's minimum degree minus one.
     """
-    per_vertex = {
-        v: transition_graph_at(w, v).components for v in w.host.vertices
-    }
-    return _stability_from_components(per_vertex, w.host)
-
-
-def is_strong(w: DoubleTrace) -> bool:
-    return all(
-        transition_graph_at(w, v).is_connected for v in w.host.vertices
-    )
+    return repetition_analysis(w).stability_order
 
 
 def classify_trace(w: DoubleTrace) -> TraceClass:

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from trace_forge import cli
 from trace_forge.cli import main
 from trace_forge.formats import load_graph, parse_edgelist, parse_graph6
 from trace_forge.errors import ParseError
+from trace_forge.graph import complete_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -224,3 +226,56 @@ def test_budget_env_var(tmp_path, capsys, monkeypatch):
         capsys, "find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong"
     )
     assert code == 2  # budget exhausted maps to the error exit code
+
+
+def test_parallel_stable_search_runs_under_budget(tmp_path, capsys, monkeypatch):
+    # the doubled Euler tour of K7 is not 2-stable, so the search runs and
+    # must see the budget instead of demanding one
+    path = tmp_path / "k7.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(7).edges))
+    monkeypatch.setenv("TRACE_FORGE_BUDGET", "1000")
+    code = main(
+        ["decide", "-i", str(path), "--kind", "stable", "-d", "2", "--direction", "parallel"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "search budget exhausted" in err
+    assert "explicit search budget" not in err
+
+
+def test_main_reuses_parser_without_carry_over(tmp_path, capsys, monkeypatch):
+    """main() calls through the parser it keeps print what the same calls
+    print with a parser built afresh for each."""
+    k4, k5 = str(FIXTURES / "k4.edges"), str(FIXTURES / "k5.edges")
+    trace = tmp_path / "k3.trace"
+    trace.write_text("0 1 2 0 2 1\n")
+    calls = [
+        ["decide", "-i", k4, "--kind", "stable", "-d", "1", "--direction", "antiparallel", "--json"],
+        ["decide", "-i", k5, "--kind", "stable", "-d", "3", "--direction", "antiparallel", "--json"],
+        ["decide", "-i", k5, "--kind", "strong"],
+        ["deficiency", "-i", k5, "-d", "8", "--json"],
+        ["deficiency", "-i", k5],
+        ["table", "-i", k4, "-d", "1,2"],
+        ["table", "-i", k4, "--json"],
+        ["verify", "-i", str(FIXTURES / "k3.edges"), "-t", str(trace), "--kind", "stable", "-d", "1"],
+        ["verify", "-i", str(FIXTURES / "k3.edges"), "-t", str(trace)],
+        ["find", "-i", k4, "--kind", "stable", "-d", "1", "--direction", "antiparallel"],
+        ["decide", "-i", k4],
+        ["decide", "--kind", "strong"],  # rejected: no input
+    ]
+
+    def outputs():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err))
+        return seen
+
+    shared = outputs()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outputs() == shared
+    assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 2]

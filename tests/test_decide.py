@@ -2,6 +2,7 @@
 
 import random
 
+import networkx as nx
 import pytest
 
 from trace_forge.decide import (
@@ -293,3 +294,11 @@ def test_fixture_matrix_against_oracle():
         assert cert.verdict == expected, (name, kind, direction, d)
         oracle = find_trace(g, TraceSpec(kind, direction, d))
         assert (oracle is not None) == expected, (name, kind, direction, d)
+
+
+def test_icosahedron_parity_rules_out_d2_and_d3():
+    # max degree 5 is below 2d + 2 and the Betti number 19 is odd, so no
+    # spanning tree qualifies; the answer needs no tree enumeration
+    g = build_graph(list(nx.icosahedral_graph().edges()))
+    assert build_antiparallel_d_stable(g, 2) is None
+    assert build_antiparallel_d_stable(g, 3) is None

@@ -185,3 +185,24 @@ def test_parity_law_and_minimality():
         assert value % 2 == beta % 2
         assert minimum <= value
         assert (find_even_cotree_tree(g) is not None) == (minimum == 0)
+
+
+def test_qualified_deficiency_below_threshold_matches_enumeration():
+    """With every degree below the threshold, the parity shortcut returns
+    the first qualified tree in enumeration order, or None when none is."""
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(60):
+        g = random_connected_graph(rng, n_min=3, n_max=6)
+        threshold = g.max_degree() + 1
+        first = next(
+            (t for t in iter_spanning_trees(g) if tree_is_qualified(g, t, threshold)),
+            None,
+        )
+        cert = qualified_deficiency(g, threshold)
+        if first is None:
+            assert cert is None
+        else:
+            assert (cert.value, cert.witness_tree) == (0, first)
+        outcomes.add(first is None)
+    assert outcomes == {True, False}

@@ -11,11 +11,12 @@ from trace_forge.errors import (
     WrongLengthError,
     WrongMultiplicityError,
 )
-from trace_forge.graph import build_graph, path_graph
+from trace_forge.graph import build_graph, edge_key, path_graph
 from trace_forge.walks import (
     classify_trace,
     direction_profile,
     is_repetition,
+    min_rotation,
     repetition_analysis,
     stability_order,
     trace_direction,
@@ -220,3 +221,44 @@ def test_one_directional_reading_differs_on_parallel_traces(k3):
     visits = list(w.visits(0))
     assert all((succ in {1}) for pred, succ in visits if pred in {1})
     assert not is_repetition(w, 0, frozenset({1}))
+
+
+def _least_rotation_brute(seq):
+    seq = tuple(seq)
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def test_min_rotation_matches_brute_force():
+    """Booth's algorithm against the minimum over all rotations, on random
+    sequences and on periodic ones, whose least rotation starts at several
+    places."""
+    rng = random.Random(5)
+    for _ in range(20_000):
+        alphabet = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            seq = [rng.randrange(alphabet) for _ in range(rng.randint(1, 24))]
+        else:
+            period = [rng.randrange(alphabet) for _ in range(rng.randint(1, 5))]
+            seq = period * rng.randint(2, 6)
+        assert min_rotation(seq) == _least_rotation_brute(seq), seq
+
+
+def test_visit_index_matches_rescan():
+    """visits(v) and the transition graph against a rescan of the whole
+    sequence for v, visit order included."""
+    rng = random.Random(13)
+    for _ in range(200):
+        g = random_connected_graph(rng, n_min=2, n_max=8)
+        w = random_double_trace(g, rng)
+        seq, n = w.sequence, w.length
+        for v in g.vertices:
+            rescan = [
+                (seq[(i - 1) % n], seq[(i + 1) % n])
+                for i, x in enumerate(seq)
+                if x == v
+            ]
+            assert list(w.visits(v)) == rescan
+            tg = transition_graph_at(w, v)
+            assert tg.nodes == g.neighbors(v)
+            assert tg.links == tuple(sorted(edge_key(p, s) for p, s in rescan))
+        assert list(w.visits(max(g.vertices) + 1)) == []
