@@ -40,8 +40,8 @@ print("classified:", classify_trace(antiparallel))
 # it enters from 1 it returns to 1, so {1} is a repetition of order 1
 tg = transition_graph_at(antiparallel, 0)
 print("pairing at vertex 0:", tg.links, "-> components", [sorted(c) for c in tg.components])
-report = repetition_analysis(antiparallel, "brute_force")
-print("brute-force minimal repetitions:", {
+report = repetition_analysis(antiparallel)
+print("minimal repetitions (transition-graph components):", {
     v: [sorted(c) for c in comps] for v, comps in report.minimal_repetitions.items()
 })
 print("stability order:", report.stability_order, "| strong:", report.strong)

@@ -16,11 +16,9 @@ from trace_forge import (
     cotree_decomposition,
     cube_graph,
     deficiency_of_tree,
-    find_even_cotree_tree,
-    find_qualified_tree,
-    graph_deficiency,
     local_odd_even_split,
-    qualified_deficiency,
+    min_tree,
+    qualified_trees,
     spanning_tree,
     split_reduce_deficiency,
 )
@@ -43,15 +41,16 @@ print("K5 star co-tree components:",
 
 print("\n=== graph deficiency (minimum over all spanning trees) ===")
 for name, g in [("K3", complete_graph(3)), ("K4", k4), ("K5", k5), ("Q3", cube_graph())]:
-    cert = graph_deficiency(g)
+    cert = min_tree(g)
     print(f"{name}: betti={betti_number(g)} deficiency={cert.value} "
           f"witness={sorted(cert.witness_tree.tree_edges)}")
 
 print("\n=== all-even co-trees and qualified trees ===")
-print("K5 all-even co-tree tree:", find_even_cotree_tree(k5))
-print("K4 all-even co-tree tree:", find_even_cotree_tree(k4), "(betti 3 is odd)")
-print("K4 qualified at D=4:", find_qualified_tree(k4, 4), "(max degree is 3)")
-print("K5 qualified deficiency at D=8:", qualified_deficiency(k5, 8))
+print("K5 all-even co-tree tree:", min_tree(k5, None).witness_tree)
+print("K4 all-even co-tree tree:", min_tree(k4, None), "(betti 3 is odd)")
+print("K4 first qualified tree at D=4:", next(qualified_trees(k4, 4), None),
+      "(max degree is 3)")
+print("K5 qualified deficiency at D=8:", min_tree(k5, 8))
 
 print("\n=== detaching a vertex splits its component by parity ===")
 path_tree = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])

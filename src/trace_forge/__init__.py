@@ -44,11 +44,9 @@ from .spanning import (
     SpanningTree,
     cotree_decomposition,
     deficiency_of_tree,
-    find_even_cotree_tree,
-    find_qualified_tree,
-    graph_deficiency,
     local_odd_even_split,
-    qualified_deficiency,
+    min_tree,
+    qualified_trees,
     spanning_tree,
 )
 from .transform import (
@@ -108,11 +106,9 @@ __all__ = [
     "spanning_tree",
     "cotree_decomposition",
     "deficiency_of_tree",
-    "graph_deficiency",
-    "qualified_deficiency",
+    "qualified_trees",
+    "min_tree",
     "local_odd_even_split",
-    "find_even_cotree_tree",
-    "find_qualified_tree",
     "SplitOutcome",
     "transfer_tree_on_identification",
     "split_reduce_deficiency",

@@ -161,7 +161,7 @@ def cmd_verify(args) -> int:
     g = load_graph(args.input, args.format)
     sequence = load_trace_sequence(args.trace)
     trace = validate_double_trace(g, sequence)
-    report = repetition_analysis(trace, "components")
+    report = repetition_analysis(trace)
     cls = TraceClass(
         is_double=True,
         direction=trace_direction(trace),

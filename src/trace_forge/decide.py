@@ -26,10 +26,8 @@ from .search import TraceSpec, find_parallel_trace, find_trace
 from .spanning import (
     SpanningTree,
     cotree_decomposition,
-    find_even_cotree_tree,
-    find_qualified_tree,
-    graph_deficiency,
-    qualified_deficiency,
+    min_tree,
+    qualified_trees,
     tree_is_qualified,
 )
 from .transform import (
@@ -145,7 +143,7 @@ def decide_existence(
 
     if kind == "stable" and direction == ANTIPARALLEL:
         threshold = 2 * d + 2
-        tree = find_qualified_tree(g, threshold)
+        _, tree = next(qualified_trees(g, threshold), (None, None))
         if tree is None:
             return _no(kind, direction, d, NO_QUALIFIED_TREE, threshold=threshold)
         return _yes_tree(kind, direction, d, tree)
@@ -153,10 +151,10 @@ def decide_existence(
     if kind == "strong" and direction == ANTIPARALLEL:
         if betti_number(g) % 2 == 1:
             return _no(kind, direction, d, PARITY_OBSTRUCTION, betti=betti_number(g))
-        tree = find_even_cotree_tree(g)
-        if tree is None:
+        certificate = min_tree(g, None)
+        if certificate is None:
             return _no(kind, direction, d, NO_QUALIFIED_TREE, threshold=None)
-        return _yes_tree(kind, direction, d, tree)
+        return _yes_tree(kind, direction, d, certificate.witness_tree)
 
     # remaining cells are yes; produce a trace witness when asked
     if not witness:
@@ -193,7 +191,7 @@ def build_antiparallel_d_stable(
     if g.min_degree() <= d:
         return None
     threshold = 2 * d + 2
-    certificate = qualified_deficiency(g, threshold)
+    certificate = min_tree(g, threshold)
     if certificate is None:
         return None
     trace = _build_on_tree(g, certificate.witness_tree, d, threshold, budget)
@@ -247,7 +245,7 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
     """
     if trace_direction(w) != ANTIPARALLEL:
         raise NotAntiparallelError("trace is not antiparallel")
-    report = repetition_analysis(w, "components")
+    report = repetition_analysis(w)
     if report.stability_order < d:
         raise NotStableError(d)
     return _extract_rec(w, 2 * d + 2)
@@ -261,12 +259,12 @@ def _extract_rec(w: DoubleTrace, threshold: int) -> SpanningTree:
         if not transition_graph_at(w, v).is_connected
     )
     if not repetition_vertices:
-        tree = find_even_cotree_tree(g)
-        if tree is None:
+        certificate = min_tree(g, None)
+        if certificate is None:
             raise InternalInvariantError(
                 "strong antiparallel trace exists but no all-even co-tree tree found"
             )
-        return tree
+        return certificate.witness_tree
     v = repetition_vertices[0]
     parts = transition_graph_at(w, v).components
     projected = project_trace_through_split(w, v, parts)
@@ -303,14 +301,14 @@ def sufficient_four_edge_connected(g: Graph, d: int) -> bool:
 
 def graph_deficiency_report(g: Graph, threshold: int | None = None) -> dict:
     """Betti number and (qualified) deficiency summary for reporting."""
-    certificate = graph_deficiency(g)
+    certificate = min_tree(g)
     report: dict = {
         "betti_number": betti_number(g),
         "deficiency": certificate.value,
         "witness_tree": [list(e) for e in certificate.witness_tree.sorted_edges()],
     }
     if threshold is not None:
-        qualified = qualified_deficiency(g, threshold)
+        qualified = min_tree(g, threshold)
         report["qualified_threshold"] = threshold
         report["qualified_deficiency"] = (
             qualified.value if qualified is not None else "NoQualifiedTree"

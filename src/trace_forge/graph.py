@@ -35,6 +35,14 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _find_root(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 @dataclass(frozen=True)
 class Graph:
     """A finite simple undirected graph.

@@ -5,8 +5,10 @@ connected components are classified odd or even by edge count.  The
 deficiency of T counts its odd components, the deficiency of G is the
 minimum over all spanning trees, and the qualified variant restricts the
 minimum to trees whose every odd component contains a vertex meeting a
-degree threshold.  All searches enumerate spanning trees exhaustively,
-which is exact at desk scale.
+degree threshold.  One scan serves every question: ``qualified_trees``
+yields the qualified trees with their deficiencies in enumeration order and
+``min_tree`` takes the first of least deficiency.  Spanning trees are
+enumerated exhaustively, which is exact at desk scale.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import (
-    NotQualifiedError,
-    NotSpanningTreeError,
-    VertexNotInCoTreeError,
-)
-from .graph import Edge, Graph, require_connected
+from .errors import NotSpanningTreeError, VertexNotInCoTreeError
+from .graph import Edge, Graph, _find_root, betti_number, require_connected
 
 
 @dataclass(frozen=True)
@@ -52,15 +50,8 @@ def _check_spanning_tree(g: Graph, edges: frozenset[Edge]) -> None:
             f"{len(edges)} edges cannot span {g.num_vertices} vertices"
         )
     parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = _find_root(parent, u), _find_root(parent, v)
         if ru == rv:
             raise NotSpanningTreeError("tree edges contain a cycle")
         parent[ru] = rv
@@ -100,8 +91,9 @@ class CoTreeDecomposition:
 class DeficiencyCertificate:
     """A deficiency value with the spanning tree that realizes it.
 
-    When ``qualified_bound`` is set, every odd component of the witness
-    co-tree contains a vertex of host degree at least that bound.
+    ``qualified_bound`` is the threshold the witness was qualified at: every
+    odd component of the witness co-tree contains a vertex of host degree at
+    least that bound, and ``None`` means the co-tree has no odd component.
     """
 
     value: int
@@ -178,15 +170,24 @@ def deficiency_of_tree(g: Graph, t: SpanningTree) -> int:
     return len(cotree_decomposition(g, t).odd_components())
 
 
+def _qualified_deficiency_of(
+    g: Graph, t: SpanningTree, threshold: int | None
+) -> int | None:
+    """Deficiency of t when every odd co-tree component clears ``threshold``,
+    else None; ``threshold=None`` lets no odd component through."""
+    odd = cotree_decomposition(g, t).odd_components()
+    for comp in odd:
+        if threshold is None or g.degree(comp.witness_vertex) < threshold:
+            return None
+    return len(odd)
+
+
 def tree_is_qualified(g: Graph, t: SpanningTree, threshold: int | None) -> bool:
     """True when every odd co-tree component clears the degree threshold.
 
     ``threshold=None`` demands that there are no odd components at all.
     """
-    for comp in cotree_decomposition(g, t).odd_components():
-        if threshold is None or g.degree(comp.witness_vertex) < threshold:
-            return False
-    return True
+    return _qualified_deficiency_of(g, t, threshold) is not None
 
 
 def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
@@ -199,16 +200,9 @@ def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
     k = g.num_vertices - 1
     for subset in combinations(g.edges, k):
         parent = {v: v for v in g.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         ok = True
         for u, v in subset:
-            ru, rv = find(u), find(v)
+            ru, rv = _find_root(parent, u), _find_root(parent, v)
             if ru == rv:
                 ok = False
                 break
@@ -217,64 +211,42 @@ def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
             yield SpanningTree(g, frozenset(subset))
 
 
-def graph_deficiency(g: Graph) -> DeficiencyCertificate:
-    """Minimum tree deficiency with a witness tree, by exhaustive enumeration.
+def qualified_trees(
+    g: Graph, threshold: int | None = 0
+) -> Iterator[tuple[int, SpanningTree]]:
+    """``(deficiency, tree)`` for every qualified spanning tree, in
+    enumeration order.
 
-    Stops early once the parity lower bound (Betti number mod 2) is reached.
+    A tree qualifies when each odd co-tree component has a vertex of degree
+    at least ``threshold``; 0 lets every tree through and ``None`` only
+    all-even co-trees.  A threshold above the maximum degree also leaves
+    only all-even co-trees, and since component parities sum to the Betti
+    number, an odd Betti number then rules out every tree unenumerated.
     """
-    require_connected(g)
-    lower = (g.num_edges - g.num_vertices + 1) % 2
-    best: tuple[int, SpanningTree] | None = None
+    betti = betti_number(g)  # rejects a disconnected graph before the shortcut
+    if threshold is None or threshold > g.max_degree():
+        if betti % 2 == 1:
+            return
+        threshold = None
     for t in iter_spanning_trees(g):
-        value = deficiency_of_tree(g, t)
-        if best is None or value < best[0]:
-            best = (value, t)
-            if value == lower:
-                break
-    assert best is not None
-    return DeficiencyCertificate(value=best[0], witness_tree=best[1])
+        value = _qualified_deficiency_of(g, t, threshold)
+        if value is not None:
+            yield value, t
 
 
-def qualified_deficiency(
-    g: Graph, threshold: int, t: SpanningTree | None = None
-) -> DeficiencyCertificate | None:
-    """Deficiency restricted to trees whose odd components clear ``threshold``.
+def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | None:
+    """The first qualified tree of least deficiency, or None when no tree
+    qualifies (see :func:`qualified_trees` for ``threshold``).
 
-    With ``t`` given, validates the qualification and returns its value;
-    otherwise minimizes over all qualified spanning trees and returns
-    ``None`` when no tree qualifies.
+    ``min_tree(g)`` is the deficiency of g.  Every tree's deficiency has
+    the parity of the Betti number, so the scan stops at the first tree of
+    deficiency 0 or 1: none can be lower.
     """
-    require_connected(g)
-    if t is not None:
-        if t.host != g:
-            raise NotSpanningTreeError("tree does not span this graph")
-        if not tree_is_qualified(g, t, threshold):
-            raise NotQualifiedError(
-                f"an odd co-tree component has no vertex of degree >= {threshold}"
-            )
-        return DeficiencyCertificate(
-            value=deficiency_of_tree(g, t),
-            witness_tree=t,
-            qualified_bound=threshold,
-        )
-    if g.max_degree() < threshold:
-        # no vertex can cover an odd component, so a qualified tree has an
-        # all-even co-tree; the first such tree is the one the loop would pick
-        even = find_even_cotree_tree(g)
-        if even is None:
-            return None
-        return DeficiencyCertificate(
-            value=0, witness_tree=even, qualified_bound=threshold
-        )
-    lower = (g.num_edges - g.num_vertices + 1) % 2
     best: tuple[int, SpanningTree] | None = None
-    for tree in iter_spanning_trees(g):
-        if not tree_is_qualified(g, tree, threshold):
-            continue
-        value = deficiency_of_tree(g, tree)
+    for value, tree in qualified_trees(g, threshold):
         if best is None or value < best[0]:
             best = (value, tree)
-            if value == lower:
+            if value <= 1:
                 break
     if best is None:
         return None
@@ -324,30 +296,3 @@ def local_odd_even_split(g: Graph, t: SpanningTree, v: int) -> LocalSplit:
         frozenset(p) for p in sorted(parts, key=min) if len(p) % 2 == 0
     )
     return LocalSplit(vertex=v, odd_parts=odd, even_parts=even)
-
-
-def find_even_cotree_tree(g: Graph) -> SpanningTree | None:
-    """First spanning tree whose co-tree components are all even, if any.
-
-    Component parities sum to the Betti number, so an odd Betti number rules
-    such a tree out without enumeration.
-    """
-    require_connected(g)
-    if (g.num_edges - g.num_vertices + 1) % 2 == 1:
-        return None
-    for t in iter_spanning_trees(g):
-        if deficiency_of_tree(g, t) == 0:
-            return t
-    return None
-
-
-def find_qualified_tree(g: Graph, threshold: int) -> SpanningTree | None:
-    """First spanning tree whose odd co-tree components all clear ``threshold``."""
-    require_connected(g)
-    if g.max_degree() < threshold:
-        # no vertex can cover an odd component, so all components must be even
-        return find_even_cotree_tree(g)
-    for t in iter_spanning_trees(g):
-        if tree_is_qualified(g, t, threshold):
-            return t
-    return None

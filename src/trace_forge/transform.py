@@ -277,8 +277,9 @@ def _reduce_split(
     accept: Callable[[Graph, SpanningTree], bool],
     deficiency_before: int,
 ) -> SplitOutcome:
-    """Find a verified split: recipe first, tree rewiring second, and the
-    literal exhaustive family as a last resort."""
+    """Find a verified split: the recipe on t first, then the recipe on
+    another tree with at least two tree edges at v.  No other search runs:
+    when both stages fail, the guaranteed construction has been broken."""
     new_ids = fresh_vertex_ids(g, 2)
 
     def outcome(g2: Graph, t2: SpanningTree, parts) -> SplitOutcome:
@@ -313,19 +314,6 @@ def _reduce_split(
         for g2, t2, parts in _split_candidates(g, t_alt, v):
             if accept(g2, t2):
                 return outcome(g2, t2, parts)
-
-    # last resort: any half-and-half split with any spanning tree
-    nbhd = sorted(g.neighbors(v))
-    ceil_half = (len(nbhd) + 1) // 2
-    for chosen in combinations(nbhd, ceil_half):
-        part_a = frozenset(chosen)
-        part_b = frozenset(nbhd) - part_a
-        g2 = split_vertex(g, SplitSpec(v, (part_a, part_b)))
-        if not is_connected(g2):
-            continue
-        for t2 in iter_spanning_trees(g2):
-            if accept(g2, t2):
-                return outcome(g2, t2, (part_a, part_b))
 
     raise InternalInvariantError(
         f"no deficiency-reducing split exists at vertex {v}; "

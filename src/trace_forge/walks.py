@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     EmptyGraphError,
@@ -23,13 +22,11 @@ from .errors import (
     WrongLengthError,
     WrongMultiplicityError,
 )
-from .graph import Graph, edge_key, require_connected
+from .graph import Graph, _find_root, edge_key, require_connected
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
 MIXED = "mixed"
-
-Mode = Literal["components", "brute_force"]
 
 
 def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
@@ -115,20 +112,13 @@ class TransitionGraph:
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         parent = {x: x for x in self.nodes}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b in self.links:
-            ra, rb = find(a), find(b)
+            ra, rb = _find_root(parent, a), _find_root(parent, b)
             if ra != rb:
                 parent[ra] = rb
         groups: dict[int, set[int]] = {}
         for x in self.nodes:
-            groups.setdefault(find(x), set()).add(x)
+            groups.setdefault(_find_root(parent, x), set()).add(x)
         return tuple(
             sorted((frozenset(grp) for grp in groups.values()), key=min)
         )
@@ -145,7 +135,6 @@ class RepetitionReport:
     minimal_repetitions: dict[int, tuple[frozenset[int], ...]]
     stability_order: int
     strong: bool
-    mode: Mode
 
 
 @dataclass(frozen=True)
@@ -232,21 +221,6 @@ def is_repetition(w: DoubleTrace, v: int, subset: frozenset[int]) -> bool:
     return all((p in subset) == (s in subset) for p, s in w.visits(v))
 
 
-def _minimal_repetitions_brute(w: DoubleTrace, v: int) -> tuple[frozenset[int], ...]:
-    """Inclusion-minimal non-empty repetition sets by scanning all subsets."""
-    nbhd = w.host.neighbors(v)
-    reps = [
-        frozenset(sub)
-        for r in range(1, len(nbhd) + 1)
-        for sub in combinations(nbhd, r)
-        if is_repetition(w, v, frozenset(sub))
-    ]
-    minimal = [
-        s for s in reps if not any(t < s for t in reps)
-    ]
-    return tuple(sorted(minimal, key=min))
-
-
 def _stability_from_components(
     per_vertex: dict[int, tuple[frozenset[int], ...]], g: Graph
 ) -> int:
@@ -264,25 +238,17 @@ def _stability_from_components(
     return best
 
 
-def repetition_analysis(w: DoubleTrace, mode: Mode = "components") -> RepetitionReport:
+def repetition_analysis(w: DoubleTrace) -> RepetitionReport:
     """Minimal repetitions at every vertex plus stability order and strongness.
 
-    ``components`` derives them from the transition graphs (polynomial);
-    ``brute_force`` re-derives them by testing every neighbor subset and is
-    kept as an independent oracle.  Both modes agree on every graph.
+    The minimal repetitions at v are the components of its transition graph.
     """
-    per_vertex: dict[int, tuple[frozenset[int], ...]] = {}
-    for v in w.host.vertices:
-        if mode == "components":
-            per_vertex[v] = transition_graph_at(w, v).components
-        else:
-            per_vertex[v] = _minimal_repetitions_brute(w, v)
+    per_vertex = {v: transition_graph_at(w, v).components for v in w.host.vertices}
     strong = all(len(comps) == 1 for comps in per_vertex.values())
     return RepetitionReport(
         minimal_repetitions=per_vertex,
         stability_order=_stability_from_components(per_vertex, w.host),
         strong=strong,
-        mode=mode,
     )
 
 
@@ -296,7 +262,7 @@ def stability_order(w: DoubleTrace) -> int:
 
 def classify_trace(w: DoubleTrace) -> TraceClass:
     """Bundle direction, stability order, and the strong flag."""
-    report = repetition_analysis(w, "components")
+    report = repetition_analysis(w)
     return TraceClass(
         is_double=True,
         direction=trace_direction(w),

@@ -5,10 +5,12 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
+import networkx as nx
 import pytest
 
 from trace_forge.graph import (
     Graph,
+    _find_root,
     build_graph,
     complete_graph,
     cube_graph,
@@ -18,7 +20,7 @@ from trace_forge.graph import (
     path_graph,
 )
 from trace_forge.spanning import SpanningTree, spanning_tree
-from trace_forge.walks import DoubleTrace, validate_double_trace
+from trace_forge.walks import DoubleTrace, is_repetition, validate_double_trace
 
 
 @pytest.fixture
@@ -92,16 +94,9 @@ def random_spanning_tree(g: Graph, rng: random.Random) -> SpanningTree:
     edges = list(g.edges)
     rng.shuffle(edges)
     parent = {v: v for v in g.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     chosen = []
     for u, v in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = _find_root(parent, u), _find_root(parent, v)
         if ru != rv:
             parent[ru] = rv
             chosen.append((u, v))
@@ -127,7 +122,47 @@ def random_double_trace(g: Graph, rng: random.Random) -> DoubleTrace:
     return validate_double_trace(g, tour[:-1])
 
 
+# -- brute-force repetition oracle ------------------------------------------------
+
+
+def minimal_repetitions_brute(w: DoubleTrace, v: int) -> tuple[frozenset[int], ...]:
+    """Inclusion-minimal non-empty repetition sets by scanning all subsets."""
+    nbhd = w.host.neighbors(v)
+    reps = [
+        frozenset(sub)
+        for r in range(1, len(nbhd) + 1)
+        for sub in combinations(nbhd, r)
+        if is_repetition(w, v, frozenset(sub))
+    ]
+    minimal = [s for s in reps if not any(t < s for t in reps)]
+    return tuple(sorted(minimal, key=min))
+
+
+def repetitions_brute(w: DoubleTrace) -> tuple[dict, int, bool]:
+    """(minimal repetitions per vertex, stability order, strong) from the
+    definitions: the order is one less than the smallest non-empty
+    repetition anywhere, and strong means each vertex has only its whole
+    neighborhood."""
+    per_vertex = {v: minimal_repetitions_brute(w, v) for v in w.host.vertices}
+    order = min(len(c) for comps in per_vertex.values() for c in comps) - 1
+    strong = all(len(comps) == 1 for comps in per_vertex.values())
+    return per_vertex, order, strong
+
+
 # -- exhaustive small-graph enumeration ------------------------------------------
+
+
+def atlas_graphs(max_vertices: int) -> list[Graph]:
+    """Every connected graph with an edge and at most ``max_vertices``
+    vertices (<= 7) from networkx's graph atlas, one per isomorphism class."""
+    return [
+        build_graph(sorted(h.edges()))
+        for h in nx.graph_atlas_g()
+        if 0 < h.number_of_edges()
+        and h.number_of_nodes() <= max_vertices
+        and nx.is_connected(h)
+    ]
+
 
 
 def canonical_form(n: int, edges: frozenset[tuple[int, int]]) -> frozenset:

@@ -23,9 +23,8 @@ from trace_forge.search import TraceSpec, find_trace
 from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
-    find_even_cotree_tree,
-    find_qualified_tree,
-    graph_deficiency,
+    min_tree,
+    qualified_trees,
     tree_is_qualified,
 )
 from trace_forge.transform import split_reduce_deficiency, split_reduce_qualified
@@ -38,6 +37,7 @@ from conftest import (
     random_connected_graph,
     random_double_trace,
     random_spanning_tree,
+    repetitions_brute,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,7 +78,8 @@ def characterization_sweep():
     for g in sample:
         for d in (1, 2):
             predicate = (
-                g.min_degree() > d and find_qualified_tree(g, 2 * d + 2) is not None
+                g.min_degree() > d
+                and next(qualified_trees(g, 2 * d + 2), None) is not None
             )
             key = (canonical_form(g.num_vertices, frozenset(g.edges)), d)
             if key not in oracle_memo:
@@ -131,14 +132,11 @@ def test_criterion_3_repetition_calculus():
         if g.max_degree() > 6:
             continue
         w = random_double_trace(g, rng)
-        by_components = repetition_analysis(w, "components")
-        by_brute = repetition_analysis(w, "brute_force")
-        if by_components.minimal_repetitions != by_brute.minimal_repetitions:
-            violations.append(("modes disagree", sorted(g.edges), w.sequence))
-        if (
-            by_components.stability_order != by_brute.stability_order
-            or by_components.strong != by_brute.strong
-        ):
+        analysis = repetition_analysis(w)
+        brute_reps, brute_order, brute_strong = repetitions_brute(w)
+        if analysis.minimal_repetitions != brute_reps:
+            violations.append(("brute force disagrees", sorted(g.edges), w.sequence))
+        if (analysis.stability_order, analysis.strong) != (brute_order, brute_strong):
             violations.append(("summary disagrees", sorted(g.edges), w.sequence))
         for v in g.vertices:
             nbhd = frozenset(g.neighbors(v))
@@ -151,7 +149,7 @@ def test_criterion_3_repetition_calculus():
                 if is_repetition(w, v, s) != is_repetition(w, v, nbhd - s):
                     violations.append(("symmetry broken", v, sorted(s)))
         checked += 1
-    report(3, "repetition modes agree and complements mirror", violations)
+    report(3, "repetitions match brute force and complements mirror", violations)
 
 
 def test_criterion_4_deficiency_laws():
@@ -162,12 +160,12 @@ def test_criterion_4_deficiency_laws():
         t = random_spanning_tree(g, rng)
         beta = betti_number(g)
         value = deficiency_of_tree(g, t)
-        minimum = graph_deficiency(g).value
+        minimum = min_tree(g).value
         if value % 2 != beta % 2:
             violations.append(("parity", sorted(g.edges), sorted(t.tree_edges)))
         if minimum > value:
             violations.append(("minimality", sorted(g.edges)))
-        if (find_even_cotree_tree(g) is not None) != (minimum == 0):
+        if (min_tree(g, None) is not None) != (minimum == 0):
             violations.append(("even-cotree equivalence", sorted(g.edges)))
     report(4, "deficiency parity, minimality, and zero-test", violations)
 

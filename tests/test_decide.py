@@ -179,7 +179,7 @@ def test_build_with_three_chained_reductions():
     # K4 blocks joined by bridges: bridges sit in every spanning tree, so
     # each block keeps its own odd co-tree component around its degree-4
     # vertex and the pipeline must split three times before the base case
-    from trace_forge.spanning import qualified_deficiency
+    from trace_forge.spanning import min_tree
     from trace_forge.walks import transition_graph_at
 
     edges = []
@@ -187,7 +187,7 @@ def test_build_with_three_chained_reductions():
         edges += [(base + i, base + j) for i in range(4) for j in range(i + 1, 4)]
     edges += [(3, 4), (7, 8)]
     g = build_graph(edges)
-    assert qualified_deficiency(g, 4).value == 3
+    assert min_tree(g, 4).value == 3
     w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
     cls = classify_trace(w)
     assert cls.direction == "antiparallel"
@@ -263,13 +263,13 @@ def test_no_certificates_reevaluate():
             elif name == "NoQualifiedTree":
                 threshold = cert.condition_detail.get("threshold")
                 if threshold is None:
-                    from trace_forge.spanning import find_even_cotree_tree
+                    from trace_forge.spanning import min_tree
 
-                    assert find_even_cotree_tree(g) is None
+                    assert min_tree(g, None) is None
                 else:
-                    from trace_forge.spanning import find_qualified_tree
+                    from trace_forge.spanning import qualified_trees
 
-                    assert find_qualified_tree(g, threshold) is None
+                    assert next(qualified_trees(g, threshold), None) is None
             elif name == "ParityObstruction":
                 from trace_forge.graph import betti_number
 

@@ -4,26 +4,20 @@ import random
 
 import pytest
 
-from trace_forge.errors import (
-    NotQualifiedError,
-    NotSpanningTreeError,
-    VertexNotInCoTreeError,
-)
+from trace_forge.errors import NotSpanningTreeError, VertexNotInCoTreeError
 from trace_forge.graph import betti_number, build_graph, path_graph
 from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
-    find_even_cotree_tree,
-    find_qualified_tree,
-    graph_deficiency,
     iter_spanning_trees,
     local_odd_even_split,
-    qualified_deficiency,
+    min_tree,
+    qualified_trees,
     spanning_tree,
     tree_is_qualified,
 )
 
-from conftest import random_connected_graph, random_spanning_tree
+from conftest import atlas_graphs, random_connected_graph, random_spanning_tree
 
 
 def star_tree(g, center):
@@ -85,35 +79,40 @@ def test_cotree_edges_sum_to_betti():
 
 
 def test_graph_deficiency_values(k3, k4, k5):
-    assert graph_deficiency(k5).value == 0
-    assert graph_deficiency(k4).value == 1
-    assert graph_deficiency(k3).value == 1
+    assert min_tree(k5).value == 0
+    assert min_tree(k4).value == 1
+    assert min_tree(k3).value == 1
 
 
 def test_deficiency_witness_revalidates(k4):
-    cert = graph_deficiency(k4)
+    cert = min_tree(k4)
     assert deficiency_of_tree(k4, cert.witness_tree) == cert.value
 
 
 def test_qualified_deficiency_k4(k4):
-    assert qualified_deficiency(k4, 4) is None  # max degree 3, odd betti
+    assert min_tree(k4, 4) is None  # max degree 3, odd betti
 
 
 def test_qualified_deficiency_k5_star(k5):
-    cert = qualified_deficiency(k5, 8)
+    cert = min_tree(k5, 8)
     assert cert is not None
     assert cert.value == 0
     assert cert.qualified_bound == 8
 
 
-def test_qualified_deficiency_with_given_tree(k5):
+def test_qualified_deficiency_with_given_tree(k4, k5):
+    # a given tree is scored by tree_is_qualified and deficiency_of_tree
     t = star_tree(k5, 0)
-    cert = qualified_deficiency(k5, 8, t)
-    assert cert.value == 0
-    bad = spanning_tree(k5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    if not tree_is_qualified(k5, bad, 8):
-        with pytest.raises(NotQualifiedError):
-            qualified_deficiency(k5, 8, bad)
+    assert tree_is_qualified(k5, t, 8)
+    assert deficiency_of_tree(k5, t) == 0
+    path = spanning_tree(k5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert tree_is_qualified(k5, path, None)  # one even co-tree component
+    # K4's star leaves the odd triangle 1-2-3, whose vertices have degree 3
+    star = star_tree(k4, 0)
+    assert deficiency_of_tree(k4, star) == 1
+    assert tree_is_qualified(k4, star, 3)
+    assert not tree_is_qualified(k4, star, 4)
+    assert not tree_is_qualified(k4, star, None)
 
 
 def test_local_odd_even_split_k4_path_tree(k4):
@@ -161,17 +160,17 @@ def test_vertex_not_in_cotree(k4):
 
 
 def test_find_even_cotree_tree(k4, k5, q3):
-    assert find_even_cotree_tree(k5) is not None
-    assert find_even_cotree_tree(k4) is None  # betti 3 is odd
-    assert find_even_cotree_tree(q3) is None  # betti 5 is odd
+    assert min_tree(k5, None) is not None
+    assert min_tree(k4, None) is None  # betti 3 is odd
+    assert min_tree(q3, None) is None  # betti 5 is odd
 
 
 def test_find_qualified_tree(k4, k5, c4):
-    t = find_qualified_tree(k5, 4)
-    assert t is not None
+    value, t = next(qualified_trees(k5, 4))
     assert tree_is_qualified(k5, t, 4)
-    assert find_qualified_tree(k4, 4) is None
-    assert find_qualified_tree(c4, 4) is None
+    assert value == deficiency_of_tree(k5, t)
+    assert next(qualified_trees(k4, 4), None) is None
+    assert next(qualified_trees(c4, 4), None) is None
 
 
 def test_parity_law_and_minimality():
@@ -179,30 +178,35 @@ def test_parity_law_and_minimality():
     for _ in range(30):
         g = random_connected_graph(rng, n_min=3, n_max=6)
         beta = betti_number(g)
-        minimum = graph_deficiency(g).value
+        minimum = min_tree(g).value
         t = random_spanning_tree(g, rng)
         value = deficiency_of_tree(g, t)
         assert value % 2 == beta % 2
         assert minimum <= value
-        assert (find_even_cotree_tree(g) is not None) == (minimum == 0)
+        assert (min_tree(g, None) is not None) == (minimum == 0)
 
 
 def test_qualified_deficiency_below_threshold_matches_enumeration():
-    """With every degree below the threshold, the parity shortcut returns
-    the first qualified tree in enumeration order, or None when none is."""
-    rng = random.Random(29)
+    """On every connected atlas graph with up to 6 vertices, ``min_tree`` is
+    the first qualified tree of least deficiency and ``qualified_trees``
+    starts at the first qualified tree, as a plain filter over all trees
+    finds them.  Thresholds above the maximum degree take the parity
+    shortcut, which must return the same tree or None."""
     outcomes = set()
-    for _ in range(60):
-        g = random_connected_graph(rng, n_min=3, n_max=6)
-        threshold = g.max_degree() + 1
-        first = next(
-            (t for t in iter_spanning_trees(g) if tree_is_qualified(g, t, threshold)),
-            None,
-        )
-        cert = qualified_deficiency(g, threshold)
-        if first is None:
-            assert cert is None
-        else:
-            assert (cert.value, cert.witness_tree) == (0, first)
-        outcomes.add(first is None)
+    for g in atlas_graphs(6):
+        for threshold in (0, None, 4, 6, g.max_degree() + 1):
+            qualified = [
+                (deficiency_of_tree(g, t), t)
+                for t in iter_spanning_trees(g)
+                if tree_is_qualified(g, t, threshold)
+            ]
+            first = qualified[0] if qualified else None
+            least = min(qualified, key=lambda pair: pair[0]) if qualified else None
+            assert next(qualified_trees(g, threshold), None) == first
+            cert = min_tree(g, threshold)
+            if least is None:
+                assert cert is None
+            else:
+                assert (cert.value, cert.witness_tree) == least
+            outcomes.add(first is None)
     assert outcomes == {True, False}

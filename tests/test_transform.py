@@ -1,6 +1,7 @@
 """Tree transfer, deficiency-reducing splits, and trace projection/lifting."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -42,7 +43,7 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
-from conftest import random_connected_graph, random_spanning_tree
+from conftest import atlas_graphs, random_connected_graph, random_spanning_tree
 
 
 # -- tree transfer ---------------------------------------------------------------
@@ -181,28 +182,31 @@ def test_split_reduce_rejects_even_component_vertex():
 
 
 def test_split_reduce_universal_over_small_graphs():
-    rng = random.Random(17)
+    """Both accept rules find a split at every odd-component vertex of the
+    first trees of every connected atlas graph with up to 6 vertices, from
+    the recipe on the given tree or on a rewired one alone."""
     checked = 0
-    while checked < 60:
-        g = random_connected_graph(rng, n_min=4, n_max=6)
-        t = random_spanning_tree(g, rng)
-        odd_vertices = sorted(
-            v
-            for comp in cotree_decomposition(g, t).odd_components()
-            for v in comp.vertices
-        )
-        if not odd_vertices:
-            continue
-        v = rng.choice(odd_vertices)
-        before = deficiency_of_tree(g, t)
-        outcome = split_reduce_deficiency(g, t, v)
-        assert is_connected(outcome.graph_after)
-        assert outcome.deficiency_after < before
-        degree = g.degree(v)
-        assert sorted(len(p) for p in outcome.parts) == sorted(
-            ((degree + 1) // 2, degree // 2)
-        )
-        checked += 1
+    for g in atlas_graphs(6):
+        for t in islice(iter_spanning_trees(g), 10):
+            odd = cotree_decomposition(g, t).odd_components()
+            before = len(odd)
+            for v in sorted({v for comp in odd for v in comp.vertices}):
+                outcome = split_reduce_deficiency(g, t, v)
+                assert is_connected(outcome.graph_after)
+                assert outcome.deficiency_after < before
+                degree = g.degree(v)
+                assert sorted(len(p) for p in outcome.parts) == sorted(
+                    ((degree + 1) // 2, degree // 2)
+                )
+                # the largest threshold the instance supports
+                threshold = min(
+                    [degree] + [g.degree(comp.witness_vertex) for comp in odd]
+                )
+                q = split_reduce_qualified(g, t, v, threshold)
+                assert q.deficiency_after < before
+                assert tree_is_qualified(q.graph_after, q.tree_after, threshold)
+                checked += 1
+    assert checked > 2000
 
 
 def test_split_reduce_qualified_degree8_hub():
@@ -307,7 +311,7 @@ def test_lift_of_uneven_split_breaks_stability(k5):
     w_prime = find_trace(g_prime, TraceSpec("double", "antiparallel"))
     assert w_prime is not None
     lifted = lift_trace_through_identification(w_prime, fresh_vertex_ids(k5, 2), 0)
-    report = repetition_analysis(lifted, "components")
+    report = repetition_analysis(lifted)
     assert frozenset({1}) in report.minimal_repetitions[0]
     assert report.stability_order == 0
 
@@ -316,12 +320,12 @@ def test_lift_of_balanced_split_keeps_stability():
     # K5 plus a degree-2 vertex has odd betti, so the d=1 pipeline must split
     # a degree->=4 vertex; both halves have size > 1, and the lift introduces
     # exactly the halves' neighborhoods as the repetitions at the old vertex
-    from trace_forge.spanning import qualified_deficiency
+    from trace_forge.spanning import min_tree
 
     g = build_graph(
         [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
     )
-    cert = qualified_deficiency(g, 4)
+    cert = min_tree(g, 4)
     assert cert is not None and cert.value == 1
     v = min(
         x
@@ -336,7 +340,7 @@ def test_lift_of_balanced_split_keeps_stability():
     cls = classify_trace(lifted)
     assert cls.direction == "antiparallel"
     assert cls.stability_order >= 1
-    reps = repetition_analysis(lifted, "components").minimal_repetitions[v]
+    reps = repetition_analysis(lifted).minimal_repetitions[v]
     assert set(reps) <= {outcome.parts[0], outcome.parts[1]} or all(
         any(comp <= part for part in outcome.parts) for comp in reps
     )

@@ -24,7 +24,7 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
-from conftest import random_connected_graph, random_double_trace
+from conftest import random_connected_graph, random_double_trace, repetitions_brute
 
 K3_ANTI = [0, 1, 2, 0, 2, 1]
 K3_PAR = [0, 1, 2, 0, 1, 2]
@@ -88,11 +88,12 @@ def test_transition_graph_parallel_triangle(k3):
 def test_repetition_analysis_modes_agree_on_triangle(k3):
     for seq in (K3_ANTI, K3_PAR):
         w = validate_double_trace(k3, seq)
-        by_components = repetition_analysis(w, "components")
-        by_brute = repetition_analysis(w, "brute_force")
-        assert by_components.minimal_repetitions == by_brute.minimal_repetitions
-        assert by_components.stability_order == by_brute.stability_order
-        assert by_components.strong == by_brute.strong
+        report = repetition_analysis(w)
+        assert (
+            report.minimal_repetitions,
+            report.stability_order,
+            report.strong,
+        ) == repetitions_brute(w)
 
 
 def test_trivial_subsets_are_always_repetitions(k3):
