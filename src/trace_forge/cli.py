@@ -163,7 +163,6 @@ def cmd_verify(args) -> int:
     trace = validate_double_trace(g, sequence)
     report = repetition_analysis(trace)
     cls = TraceClass(
-        is_double=True,
         direction=trace_direction(trace),
         stability_order=report.stability_order,
         strong=report.strong,

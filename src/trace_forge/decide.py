@@ -176,12 +176,13 @@ def build_antiparallel_d_stable(
 ) -> DoubleTrace | None:
     """Construct an antiparallel d-stable trace, or None when none exists.
 
-    Pipeline: start from a minimum qualified tree at threshold 2d + 2; while
-    the co-tree has an odd component, split a vertex of degree >= 2d + 2
-    inside one (strictly reducing the qualified deficiency), recurse, and
-    lift the recursive trace back through the identification.  The fully
-    reduced graph has an all-even co-tree, where an antiparallel strong
-    trace exists and is d-stable because all degrees stay above d.
+    Pipeline: start from a minimum qualified tree at threshold 2d + 2.  While
+    the co-tree has an odd component, split the least vertex of degree
+    >= 2d + 2 inside one (strictly reducing the qualified deficiency) and
+    go on with the split graph and its tree.  The fully reduced graph has
+    an all-even co-tree, where an antiparallel strong trace exists and is
+    d-stable because all degrees stay above d; that trace is lifted back
+    through the identifications, the last split first.
     """
     require_connected(g)
     if g.num_edges == 0:
@@ -194,7 +195,29 @@ def build_antiparallel_d_stable(
     certificate = min_tree(g, threshold)
     if certificate is None:
         return None
-    trace = _build_on_tree(g, certificate.witness_tree, d, threshold, budget)
+    h, t = g, certificate.witness_tree
+    splits: list[tuple[tuple[int, int], int]] = []
+    while odd := cotree_decomposition(h, t).odd_components():
+        v = min(
+            (x for comp in odd for x in comp.vertices if h.degree(x) >= threshold),
+            default=None,
+        )
+        if v is None:
+            raise InternalInvariantError(
+                "odd component lost its high-degree vertex during the induction"
+            )
+        outcome = split_reduce_qualified(h, t, v, threshold)
+        if outcome.deficiency_after >= outcome.deficiency_before:
+            raise InternalInvariantError("split failed to reduce the deficiency")
+        splits.append((outcome.new_vertices, v))
+        h, t = outcome.graph_after, outcome.tree_after
+    trace = find_trace(h, TraceSpec("strong", ANTIPARALLEL), budget)
+    if trace is None:
+        raise InternalInvariantError(
+            "all-even co-tree but no antiparallel strong trace found"
+        )
+    for new_vertices, v in reversed(splits):
+        trace = lift_trace_through_identification(trace, new_vertices, v)
     cls = classify_trace(trace)
     if cls.direction != ANTIPARALLEL or cls.stability_order < d:
         raise InternalInvariantError(
@@ -203,82 +226,50 @@ def build_antiparallel_d_stable(
     return trace
 
 
-def _build_on_tree(
-    g: Graph, t: SpanningTree, d: int, threshold: int, budget: int | None
-) -> DoubleTrace:
-    odd = cotree_decomposition(g, t).odd_components()
-    if not odd:
-        trace = find_trace(g, TraceSpec("strong", ANTIPARALLEL), budget)
-        if trace is None:
-            raise InternalInvariantError(
-                "all-even co-tree but no antiparallel strong trace found"
-            )
-        return trace
-    candidates = sorted(
-        v
-        for comp in odd
-        for v in comp.vertices
-        if g.degree(v) >= threshold
-    )
-    if not candidates:
-        raise InternalInvariantError(
-            "odd component lost its high-degree vertex during the induction"
-        )
-    v = candidates[0]
-    outcome = split_reduce_qualified(g, t, v, threshold)
-    if outcome.deficiency_after >= outcome.deficiency_before:
-        raise InternalInvariantError("split failed to reduce the deficiency")
-    inner = _build_on_tree(
-        outcome.graph_after, outcome.tree_after, d, threshold, budget
-    )
-    return lift_trace_through_identification(inner, outcome.new_vertices, v)
-
-
 def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
     """Turn an antiparallel d-stable trace into a qualifying spanning tree.
 
-    Projects the trace through splits of its repetition vertices along their
-    minimal repetition sets until it is strong, takes an all-even co-tree
-    tree there, and transfers the tree back through the identifications.
-    Every odd component of the result contains a vertex of degree at least
-    2d + 2 (and there may be none at all).
+    Projects the trace through splits of its repetition vertices (the least
+    one first) along their minimal repetition sets until it is strong, takes
+    an all-even co-tree tree there, and transfers the tree back through the
+    identifications, the last projection first.  Every odd component of the
+    result contains a vertex of degree at least 2d + 2 (and there may be
+    none at all).
     """
     if trace_direction(w) != ANTIPARALLEL:
         raise NotAntiparallelError("trace is not antiparallel")
     report = repetition_analysis(w)
     if report.stability_order < d:
         raise NotStableError(d)
-    return _extract_rec(w, 2 * d + 2)
-
-
-def _extract_rec(w: DoubleTrace, threshold: int) -> SpanningTree:
-    g = w.host
-    repetition_vertices = sorted(
-        v
-        for v in g.vertices
-        if not transition_graph_at(w, v).is_connected
-    )
-    if not repetition_vertices:
-        certificate = min_tree(g, None)
-        if certificate is None:
-            raise InternalInvariantError(
-                "strong antiparallel trace exists but no all-even co-tree tree found"
-            )
-        return certificate.witness_tree
-    v = repetition_vertices[0]
-    parts = transition_graph_at(w, v).components
-    projected = project_trace_through_split(w, v, parts)
-    inner_tree = _extract_rec(projected, threshold)
-    g2 = projected.host
-    new_ids = fresh_vertex_ids(g, len(parts))
-    protected = frozenset(
-        x for x in g2.vertices if g2.degree(x) >= threshold and x not in new_ids
-    )
-    tree = transfer_tree_on_identification(g2, inner_tree, new_ids, v, protected)
-    if not tree_is_qualified(g, tree, threshold):
-        raise InternalInvariantError(
-            "transferred tree lost its degree qualification"
+    threshold = 2 * d + 2
+    projections: list[tuple[Graph, int, tuple[int, ...]]] = []
+    while True:
+        g = w.host
+        v = min(
+            (x for x in g.vertices if not transition_graph_at(w, x).is_connected),
+            default=None,
         )
+        if v is None:
+            break
+        parts = transition_graph_at(w, v).components
+        projections.append((g, v, fresh_vertex_ids(g, len(parts))))
+        w = project_trace_through_split(w, v, parts)
+    certificate = min_tree(w.host, None)
+    if certificate is None:
+        raise InternalInvariantError(
+            "strong antiparallel trace exists but no all-even co-tree tree found"
+        )
+    tree = certificate.witness_tree
+    for g, v, new_ids in reversed(projections):
+        g2 = tree.host
+        protected = frozenset(
+            x for x in g2.vertices if g2.degree(x) >= threshold and x not in new_ids
+        )
+        tree = transfer_tree_on_identification(g2, tree, new_ids, v, protected)
+        if not tree_is_qualified(g, tree, threshold):
+            raise InternalInvariantError(
+                "transferred tree lost its degree qualification"
+            )
     return tree
 
 

@@ -86,19 +86,24 @@ class CoTreeDecomposition:
     def odd_components(self) -> tuple[CotreeComponent, ...]:
         return tuple(c for c in self.components if c.is_odd)
 
+    def qualified_deficiency(self, threshold: int | None) -> int | None:
+        """Number of odd components when each has a vertex of host degree at
+        least ``threshold``, else None; ``None`` lets no odd component
+        through."""
+        host = self.tree.host
+        odd = self.odd_components()
+        for comp in odd:
+            if threshold is None or host.degree(comp.witness_vertex) < threshold:
+                return None
+        return len(odd)
+
 
 @dataclass(frozen=True)
 class DeficiencyCertificate:
-    """A deficiency value with the spanning tree that realizes it.
-
-    ``qualified_bound`` is the threshold the witness was qualified at: every
-    odd component of the witness co-tree contains a vertex of host degree at
-    least that bound, and ``None`` means the co-tree has no odd component.
-    """
+    """A deficiency value with the spanning tree that realizes it."""
 
     value: int
     witness_tree: SpanningTree
-    qualified_bound: int | None = None
 
 
 @dataclass(frozen=True)
@@ -170,24 +175,12 @@ def deficiency_of_tree(g: Graph, t: SpanningTree) -> int:
     return len(cotree_decomposition(g, t).odd_components())
 
 
-def _qualified_deficiency_of(
-    g: Graph, t: SpanningTree, threshold: int | None
-) -> int | None:
-    """Deficiency of t when every odd co-tree component clears ``threshold``,
-    else None; ``threshold=None`` lets no odd component through."""
-    odd = cotree_decomposition(g, t).odd_components()
-    for comp in odd:
-        if threshold is None or g.degree(comp.witness_vertex) < threshold:
-            return None
-    return len(odd)
-
-
 def tree_is_qualified(g: Graph, t: SpanningTree, threshold: int | None) -> bool:
     """True when every odd co-tree component clears the degree threshold.
 
     ``threshold=None`` demands that there are no odd components at all.
     """
-    return _qualified_deficiency_of(g, t, threshold) is not None
+    return cotree_decomposition(g, t).qualified_deficiency(threshold) is not None
 
 
 def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
@@ -229,7 +222,7 @@ def qualified_trees(
             return
         threshold = None
     for t in iter_spanning_trees(g):
-        value = _qualified_deficiency_of(g, t, threshold)
+        value = cotree_decomposition(g, t).qualified_deficiency(threshold)
         if value is not None:
             yield value, t
 
@@ -250,9 +243,7 @@ def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | Non
                 break
     if best is None:
         return None
-    return DeficiencyCertificate(
-        value=best[0], witness_tree=best[1], qualified_bound=threshold
-    )
+    return DeficiencyCertificate(value=best[0], witness_tree=best[1])
 
 
 def local_odd_even_split(g: Graph, t: SpanningTree, v: int) -> LocalSplit:

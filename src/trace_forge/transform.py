@@ -4,8 +4,10 @@ Three families of machinery live here:
 
 * transferring a spanning tree across vertex identification while keeping
   odd co-tree components covered,
-* splitting a vertex in an odd co-tree component so that the (qualified)
-  deficiency strictly drops, and
+* splitting a vertex in an odd co-tree component so that the deficiency
+  strictly drops while every odd component keeps a vertex of degree at
+  least a threshold (threshold 0, the plain deficiency rule, asks nothing
+  more), and
 * projecting a double trace through a split of one vertex along its
   repetition sets, plus the inverse lift.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeTooSmallError,
@@ -43,9 +45,7 @@ from .graph import (
 from .spanning import (
     SpanningTree,
     cotree_decomposition,
-    deficiency_of_tree,
     iter_spanning_trees,
-    tree_is_qualified,
 )
 from .walks import DoubleTrace, transition_graph_at, validate_double_trace
 
@@ -54,10 +54,8 @@ from .walks import DoubleTrace, transition_graph_at, validate_double_trace
 class SplitOutcome:
     """A deficiency-reducing split with its full correspondence record."""
 
-    graph_before: Graph
     graph_after: Graph
     tree_after: SpanningTree
-    split_vertex: int
     new_vertices: tuple[int, int]
     parts: tuple[frozenset[int], frozenset[int]]
     edge_map: dict[Edge, Edge]  # old edge -> new edge, a bijection
@@ -199,13 +197,6 @@ def transfer_tree_on_identification(
 # -- deficiency-reducing splits -------------------------------------------------
 
 
-def _home_component(g: Graph, t: SpanningTree, v: int):
-    for comp in cotree_decomposition(g, t).components:
-        if v in comp.vertices:
-            return comp
-    return None
-
-
 def _relabeled_tree_edges(
     t: SpanningTree, v: int, side: frozenset[int], v1: int, v2: int
 ) -> set[Edge]:
@@ -256,6 +247,24 @@ def _split_candidates(
                     yield g2, t2, (u_side, w_side)
 
 
+def _recipe_trees(
+    g: Graph, t: SpanningTree, v: int, deficiency: int
+) -> Iterator[SpanningTree]:
+    """t itself, then every other tree the recipe may have to move to first:
+    v in an odd co-tree component, at least two tree edges at v and
+    deficiency at most ``deficiency``."""
+    yield t
+    for t_alt in iter_spanning_trees(g):
+        if t_alt.tree_edges == t.tree_edges:
+            continue
+        odd = cotree_decomposition(g, t_alt).odd_components()
+        if len(odd) > deficiency or not any(v in c.vertices for c in odd):
+            continue
+        if sum(1 for x in g.neighbors(v) if edge_key(x, v) in t_alt.tree_edges) < 2:
+            continue
+        yield t_alt
+
+
 def _edge_map_for_split(
     g: Graph, v: int, parts: tuple[frozenset[int], frozenset[int]], new_ids: tuple[int, int]
 ) -> dict[Edge, Edge]:
@@ -270,113 +279,64 @@ def _edge_map_for_split(
     return mapping
 
 
-def _reduce_split(
-    g: Graph,
-    t: SpanningTree,
-    v: int,
-    accept: Callable[[Graph, SpanningTree], bool],
-    deficiency_before: int,
-) -> SplitOutcome:
-    """Find a verified split: the recipe on t first, then the recipe on
-    another tree with at least two tree edges at v.  No other search runs:
-    when both stages fail, the guaranteed construction has been broken."""
-    new_ids = fresh_vertex_ids(g, 2)
-
-    def outcome(g2: Graph, t2: SpanningTree, parts) -> SplitOutcome:
-        return SplitOutcome(
-            graph_before=g,
-            graph_after=g2,
-            tree_after=t2,
-            split_vertex=v,
-            new_vertices=new_ids,
-            parts=parts,
-            edge_map=_edge_map_for_split(g, v, parts, new_ids),
-            deficiency_before=deficiency_before,
-            deficiency_after=deficiency_of_tree(g2, t2),
-        )
-
-    for g2, t2, parts in _split_candidates(g, t, v):
-        if accept(g2, t2):
-            return outcome(g2, t2, parts)
-
-    # the recipe can require first moving to another tree with at least two
-    # tree edges at v and no worse deficiency
-    for t_alt in iter_spanning_trees(g):
-        if t_alt.tree_edges == t.tree_edges:
-            continue
-        if deficiency_of_tree(g, t_alt) > deficiency_before:
-            continue
-        home = _home_component(g, t_alt, v)
-        if home is None or not home.is_odd:
-            continue
-        if sum(1 for x in g.neighbors(v) if edge_key(x, v) in t_alt.tree_edges) < 2:
-            continue
-        for g2, t2, parts in _split_candidates(g, t_alt, v):
-            if accept(g2, t2):
-                return outcome(g2, t2, parts)
-
-    raise InternalInvariantError(
-        f"no deficiency-reducing split exists at vertex {v}; "
-        f"this contradicts a guaranteed construction"
-    )
-
-
-def _check_split_preconditions(g: Graph, t: SpanningTree, v: int) -> int:
-    if t.host != g:
-        raise NotSpanningTreeError("tree does not span this graph")
-    if v not in g.adjacency:
-        raise UnknownVertexError(f"vertex {v} not in graph")
-    if g.degree(v) < 2:
-        raise DegreeTooSmallError(f"vertex {v} has degree {g.degree(v)} < 2")
-    home = _home_component(g, t, v)
-    if home is None or not home.is_odd:
-        raise NotInOddComponentError(
-            f"vertex {v} does not lie in an odd co-tree component"
-        )
-    return deficiency_of_tree(g, t)
-
-
 def split_reduce_deficiency(g: Graph, t: SpanningTree, v: int) -> SplitOutcome:
-    """Split v (in an odd co-tree component) so the tree deficiency drops.
-
-    Returns a connected split into halves of sizes ceil(d(v)/2) and
-    floor(d(v)/2) together with a spanning tree of strictly smaller
-    deficiency.  The outcome is validated, not assumed.
-    """
-    deficiency_before = _check_split_preconditions(g, t, v)
-
-    def accept(g2: Graph, t2: SpanningTree) -> bool:
-        return deficiency_of_tree(g2, t2) < deficiency_before
-
-    return _reduce_split(g, t, v, accept, deficiency_before)
+    """:func:`split_reduce_qualified` at threshold 0, the plain deficiency rule."""
+    return split_reduce_qualified(g, t, v, 0)
 
 
 def split_reduce_qualified(
-    g: Graph, t: SpanningTree, v: int, threshold: int
+    g: Graph, t: SpanningTree, v: int, threshold: int = 0
 ) -> SplitOutcome:
-    """Deficiency-reducing split that also preserves qualification.
+    """Split v (in an odd co-tree component) so the deficiency strictly drops
+    and every odd component keeps a vertex of degree >= ``threshold``.
 
-    Requires d(v) >= threshold and a tree whose odd components all contain a
-    vertex of degree >= threshold; the output tree satisfies the same
-    covering property in the split graph.
+    Requires d(v) >= threshold and a tree whose odd components all contain
+    such a vertex; threshold 0 is the plain deficiency rule, which every tree
+    meets.  Returns a connected split into halves of sizes ceil(d(v)/2) and
+    floor(d(v)/2) with a spanning tree of the split graph that meets the
+    same rule.  The recipe runs on t first, then on another tree with at
+    least two tree edges at v and no larger deficiency.  No other search
+    runs: when both fail, the guaranteed construction has been broken.  Each
+    candidate is scored by one co-tree decomposition; the outcome is
+    validated, not assumed.
     """
     if v in g.adjacency and g.degree(v) < threshold:
         raise NotQualifiedError(
             f"vertex {v} has degree {g.degree(v)} < threshold {threshold}"
         )
-    if not tree_is_qualified(g, t, threshold):
+    decomposition = cotree_decomposition(g, t)
+    before = decomposition.qualified_deficiency(threshold)
+    if before is None:
         raise NotQualifiedError(
             f"an odd co-tree component has no vertex of degree >= {threshold}"
         )
-    deficiency_before = _check_split_preconditions(g, t, v)
-
-    def accept(g2: Graph, t2: SpanningTree) -> bool:
-        return (
-            deficiency_of_tree(g2, t2) < deficiency_before
-            and tree_is_qualified(g2, t2, threshold)
+    if v not in g.adjacency:
+        raise UnknownVertexError(f"vertex {v} not in graph")
+    if g.degree(v) < 2:
+        raise DegreeTooSmallError(f"vertex {v} has degree {g.degree(v)} < 2")
+    if not any(v in c.vertices for c in decomposition.odd_components()):
+        raise NotInOddComponentError(
+            f"vertex {v} does not lie in an odd co-tree component"
         )
 
-    return _reduce_split(g, t, v, accept, deficiency_before)
+    new_ids = fresh_vertex_ids(g, 2)
+    for tree in _recipe_trees(g, t, v, before):
+        for g2, t2, parts in _split_candidates(g, tree, v):
+            after = cotree_decomposition(g2, t2).qualified_deficiency(threshold)
+            if after is not None and after < before:
+                return SplitOutcome(
+                    graph_after=g2,
+                    tree_after=t2,
+                    new_vertices=new_ids,
+                    parts=parts,
+                    edge_map=_edge_map_for_split(g, v, parts, new_ids),
+                    deficiency_before=before,
+                    deficiency_after=after,
+                )
+    raise InternalInvariantError(
+        f"no deficiency-reducing split exists at vertex {v}; "
+        f"this contradicts a guaranteed construction"
+    )
 
 
 # -- trace projection and lifting ------------------------------------------------

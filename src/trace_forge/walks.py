@@ -141,7 +141,6 @@ class RepetitionReport:
 class TraceClass:
     """Where a trace sits in the kind/direction matrix."""
 
-    is_double: bool
     direction: str
     stability_order: int
     strong: bool
@@ -264,7 +263,6 @@ def classify_trace(w: DoubleTrace) -> TraceClass:
     """Bundle direction, stability order, and the strong flag."""
     report = repetition_analysis(w)
     return TraceClass(
-        is_double=True,
         direction=trace_direction(w),
         stability_order=report.stability_order,
         strong=report.strong,

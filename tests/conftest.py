@@ -16,7 +16,6 @@ from trace_forge.graph import (
     cube_graph,
     cycle_graph,
     edge_key,
-    is_connected,
     path_graph,
 )
 from trace_forge.spanning import SpanningTree, spanning_tree
@@ -164,7 +163,6 @@ def atlas_graphs(max_vertices: int) -> list[Graph]:
     ]
 
 
-
 def canonical_form(n: int, edges: frozenset[tuple[int, int]]) -> frozenset:
     """Smallest relabeling of the edge set; exact isomorphism key for tiny n."""
     best = None
@@ -174,23 +172,3 @@ def canonical_form(n: int, edges: frozenset[tuple[int, int]]) -> frozenset:
         if best is None or key < best[0]:
             best = (key, relabeled)
     return best[1]
-
-
-def connected_graphs_up_to_iso(n: int) -> list[Graph]:
-    """All connected graphs on n labeled vertices, one per isomorphism class."""
-    pairs = list(combinations(range(n), 2))
-    seen: set[frozenset] = set()
-    out: list[Graph] = []
-    for mask in range(1 << len(pairs)):
-        edges = frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1)
-        if len(edges) < n - 1:
-            continue
-        g = build_graph(sorted(edges), isolated_vertices=range(n))
-        if not is_connected(g):
-            continue
-        key = canonical_form(n, edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(g)
-    return out

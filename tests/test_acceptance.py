@@ -31,8 +31,8 @@ from trace_forge.transform import split_reduce_deficiency, split_reduce_qualifie
 from trace_forge.walks import classify_trace, is_repetition, repetition_analysis
 
 from conftest import (
+    atlas_graphs,
     canonical_form,
-    connected_graphs_up_to_iso,
     fixture_family,
     random_connected_graph,
     random_double_trace,
@@ -53,16 +53,14 @@ def report(number: int, name: str, violations: list) -> None:
 def characterization_sweep():
     """Criterion-1 instance set and verdicts.
 
-    All connected graphs on 3..5 vertices up to isomorphism plus a seeded
-    random sample of 6-vertex graphs (capped at 12 edges so the exhaustive
-    oracle stays tractable), at least 200 graphs in total.  The oracle is
-    memoized by canonical form since trace existence is isomorphism
-    invariant.
+    All connected graphs on 3..5 vertices up to isomorphism, from the
+    networkx graph atlas, plus a seeded random sample of 6-vertex graphs
+    (capped at 12 edges so the exhaustive oracle stays tractable), at least
+    200 graphs in total.  The oracle is memoized by canonical form since
+    trace existence is isomorphism invariant.
     """
     rng = random.Random(2026)
-    sample = []
-    for n in (3, 4, 5):
-        sample.extend(connected_graphs_up_to_iso(n))
+    sample = [g for g in atlas_graphs(5) if g.num_vertices >= 3]
     while len(sample) < 200:
         sample.append(
             random_connected_graph(

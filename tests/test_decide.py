@@ -1,5 +1,6 @@
 """Matrix decisions, the constructive pipeline, and the sufficiency shortcut."""
 
+import inspect
 import random
 
 import networkx as nx
@@ -175,12 +176,35 @@ def test_build_extract_round_trip():
     assert tree_is_qualified(g, tree, 4)
 
 
-def test_build_with_three_chained_reductions():
+def test_build_with_three_chained_reductions(monkeypatch):
     # K4 blocks joined by bridges: bridges sit in every spanning tree, so
     # each block keeps its own odd co-tree component around its degree-4
-    # vertex and the pipeline must split three times before the base case
+    # vertex and the pipeline must split three times before the base case;
+    # both directions are loops, so every lift and every transfer is called
+    # at the same stack depth
+    import trace_forge.decide as decide_module
     from trace_forge.spanning import min_tree
     from trace_forge.walks import transition_graph_at
+
+    depths = {"lift": [], "transfer": []}
+
+    def at_depth(key, fn):
+        def wrapper(*args, **kwargs):
+            depths[key].append(len(inspect.stack(0)))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        decide_module,
+        "lift_trace_through_identification",
+        at_depth("lift", decide_module.lift_trace_through_identification),
+    )
+    monkeypatch.setattr(
+        decide_module,
+        "transfer_tree_on_identification",
+        at_depth("transfer", decide_module.transfer_tree_on_identification),
+    )
 
     edges = []
     for base in (0, 4, 8):
@@ -198,6 +222,9 @@ def test_build_with_three_chained_reductions():
     assert len(repetition_vertices) == 3
     tree = extract_qualified_tree_from_trace(w, 1)
     assert tree_is_qualified(g, tree, 4)
+    for key in ("lift", "transfer"):
+        assert len(depths[key]) == 3
+        assert len(set(depths[key])) == 1, (key, depths[key])
 
 
 def test_sufficient_shortcut(k4, k5):

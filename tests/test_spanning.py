@@ -97,7 +97,6 @@ def test_qualified_deficiency_k5_star(k5):
     cert = min_tree(k5, 8)
     assert cert is not None
     assert cert.value == 0
-    assert cert.qualified_bound == 8
 
 
 def test_qualified_deficiency_with_given_tree(k4, k5):
