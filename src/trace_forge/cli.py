@@ -309,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_def = sub.add_parser("deficiency", help="betti number and deficiencies")
     _add_common(p_def)
     p_def.add_argument(
-        "-d", type=int, default=None, help="degree threshold for qualified deficiency"
+        "-d",
+        type=int,
+        default=None,
+        help="degree threshold for the qualified deficiency: the threshold "
+        "D = 2d + 2 itself, not the d that the other subcommands' -d takes",
     )
     p_def.set_defaults(func=cmd_deficiency)
 

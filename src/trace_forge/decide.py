@@ -229,12 +229,12 @@ def build_antiparallel_d_stable(
 def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
     """Turn an antiparallel d-stable trace into a qualifying spanning tree.
 
-    Projects the trace through splits of its repetition vertices (the least
-    one first) along their minimal repetition sets until it is strong, takes
-    an all-even co-tree tree there, and transfers the tree back through the
-    identifications, the last projection first.  Every odd component of the
-    result contains a vertex of degree at least 2d + 2 (and there may be
-    none at all).
+    Projects the trace through a split of each vertex whose transition graph
+    is disconnected (the least one first) along its minimal repetition sets,
+    which leaves it strong, takes an all-even co-tree tree there, and
+    transfers the tree back through the identifications, the last projection
+    first.  Every odd component of the result contains a vertex of degree at
+    least 2d + 2 (and there may be none at all).
     """
     if trace_direction(w) != ANTIPARALLEL:
         raise NotAntiparallelError("trace is not antiparallel")
@@ -242,18 +242,19 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
     if report.stability_order < d:
         raise NotStableError(d)
     threshold = 2 * d + 2
+    # A projection at v leaves v's copies connected and only renames v at its
+    # neighbors, so the first report names every vertex to project; the parts
+    # are read from the current trace, which carries those renames.
     projections: list[tuple[Graph, int, tuple[int, ...]]] = []
-    while True:
+    for v in sorted(
+        x for x, comps in report.minimal_repetitions.items() if len(comps) > 1
+    ):
         g = w.host
-        v = min(
-            (x for x in g.vertices if not transition_graph_at(w, x).is_connected),
-            default=None,
-        )
-        if v is None:
-            break
         parts = transition_graph_at(w, v).components
         projections.append((g, v, fresh_vertex_ids(g, len(parts))))
         w = project_trace_through_split(w, v, parts)
+    if not repetition_analysis(w).strong:
+        raise InternalInvariantError("projected trace is not strong")
     certificate = min_tree(w.host, None)
     if certificate is None:
         raise InternalInvariantError(

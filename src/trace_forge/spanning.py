@@ -69,9 +69,16 @@ class CotreeComponent:
 
     edges: frozenset[Edge]
     vertices: frozenset[int]
-    edge_count: int
-    parity: int  # edge_count mod 2; 1 means odd
     witness_vertex: int  # maximum host degree, smallest id on ties
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    @property
+    def parity(self) -> int:
+        """edge_count mod 2; 1 means odd."""
+        return len(self.edges) % 2
 
     @property
     def is_odd(self) -> bool:
@@ -161,8 +168,6 @@ def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
             CotreeComponent(
                 edges=frozenset(comp),
                 vertices=verts,
-                edge_count=len(comp),
-                parity=len(comp) % 2,
                 witness_vertex=_witness_vertex(g, verts),
             )
         )

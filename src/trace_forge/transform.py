@@ -36,6 +36,7 @@ from .graph import (
     Edge,
     Graph,
     SplitSpec,
+    _find_root,
     edge_key,
     fresh_vertex_ids,
     identify_vertices,
@@ -58,35 +59,11 @@ class SplitOutcome:
     tree_after: SpanningTree
     new_vertices: tuple[int, int]
     parts: tuple[frozenset[int], frozenset[int]]
-    edge_map: dict[Edge, Edge]  # old edge -> new edge, a bijection
     deficiency_before: int
     deficiency_after: int
 
 
 # -- tree transfer under identification ---------------------------------------
-
-
-def _tree_path(t: SpanningTree, a: int, b: int) -> list[int]:
-    """Unique a,b-path in the tree, as a vertex list starting at a."""
-    adj: dict[int, list[int]] = {}
-    for u, v in t.tree_edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    prev = {a: a}
-    stack = [a]
-    while stack:
-        x = stack.pop()
-        if x == b:
-            break
-        for y in sorted(adj.get(x, ())):
-            if y not in prev:
-                prev[y] = x
-                stack.append(y)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
 
 
 def _odd_components_covered(
@@ -96,44 +73,6 @@ def _odd_components_covered(
         comp.vertices & covering
         for comp in cotree_decomposition(g, t).odd_components()
     )
-
-
-def _transfer_pair(
-    g_prime: Graph,
-    t_prime: SpanningTree,
-    a: int,
-    b: int,
-    new_id: int,
-    covering: frozenset[int],
-) -> tuple[Graph, SpanningTree]:
-    """Identify two vertices and rebuild the tree per the pairwise construction.
-
-    Tree edges are relabeled onto the merged vertex; the relabeled tree gains
-    exactly one cycle, broken by dropping the first edge of the tree path
-    between the two targets.
-    """
-    g = identify_vertices(g_prime, (a, b), new_id)
-    path = _tree_path(t_prime, a, b)
-    u = path[1]
-    dropped = edge_key(a, u)
-    relabeled = set()
-    for x, y in t_prime.tree_edges:
-        if (x, y) == dropped or (y, x) == dropped:
-            continue
-        x2 = new_id if x in (a, b) else x
-        y2 = new_id if y in (a, b) else y
-        relabeled.add(edge_key(x2, y2))
-    try:
-        t = SpanningTree(g, frozenset(relabeled))
-    except NotSpanningTreeError as exc:  # pragma: no cover - construction bug
-        raise InternalInvariantError(
-            f"pairwise tree transfer produced a non-tree: {exc}"
-        ) from exc
-    if not _odd_components_covered(g, t, covering | frozenset({new_id})):
-        raise InternalInvariantError(
-            "tree transfer left an odd co-tree component uncovered"
-        )
-    return g, t
 
 
 def transfer_tree_on_identification(
@@ -150,8 +89,18 @@ def transfer_tree_on_identification(
     contains a protected vertex or a target.  The result spans the identified
     graph and every odd co-tree component contains a protected vertex or
     ``new_id``.
+
+    One Kruskal pass over the relabeled tree edges: first the edges that
+    touch no target, a sub-forest of ``t_prime``, then the edges of each
+    target, the last target first, in sorted order, dropping every edge that
+    would close a cycle.  ``t_prime`` is acyclic, so every cycle of the
+    relabeled tree passes through ``new_id``: the dropped edges, one fewer
+    than the targets, all join the co-tree component of ``new_id``, and the
+    odd components away from the targets are unchanged and stay covered by
+    ``protected``.
     """
     targets = sorted(set(targets))
+    target_set = frozenset(targets)
     protected = frozenset(protected)
     if t_prime.host != g_prime:
         raise NotSpanningTreeError("tree does not span this graph")
@@ -160,38 +109,43 @@ def transfer_tree_on_identification(
     for x in targets:
         if x not in g_prime.adjacency:
             raise PreconditionViolatedError(f"target {x} not in graph")
-    if protected & set(targets):
+    if protected & target_set:
         raise PreconditionViolatedError("protected vertices must not be targets")
     if not protected <= set(g_prime.vertices):
         raise PreconditionViolatedError("protected vertices must be in the graph")
-    if not _odd_components_covered(
-        g_prime, t_prime, protected | frozenset(targets)
-    ):
+    if not _odd_components_covered(g_prime, t_prime, protected | target_set):
         raise PreconditionViolatedError(
             "an odd co-tree component contains no protected vertex and no target"
         )
+    try:
+        g = identify_vertices(g_prime, targets, new_id)
+    except TraceForgeError as exc:
+        raise PreconditionViolatedError(str(exc)) from exc
 
-    pending = list(targets)
-    g_cur, t_cur = g_prime, t_prime
-    while len(pending) > 1:
-        a, b = pending[0], pending[1]
-        rest = pending[2:]
-        nid = new_id if not rest else max(max(g_cur.vertices), new_id) + 1
-        covering = protected | frozenset(rest)
-        try:
-            g_cur, t_cur = _transfer_pair(g_cur, t_cur, a, b, nid, covering)
-        except TraceForgeError as exc:
-            if isinstance(exc, InternalInvariantError):
-                raise
-            raise PreconditionViolatedError(str(exc)) from exc
-        pending = [nid] + rest
-
-    expected = identify_vertices(g_prime, targets, new_id)
-    if g_cur != expected:
+    tree_edges = sorted(t_prime.tree_edges)
+    order = [e for e in tree_edges if not target_set.intersection(e)]
+    for a in reversed(targets):
+        order += [
+            edge_key(new_id, y if x == a else x) for x, y in tree_edges if a in (x, y)
+        ]
+    parent = {x: x for x in g.vertices}
+    kept = set()
+    for x, y in order:
+        rx, ry = _find_root(parent, x), _find_root(parent, y)
+        if rx != ry:
+            parent[rx] = ry
+            kept.add((x, y))
+    try:
+        t = SpanningTree(g, frozenset(kept))
+    except NotSpanningTreeError as exc:  # pragma: no cover - construction bug
         raise InternalInvariantError(
-            "staged identification disagrees with direct identification"
+            f"tree transfer produced a non-tree: {exc}"
+        ) from exc
+    if not _odd_components_covered(g, t, protected | frozenset({new_id})):
+        raise InternalInvariantError(
+            "tree transfer left an odd co-tree component uncovered"
         )
-    return t_cur
+    return t
 
 
 # -- deficiency-reducing splits -------------------------------------------------
@@ -242,7 +196,9 @@ def _split_candidates(
                     edges.add(edge_key(v2, w))
                     try:
                         t2 = SpanningTree(g2, frozenset(edges))
-                    except NotSpanningTreeError:  # pragma: no cover - defensive
+                    except NotSpanningTreeError:
+                        # v2-w closes a cycle: w hangs off a tree neighbor
+                        # of v that went to w's half, so v2 already reaches w
                         continue
                     yield g2, t2, (u_side, w_side)
 
@@ -263,20 +219,6 @@ def _recipe_trees(
         if sum(1 for x in g.neighbors(v) if edge_key(x, v) in t_alt.tree_edges) < 2:
             continue
         yield t_alt
-
-
-def _edge_map_for_split(
-    g: Graph, v: int, parts: tuple[frozenset[int], frozenset[int]], new_ids: tuple[int, int]
-) -> dict[Edge, Edge]:
-    mapping: dict[Edge, Edge] = {}
-    for e in g.edges:
-        if v in e:
-            far = e[0] if e[1] == v else e[1]
-            copy = new_ids[0] if far in parts[0] else new_ids[1]
-            mapping[e] = edge_key(copy, far)
-        else:
-            mapping[e] = e
-    return mapping
 
 
 def split_reduce_deficiency(g: Graph, t: SpanningTree, v: int) -> SplitOutcome:
@@ -329,7 +271,6 @@ def split_reduce_qualified(
                     tree_after=t2,
                     new_vertices=new_ids,
                     parts=parts,
-                    edge_map=_edge_map_for_split(g, v, parts, new_ids),
                     deficiency_before=before,
                     deficiency_after=after,
                 )

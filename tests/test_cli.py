@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, JSON documents, format parity."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -210,10 +211,13 @@ def test_table_disconnected_exit2(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "trace_forge", "decide",
          "-i", str(FIXTURES / "k3.g6"), "--format", "graph6",
          "--kind", "double"],
+        env={**os.environ, "PYTHONPATH": pythonpath},
         capture_output=True,
         text=True,
     )

@@ -18,7 +18,7 @@ from trace_forge.errors import NotAntiparallelError, NotStableError
 from trace_forge.graph import build_graph
 from trace_forge.search import TraceSpec, find_trace, spec_satisfied
 from trace_forge.spanning import cotree_decomposition, tree_is_qualified
-from trace_forge.walks import classify_trace, validate_double_trace
+from trace_forge.walks import classify_trace, transition_graph_at, validate_double_trace
 
 from conftest import fixture_family, random_connected_graph
 
@@ -176,6 +176,14 @@ def test_build_extract_round_trip():
     assert tree_is_qualified(g, tree, 4)
 
 
+def _three_k4_chain():
+    edges = []
+    for base in (0, 4, 8):
+        edges += [(base + i, base + j) for i in range(4) for j in range(i + 1, 4)]
+    edges += [(3, 4), (7, 8)]
+    return build_graph(edges)
+
+
 def test_build_with_three_chained_reductions(monkeypatch):
     # K4 blocks joined by bridges: bridges sit in every spanning tree, so
     # each block keeps its own odd co-tree component around its degree-4
@@ -184,7 +192,6 @@ def test_build_with_three_chained_reductions(monkeypatch):
     # at the same stack depth
     import trace_forge.decide as decide_module
     from trace_forge.spanning import min_tree
-    from trace_forge.walks import transition_graph_at
 
     depths = {"lift": [], "transfer": []}
 
@@ -206,11 +213,7 @@ def test_build_with_three_chained_reductions(monkeypatch):
         at_depth("transfer", decide_module.transfer_tree_on_identification),
     )
 
-    edges = []
-    for base in (0, 4, 8):
-        edges += [(base + i, base + j) for i in range(4) for j in range(i + 1, 4)]
-    edges += [(3, 4), (7, 8)]
-    g = build_graph(edges)
+    g = _three_k4_chain()
     assert min_tree(g, 4).value == 3
     w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
     cls = classify_trace(w)
@@ -225,6 +228,28 @@ def test_build_with_three_chained_reductions(monkeypatch):
     for key in ("lift", "transfer"):
         assert len(depths[key]) == 3
         assert len(set(depths[key])) == 1, (key, depths[key])
+
+
+def test_extract_scans_transition_graphs_once(monkeypatch):
+    # the repetition report names every vertex to project, so extraction
+    # builds one transition graph per projection in decide, not one per
+    # vertex on every pass
+    import trace_forge.decide as decide_module
+
+    g = _three_k4_chain()
+    w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
+    calls = []
+
+    def counted(trace, v):
+        calls.append(v)
+        return transition_graph_at(trace, v)
+
+    monkeypatch.setattr(decide_module, "transition_graph_at", counted)
+    tree = extract_qualified_tree_from_trace(w, 1)
+    assert tree_is_qualified(g, tree, 4)
+    assert sorted(calls) == [
+        v for v in g.vertices if not transition_graph_at(w, v).is_connected
+    ]
 
 
 def test_sufficient_shortcut(k4, k5):
