@@ -9,6 +9,8 @@ degree at least D.  These quantities decide which graphs admit antiparallel
 strong and d-stable traces.
 """
 
+import networkx as nx
+
 from trace_forge import (
     betti_number,
     build_graph,
@@ -16,7 +18,6 @@ from trace_forge import (
     cotree_decomposition,
     cube_graph,
     deficiency_of_tree,
-    local_odd_even_split,
     min_tree,
     qualified_trees,
     spanning_tree,
@@ -53,10 +54,20 @@ print("K4 first qualified tree at D=4:", next(qualified_trees(k4, 4), None),
 print("K5 qualified deficiency at D=8:", min_tree(k5, 8))
 
 print("\n=== detaching a vertex splits its component by parity ===")
+# give vertex 0 a fresh endpoint per co-tree edge at it; each component of
+# what is left of 0's co-tree component is one part, kept as original edges
 path_tree = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])
-split = local_odd_even_split(k4, path_tree, 0)
-print("odd parts:", [sorted(p) for p in split.odd_parts])
-print("even parts:", [sorted(p) for p in split.even_parts])
+home = next(c for c in cotree_decomposition(k4, path_tree).components
+            if 0 in c.vertices)
+detached = nx.Graph()
+for e in home.edges:
+    detached.add_edge(*((0, e) if x == 0 else x for x in e), original=e)
+parts = sorted(
+    sorted(e for _, _, e in detached.subgraph(c).edges(data="original"))
+    for c in nx.connected_components(detached)
+)
+print("odd parts:", [p for p in parts if len(p) % 2 == 1])
+print("even parts:", [p for p in parts if len(p) % 2 == 0])
 
 print("\n=== a split that reduces deficiency ===")
 outcome = split_reduce_deficiency(k4, path_tree, 0)

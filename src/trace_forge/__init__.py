@@ -40,11 +40,9 @@ from .search import (
 from .spanning import (
     CoTreeDecomposition,
     DeficiencyCertificate,
-    LocalSplit,
     SpanningTree,
     cotree_decomposition,
     deficiency_of_tree,
-    local_odd_even_split,
     min_tree,
     qualified_trees,
     spanning_tree,
@@ -102,13 +100,11 @@ __all__ = [
     "SpanningTree",
     "CoTreeDecomposition",
     "DeficiencyCertificate",
-    "LocalSplit",
     "spanning_tree",
     "cotree_decomposition",
     "deficiency_of_tree",
     "qualified_trees",
     "min_tree",
-    "local_odd_even_split",
     "SplitOutcome",
     "transfer_tree_on_identification",
     "split_reduce_deficiency",

@@ -216,7 +216,7 @@ def cmd_table(args) -> int:
     g = load_graph(args.input, args.format)
     budget = _budget_for(g)
     d_values = args.d_list or [1]
-    table = condition_table(g, d_values, witness=False, budget=budget)
+    table = condition_table(g, d_values, budget=budget)
     if args.oracle:
         if g.num_edges > UNBUDGETED_EDGE_LIMIT:
             print(

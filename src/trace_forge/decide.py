@@ -316,20 +316,23 @@ def condition_table(
     g: Graph,
     d_values: list[int],
     *,
-    witness: bool = False,
     budget: int | None = None,
 ) -> dict[tuple[str, str, int | None], DecisionCertificate]:
-    """All nine cells of the matrix; stable cells once per requested d."""
+    """All nine cells of the matrix; stable cells once per requested d.
+
+    No cell searches for a witness trace; a yes with a tree certificate
+    keeps its tree.
+    """
     table: dict[tuple[str, str, int | None], DecisionCertificate] = {}
     for direction in ("any", PARALLEL, ANTIPARALLEL):
         table[("double", direction, None)] = decide_existence(
-            g, "double", direction, witness=witness, budget=budget
+            g, "double", direction, witness=False, budget=budget
         )
         for d in d_values:
             table[("stable", direction, d)] = decide_existence(
-                g, "stable", direction, d, witness=witness, budget=budget
+                g, "stable", direction, d, witness=False, budget=budget
             )
         table[("strong", direction, None)] = decide_existence(
-            g, "strong", direction, witness=witness, budget=budget
+            g, "strong", direction, witness=False, budget=budget
         )
     return table

@@ -100,10 +100,6 @@ class NotQualifiedError(TraceForgeError):
     """An odd co-tree component has no vertex meeting the degree threshold."""
 
 
-class VertexNotInCoTreeError(TraceForgeError):
-    """The vertex is not incident to any co-tree edge."""
-
-
 class NotInOddComponentError(TraceForgeError):
     """The vertex does not lie in an odd co-tree component."""
 

@@ -346,19 +346,16 @@ def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTr
     return None
 
 
-def enumerate_traces(g: Graph, spec: TraceSpec, cap: int | None = None) -> list[DoubleTrace]:
+def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:
     """All spec-satisfying traces up to rotation, in canonical sorted order.
 
     Reflections count as distinct traces since direction matters.  Intended
-    for small hosts (|E| <= 12); ``cap`` truncates the sorted result.
+    for small hosts (|E| <= 12).
     """
     require_connected(g)
     engine = _Engine(g, spec, None)
     canonical = {seq for seq in engine.run()}
-    traces = [DoubleTrace(g, seq) for seq in sorted(canonical)]
-    if cap is not None:
-        traces = traces[:cap]
-    return traces
+    return [DoubleTrace(g, seq) for seq in sorted(canonical)]
 
 
 def euler_tour(g: Graph) -> list[int] | None:

@@ -1,7 +1,8 @@
 """Spanning trees, co-tree components, and deficiency.
 
 The co-tree of a spanning tree T is the edge complement G - E(T); its
-connected components are classified odd or even by edge count.  The
+connected components, found by one pass of the package's union-find
+(``graph._find_root``), are classified odd or even by edge count.  The
 deficiency of T counts its odd components, the deficiency of G is the
 minimum over all spanning trees, and the qualified variant restricts the
 minimum to trees whose every odd component contains a vertex meeting a
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import NotSpanningTreeError, VertexNotInCoTreeError
+from .errors import NotSpanningTreeError
 from .graph import Edge, Graph, _find_root, betti_number, require_connected
 
 
@@ -113,65 +114,38 @@ class DeficiencyCertificate:
     witness_tree: SpanningTree
 
 
-@dataclass(frozen=True)
-class LocalSplit:
-    """Parity split of one co-tree component around a vertex.
-
-    The parts are the components obtained from v's co-tree component when v
-    is replaced by one fresh endpoint per incident co-tree edge; each part is
-    recorded as its original edge set.
-    """
-
-    vertex: int
-    odd_parts: tuple[frozenset[Edge], ...]
-    even_parts: tuple[frozenset[Edge], ...]
-
-
-def _edge_components(edges: set[Edge]) -> list[set[Edge]]:
-    """Connected components of an edge-induced subgraph, as edge sets."""
-    by_vertex: dict[int, list[Edge]] = {}
-    for e in edges:
-        for x in e:
-            by_vertex.setdefault(x, []).append(e)
-    seen: set[Edge] = set()
-    components = []
-    for start in sorted(edges):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u, v = stack.pop()
-            for x in (u, v):
-                for e in by_vertex[x]:
-                    if e not in seen:
-                        seen.add(e)
-                        comp.add(e)
-                        stack.append(e)
-        components.append(comp)
-    return components
-
-
 def _witness_vertex(g: Graph, vertices: frozenset[int]) -> int:
     return min(vertices, key=lambda v: (-g.degree(v), v))
 
 
 def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
-    """Components of the co-tree with parities and degree witnesses."""
+    """Components of the co-tree with parities and degree witnesses.
+
+    One union-find pass over the sorted co-tree edges, then the edges are
+    grouped by root in the order each root is first met, which is the order
+    of the components' least edges.
+    """
     if t.host != g:
         raise NotSpanningTreeError("tree does not span this graph")
+    cotree = sorted(t.cotree_edges)
+    parent = {x: x for e in cotree for x in e}
+    for u, v in cotree:
+        ru, rv = _find_root(parent, u), _find_root(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+    groups: dict[int, list[Edge]] = {}
+    for e in cotree:
+        groups.setdefault(_find_root(parent, e[0]), []).append(e)
     components = []
-    for comp in _edge_components(set(t.cotree_edges)):
-        verts = frozenset(x for e in comp for x in e)
+    for edges in groups.values():
+        verts = frozenset(x for e in edges for x in e)
         components.append(
             CotreeComponent(
-                edges=frozenset(comp),
+                edges=frozenset(edges),
                 vertices=verts,
                 witness_vertex=_witness_vertex(g, verts),
             )
         )
-    components.sort(key=lambda c: min(c.edges))
     return CoTreeDecomposition(tree=t, components=tuple(components))
 
 
@@ -249,46 +223,3 @@ def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | Non
     if best is None:
         return None
     return DeficiencyCertificate(value=best[0], witness_tree=best[1])
-
-
-def local_odd_even_split(g: Graph, t: SpanningTree, v: int) -> LocalSplit:
-    """Split v's co-tree component into its post-detachment parts by parity.
-
-    Replacing v with one fresh endpoint per incident co-tree edge leaves one
-    part per component of C - v, carrying that component's edges plus the
-    v-edges attached to it.
-    """
-    decomposition = cotree_decomposition(g, t)
-    home = None
-    for comp in decomposition.components:
-        if v in comp.vertices:
-            home = comp
-            break
-    if home is None:
-        raise VertexNotInCoTreeError(f"vertex {v} has no co-tree edge")
-    v_edges = [e for e in home.edges if v in e]
-    rest = {e for e in home.edges if v not in e}
-    rest_components = _edge_components(rest)
-    # each pendant co-tree edge at v whose far end touches no other edge of C
-    # forms its own one-edge part
-    parts: list[set[Edge]] = []
-    attached: set[Edge] = set()
-    for comp in rest_components:
-        verts = {x for e in comp for x in e}
-        part = set(comp)
-        for e in v_edges:
-            far = e[0] if e[1] == v else e[1]
-            if far in verts:
-                part.add(e)
-                attached.add(e)
-        parts.append(part)
-    for e in v_edges:
-        if e not in attached:
-            parts.append({e})
-    odd = tuple(
-        frozenset(p) for p in sorted(parts, key=min) if len(p) % 2 == 1
-    )
-    even = tuple(
-        frozenset(p) for p in sorted(parts, key=min) if len(p) % 2 == 0
-    )
-    return LocalSplit(vertex=v, odd_parts=odd, even_parts=even)

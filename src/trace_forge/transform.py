@@ -40,7 +40,6 @@ from .graph import (
     edge_key,
     fresh_vertex_ids,
     identify_vertices,
-    is_connected,
     split_vertex,
 )
 from .spanning import (
@@ -48,7 +47,7 @@ from .spanning import (
     cotree_decomposition,
     iter_spanning_trees,
 )
-from .walks import DoubleTrace, transition_graph_at, validate_double_trace
+from .walks import DoubleTrace, validate_double_trace
 
 
 @dataclass
@@ -172,7 +171,9 @@ def _split_candidates(
     """Splits following the constructive recipe: the tree neighbor u sits in
     one half, a co-tree neighbor w in the other, and the tree regains the
     edge wv.  Halves have sizes ceil(d/2) and floor(d/2); both assignments of
-    u's side are tried.  Disconnected splits are skipped.
+    u's side are tried.  Disconnected splits are skipped by the tree check:
+    the relabeled tree plus v2-w puts |V| edges on the |V| + 1 vertices of
+    the split graph, so a disconnected split leaves them a cycle.
     """
     nbhd = set(g.neighbors(v))
     degree = len(nbhd)
@@ -190,8 +191,6 @@ def _split_candidates(
                     u_side = frozenset({u, *extra})
                     w_side = frozenset(nbhd - u_side)
                     g2 = split_vertex(g, SplitSpec(v, (u_side, w_side)))
-                    if not is_connected(g2):
-                        continue
                     edges = _relabeled_tree_edges(t, v, u_side, v1, v2)
                     edges.add(edge_key(v2, w))
                     try:
@@ -292,19 +291,15 @@ def project_trace_through_split(
     components) of the trace at v; then every visit of v maps to a
     well-defined copy and the projected sequence is again a valid double
     trace.  Edge directions are untouched, so antiparallel stays antiparallel.
+    The partition is validated first; closure is then checked visit by
+    visit, since the parts are unions of transition-graph components exactly
+    when no visit of v enters from one part and leaves into another.
     """
     g = w.host
     if v not in g.adjacency:
         raise UnknownVertexError(f"vertex {v} not in host")
     norm_parts = tuple(frozenset(p) for p in parts)
-    spec = SplitSpec(v, norm_parts)
-    components = transition_graph_at(w, v).components
-    for comp in components:
-        if not any(comp <= part for part in norm_parts):
-            raise PartitionNotRepetitionClosedError(
-                f"part boundaries cut the minimal repetition {sorted(comp)} at {v}"
-            )
-    g2 = split_vertex(g, spec)
+    g2 = split_vertex(g, SplitSpec(v, norm_parts))
     new_ids = fresh_vertex_ids(g, len(norm_parts))
     part_of = {x: i for i, part in enumerate(norm_parts) for x in part}
     seq = list(w.sequence)
@@ -316,9 +311,9 @@ def project_trace_through_split(
             continue
         pred = seq[(i - 1) % n]
         succ = seq[(i + 1) % n]
-        if part_of[pred] != part_of[succ]:  # pragma: no cover - closure ensures this
-            raise InternalInvariantError(
-                "visit crosses part boundary despite repetition closure"
+        if part_of[pred] != part_of[succ]:
+            raise PartitionNotRepetitionClosedError(
+                f"the visit {pred}-{v}-{succ} crosses a part boundary at {v}"
             )
         out.append(new_ids[part_of[pred]])
     return validate_double_trace(g2, out)

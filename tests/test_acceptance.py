@@ -110,7 +110,7 @@ def test_criterion_2_condition_matrix():
         ("K5", "strong", "antiparallel", None): True,
     }
     for name, g in fixture_family().items():
-        table = condition_table(g, [1, 2, 3], witness=False)
+        table = condition_table(g, [1, 2, 3])
         for (kind, direction, d), cert in table.items():
             oracle = find_trace(g, TraceSpec(kind, direction, d)) is not None
             if cert.verdict != oracle:
@@ -268,7 +268,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
             violations.append(("json not byte-stable", name))
         doc = json.loads(out1)
         g = fixture_family()[name.upper()]
-        expected = condition_table(g, [1, 2, 3], witness=False)
+        expected = condition_table(g, [1, 2, 3])
         for cell in doc["cells"]:
             key = (cell["kind"], cell["direction"], cell["d"])
             if (cell["verdict"] == "yes") != expected[key].verdict:

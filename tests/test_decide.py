@@ -2,6 +2,7 @@
 
 import inspect
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -233,23 +234,30 @@ def test_build_with_three_chained_reductions(monkeypatch):
 def test_extract_scans_transition_graphs_once(monkeypatch):
     # the repetition report names every vertex to project, so extraction
     # builds one transition graph per projection in decide, not one per
-    # vertex on every pass
+    # vertex on every pass; the projection checks closure on the visits it
+    # rewrites, so transform builds none
     import trace_forge.decide as decide_module
+    import trace_forge.transform as transform_module
+    import trace_forge.walks as walks_module
 
     g = _three_k4_chain()
     w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
-    calls = []
+    calls = {"trace_forge.decide": [], "trace_forge.transform": []}
 
     def counted(trace, v):
-        calls.append(v)
+        caller = sys._getframe(1).f_globals["__name__"]
+        calls.setdefault(caller, []).append(v)
         return transition_graph_at(trace, v)
 
-    monkeypatch.setattr(decide_module, "transition_graph_at", counted)
+    for module in (decide_module, walks_module):
+        monkeypatch.setattr(module, "transition_graph_at", counted)
+    monkeypatch.setattr(transform_module, "transition_graph_at", counted, raising=False)
     tree = extract_qualified_tree_from_trace(w, 1)
     assert tree_is_qualified(g, tree, 4)
-    assert sorted(calls) == [
+    assert sorted(calls["trace_forge.decide"]) == [
         v for v in g.vertices if not transition_graph_at(w, v).is_connected
     ]
+    assert calls["trace_forge.transform"] == []
 
 
 def test_sufficient_shortcut(k4, k5):

@@ -1,16 +1,17 @@
 """Spanning trees, co-tree components, and deficiency quantities."""
 
 import random
+from itertools import islice
 
+import networkx as nx
 import pytest
 
-from trace_forge.errors import NotSpanningTreeError, VertexNotInCoTreeError
+from trace_forge.errors import NotSpanningTreeError
 from trace_forge.graph import betti_number, build_graph, path_graph
 from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
     iter_spanning_trees,
-    local_odd_even_split,
     min_tree,
     qualified_trees,
     spanning_tree,
@@ -58,6 +59,36 @@ def test_cotree_of_tree_graph_is_empty():
     g = path_graph(5)
     t = spanning_tree(g, g.edges)
     assert cotree_decomposition(g, t).components == ()
+
+
+def test_cotree_matches_networkx_components():
+    """On the first 10 trees of every connected atlas graph with up to 6
+    vertices, the co-tree components are networkx's connected components of
+    the co-tree edge subgraph, ordered by least edge, each witnessed by its
+    vertex of largest host degree (least id on ties)."""
+    checked = 0
+    for g in atlas_graphs(6):
+        host = nx.Graph(g.edges)
+        for t in islice(iter_spanning_trees(g), 10):
+            cotree = nx.Graph(sorted(t.cotree_edges))
+            expected = []
+            for verts in nx.connected_components(cotree):
+                edges = frozenset(e for e in t.cotree_edges if e[0] in verts)
+                witness = max(sorted(verts), key=host.degree)
+                expected.append((min(edges), edges, frozenset(verts), witness))
+            expected.sort()
+            got = [
+                (min(c.edges), c.edges, c.vertices, c.witness_vertex)
+                for c in cotree_decomposition(g, t).components
+            ]
+            assert got == expected
+            checked += 1
+    assert checked > 1000
+
+
+def test_cotree_rejects_foreign_tree(k4, k5):
+    with pytest.raises(NotSpanningTreeError):
+        cotree_decomposition(k5, star_tree(k4, 0))
 
 
 def test_cotree_c4_path(c4):
@@ -112,50 +143,6 @@ def test_qualified_deficiency_with_given_tree(k4, k5):
     assert tree_is_qualified(k4, star, 3)
     assert not tree_is_qualified(k4, star, 4)
     assert not tree_is_qualified(k4, star, None)
-
-
-def test_local_odd_even_split_k4_path_tree(k4):
-    # tree {0-1, 0-2, 2-3} leaves co-tree {1-2, 1-3, 0-3}: one odd component
-    t = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])
-    split = local_odd_even_split(k4, t, 0)
-    assert len(split.odd_parts) == 1
-    assert len(split.even_parts) == 0
-    assert split.odd_parts[0] == frozenset({(1, 2), (1, 3), (0, 3)})
-
-
-def test_local_split_parity_law():
-    # a vertex in an odd component always yields an odd number of odd parts
-    rng = random.Random(8)
-    checked = 0
-    for _ in range(40):
-        g = random_connected_graph(rng, n_min=4, n_max=6)
-        t = random_spanning_tree(g, rng)
-        for comp in cotree_decomposition(g, t).components:
-            for v in sorted(comp.vertices):
-                split = local_odd_even_split(g, t, v)
-                if comp.is_odd:
-                    assert len(split.odd_parts) % 2 == 1
-                    checked += 1
-                else:
-                    assert len(split.odd_parts) % 2 == 0
-    assert checked > 0
-
-
-def test_local_split_even_component_into_two_odds():
-    # diamond with the star tree at 3: vertex 0 sits in the even co-tree
-    # component {01, 02}, which detaches into two odd one-edge parts
-    g = build_graph([(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
-    t = spanning_tree(g, [(0, 3), (1, 3), (2, 3)])
-    split = local_odd_even_split(g, t, 0)
-    assert split.vertex == 0
-    assert split.odd_parts == (frozenset({(0, 1)}), frozenset({(0, 2)}))
-    assert split.even_parts == ()
-
-
-def test_vertex_not_in_cotree(k4):
-    t = star_tree(k4, 0)
-    with pytest.raises(VertexNotInCoTreeError):
-        local_odd_even_split(k4, t, 0)  # center touches only tree edges
 
 
 def test_find_even_cotree_tree(k4, k5, q3):

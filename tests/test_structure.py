@@ -1,0 +1,68 @@
+"""Structural guards on the library source."""
+
+import ast
+from pathlib import Path
+
+import trace_forge
+
+SOURCE = Path(trace_forge.__file__).parent
+
+
+def _self_calls(tree: ast.Module) -> list[str]:
+    """Functions that call themselves by bare name, and methods that call
+    themselves through ``self``."""
+    found = []
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == fn.name:
+                found.append(f"{fn.name}:{node.lineno}")
+            elif (
+                id(fn) in methods
+                and isinstance(callee, ast.Attribute)
+                and callee.attr == fn.name
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "self"
+            ):
+                found.append(f"self.{fn.name}:{node.lineno}")
+    return found
+
+
+def test_no_function_calls_itself():
+    # recursion depth must not grow with the graph, so the library loops
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        calls = _self_calls(ast.parse(path.read_text(), filename=str(path)))
+        if calls:
+            offenders[path.name] = calls
+    assert offenders == {}
+
+
+def test_self_call_scan_finds_recursion():
+    tree = ast.parse(
+        "def walk(n):\n"
+        "    return walk(n - 1) if n else 0\n"
+        "class Node:\n"
+        "    def depth(self):\n"
+        "        return 1 + self.depth()\n"
+        "    def size(self):\n"
+        "        return len(self.children)\n"
+    )
+    assert _self_calls(tree) == ["walk:2", "self.depth:5"]
+
+
+def test_exports_resolve():
+    assert len(set(trace_forge.__all__)) == len(trace_forge.__all__)
+    missing = [n for n in trace_forge.__all__ if not hasattr(trace_forge, n)]
+    assert missing == []
