@@ -17,7 +17,6 @@ from trace_forge import (
     enumerate_traces,
     find_parallel_trace,
     find_trace,
-    repetition_analysis,
     transition_graph_at,
     validate_double_trace,
 )
@@ -40,11 +39,11 @@ print("classified:", classify_trace(antiparallel))
 # it enters from 1 it returns to 1, so {1} is a repetition of order 1
 tg = transition_graph_at(antiparallel, 0)
 print("pairing at vertex 0:", tg.links, "-> components", [sorted(c) for c in tg.components])
-report = repetition_analysis(antiparallel)
+cls = classify_trace(antiparallel)
 print("minimal repetitions (transition-graph components):", {
-    v: [sorted(c) for c in comps] for v, comps in report.minimal_repetitions.items()
+    v: [sorted(c) for c in comps] for v, comps in cls.minimal_repetitions.items()
 })
-print("stability order:", report.stability_order, "| strong:", report.strong)
+print("stability order:", cls.stability_order, "| strong:", cls.strong)
 
 print("\n=== searching instead of guessing ===")
 k4 = complete_graph(4)

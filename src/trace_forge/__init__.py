@@ -57,13 +57,10 @@ from .transform import (
 )
 from .walks import (
     DoubleTrace,
-    RepetitionReport,
     TraceClass,
     TransitionGraph,
     classify_trace,
     direction_profile,
-    repetition_analysis,
-    stability_order,
     transition_graph_at,
     validate_double_trace,
 )
@@ -85,13 +82,10 @@ __all__ = [
     "cube_graph",
     "DoubleTrace",
     "TransitionGraph",
-    "RepetitionReport",
     "TraceClass",
     "validate_double_trace",
     "direction_profile",
     "transition_graph_at",
-    "repetition_analysis",
-    "stability_order",
     "classify_trace",
     "TraceSpec",
     "find_trace",

@@ -24,14 +24,7 @@ from .decide import (
 from .errors import TraceForgeError
 from .formats import EDGELIST, GRAPH6, load_graph, load_trace_sequence
 from .search import UNBUDGETED_EDGE_LIMIT, TraceSpec, find_trace, spec_satisfied
-from .walks import (
-    TraceClass,
-    classify_trace,
-    format_trace_text,
-    repetition_analysis,
-    trace_direction,
-    validate_double_trace,
-)
+from .walks import classify_trace, format_trace_text, validate_double_trace
 
 SCHEMA = "trace-forge/1"
 EXIT_YES = 0
@@ -160,15 +153,8 @@ def cmd_find(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args.input, args.format)
     sequence = load_trace_sequence(args.trace)
-    trace = validate_double_trace(g, sequence)
-    report = repetition_analysis(trace)
-    cls = TraceClass(
-        direction=trace_direction(trace),
-        stability_order=report.stability_order,
-        strong=report.strong,
-    )
-    spec = TraceSpec(args.kind, args.direction, args.d)
-    ok = spec_satisfied(spec, cls)
+    cls = classify_trace(validate_double_trace(g, sequence))
+    ok = spec_satisfied(TraceSpec(args.kind, args.direction, args.d), cls)
     doc = {
         "command": "verify",
         "verdict": "yes" if ok else "no",
@@ -179,7 +165,7 @@ def cmd_verify(args) -> int:
         },
         "minimal_repetitions": {
             str(v): [sorted(c) for c in comps]
-            for v, comps in sorted(report.minimal_repetitions.items())
+            for v, comps in sorted(cls.minimal_repetitions.items())
         },
     }
     lines = [
@@ -187,7 +173,7 @@ def cmd_verify(args) -> int:
         f"stability_order: {cls.stability_order}",
         f"strong: {cls.strong}",
     ]
-    for v, comps in sorted(report.minimal_repetitions.items()):
+    for v, comps in sorted(cls.minimal_repetitions.items()):
         lines.append(f"repetitions at {v}: " + " ".join(str(sorted(c)) for c in comps))
     lines.append(f"satisfies requested cell: {'yes' if ok else 'no'}")
     _emit(args, doc, lines)
@@ -216,7 +202,7 @@ def cmd_table(args) -> int:
     g = load_graph(args.input, args.format)
     budget = _budget_for(g)
     d_values = args.d_list or [1]
-    table = condition_table(g, d_values, budget=budget)
+    table = condition_table(g, d_values)
     if args.oracle:
         if g.num_edges > UNBUDGETED_EDGE_LIMIT:
             print(

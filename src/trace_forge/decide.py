@@ -41,8 +41,6 @@ from .walks import (
     PARALLEL,
     DoubleTrace,
     classify_trace,
-    repetition_analysis,
-    trace_direction,
     transition_graph_at,
 )
 
@@ -159,16 +157,14 @@ def decide_existence(
     # remaining cells are yes; produce a trace witness when asked
     if not witness:
         return DecisionCertificate(verdict=True, kind=kind, direction=direction, d=d)
+    trace = None
     if direction == PARALLEL:
+        # the graph is Eulerian with minimum degree above d here, so a doubled
+        # Euler tour exists; only a strong cell can reject it
         trace = find_parallel_trace(g, d, budget=budget)
-        if trace is not None and kind == "strong":
-            if not classify_trace(trace).strong:
-                trace = None
-        if trace is None:
-            spec_for_witness = TraceSpec(kind, direction, d)
-            trace = _search_witness(g, spec_for_witness, budget)
-        return _yes_trace(kind, direction, d, trace)
-    return _yes_trace(kind, direction, d, _search_witness(g, spec, budget))
+        if kind == "strong" and not classify_trace(trace).strong:
+            trace = None
+    return _yes_trace(kind, direction, d, trace or _search_witness(g, spec, budget))
 
 
 def build_antiparallel_d_stable(
@@ -236,24 +232,24 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
     first.  Every odd component of the result contains a vertex of degree at
     least 2d + 2 (and there may be none at all).
     """
-    if trace_direction(w) != ANTIPARALLEL:
+    cls = classify_trace(w)
+    if cls.direction != ANTIPARALLEL:
         raise NotAntiparallelError("trace is not antiparallel")
-    report = repetition_analysis(w)
-    if report.stability_order < d:
+    if cls.stability_order < d:
         raise NotStableError(d)
     threshold = 2 * d + 2
     # A projection at v leaves v's copies connected and only renames v at its
-    # neighbors, so the first report names every vertex to project; the parts
-    # are read from the current trace, which carries those renames.
+    # neighbors, so the first classification names every vertex to project;
+    # the parts are read from the current trace, which carries those renames.
     projections: list[tuple[Graph, int, tuple[int, ...]]] = []
     for v in sorted(
-        x for x, comps in report.minimal_repetitions.items() if len(comps) > 1
+        x for x, comps in cls.minimal_repetitions.items() if len(comps) > 1
     ):
         g = w.host
         parts = transition_graph_at(w, v).components
         projections.append((g, v, fresh_vertex_ids(g, len(parts))))
         w = project_trace_through_split(w, v, parts)
-    if not repetition_analysis(w).strong:
+    if not classify_trace(w).strong:
         raise InternalInvariantError("projected trace is not strong")
     certificate = min_tree(w.host, None)
     if certificate is None:
@@ -313,10 +309,7 @@ def graph_deficiency_report(g: Graph, threshold: int | None = None) -> dict:
 
 
 def condition_table(
-    g: Graph,
-    d_values: list[int],
-    *,
-    budget: int | None = None,
+    g: Graph, d_values: list[int]
 ) -> dict[tuple[str, str, int | None], DecisionCertificate]:
     """All nine cells of the matrix; stable cells once per requested d.
 
@@ -326,13 +319,13 @@ def condition_table(
     table: dict[tuple[str, str, int | None], DecisionCertificate] = {}
     for direction in ("any", PARALLEL, ANTIPARALLEL):
         table[("double", direction, None)] = decide_existence(
-            g, "double", direction, witness=False, budget=budget
+            g, "double", direction, witness=False
         )
         for d in d_values:
             table[("stable", direction, d)] = decide_existence(
-                g, "stable", direction, d, witness=False, budget=budget
+                g, "stable", direction, d, witness=False
             )
         table[("strong", direction, None)] = decide_existence(
-            g, "strong", direction, witness=False, budget=budget
+            g, "strong", direction, witness=False
         )
     return table

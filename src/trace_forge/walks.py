@@ -11,7 +11,7 @@ a repetition of size between 1 and d.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -128,22 +128,20 @@ class TransitionGraph:
         return len(self.components) == 1
 
 
-@dataclass
-class RepetitionReport:
-    """Per-vertex minimal repetitions plus the derived trace-level summary."""
-
-    minimal_repetitions: dict[int, tuple[frozenset[int], ...]]
-    stability_order: int
-    strong: bool
-
-
 @dataclass(frozen=True)
 class TraceClass:
-    """Where a trace sits in the kind/direction matrix."""
+    """Where a trace sits in the kind/direction matrix.
+
+    ``minimal_repetitions`` maps each vertex to the components of its
+    transition graph; it takes no part in equality, hashing or the repr.
+    """
 
     direction: str
     stability_order: int
     strong: bool
+    minimal_repetitions: dict[int, tuple[frozenset[int], ...]] = field(
+        repr=False, compare=False
+    )
 
 
 def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
@@ -215,57 +213,28 @@ def transition_graph_at(w: DoubleTrace, v: int) -> TransitionGraph:
     return TransitionGraph(v, w.host.neighbors(v), tuple(links))
 
 
-def is_repetition(w: DoubleTrace, v: int, subset: frozenset[int]) -> bool:
-    """Direct check: at every visit of v, pred in subset iff succ in subset."""
-    return all((p in subset) == (s in subset) for p, s in w.visits(v))
+def classify_trace(w: DoubleTrace) -> TraceClass:
+    """Direction, stability order, strong flag and minimal repetitions.
 
-
-def _stability_from_components(
-    per_vertex: dict[int, tuple[frozenset[int], ...]], g: Graph
-) -> int:
+    The minimal repetitions at v are the components of its transition graph.
+    The stability order is the largest d such that no vertex has a repetition
+    of size in [1, d]; it is always finite, bounded above by the host's
+    minimum degree minus one.  The trace is strong when every transition
+    graph is connected.
+    """
+    per_vertex = {v: transition_graph_at(w, v).components for v in w.host.vertices}
     # At v: with a connected pairing only the trivial repetitions exist, so the
     # bound is d(v) - 1; otherwise the smallest component is itself a
     # repetition, giving (min component size) - 1.
-    best = None
-    for v, comps in per_vertex.items():
-        if len(comps) == 1:
-            d_max = g.degree(v) - 1
-        else:
-            d_max = min(len(c) for c in comps) - 1
-        best = d_max if best is None else min(best, d_max)
-    assert best is not None
-    return best
-
-
-def repetition_analysis(w: DoubleTrace) -> RepetitionReport:
-    """Minimal repetitions at every vertex plus stability order and strongness.
-
-    The minimal repetitions at v are the components of its transition graph.
-    """
-    per_vertex = {v: transition_graph_at(w, v).components for v in w.host.vertices}
-    strong = all(len(comps) == 1 for comps in per_vertex.values())
-    return RepetitionReport(
-        minimal_repetitions=per_vertex,
-        stability_order=_stability_from_components(per_vertex, w.host),
-        strong=strong,
+    order = min(
+        (w.host.degree(v) if len(comps) == 1 else min(map(len, comps))) - 1
+        for v, comps in per_vertex.items()
     )
-
-
-def stability_order(w: DoubleTrace) -> int:
-    """Largest d such that no vertex has a repetition of size in [1, d].
-
-    Always finite: bounded above by the host's minimum degree minus one.
-    """
-    return repetition_analysis(w).stability_order
-
-
-def classify_trace(w: DoubleTrace) -> TraceClass:
-    """Bundle direction, stability order, and the strong flag."""
-    report = repetition_analysis(w)
     return TraceClass(
         direction=trace_direction(w),
-        stability_order=report.stability_order,
-        strong=report.strong,
+        stability_order=order,
+        strong=all(len(comps) == 1 for comps in per_vertex.values()),
+        minimal_repetitions=per_vertex,
     )
 
 

@@ -19,7 +19,7 @@ from trace_forge.graph import (
     path_graph,
 )
 from trace_forge.spanning import SpanningTree, spanning_tree
-from trace_forge.walks import DoubleTrace, is_repetition, validate_double_trace
+from trace_forge.walks import DoubleTrace, validate_double_trace
 
 
 @pytest.fixture
@@ -122,6 +122,11 @@ def random_double_trace(g: Graph, rng: random.Random) -> DoubleTrace:
 
 
 # -- brute-force repetition oracle ------------------------------------------------
+
+
+def is_repetition(w: DoubleTrace, v: int, subset: frozenset[int]) -> bool:
+    """Direct check: at every visit of v, pred in subset iff succ in subset."""
+    return all((p in subset) == (s in subset) for p, s in w.visits(v))
 
 
 def minimal_repetitions_brute(w: DoubleTrace, v: int) -> tuple[frozenset[int], ...]:

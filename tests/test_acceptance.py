@@ -28,12 +28,13 @@ from trace_forge.spanning import (
     tree_is_qualified,
 )
 from trace_forge.transform import split_reduce_deficiency, split_reduce_qualified
-from trace_forge.walks import classify_trace, is_repetition, repetition_analysis
+from trace_forge.walks import classify_trace
 
 from conftest import (
     atlas_graphs,
     canonical_form,
     fixture_family,
+    is_repetition,
     random_connected_graph,
     random_double_trace,
     random_spanning_tree,
@@ -130,7 +131,7 @@ def test_criterion_3_repetition_calculus():
         if g.max_degree() > 6:
             continue
         w = random_double_trace(g, rng)
-        analysis = repetition_analysis(w)
+        analysis = classify_trace(w)
         brute_reps, brute_order, brute_strong = repetitions_brute(w)
         if analysis.minimal_repetitions != brute_reps:
             violations.append(("brute force disagrees", sorted(g.edges), w.sequence))

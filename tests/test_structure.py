@@ -66,3 +66,33 @@ def test_exports_resolve():
     assert len(set(trace_forge.__all__)) == len(trace_forge.__all__)
     missing = [n for n in trace_forge.__all__ if not hasattr(trace_forge, n)]
     assert missing == []
+
+
+def _calls_to(tree: ast.Module, name: str) -> list[int]:
+    """Lines that call ``name`` by bare name or as an attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+    ]
+
+
+def test_trace_class_is_built_only_in_walks():
+    # one trace analysis: every TraceClass comes from walks.classify_trace
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "walks.py":
+            continue
+        lines = _calls_to(ast.parse(path.read_text(), filename=str(path)), "TraceClass")
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_call_scan_finds_both_forms():
+    tree = ast.parse("TraceClass(1)\nwalks.TraceClass(2)\nTraceClass\n")
+    assert _calls_to(tree, "TraceClass") == [1, 2]

@@ -39,7 +39,6 @@ from trace_forge.transform import (
 from trace_forge.walks import (
     classify_trace,
     direction_profile,
-    repetition_analysis,
     transition_graph_at,
     validate_double_trace,
 )
@@ -360,9 +359,9 @@ def test_lift_of_uneven_split_breaks_stability(k5):
     w_prime = find_trace(g_prime, TraceSpec("double", "antiparallel"))
     assert w_prime is not None
     lifted = lift_trace_through_identification(w_prime, fresh_vertex_ids(k5, 2), 0)
-    report = repetition_analysis(lifted)
-    assert frozenset({1}) in report.minimal_repetitions[0]
-    assert report.stability_order == 0
+    cls = classify_trace(lifted)
+    assert frozenset({1}) in cls.minimal_repetitions[0]
+    assert cls.stability_order == 0
 
 
 def test_lift_of_balanced_split_keeps_stability():
@@ -389,7 +388,7 @@ def test_lift_of_balanced_split_keeps_stability():
     cls = classify_trace(lifted)
     assert cls.direction == "antiparallel"
     assert cls.stability_order >= 1
-    reps = repetition_analysis(lifted).minimal_repetitions[v]
+    reps = cls.minimal_repetitions[v]
     assert set(reps) <= {outcome.parts[0], outcome.parts[1]} or all(
         any(comp <= part for part in outcome.parts) for comp in reps
     )

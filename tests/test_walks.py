@@ -15,16 +15,18 @@ from trace_forge.graph import build_graph, edge_key, path_graph
 from trace_forge.walks import (
     classify_trace,
     direction_profile,
-    is_repetition,
     min_rotation,
-    repetition_analysis,
-    stability_order,
     trace_direction,
     transition_graph_at,
     validate_double_trace,
 )
 
-from conftest import random_connected_graph, random_double_trace, repetitions_brute
+from conftest import (
+    is_repetition,
+    random_connected_graph,
+    random_double_trace,
+    repetitions_brute,
+)
 
 K3_ANTI = [0, 1, 2, 0, 2, 1]
 K3_PAR = [0, 1, 2, 0, 1, 2]
@@ -88,11 +90,11 @@ def test_transition_graph_parallel_triangle(k3):
 def test_repetition_analysis_modes_agree_on_triangle(k3):
     for seq in (K3_ANTI, K3_PAR):
         w = validate_double_trace(k3, seq)
-        report = repetition_analysis(w)
+        cls = classify_trace(w)
         assert (
-            report.minimal_repetitions,
-            report.stability_order,
-            report.strong,
+            cls.minimal_repetitions,
+            cls.stability_order,
+            cls.strong,
         ) == repetitions_brute(w)
 
 
@@ -104,8 +106,8 @@ def test_trivial_subsets_are_always_repetitions(k3):
 
 
 def test_stability_orders(k3):
-    assert stability_order(validate_double_trace(k3, K3_PAR)) == 1
-    assert stability_order(validate_double_trace(k3, K3_ANTI)) == 0
+    assert classify_trace(validate_double_trace(k3, K3_PAR)).stability_order == 1
+    assert classify_trace(validate_double_trace(k3, K3_ANTI)).stability_order == 0
 
 
 def test_classify(k3):
@@ -137,7 +139,7 @@ def test_link_counts_match_degrees():
         g = random_connected_graph(rng, n_min=3, n_max=6)
         w = random_double_trace(g, rng)
         # a d-stable trace needs min degree above d, so the order is capped
-        assert stability_order(w) <= g.min_degree() - 1
+        assert classify_trace(w).stability_order <= g.min_degree() - 1
         for v in g.vertices:
             tg = transition_graph_at(w, v)
             assert len(tg.links) == g.degree(v)
@@ -173,7 +175,7 @@ def test_strong_trace_stability_is_min_degree_minus_one():
         g = random_connected_graph(rng, n_min=3, n_max=5)
         w = find_trace(g, TraceSpec("strong"))
         assert w is not None
-        assert stability_order(w) == g.min_degree() - 1
+        assert classify_trace(w).stability_order == g.min_degree() - 1
 
 
 def test_one_directional_reading_matches_iff_on_antiparallel_traces():
