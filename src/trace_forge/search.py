@@ -6,6 +6,13 @@ traversal must repeat the first direction; antiparallel: oppose it) and
 partial transition graphs prune stability violations as soon as a local
 component is sealed.  The search is complete: a ``None`` result means the
 whole space was exhausted.
+
+The bookkeeping is positional.  Each adjacency entry carries the edge id and
+the position of the reverse entry in the neighbor's list, so a step updates
+the transition graphs at both ends without a lookup.  Every expanded node
+keeps all open edges in the head's component of the open-edge graph, so
+after a step that closes an edge the stranded-edge test is one DFS that
+stops at the step's tail, not a scan of every open edge.
 """
 
 from __future__ import annotations
@@ -63,7 +70,20 @@ def spec_satisfied(spec: TraceSpec, cls: TraceClass) -> bool:
 
 
 class _Engine:
-    """One backtracking run over a fixed host and spec."""
+    """One backtracking run over a fixed host and spec.
+
+    Vertices are indices into the sorted labels.  ``adj[c]`` lists
+    ``(w, eid, back)`` by ascending neighbor ``w``, where ``back`` is the
+    position of ``c`` in ``adj[w]``, so a step carries the positions it
+    touches at both ends and the search never looks a position up.  The
+    transition graph at ``c`` is a union-find over the positions of
+    ``adj[c]``; each root holds its component size and its count of still
+    open traversal slots, and every union is undone on backtracking.
+
+    Every node the search expands keeps one invariant: each open edge (used
+    fewer than twice) lies in the head's component of the open-edge graph.
+    :meth:`run` states why one local test keeps it after a step.
+    """
 
     def __init__(self, g: Graph, spec: TraceSpec, budget: int | None):
         self.g = g
@@ -76,32 +96,20 @@ class _Engine:
         self.n = len(self.labels)
         self.m = g.num_edges
         self.deg = [g.degree(v) for v in self.labels]
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         for eid, (u, v) in enumerate(g.edges):
             ui, vi = index[u], index[v]
-            self.adj[ui].append((vi, eid))
-            self.adj[vi].append((ui, eid))
-        for lst in self.adj:
+            pairs[ui].append((vi, eid))
+            pairs[vi].append((ui, eid))
+        for lst in pairs:
             lst.sort()  # ascending neighbor id (labels are sorted, so index order matches)
-
-        self.used = [0] * self.m
-        self.first_from = [-1] * self.m
-        self.open_edges = self.m
-        self.walk: list[int] = [0]
-        self._mark = [0] * self.n
-        self._edge_mark = [0] * self.m
-        self._stamp = 0
-
-        # per-vertex transition-graph state: a union-find over the neighbor
-        # positions with, at each root, the component size and the number of
-        # still-open traversal slots; unions roll back on backtracking
-        self.loc: dict[tuple[int, int], int] = {}
-        for c in range(self.n):
-            for pos, (w, _) in enumerate(self.adj[c]):
-                self.loc[(c, w)] = pos
-        self.dsu_parent = [list(range(len(self.adj[c]))) for c in range(self.n)]
-        self.dsu_size = [[1] * len(self.adj[c]) for c in range(self.n)]
-        self.dsu_open = [[2] * len(self.adj[c]) for c in range(self.n)]
+        position = {(c, w): pos for c in range(self.n) for pos, (w, _) in enumerate(pairs[c])}
+        self.adj: list[list[tuple[int, int, int]]] = [
+            [(w, eid, position[(w, c)]) for w, eid in pairs[c]] for c in range(self.n)
+        ]
+        self.dsu_parent = [list(range(len(a))) for a in self.adj]
+        self.dsu_size = [[1] * len(a) for a in self.adj]
+        self.dsu_open = [[2] * len(a) for a in self.adj]
 
     def _find(self, center: int, pos: int) -> int:
         parent = self.dsu_parent[center]
@@ -122,35 +130,19 @@ class _Engine:
             return True
         return False
 
-    def _step_allowed(self, u: int, eid: int) -> bool:
-        used = self.used[eid]
-        if used == 2:
-            return False
-        if used == 1 and self.spec.direction != "any":
-            same = self.first_from[eid] == u
-            if self.spec.direction == PARALLEL:
-                return same
-            return not same
-        return True
-
-    def _component_groups(self, center: int) -> dict[int, int]:
-        """root -> component size at a vertex, from the live union-find."""
-        groups: dict[int, int] = {}
+    def _component_sizes_ok(self, center: int, link: tuple[int, int] | None = None) -> bool:
+        """Full spec check at one vertex whose links are all known, after
+        joining the positions in ``link`` when one is given."""
         size = self.dsu_size[center]
+        groups: dict[int, int] = {}
         for pos in range(len(self.adj[center])):
             r = self._find(center, pos)
             if r not in groups:
                 groups[r] = size[r]
-        return groups
-
-    def _component_sizes_ok(self, center: int, extra_link: tuple[int, int] | None = None) -> bool:
-        """Full spec check at one vertex whose links are all known."""
-        groups = self._component_groups(center)
-        if extra_link is not None:
-            ra = self._find(center, self.loc[(center, extra_link[0])])
-            rb = self._find(center, self.loc[(center, extra_link[1])])
+        if link is not None:
+            ra, rb = self._find(center, link[0]), self._find(center, link[1])
             if ra != rb:
-                groups[ra] = groups[ra] + groups.pop(rb)
+                groups[ra] += groups.pop(rb)
         if len(groups) <= 1:
             # connected: only trivial repetitions; the upfront min-degree
             # check already covers the stable degree bound
@@ -159,169 +151,173 @@ class _Engine:
             return False
         return min(groups.values()) > self.spec.d
 
-    def _sealed_prune(self, center: int, root: int) -> bool:
-        """True when the just-finished visit of ``center`` dooms the walk.
+    def _final_ok(self, center: int, link: tuple[int, int]) -> bool:
+        """Spec check for a completed walk whose last step left ``center``.
 
-        A component of the partial transition graph is sealed once every
-        traversal slot inside it is used; sealed proper components survive
-        into every completion as repetitions.  The start vertex is exempt:
-        its wrap-around link is still pending.
+        Direction constraints were enforced per step, and every component at
+        every vertex other than the start and ``center`` was screened when it
+        sealed; those two vertices get the full check here.  The start vertex
+        gains its wrap-around link, given as the positions in ``adj[0]`` of
+        the last and the second walk vertex.
         """
-        if self.dsu_open[center][root] != 0:
-            return False
-        size = self.dsu_size[center][root]
-        d_center = self.deg[center]
-        if size == d_center:
-            return False  # complete and connected: no nontrivial repetition here
-        if self.spec.kind == "strong":
+        if self.spec.kind == "double":
             return True
-        return size <= self.spec.d or d_center - size <= self.spec.d
-
-    def _reachability_prune(self, head: int) -> bool:
-        """True when some unfinished edge cannot be reached from the head."""
-        if self.open_edges == 0:
-            return False
-        self._stamp += 1
-        stamp = self._stamp
-        mark = self._mark
-        edge_mark = self._edge_mark
-        used = self.used
-        mark[head] = stamp
-        stack = [head]
-        seen_edges = 0
-        while stack:
-            x = stack.pop()
-            for y, eid in self.adj[x]:
-                if used[eid] < 2:
-                    if edge_mark[eid] != stamp:
-                        edge_mark[eid] = stamp
-                        seen_edges += 1
-                    if mark[y] != stamp:
-                        mark[y] = stamp
-                        stack.append(y)
-        return seen_edges < self.open_edges
+        return self._component_sizes_ok(center) and self._component_sizes_ok(0, link)
 
     # -- DFS ---------------------------------------------------------------------
 
-    def _apply(self, u: int, v: int, eid: int):
-        """Consume one traversal slot and register the finished visit of u.
-
-        Returns an undo record: (eid, prev_used, link_center, union_child,
-        union_root, link_root).  The union-find open counts drop for u's slot
-        at v and v's slot at u; the link {previous walk vertex, v} merges two
-        components at the old head u.
-        """
-        prev_used = self.used[eid]
-        self.used[eid] = prev_used + 1
-        if prev_used == 0:
-            self.first_from[eid] = u
-        else:
-            self.open_edges -= 1
-        ru = self._find(u, self.loc[(u, v)])
-        self.dsu_open[u][ru] -= 1
-        rv = self._find(v, self.loc[(v, u)])
-        self.dsu_open[v][rv] -= 1
-        walk = self.walk
-        walk.append(v)
-        if len(walk) < 3:
-            return eid, prev_used, -1, -1, -1, -1
-        center = u
-        rp = self._find(center, self.loc[(center, walk[-3])])
-        rs = self._find(center, self.loc[(center, v)])
-        if rp == rs:
-            return eid, prev_used, center, -1, -1, rp
-        size = self.dsu_size[center]
-        if size[rp] < size[rs]:
-            rp, rs = rs, rp
-        # attach rs under rp
-        self.dsu_parent[center][rs] = rp
-        size[rp] += size[rs]
-        self.dsu_open[center][rp] += self.dsu_open[center][rs]
-        return eid, prev_used, center, rs, rp, rp
-
-    def _undo(self, record) -> None:
-        eid, prev_used, center, child, parent_root, _ = record
-        if child >= 0:
-            self.dsu_parent[center][child] = child
-            self.dsu_size[center][parent_root] -= self.dsu_size[center][child]
-            self.dsu_open[center][parent_root] -= self.dsu_open[center][child]
-        walk = self.walk
-        v = walk.pop()
-        u = walk[-1]
-        rv = self._find(v, self.loc[(v, u)])
-        self.dsu_open[v][rv] += 1
-        ru = self._find(u, self.loc[(u, v)])
-        self.dsu_open[u][ru] += 1
-        if prev_used == 1:
-            self.open_edges += 1
-        else:
-            self.first_from[eid] = -1
-        self.used[eid] = prev_used
-
     def run(self) -> Iterator[tuple[int, ...]]:
+        """Yield each spec-satisfying closed walk from vertex 0, as its
+        minimal rotation of labels, in DFS order.
+
+        A step u -> v is one node.  It consumes a traversal slot of the edge,
+        drops the open count of the edge's position at u and at v, and joins
+        at u the positions of the previous walk vertex and v (the transition
+        {prev, v}).  The node is then cut when it seals a transition
+        component at u (other than vertex 0, whose wrap-around link is still
+        pending) that can only end as a forbidden repetition, or when it
+        strands an open edge.  Stranding is tested without scanning the open
+        edges.  Before the step, every open edge lay in u's component of the
+        open-edge graph.  A step that leaves u-v open keeps that component
+        and moves the head inside it.  A step that closes u-v removes one
+        edge, which splits that component into at most two parts, one
+        holding u and one holding v.  So an edge is stranded exactly when u
+        still has an open edge and v no longer reaches u.  The search tests
+        just that, with a DFS from v that stops when it meets u, and so cuts
+        the same nodes as a count of the open edges v reaches.
+        """
         require_connected(self.g)
         if self.m == 0:
             raise EmptyGraphError("a double trace needs at least one edge")
         if self._impossible_upfront():
             return
-        walk = self.walk
-        target_len = 2 * self.m + 1
-        check_repetitions = self.spec.kind != "double"
+        spec = self.spec
+        adj, deg, labels = self.adj, self.deg, self.labels
+        parent, size, opened = self.dsu_parent, self.dsu_size, self.dsu_open
+        constrained = spec.direction != "any"
+        parallel = spec.direction == PARALLEL
+        check_repetitions = spec.kind != "double"
+        strong = spec.kind == "strong"
+        d = spec.d
+        limit = self.budget if self.budget is not None else float("inf")
+        used = [0] * self.m
+        first_from = [0] * self.m
+        mark = [0] * self.n
+        stamp = 0
+        nodes = 0
+        last = 2 * self.m - 1  # depth whose step completes a walk
+        # per depth k <= last: the walk vertex, the position of walk[k - 1]
+        # in its adjacency, the index of the next move to try from it (saved
+        # on the way down), and the position at walk[k - 1] that the step
+        # into k attached under another root, or -1
+        walk = [0] * (last + 1)
+        into = [0] * (last + 1)
+        resume = [0] * (last + 1)
+        child_at = [0] * (last + 1)
         # antiparallel traces use each start edge exactly once outward, so
         # every trace has exactly one rotation beginning with the smallest
         # neighbor; pinning the first step drops the duplicate rotations
-        if self.spec.direction == ANTIPARALLEL:
-            first_moves = self.adj[0][:1]
-        else:
-            first_moves = self.adj[0]
-        # each frame: [moves, next_index, record_of_entering_move]
-        stack: list[list] = [[first_moves, 0, None]]
-        while stack:
-            frame = stack[-1]
-            moves, idx = frame[0], frame[1]
-            if idx >= len(moves):
-                stack.pop()
-                if frame[2] is not None:
-                    self._undo(frame[2])
-                continue
-            frame[1] = idx + 1
-            u = walk[-1]
-            v, eid = moves[idx]
-            if not self._step_allowed(u, eid):
-                continue
-            self.nodes += 1
-            if self.budget is not None and self.nodes > self.budget:
-                raise BudgetExhaustedError(self.nodes)
-            record = self._apply(u, v, eid)
-            if len(walk) == target_len:
-                if v == 0 and self._final_ok():
-                    candidate = tuple(self.labels[i] for i in walk[:-1])
-                    yield min_rotation(candidate)
-                self._undo(record)
-                continue
-            if (
-                check_repetitions
-                and record[2] > 0
-                and self._sealed_prune(record[2], record[5])
-            ) or (record[1] == 1 and self._reachability_prune(v)):
-                self._undo(record)
-                continue
-            stack.append([self.adj[v], 0, record])
-
-    def _final_ok(self) -> bool:
-        """Spec check for a completed walk.
-
-        Direction constraints were enforced per step, and every component at
-        every vertex other than the start and the final link's center was
-        screened when it sealed; those two vertices get the full check here
-        (the start vertex gains its wrap-around link).
-        """
-        if self.spec.kind == "double":
-            return True
-        walk = self.walk
-        if not self._component_sizes_ok(walk[-2]):
-            return False
-        return self._component_sizes_ok(0, extra_link=(walk[-2], walk[1]))
+        first_moves = adj[0][:1] if spec.direction == ANTIPARALLEL else adj[0]
+        depth, u, moves, idx = 0, 0, first_moves, 0
+        while True:
+            if idx < len(moves):
+                v, eid, back = moves[idx]
+                idx += 1
+                k = used[eid]
+                if k == 2 or (k == 1 and constrained and (first_from[eid] == u) != parallel):
+                    continue
+                nodes += 1
+                if nodes > limit:
+                    self.nodes = nodes
+                    raise BudgetExhaustedError(nodes)
+                used[eid] = k + 1
+                if k == 0:
+                    first_from[eid] = u
+                pu, ou = parent[u], opened[u]
+                ru = idx - 1
+                while pu[ru] != ru:
+                    ru = pu[ru]
+                ou[ru] -= 1
+                pv = parent[v]
+                rv = back
+                while pv[rv] != rv:
+                    rv = pv[rv]
+                opened[v][rv] -= 1
+                child = -1
+                cut = False
+                if depth:
+                    rp = into[depth]
+                    while pu[rp] != rp:
+                        rp = pu[rp]
+                    su = size[u]
+                    if rp != ru:
+                        if su[rp] < su[ru]:
+                            rp, ru = ru, rp
+                        pu[ru] = rp
+                        su[rp] += su[ru]
+                        ou[rp] += ou[ru]
+                        child = ru
+                    if check_repetitions and u and ou[rp] == 0 and su[rp] != deg[u]:
+                        # a sealed proper component survives into every
+                        # completion as a repetition
+                        sealed = su[rp]
+                        cut = strong or sealed <= d or deg[u] - sealed <= d
+                if depth == last:
+                    if v == 0 and self._final_ok(u, (back, resume[0] - 1)):
+                        self.nodes = nodes
+                        yield min_rotation(tuple(labels[i] for i in walk))
+                elif not cut and k == 1:
+                    # the step closed u-v: while u keeps an open edge, cut
+                    # unless v still reaches u over open edges
+                    for _, e, _ in adj[u]:
+                        if used[e] < 2:
+                            cut = True
+                            break
+                    if cut:
+                        stamp += 1
+                        mark[v] = stamp
+                        stack = [v]
+                        while stack and cut:
+                            for y, e, _ in adj[stack.pop()]:
+                                if used[e] < 2 and mark[y] != stamp:
+                                    if y == u:
+                                        cut = False
+                                        break
+                                    mark[y] = stamp
+                                    stack.append(y)
+                if depth != last and not cut:
+                    resume[depth] = idx
+                    depth += 1
+                    walk[depth], into[depth], child_at[depth] = v, back, child
+                    u, moves, idx = v, adj[v], 0
+                    continue
+            else:
+                # every move from u is tried: step back along the edge into u
+                if not depth:
+                    break
+                v, back, child = u, into[depth], child_at[depth]
+                depth -= 1
+                u, idx = walk[depth], resume[depth]
+                moves = adj[u] if depth else first_moves
+                eid = moves[idx - 1][1]
+                pu, ou = parent[u], opened[u]
+            # undo the step u -> v taken by moves[idx - 1]
+            if child >= 0:
+                root = pu[child]
+                pu[child] = child
+                size[u][root] -= size[u][child]
+                ou[root] -= ou[child]
+            pv = parent[v]
+            rv = back
+            while pv[rv] != rv:
+                rv = pv[rv]
+            opened[v][rv] += 1
+            ru = idx - 1
+            while pu[ru] != ru:
+                ru = pu[ru]
+            ou[ru] += 1
+            used[eid] -= 1
+        self.nodes = nodes
 
 
 def _check_budget_required(g: Graph, budget: int | None) -> None:
@@ -349,10 +345,12 @@ def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTr
 def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:
     """All spec-satisfying traces up to rotation, in canonical sorted order.
 
-    Reflections count as distinct traces since direction matters.  Intended
-    for small hosts (|E| <= 12).
+    Reflections count as distinct traces since direction matters.  The
+    enumeration has no budget, so hosts with more than
+    ``UNBUDGETED_EDGE_LIMIT`` edges are refused as in :func:`find_trace`.
     """
     require_connected(g)
+    _check_budget_required(g, None)
     engine = _Engine(g, spec, None)
     canonical = {seq for seq in engine.run()}
     return [DoubleTrace(g, seq) for seq in sorted(canonical)]

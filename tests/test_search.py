@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from trace_forge.decide import build_antiparallel_d_stable
 from trace_forge.errors import BudgetExhaustedError, DisconnectedGraphError
 from trace_forge.graph import build_graph, complete_graph, path_graph
 from trace_forge.search import (
@@ -240,6 +241,33 @@ def test_budget_mandatory_above_edge_limit():
     with pytest.raises(ValueError):
         find_trace(g, TraceSpec("double"))
     assert find_trace(g, TraceSpec("double"), budget=10_000_000) is not None
+
+
+def test_enumerate_refuses_hosts_above_edge_limit():
+    with pytest.raises(ValueError, match="explicit search budget"):
+        enumerate_traces(complete_graph(6), TraceSpec("strong", "antiparallel"))
+
+
+K44 = build_graph([(i, j + 4) for i in range(4) for j in range(4)])
+
+
+@pytest.mark.parametrize(
+    "graph,budget,nodes",
+    [(K44, 54_153, 54_154), (complete_graph(6), 100_000, 100_001)],
+)
+def test_budget_exhausts_one_node_past_the_budget(graph, budget, nodes):
+    # the benchmark's budget boundaries: K4,4 at d = 1 needs 54,154 search
+    # nodes, K6 at d = 1 exhausts a budget of 100,000
+    with pytest.raises(BudgetExhaustedError) as info:
+        build_antiparallel_d_stable(graph, 1, budget=budget)
+    assert info.value.nodes == nodes
+
+
+def test_budget_boundary_success():
+    trace = build_antiparallel_d_stable(K44, 1, budget=54_154)
+    assert trace is not None
+    cls = classify_trace(trace)
+    assert cls.direction == "antiparallel" and cls.stability_order >= 1
 
 
 def test_disconnected_rejected():
