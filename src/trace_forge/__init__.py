@@ -34,7 +34,6 @@ from .graph import (
 from .search import (
     TraceSpec,
     enumerate_traces,
-    find_parallel_trace,
     find_trace,
 )
 from .spanning import (
@@ -89,7 +88,6 @@ __all__ = [
     "classify_trace",
     "TraceSpec",
     "find_trace",
-    "find_parallel_trace",
     "enumerate_traces",
     "SpanningTree",
     "CoTreeDecomposition",

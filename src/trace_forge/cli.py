@@ -23,7 +23,14 @@ from .decide import (
 )
 from .errors import TraceForgeError
 from .formats import EDGELIST, GRAPH6, load_graph, load_trace_sequence
-from .search import UNBUDGETED_EDGE_LIMIT, TraceSpec, find_trace, spec_satisfied
+from .search import (
+    DIRECTIONS,
+    KINDS,
+    UNBUDGETED_EDGE_LIMIT,
+    TraceSpec,
+    find_trace,
+    spec_satisfied,
+)
 from .walks import classify_trace, format_trace_text, validate_double_trace
 
 SCHEMA = "trace-forge/1"
@@ -251,13 +258,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_cell(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kind",
-        choices=["double", "stable", "strong"],
+        choices=KINDS,
         default="double",
         help="trace kind (default: double)",
     )
     parser.add_argument(
         "--direction",
-        choices=["any", "parallel", "antiparallel"],
+        choices=DIRECTIONS,
         default="any",
         help="direction constraint (default: any)",
     )

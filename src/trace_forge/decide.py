@@ -22,7 +22,7 @@ from .errors import (
     NotStableError,
 )
 from .graph import Graph, betti_number, edge_connectivity, fresh_vertex_ids, require_connected
-from .search import TraceSpec, find_parallel_trace, find_trace
+from .search import TraceSpec, find_trace, spec_satisfied
 from .spanning import (
     SpanningTree,
     cotree_decomposition,
@@ -42,6 +42,7 @@ from .walks import (
     DoubleTrace,
     classify_trace,
     transition_graph_at,
+    validate_double_trace,
 )
 
 MIN_DEGREE = "MinDegree"
@@ -73,10 +74,6 @@ class DecisionCertificate:
         return self.violated_condition or "no"
 
 
-def _is_eulerian(g: Graph) -> bool:
-    return all(g.degree(v) % 2 == 0 for v in g.vertices)
-
-
 def _no(kind, direction, d, condition, **detail) -> DecisionCertificate:
     return DecisionCertificate(
         verdict=False,
@@ -98,6 +95,35 @@ def _yes_tree(kind, direction, d, tree) -> DecisionCertificate:
     return DecisionCertificate(
         verdict=True, kind=kind, direction=direction, d=d, witness_tree=tree
     )
+
+
+def _doubled_euler_tour(g: Graph) -> DoubleTrace:
+    """An Euler tour of a connected Eulerian graph, walked twice.
+
+    Hierholzer from the least vertex, always leaving by the least unused
+    edge.  The doubled tour is a parallel trace and exactly 1-stable: each
+    visit of a simple graph's vertex pairs two distinct neighbours, and the
+    second pass repeats the pair, so each transition component is the pair
+    of one visit.  A pair is the whole neighbourhood only at a vertex of
+    degree 2, so the trace is strong only on a cycle.
+    """
+    unused = {v: list(reversed(g.neighbors(v))) for v in g.vertices}  # least last
+    stale: set[tuple[int, int]] = set()  # (w, u): w's entry for a walked edge
+    stack = [g.vertices[0]]
+    tour: list[int] = []
+    while stack:
+        u = stack[-1]
+        out = unused[u]
+        while out and (u, out[-1]) in stale:
+            out.pop()
+        if out:
+            w = out.pop()
+            stale.add((w, u))
+            stack.append(w)
+        else:
+            tour.append(stack.pop())
+    cycle = tour[:0:-1]  # walking order, without the closing start vertex
+    return validate_double_trace(g, cycle + cycle)
 
 
 def _search_witness(g: Graph, spec: TraceSpec, budget: int | None) -> DoubleTrace:
@@ -126,6 +152,13 @@ def decide_existence(
     additionally requires a spanning tree whose odd co-tree components each
     contain a vertex of degree at least 2d + 2; antiparallel strong traces
     require an all-even co-tree tree.
+
+    Witnesses: antiparallel stable and strong yes-cells carry a tree, which
+    :func:`build_antiparallel_d_stable` turns into a trace for stable.  A
+    parallel cell takes the doubled Euler tour when it satisfies the cell
+    (double, d = 1, strong on a cycle).  The cells with no construction,
+    every cell of direction any, double antiparallel, parallel d >= 2 and
+    parallel strong off a cycle, keep the search under ``budget``.
     """
     require_connected(g)
     if g.num_edges == 0:
@@ -136,7 +169,7 @@ def decide_existence(
     if kind == "stable" and g.min_degree() <= d:
         return _no(kind, direction, d, MIN_DEGREE, min_degree=g.min_degree())
 
-    if direction == PARALLEL and not _is_eulerian(g):
+    if direction == PARALLEL and any(g.degree(v) % 2 for v in g.vertices):
         return _no(kind, direction, d, NOT_EULERIAN)
 
     if kind == "stable" and direction == ANTIPARALLEL:
@@ -157,14 +190,12 @@ def decide_existence(
     # remaining cells are yes; produce a trace witness when asked
     if not witness:
         return DecisionCertificate(verdict=True, kind=kind, direction=direction, d=d)
-    trace = None
     if direction == PARALLEL:
-        # the graph is Eulerian with minimum degree above d here, so a doubled
-        # Euler tour exists; only a strong cell can reject it
-        trace = find_parallel_trace(g, d, budget=budget)
-        if kind == "strong" and not classify_trace(trace).strong:
-            trace = None
-    return _yes_trace(kind, direction, d, trace or _search_witness(g, spec, budget))
+        # the graph is connected and Eulerian here, so the doubled tour exists
+        trace = _doubled_euler_tour(g)
+        if spec_satisfied(spec, classify_trace(trace)):
+            return _yes_trace(kind, direction, d, trace)
+    return _yes_trace(kind, direction, d, _search_witness(g, spec, budget))
 
 
 def build_antiparallel_d_stable(
@@ -183,8 +214,7 @@ def build_antiparallel_d_stable(
     require_connected(g)
     if g.num_edges == 0:
         raise EmptyGraphError("a double trace needs at least one edge")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    spec = TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     if g.min_degree() <= d:
         return None
     threshold = 2 * d + 2
@@ -215,10 +245,8 @@ def build_antiparallel_d_stable(
     for new_vertices, v in reversed(splits):
         trace = lift_trace_through_identification(trace, new_vertices, v)
     cls = classify_trace(trace)
-    if cls.direction != ANTIPARALLEL or cls.stability_order < d:
-        raise InternalInvariantError(
-            f"pipeline produced a non-conforming trace: {cls}"
-        )
+    if not spec_satisfied(spec, cls):
+        raise InternalInvariantError(f"pipeline produced a non-conforming trace: {cls}")
     return trace
 
 
@@ -249,7 +277,7 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
         parts = transition_graph_at(w, v).components
         projections.append((g, v, fresh_vertex_ids(g, len(parts))))
         w = project_trace_through_split(w, v, parts)
-    if not classify_trace(w).strong:
+    if not spec_satisfied(TraceSpec("strong", ANTIPARALLEL), classify_trace(w)):
         raise InternalInvariantError("projected trace is not strong")
     certificate = min_tree(w.host, None)
     if certificate is None:

@@ -27,7 +27,6 @@ from .walks import (
     PARALLEL,
     DoubleTrace,
     TraceClass,
-    classify_trace,
     min_rotation,
     validate_double_trace,
 )
@@ -80,9 +79,10 @@ class _Engine:
     ``adj[c]``; each root holds its component size and its count of still
     open traversal slots, and every union is undone on backtracking.
 
-    Every node the search expands keeps one invariant: each open edge (used
-    fewer than twice) lies in the head's component of the open-edge graph.
-    :meth:`run` states why one local test keeps it after a step.
+    The caller checks that the host is connected.  Every node the search
+    expands keeps one invariant: each open edge (used fewer than twice)
+    lies in the head's component of the open-edge graph.  :meth:`run`
+    states why one local test keeps it after a step.
     """
 
     def __init__(self, g: Graph, spec: TraceSpec, budget: int | None):
@@ -186,7 +186,6 @@ class _Engine:
         just that, with a DFS from v that stops when it meets u, and so cuts
         the same nodes as a count of the open edges v reaches.
         """
-        require_connected(self.g)
         if self.m == 0:
             raise EmptyGraphError("a double trace needs at least one edge")
         if self._impossible_upfront():
@@ -320,14 +319,6 @@ class _Engine:
         self.nodes = nodes
 
 
-def _check_budget_required(g: Graph, budget: int | None) -> None:
-    if budget is None and g.num_edges > UNBUDGETED_EDGE_LIMIT:
-        raise ValueError(
-            f"graphs with more than {UNBUDGETED_EDGE_LIMIT} edges need an "
-            f"explicit search budget"
-        )
-
-
 def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTrace | None:
     """First spec-satisfying double trace in deterministic DFS order.
 
@@ -335,7 +326,11 @@ def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTr
     Raises :class:`BudgetExhaustedError` when a budget was given and hit.
     """
     require_connected(g)
-    _check_budget_required(g, budget)
+    if budget is None and g.num_edges > UNBUDGETED_EDGE_LIMIT:
+        raise ValueError(
+            f"graphs with more than {UNBUDGETED_EDGE_LIMIT} edges need an "
+            f"explicit search budget"
+        )
     engine = _Engine(g, spec, budget)
     for seq in engine.run():
         return validate_double_trace(g, seq)
@@ -347,79 +342,14 @@ def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:
 
     Reflections count as distinct traces since direction matters.  The
     enumeration has no budget, so hosts with more than
-    ``UNBUDGETED_EDGE_LIMIT`` edges are refused as in :func:`find_trace`.
+    ``UNBUDGETED_EDGE_LIMIT`` edges are refused.
     """
     require_connected(g)
-    _check_budget_required(g, None)
+    if g.num_edges > UNBUDGETED_EDGE_LIMIT:
+        raise ValueError(
+            f"enumerate_traces takes no search budget and refuses graphs with "
+            f"more than {UNBUDGETED_EDGE_LIMIT} edges"
+        )
     engine = _Engine(g, spec, None)
     canonical = {seq for seq in engine.run()}
     return [DoubleTrace(g, seq) for seq in sorted(canonical)]
-
-
-def euler_tour(g: Graph) -> list[int] | None:
-    """Closed Euler tour as a vertex list (first == last), or None.
-
-    Deterministic Hierholzer with smallest-neighbor-first expansion.
-    """
-    require_connected(g)
-    if g.num_edges == 0:
-        return None
-    if any(g.degree(v) % 2 for v in g.vertices):
-        return None
-    remaining = {v: list(g.neighbors(v)) for v in g.vertices}
-    used_edges: set[tuple[int, int]] = set()
-
-    def take(u: int) -> int | None:
-        while remaining[u]:
-            w = remaining[u][0]
-            key = (u, w) if u < w else (w, u)
-            if key in used_edges:
-                remaining[u].pop(0)
-                continue
-            used_edges.add(key)
-            remaining[u].pop(0)
-            return w
-        return None
-
-    start = g.vertices[0]
-    stack = [start]
-    tour: list[int] = []
-    while stack:
-        u = stack[-1]
-        w = take(u)
-        if w is None:
-            tour.append(stack.pop())
-        else:
-            stack.append(w)
-    tour.reverse()
-    if len(tour) != g.num_edges + 1:
-        return None
-    return tour
-
-
-def find_parallel_trace(
-    g: Graph, d: int | None = None, *, budget: int | None = None
-) -> DoubleTrace | None:
-    """Parallel double trace, optionally d-stable.
-
-    Doubles an Euler tour in the same direction; when that misses the
-    requested stability, falls back to the complete backtracking search,
-    which runs under ``budget`` as in :func:`find_trace`.  Returns ``None``
-    iff the graph is not Eulerian or (d given and the minimum degree is at
-    most d).
-    """
-    require_connected(g)
-    if g.num_edges == 0:
-        raise EmptyGraphError("a double trace needs at least one edge")
-    tour = euler_tour(g)
-    if tour is None:
-        return None
-    cycle = tour[:-1]
-    trace = validate_double_trace(g, cycle + cycle)
-    if d is None:
-        return trace
-    if g.min_degree() <= d:
-        return None
-    if classify_trace(trace).stability_order >= d:
-        return trace
-    return find_trace(g, TraceSpec("stable", PARALLEL, d), budget)

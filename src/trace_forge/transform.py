@@ -103,11 +103,6 @@ def transfer_tree_on_identification(
     protected = frozenset(protected)
     if t_prime.host != g_prime:
         raise NotSpanningTreeError("tree does not span this graph")
-    if len(targets) < 2:
-        raise PreconditionViolatedError("need at least 2 targets to identify")
-    for x in targets:
-        if x not in g_prime.adjacency:
-            raise PreconditionViolatedError(f"target {x} not in graph")
     if protected & target_set:
         raise PreconditionViolatedError("protected vertices must not be targets")
     if not protected <= set(g_prime.vertices):

@@ -55,6 +55,21 @@ def test_k4_parallel_double_is_no(k4):
     assert cert.violated_condition == "NotEulerian"
 
 
+def test_parallel_witnesses(k3, k4, k5):
+    assert decide_existence(k3, "double", "parallel").witness_trace.sequence == (
+        0, 1, 2, 0, 1, 2
+    )
+    assert decide_existence(k4, "stable", "parallel", 1).violated_condition == "NotEulerian"
+    # K5's doubled Euler tour walks all 10 edges twice and is exactly 1-stable
+    tour = decide_existence(k5, "double", "parallel").witness_trace
+    cls = classify_trace(tour)
+    assert tour.length == 20 and cls.direction == "parallel" and cls.stability_order == 1
+    cls = classify_trace(decide_existence(k5, "stable", "parallel", 3).witness_trace)
+    assert cls.direction == "parallel" and cls.stability_order >= 3
+    cert = decide_existence(k5, "stable", "parallel", 4)
+    assert not cert.verdict and cert.violated_condition == "MinDegree"
+
+
 def test_yes_witnesses_revalidate(k3, k5):
     for g, kind, direction, d in [
         (k3, "double", "any", None),

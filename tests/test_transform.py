@@ -179,6 +179,18 @@ def test_transfer_rejects_uncovered_odd_component():
         transfer_tree_on_identification(g_prime, t_prime, [2, 5], 6)
 
 
+@pytest.mark.parametrize(
+    "targets", [[0], [0, 9], [0, 0]], ids=["one", "unknown", "repeated"]
+)
+def test_transfer_rejects_targets_identify_rejects(targets):
+    # the two-triangles example; protecting 2 and 3 covers both odd co-tree
+    # components, so only the identification itself can fail
+    g_prime = build_graph([(0, 1), (0, 2), (1, 2), (5, 3), (5, 4), (3, 4), (1, 3)])
+    t_prime = spanning_tree(g_prime, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])
+    with pytest.raises(PreconditionViolatedError):
+        transfer_tree_on_identification(g_prime, t_prime, targets, 6, (2, 3))
+
+
 # -- deficiency-reducing splits ----------------------------------------------------
 
 
