@@ -26,7 +26,6 @@ from .formats import EDGELIST, GRAPH6, load_graph, load_trace_sequence
 from .search import (
     DIRECTIONS,
     KINDS,
-    UNBUDGETED_EDGE_LIMIT,
     TraceSpec,
     find_trace,
     spec_satisfied,
@@ -37,9 +36,6 @@ SCHEMA = "trace-forge/1"
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
-
-#: CLI fallback node budget for hosts above the unbudgeted edge limit.
-DEFAULT_BUDGET = 5_000_000
 
 
 def _json_dump(doc: dict) -> str:
@@ -74,13 +70,23 @@ def _certificate_doc(cert: DecisionCertificate) -> dict:
     return doc
 
 
-def _budget_for(g) -> int | None:
+def _budget() -> int | None:
     env = os.environ.get("TRACE_FORGE_BUDGET")
-    if env is not None:
-        return int(env)
-    if g.num_edges > UNBUDGETED_EDGE_LIMIT:
-        return DEFAULT_BUDGET
-    return None
+    return None if env is None else int(env)
+
+
+def _oracle_agrees(g, certs, budget: int | None) -> bool:
+    """Search each cell under ``budget``; report the first that contradicts its verdict."""
+    for cert in certs:
+        found = find_trace(g, TraceSpec(cert.kind, cert.direction, cert.d), budget)
+        if (found is not None) != cert.verdict:
+            print(
+                f"oracle disagreement at cell ({cert.kind}, {cert.direction}, d={cert.d}): "
+                f"predicate={cert.verdict} found={found is not None}",
+                file=sys.stderr,
+            )
+            return False
+    return True
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
@@ -94,20 +100,12 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 def cmd_decide(args) -> int:
     g = load_graph(args.input, args.format)
-    budget = _budget_for(g)
+    budget = _budget()
     cert = decide_existence(
         g, args.kind, args.direction, args.d, witness=True, budget=budget
     )
-    if args.oracle:
-        spec = TraceSpec(args.kind, args.direction, args.d)
-        oracle_trace = find_trace(g, spec, budget)
-        if (oracle_trace is not None) != cert.verdict:
-            print(
-                f"oracle disagreement: predicate={cert.verdict} "
-                f"search={'found' if oracle_trace else 'exhausted'}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
+    if args.oracle and not _oracle_agrees(g, [cert], budget):
+        return EXIT_ERROR
     doc = _certificate_doc(cert)
     doc["command"] = "decide"
     if cert.verdict:
@@ -127,7 +125,7 @@ def cmd_decide(args) -> int:
 
 def cmd_find(args) -> int:
     g = load_graph(args.input, args.format)
-    budget = _budget_for(g)
+    budget = _budget()
     spec = TraceSpec(args.kind, args.direction, args.d)
     if args.kind == "stable" and args.direction == "antiparallel":
         trace = build_antiparallel_d_stable(g, args.d, budget=budget)
@@ -207,24 +205,11 @@ def cmd_deficiency(args) -> int:
 
 def cmd_table(args) -> int:
     g = load_graph(args.input, args.format)
-    budget = _budget_for(g)
+    budget = _budget()
     d_values = args.d_list or [1]
     table = condition_table(g, d_values)
-    if args.oracle:
-        if g.num_edges > UNBUDGETED_EDGE_LIMIT:
-            print(
-                f"oracle cross-check needs at most {UNBUDGETED_EDGE_LIMIT} edges",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        for (kind, direction, d), cert in table.items():
-            oracle_trace = find_trace(g, TraceSpec(kind, direction, d), budget)
-            if (oracle_trace is not None) != cert.verdict:
-                print(
-                    f"oracle disagreement at cell ({kind}, {direction}, d={d})",
-                    file=sys.stderr,
-                )
-                return EXIT_ERROR
+    if args.oracle and not _oracle_agrees(g, table.values(), budget):
+        return EXIT_ERROR
     cells = []
     lines = []
     for (kind, direction, d), cert in table.items():
@@ -338,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except TraceForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (TraceForgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

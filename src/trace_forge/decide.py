@@ -158,7 +158,8 @@ def decide_existence(
     parallel cell takes the doubled Euler tour when it satisfies the cell
     (double, d = 1, strong on a cycle).  The cells with no construction,
     every cell of direction any, double antiparallel, parallel d >= 2 and
-    parallel strong off a cycle, keep the search under ``budget``.
+    parallel strong off a cycle, keep the search under ``budget``; no budget
+    means ``search.DEFAULT_BUDGET``.
     """
     require_connected(g)
     if g.num_edges == 0:
@@ -209,7 +210,8 @@ def build_antiparallel_d_stable(
     go on with the split graph and its tree.  The fully reduced graph has
     an all-even co-tree, where an antiparallel strong trace exists and is
     d-stable because all degrees stay above d; that trace is lifted back
-    through the identifications, the last split first.
+    through the identifications, the last split first.  The strong search
+    runs under ``budget``; no budget means ``search.DEFAULT_BUDGET``.
     """
     require_connected(g)
     if g.num_edges == 0:

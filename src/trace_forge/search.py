@@ -34,8 +34,11 @@ from .walks import (
 KINDS = ("double", "stable", "strong")
 DIRECTIONS = ("any", PARALLEL, ANTIPARALLEL)
 
-#: Above this many edges a search node budget must be supplied.
+#: :func:`enumerate_traces` has no budget and refuses hosts with more edges.
 UNBUDGETED_EDGE_LIMIT = 12
+
+#: Node budget of a :func:`find_trace` call that passes none.
+DEFAULT_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -323,15 +326,11 @@ def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTr
     """First spec-satisfying double trace in deterministic DFS order.
 
     Returns ``None`` only after the complete search space was exhausted.
-    Raises :class:`BudgetExhaustedError` when a budget was given and hit.
+    Raises :class:`BudgetExhaustedError` past ``budget`` nodes; no budget
+    means :data:`DEFAULT_BUDGET`, read at call time.
     """
     require_connected(g)
-    if budget is None and g.num_edges > UNBUDGETED_EDGE_LIMIT:
-        raise ValueError(
-            f"graphs with more than {UNBUDGETED_EDGE_LIMIT} edges need an "
-            f"explicit search budget"
-        )
-    engine = _Engine(g, spec, budget)
+    engine = _Engine(g, spec, DEFAULT_BUDGET if budget is None else budget)
     for seq in engine.run():
         return validate_double_trace(g, seq)
     return None

@@ -8,9 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from trace_forge import cli
+from trace_forge import cli, search
 from trace_forge.cli import main
-from trace_forge.formats import load_graph, parse_edgelist, parse_graph6
+from trace_forge.formats import (
+    load_graph,
+    load_trace_sequence,
+    parse_edgelist,
+    parse_graph6,
+)
 from trace_forge.errors import ParseError
 from trace_forge.graph import complete_graph
 
@@ -41,6 +46,36 @@ def test_parse_rejects_garbage_graph6():
         parse_graph6("")
     with pytest.raises(ParseError):
         parse_edgelist("")
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [("0 1\n1 x\n", 2), ("0 1\n# comment\n1 -2\n", 3), ("0 1\n1 1\n", None)],
+    ids=["non-integer", "negative", "self-loop"],
+)
+def test_edgelist_rejects_bad_ids(tmp_path, capsys, text, line):
+    # a self-loop passes the line checks and fails in build_graph, whose
+    # error knows no line number
+    with pytest.raises(ParseError) as err:
+        parse_edgelist(text)
+    assert err.value.line == line
+    path = tmp_path / "bad.edges"
+    path.write_text(text)
+    assert main(["decide", "-i", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_graph6_accepts_header_and_rejects_invalid_data():
+    assert parse_graph6(">>graph6<<Bw\n") == load_graph(FIXTURES / "k3.g6", "graph6")
+    with pytest.raises(ParseError, match="invalid graph6 data"):
+        parse_graph6("B~~")
+
+
+def test_trace_file_rejects_non_integer_vertex(tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text("0 1 x 0 2 1\n")
+    with pytest.raises(ParseError, match="non-integer vertex id"):
+        load_trace_sequence(path)
 
 
 def test_decide_yes_exit0_with_witness_tree(capsys):
@@ -245,6 +280,46 @@ def test_parallel_stable_search_runs_under_budget(tmp_path, capsys, monkeypatch)
     assert code == 2
     assert "search budget exhausted" in err
     assert "explicit search budget" not in err
+
+
+def test_default_budget_caps_cli_search(capsys, monkeypatch):
+    # K5 has 10 edges; with no TRACE_FORGE_BUDGET the search runs under
+    # search.DEFAULT_BUDGET like every library search
+    monkeypatch.setattr(search, "DEFAULT_BUDGET", 1)
+    monkeypatch.delenv("TRACE_FORGE_BUDGET", raising=False)
+    code = main(["find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong"])
+    assert code == 2
+    assert "search budget exhausted after 2 nodes" in capsys.readouterr().err
+
+
+def test_table_oracle_searches_large_hosts_under_budget(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k6.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(6).edges))
+    monkeypatch.setenv("TRACE_FORGE_BUDGET", "1000")
+    assert main(["table", "-i", str(path), "--oracle"]) == 2
+    assert "search budget exhausted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,cell",
+    [
+        (["decide", "--kind", "strong"], "(strong, any, d=None)"),
+        (["table"], "(double, any, d=None)"),
+    ],
+)
+def test_oracle_disagreement_names_the_cell(capsys, monkeypatch, argv, cell):
+    monkeypatch.setattr(cli, "find_trace", lambda g, spec, budget: None)
+    code = main(argv + ["-i", str(FIXTURES / "k3.edges"), "--oracle"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"oracle disagreement at cell {cell}: predicate=True found=False\n"
+    )
+
+
+def test_malformed_budget_fails_plain_table(capsys, monkeypatch):
+    monkeypatch.setenv("TRACE_FORGE_BUDGET", "x")
+    assert main(["table", "-i", str(FIXTURES / "k3.edges")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_reuses_parser_without_carry_over(tmp_path, capsys, monkeypatch):

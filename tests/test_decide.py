@@ -1,12 +1,14 @@
 """Matrix decisions, the constructive pipeline, and the sufficiency shortcut."""
 
 import inspect
+import json
 import random
 import sys
 
 import networkx as nx
 import pytest
 
+from trace_forge.cli import main
 from trace_forge.decide import (
     build_antiparallel_d_stable,
     condition_table,
@@ -47,6 +49,31 @@ def test_q3_antiparallel_stable_is_no(q3):
     cert = decide_existence(q3, "stable", "antiparallel", 1)
     assert not cert.verdict
     assert cert.violated_condition == "NoQualifiedTree"
+
+
+def test_strong_antiparallel_no_qualified_tree_at_even_betti(tmp_path, capsys):
+    # two triangles joined by a bridge: Betti number 2, but every co-tree
+    # has one edge in each triangle, two odd components, so deficiency 2
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]
+    g = build_graph(edges)
+    cert = decide_existence(g, "strong", "antiparallel")
+    assert not cert.verdict
+    assert cert.violated_condition == "NoQualifiedTree"
+    assert cert.condition_detail == {"threshold": None}
+    assert cert.condition_label() == "NoQualifiedTree"
+    report = graph_deficiency_report(g)
+    assert (report["betti_number"], report["deficiency"]) == (2, 2)
+    assert find_trace(g, TraceSpec("strong", "antiparallel")) is None
+    path = tmp_path / "bridged.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    argv = ["decide", "-i", str(path), "--kind", "strong", "--direction", "antiparallel"]
+    assert main(argv + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["evidence"] == {
+        "type": "condition",
+        "name": "NoQualifiedTree",
+        "label": "NoQualifiedTree",
+        "detail": {"threshold": None},
+    }
 
 
 def test_k4_parallel_double_is_no(k4):

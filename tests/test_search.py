@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from trace_forge.decide import build_antiparallel_d_stable
+from trace_forge import search
+from trace_forge.decide import build_antiparallel_d_stable, decide_existence
 from trace_forge.errors import BudgetExhaustedError, DisconnectedGraphError
 from trace_forge.graph import build_graph, complete_graph, path_graph
 from trace_forge.search import (
@@ -234,11 +235,24 @@ def test_budget_exhaustion(k5):
         find_trace(k5, TraceSpec("double"), budget=5)
 
 
-def test_budget_mandatory_above_edge_limit():
-    g = complete_graph(6)  # 15 edges
-    with pytest.raises(ValueError):
-        find_trace(g, TraceSpec("double"))
+def test_unbudgeted_search_runs_under_default_budget():
+    g = complete_graph(6)  # 15 edges, more than enumerate_traces accepts
+    assert find_trace(g, TraceSpec("double")) is not None
     assert find_trace(g, TraceSpec("double"), budget=10_000_000) is not None
+
+
+def test_default_budget_is_read_at_call_time(monkeypatch):
+    # K7 has odd Betti number 15, so no antiparallel strong trace exists and
+    # the search runs until the budget stops it; its doubled Euler tour is
+    # not 2-stable, so the parallel 2-stable cell searches too
+    monkeypatch.setattr(search, "DEFAULT_BUDGET", 1_000)
+    k7 = complete_graph(7)
+    with pytest.raises(BudgetExhaustedError) as info:
+        find_trace(k7, TraceSpec("strong", "antiparallel"))
+    assert info.value.nodes == 1_001
+    with pytest.raises(BudgetExhaustedError) as info:
+        decide_existence(k7, "stable", "parallel", 2)
+    assert info.value.nodes == 1_001
 
 
 def test_enumerate_refuses_hosts_above_edge_limit():

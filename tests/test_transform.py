@@ -6,10 +6,13 @@ from itertools import islice, product
 import pytest
 
 from trace_forge.errors import (
+    DegreeTooSmallError,
     NotInOddComponentError,
     NotQualifiedError,
+    NotSpanningTreeError,
     PartitionNotRepetitionClosedError,
     PreconditionViolatedError,
+    UnknownVertexError,
 )
 from trace_forge.graph import (
     build_graph,
@@ -191,6 +194,19 @@ def test_transfer_rejects_targets_identify_rejects(targets):
         transfer_tree_on_identification(g_prime, t_prime, targets, 6, (2, 3))
 
 
+def test_transfer_rejects_bad_protected_set_and_foreign_tree():
+    g_prime = build_graph([(0, 1), (0, 2), (1, 2), (5, 3), (5, 4), (3, 4), (1, 3)])
+    t_prime = spanning_tree(g_prime, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])
+    with pytest.raises(PreconditionViolatedError, match="must not be targets"):
+        transfer_tree_on_identification(g_prime, t_prime, [0, 5], 6, (0, 3))
+    with pytest.raises(PreconditionViolatedError, match="must be in the graph"):
+        transfer_tree_on_identification(g_prime, t_prime, [0, 5], 6, (2, 9))
+    k4 = complete_graph(4)
+    foreign = spanning_tree(k4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(NotSpanningTreeError):
+        transfer_tree_on_identification(g_prime, foreign, [0, 5], 6)
+
+
 # -- deficiency-reducing splits ----------------------------------------------------
 
 
@@ -285,6 +301,21 @@ def test_split_reduce_qualified_rejects_low_degree():
     t = spanning_tree(g, [(0, 1), (0, 2), (2, 3)])
     with pytest.raises(NotQualifiedError):
         split_reduce_qualified(g, t, 0, 5)
+
+
+def test_split_reduce_qualified_rejects_unqualified_tree_and_bad_vertex():
+    # two triangles joined by the bridge 2-3: co-tree {02, 45}, and the odd
+    # component {45} has no vertex of degree >= 3 although 2 has degree 3
+    g = build_graph([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+    t = spanning_tree(g, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+    with pytest.raises(NotQualifiedError, match="no vertex of degree >= 3"):
+        split_reduce_qualified(g, t, 2, 3)
+    with pytest.raises(UnknownVertexError):
+        split_reduce_qualified(g, t, 9)
+    pendant = build_graph([(0, 1), (0, 2), (1, 2), (2, 3)])
+    t = spanning_tree(pendant, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(DegreeTooSmallError):
+        split_reduce_qualified(pendant, t, 3)
 
 
 # -- trace projection and lifting ---------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from trace_forge.errors import (
     NonAdjacentStepError,
+    UnknownVertexError,
     WrongLengthError,
     WrongMultiplicityError,
 )
@@ -40,6 +41,11 @@ def test_validate_accepts_antiparallel_triangle(k3):
 def test_validate_rejects_single_cover(k3):
     with pytest.raises(WrongLengthError):
         validate_double_trace(k3, [0, 1, 2])
+
+
+def test_validate_rejects_unknown_vertex(k3):
+    with pytest.raises(UnknownVertexError, match="vertex 7 not in host"):
+        validate_double_trace(k3, [0, 1, 2, 0, 1, 7])
 
 
 def test_validate_rejects_triple_edge(k3):
