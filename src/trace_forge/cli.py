@@ -129,6 +129,12 @@ def cmd_find(args) -> int:
     spec = TraceSpec(args.kind, args.direction, args.d)
     if args.kind == "stable" and args.direction == "antiparallel":
         trace = build_antiparallel_d_stable(g, args.d, budget=budget)
+    elif g.num_edges and not decide_existence(
+        g, args.kind, args.direction, args.d, witness=False
+    ).verdict:
+        # a no-cell is answered by its predicate, not by an exhaustive search;
+        # edgeless input goes on to find_trace, which rejects it
+        trace = None
     else:
         trace = find_trace(g, spec, budget)
     if trace is None:

@@ -8,14 +8,18 @@ minimum over all spanning trees, and the qualified variant restricts the
 minimum to trees whose every odd component contains a vertex meeting a
 degree threshold.  One scan serves every question: ``qualified_trees``
 yields the qualified trees with their deficiencies in enumeration order and
-``min_tree`` takes the first of least deficiency.  Spanning trees are
-enumerated exhaustively, which is exact at desk scale.
+``min_tree`` takes the first of least deficiency.
+
+``iter_spanning_trees`` yields every spanning tree in the order
+``itertools.combinations`` lists their edge sets, by a pruned depth-first
+search over edge indices instead of a scan of all C(|E|, |V| - 1) subsets.
+A full scan of a graph with many trees is still exponential and has no
+budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .errors import NotSpanningTreeError
@@ -163,24 +167,50 @@ def tree_is_qualified(g: Graph, t: SpanningTree, threshold: int | None) -> bool:
 
 
 def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
-    """All spanning trees in deterministic (edge-lexicographic) order.
+    """All spanning trees in edge-lexicographic order.
 
-    Brute force over (|V|-1)-subsets with a union-find acyclicity check;
-    fine at desk scale.
+    The trees come in the order ``itertools.combinations(g.edges, |V| - 1)``
+    lists their edge sets: a depth-first search over edge indices takes
+    each edge before leaving it out.  An edge that closes a cycle with the
+    edges taken so far is left out at once, and a prefix is dropped as soon
+    as too few edges remain to finish a tree, so the search visits forests,
+    never the cyclic subsets.  Acyclicity is kept by a union-find with
+    union by size and no path compression, undone edge by edge on
+    backtracking.
     """
     require_connected(g)
-    k = g.num_vertices - 1
-    for subset in combinations(g.edges, k):
-        parent = {v: v for v in g.vertices}
-        ok = True
-        for u, v in subset:
-            ru, rv = _find_root(parent, u), _find_root(parent, v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            yield SpanningTree(g, frozenset(subset))
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[u], index[v]) for u, v in g.edges]
+    m, k = len(ends), g.num_vertices - 1
+    parent = list(range(g.num_vertices))
+    size = [1] * g.num_vertices
+    chosen: list[int] = []  # edge indices of the current forest, increasing
+    attached: list[int] = []  # the root each chosen edge hung below another
+    i = 0
+    while True:
+        if len(chosen) == k:
+            yield SpanningTree(g, frozenset(g.edges[j] for j in chosen))
+        elif m - i >= k - len(chosen):
+            a, b = ends[i]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if size[a] > size[b]:
+                    a, b = b, a
+                parent[a] = b
+                size[b] += size[a]
+                chosen.append(i)
+                attached.append(a)
+            i += 1
+            continue
+        if not chosen:
+            return
+        a = attached.pop()
+        size[parent[a]] -= size[a]
+        parent[a] = a
+        i = chosen.pop() + 1
 
 
 def qualified_trees(

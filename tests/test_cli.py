@@ -149,6 +149,57 @@ def test_find_not_found_exit1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        complete_graph(7).edges,  # odd Betti number
+        ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)),  # no even co-tree
+    ],
+    ids=["K7", "bridged-triangles"],
+)
+def test_find_answers_no_cells_without_search(tmp_path, capsys, monkeypatch, edges):
+    def no_search(g, spec, budget):
+        raise AssertionError("find searched a cell that decide answers no")
+
+    monkeypatch.setattr(cli, "find_trace", no_search)
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    code, out = run(
+        capsys, "find", "-i", str(path), "--kind", "strong", "--direction", "antiparallel"
+    )
+    assert (code, out) == (1, "not found\n")
+
+
+@pytest.mark.parametrize("direction", ["antiparallel", "any"])
+def test_find_rejects_edgeless_input(tmp_path, capsys, direction):
+    # decide's "decisions need at least one edge" must not replace this message
+    path = tmp_path / "k1.g6"
+    path.write_text("@\n")
+    code = main(
+        ["find", "-i", str(path), "--format", "graph6", "--kind", "strong", "--direction", direction]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: a double trace needs at least one edge\n"
+
+
+def test_find_searches_yes_cells(capsys, monkeypatch):
+    calls = []
+    search_trace = cli.find_trace
+
+    def counting(g, spec, budget):
+        calls.append(spec)
+        return search_trace(g, spec, budget)
+
+    monkeypatch.setattr(cli, "find_trace", counting)
+    code, _ = run(
+        capsys,
+        "find", "-i", str(FIXTURES / "k5.edges"),
+        "--kind", "strong", "--direction", "antiparallel",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_find_verify_round_trip(tmp_path, capsys):
     code, out = run(
         capsys,

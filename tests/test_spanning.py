@@ -1,13 +1,13 @@
 """Spanning trees, co-tree components, and deficiency quantities."""
 
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import networkx as nx
 import pytest
 
 from trace_forge.errors import NotSpanningTreeError
-from trace_forge.graph import betti_number, build_graph, path_graph
+from trace_forge.graph import _find_root, betti_number, build_graph, path_graph
 from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
@@ -19,6 +19,20 @@ from trace_forge.spanning import (
 )
 
 from conftest import atlas_graphs, random_connected_graph, random_spanning_tree
+
+
+def reference_trees(g):
+    """Edge sets of the spanning trees in ``combinations`` order: every
+    (|V| - 1)-subset of the edges, kept when a union-find finds no cycle."""
+    for subset in combinations(g.edges, g.num_vertices - 1):
+        parent = {v: v for v in g.vertices}
+        for u, v in subset:
+            ru, rv = _find_root(parent, u), _find_root(parent, v)
+            if ru == rv:
+                break
+            parent[ru] = rv
+        else:
+            yield frozenset(subset)
 
 
 def star_tree(g, center):
@@ -100,6 +114,25 @@ def test_spanning_tree_count_k4(k4):
     assert sum(1 for _ in iter_spanning_trees(k4)) == 16  # Cayley: 4^2
 
 
+def test_tree_order_matches_subset_scan_on_atlas():
+    """Every connected atlas graph with up to 7 vertices yields the same
+    trees in the same order as the scan over all edge subsets."""
+    graphs = atlas_graphs(7)
+    assert len(graphs) == 995
+    for g in graphs:
+        got = [t.tree_edges for t in iter_spanning_trees(g)]
+        assert got == list(reference_trees(g)), g.edges
+
+
+def test_tree_order_matches_subset_scan_on_q4():
+    # Q4 has 42,467,328 spanning trees, so only a prefix is compared
+    q4 = build_graph(
+        [(i, i ^ (1 << b)) for i in range(16) for b in range(4) if i < i ^ (1 << b)]
+    )
+    got = [t.tree_edges for t in islice(iter_spanning_trees(q4), 10)]
+    assert got == list(islice(reference_trees(q4), 10))
+
+
 def test_cotree_edges_sum_to_betti():
     rng = random.Random(6)
     for _ in range(20):
@@ -176,14 +209,15 @@ def test_qualified_deficiency_below_threshold_matches_enumeration():
     """On every connected atlas graph with up to 6 vertices, ``min_tree`` is
     the first qualified tree of least deficiency and ``qualified_trees``
     starts at the first qualified tree, as a plain filter over all trees
-    finds them.  Thresholds above the maximum degree take the parity
-    shortcut, which must return the same tree or None."""
+    finds them over the subset scan.  Thresholds above the maximum degree
+    take the parity shortcut, which must return the same tree or None."""
     outcomes = set()
     for g in atlas_graphs(6):
+        trees = [spanning_tree(g, edges) for edges in reference_trees(g)]
         for threshold in (0, None, 4, 6, g.max_degree() + 1):
             qualified = [
                 (deficiency_of_tree(g, t), t)
-                for t in iter_spanning_trees(g)
+                for t in trees
                 if tree_is_qualified(g, t, threshold)
             ]
             first = qualified[0] if qualified else None

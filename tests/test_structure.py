@@ -96,3 +96,17 @@ def test_trace_class_is_built_only_in_walks():
 def test_call_scan_finds_both_forms():
     tree = ast.parse("TraceClass(1)\nwalks.TraceClass(2)\nTraceClass\n")
     assert _calls_to(tree, "TraceClass") == [1, 2]
+
+
+def test_spanning_trees_are_not_found_by_subset_scan():
+    # iter_spanning_trees prunes a depth-first search; a scan over every
+    # (|V| - 1)-edge subset is the test reference only
+    tree = ast.parse((SOURCE / "spanning.py").read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert "combinations" not in names
