@@ -13,10 +13,10 @@ from trace_forge import (
     classify_trace,
     complete_graph,
     cube_graph,
-    decide_existence,
     direction_profile,
     enumerate_traces,
     find_trace,
+    find_witness,
     transition_graph_at,
     validate_double_trace,
 )
@@ -63,9 +63,9 @@ for w in enumerate_traces(k3, TraceSpec("double")):
 
 print("\n=== parallel traces come from doubled Euler tours ===")
 k5 = complete_graph(5)
-w = decide_existence(k5, "double", "parallel").witness_trace
+w = find_witness(k5, "double", "parallel")
 print("K5 parallel double trace:", w.sequence)
-w3 = decide_existence(k5, "stable", "parallel", 3).witness_trace
+w3 = find_witness(k5, "stable", "parallel", 3)
 print("K5 parallel, 3-stable:", w3.sequence, "->", classify_trace(w3))
 
 print("\n=== the cube has no antiparallel 1-stable trace ===")

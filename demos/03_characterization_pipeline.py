@@ -25,7 +25,7 @@ from trace_forge import (
 print("=== deciding single cells ===")
 k4, k5 = complete_graph(4), complete_graph(5)
 for g, name, d in [(k4, "K4", 1), (k5, "K5", 1), (k5, "K5", 4)]:
-    cert = decide_existence(g, "stable", "antiparallel", d, witness=False)
+    cert = decide_existence(g, "stable", "antiparallel", d)
     print(f"{name}, antiparallel {d}-stable -> {cert.condition_label()}")
 
 print("\n=== the whole matrix for K5 ===")

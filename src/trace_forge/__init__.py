@@ -14,6 +14,7 @@ from .decide import (
     condition_table,
     decide_existence,
     extract_qualified_tree_from_trace,
+    find_witness,
     sufficient_four_edge_connected,
 )
 from .errors import TraceForgeError
@@ -105,6 +106,7 @@ __all__ = [
     "lift_trace_through_identification",
     "DecisionCertificate",
     "decide_existence",
+    "find_witness",
     "build_antiparallel_d_stable",
     "extract_qualified_tree_from_trace",
     "sufficient_four_edge_connected",

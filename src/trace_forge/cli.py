@@ -16,9 +16,9 @@ import sys
 
 from .decide import (
     DecisionCertificate,
-    build_antiparallel_d_stable,
     condition_table,
     decide_existence,
+    find_witness,
     graph_deficiency_report,
 )
 from .errors import TraceForgeError
@@ -30,7 +30,7 @@ from .search import (
     find_trace,
     spec_satisfied,
 )
-from .walks import classify_trace, format_trace_text, validate_double_trace
+from .walks import DoubleTrace, classify_trace, format_trace_text, validate_double_trace
 
 SCHEMA = "trace-forge/1"
 EXIT_YES = 0
@@ -42,7 +42,7 @@ def _json_dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _certificate_doc(cert: DecisionCertificate) -> dict:
+def _certificate_doc(cert: DecisionCertificate, trace: DoubleTrace | None) -> dict:
     doc: dict = {
         "verdict": "yes" if cert.verdict else "no",
         "kind": cert.kind,
@@ -50,11 +50,8 @@ def _certificate_doc(cert: DecisionCertificate) -> dict:
     }
     if cert.d is not None:
         doc["d"] = cert.d
-    if cert.witness_trace is not None:
-        doc["evidence"] = {
-            "type": "trace",
-            "sequence": list(cert.witness_trace.sequence),
-        }
+    if trace is not None:
+        doc["evidence"] = {"type": "trace", "sequence": list(trace.sequence)}
     elif cert.witness_tree is not None:
         doc["evidence"] = {
             "type": "tree",
@@ -72,7 +69,15 @@ def _certificate_doc(cert: DecisionCertificate) -> dict:
 
 def _budget() -> int | None:
     env = os.environ.get("TRACE_FORGE_BUDGET")
-    return None if env is None else int(env)
+    if env is None:
+        return None
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"TRACE_FORGE_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 def _oracle_agrees(g, certs, budget: int | None) -> bool:
@@ -101,17 +106,18 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 def cmd_decide(args) -> int:
     g = load_graph(args.input, args.format)
     budget = _budget()
-    cert = decide_existence(
-        g, args.kind, args.direction, args.d, witness=True, budget=budget
-    )
+    cert = decide_existence(g, args.kind, args.direction, args.d)
+    trace = None
+    if cert.verdict and cert.witness_tree is None:
+        trace = find_witness(g, args.kind, args.direction, args.d, budget=budget)
     if args.oracle and not _oracle_agrees(g, [cert], budget):
         return EXIT_ERROR
-    doc = _certificate_doc(cert)
+    doc = _certificate_doc(cert, trace)
     doc["command"] = "decide"
     if cert.verdict:
         lines = ["verdict: yes"]
-        if cert.witness_trace is not None:
-            lines.append("witness trace: " + format_trace_text(cert.witness_trace))
+        if trace is not None:
+            lines.append("witness trace: " + format_trace_text(trace))
         elif cert.witness_tree is not None:
             lines.append(
                 "witness tree: "
@@ -125,18 +131,7 @@ def cmd_decide(args) -> int:
 
 def cmd_find(args) -> int:
     g = load_graph(args.input, args.format)
-    budget = _budget()
-    spec = TraceSpec(args.kind, args.direction, args.d)
-    if args.kind == "stable" and args.direction == "antiparallel":
-        trace = build_antiparallel_d_stable(g, args.d, budget=budget)
-    elif g.num_edges and not decide_existence(
-        g, args.kind, args.direction, args.d, witness=False
-    ).verdict:
-        # a no-cell is answered by its predicate, not by an exhaustive search;
-        # edgeless input goes on to find_trace, which rejects it
-        trace = None
-    else:
-        trace = find_trace(g, spec, budget)
+    trace = find_witness(g, args.kind, args.direction, args.d, budget=_budget())
     if trace is None:
         _emit(
             args,

@@ -1,14 +1,15 @@
 """Top-level decisions with certificates.
 
 Each cell of the kind x direction matrix is decided by its exact structural
-predicate; yes-verdicts can carry a witness (a trace found by search or
-built constructively, or a qualifying spanning tree), no-verdicts name the
-violated condition.  The constructive pipeline builds an antiparallel
-d-stable trace by repeatedly splitting a high-degree vertex inside an odd
-co-tree component until the co-tree is all even, finding an antiparallel
-strong trace there, and lifting it back through the identifications; the
-reverse extraction projects a trace along its repetition sets and pulls an
-all-even tree back up.
+predicate, without a search: an antiparallel stable or strong yes carries a
+qualifying spanning tree, and a no names the violated condition.
+:func:`find_witness` is the one place that picks how a witness trace comes
+about, by construction or by search.  The constructive pipeline builds an
+antiparallel d-stable trace by repeatedly splitting a high-degree vertex
+inside an odd co-tree component until the co-tree is all even, finding an
+antiparallel strong trace there, and lifting it back through the
+identifications; the reverse extraction projects a trace along its
+repetition sets and pulls an all-even tree back up.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ class DecisionCertificate:
     kind: str
     direction: str
     d: int | None = None
-    witness_trace: DoubleTrace | None = None
     witness_tree: SpanningTree | None = None
     violated_condition: str | None = None
     condition_detail: dict = field(default_factory=dict)
@@ -82,12 +82,6 @@ def _no(kind, direction, d, condition, **detail) -> DecisionCertificate:
         d=d,
         violated_condition=condition,
         condition_detail=detail,
-    )
-
-
-def _yes_trace(kind, direction, d, trace) -> DecisionCertificate:
-    return DecisionCertificate(
-        verdict=True, kind=kind, direction=direction, d=d, witness_trace=trace
     )
 
 
@@ -126,23 +120,8 @@ def _doubled_euler_tour(g: Graph) -> DoubleTrace:
     return validate_double_trace(g, cycle + cycle)
 
 
-def _search_witness(g: Graph, spec: TraceSpec, budget: int | None) -> DoubleTrace:
-    trace = find_trace(g, spec, budget)
-    if trace is None:
-        raise InternalInvariantError(
-            f"predicate says yes but the complete search found no trace for {spec}"
-        )
-    return trace
-
-
 def decide_existence(
-    g: Graph,
-    kind: str,
-    direction: str = "any",
-    d: int | None = None,
-    *,
-    witness: bool = True,
-    budget: int | None = None,
+    g: Graph, kind: str, direction: str = "any", d: int | None = None
 ) -> DecisionCertificate:
     """Decide one cell of the matrix by its structural predicate.
 
@@ -153,17 +132,12 @@ def decide_existence(
     contain a vertex of degree at least 2d + 2; antiparallel strong traces
     require an all-even co-tree tree.
 
-    Witnesses: antiparallel stable and strong yes-cells carry a tree, which
-    :func:`build_antiparallel_d_stable` turns into a trace for stable.  A
-    parallel cell takes the doubled Euler tour when it satisfies the cell
-    (double, d = 1, strong on a cycle).  The cells with no construction,
-    every cell of direction any, double antiparallel, parallel d >= 2 and
-    parallel strong off a cycle, keep the search under ``budget``; no budget
-    means ``search.DEFAULT_BUDGET``.
+    Antiparallel stable and strong yes-cells carry that tree; the decision
+    never searches, and :func:`find_witness` turns a yes into a trace.
     """
     require_connected(g)
     if g.num_edges == 0:
-        raise EmptyGraphError("decisions need at least one edge")
+        raise EmptyGraphError("a double trace needs at least one edge")
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
     kind, direction, d = spec.kind, spec.direction, spec.d
 
@@ -188,15 +162,44 @@ def decide_existence(
             return _no(kind, direction, d, NO_QUALIFIED_TREE, threshold=None)
         return _yes_tree(kind, direction, d, certificate.witness_tree)
 
-    # remaining cells are yes; produce a trace witness when asked
-    if not witness:
-        return DecisionCertificate(verdict=True, kind=kind, direction=direction, d=d)
+    return DecisionCertificate(verdict=True, kind=kind, direction=direction, d=d)
+
+
+def find_witness(
+    g: Graph,
+    kind: str,
+    direction: str = "any",
+    d: int | None = None,
+    *,
+    budget: int | None = None,
+) -> DoubleTrace | None:
+    """A trace in one cell of the matrix, or None when the cell is a no.
+
+    The antiparallel stable cell is built by
+    :func:`build_antiparallel_d_stable`.  Any other cell asks
+    :func:`decide_existence` first and answers a no without searching.  A
+    parallel yes takes the doubled Euler tour when it satisfies the cell
+    (double, d = 1, strong on a cycle).  The cells with no construction,
+    every cell of direction any, double antiparallel, strong antiparallel,
+    parallel d >= 2 and parallel strong off a cycle, search under
+    ``budget``; no budget means ``search.DEFAULT_BUDGET``.
+    """
+    spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
+    if kind == "stable" and direction == ANTIPARALLEL:
+        return build_antiparallel_d_stable(g, d, budget=budget)
+    if not decide_existence(g, kind, direction, d).verdict:
+        return None
     if direction == PARALLEL:
         # the graph is connected and Eulerian here, so the doubled tour exists
         trace = _doubled_euler_tour(g)
         if spec_satisfied(spec, classify_trace(trace)):
-            return _yes_trace(kind, direction, d, trace)
-    return _yes_trace(kind, direction, d, _search_witness(g, spec, budget))
+            return trace
+    trace = find_trace(g, spec, budget)
+    if trace is None:
+        raise InternalInvariantError(
+            f"predicate says yes but the complete search found no trace for {spec}"
+        )
+    return trace
 
 
 def build_antiparallel_d_stable(
@@ -341,21 +344,11 @@ def graph_deficiency_report(g: Graph, threshold: int | None = None) -> dict:
 def condition_table(
     g: Graph, d_values: list[int]
 ) -> dict[tuple[str, str, int | None], DecisionCertificate]:
-    """All nine cells of the matrix; stable cells once per requested d.
-
-    No cell searches for a witness trace; a yes with a tree certificate
-    keeps its tree.
-    """
+    """All nine cells of the matrix; stable cells once per requested d."""
     table: dict[tuple[str, str, int | None], DecisionCertificate] = {}
     for direction in ("any", PARALLEL, ANTIPARALLEL):
-        table[("double", direction, None)] = decide_existence(
-            g, "double", direction, witness=False
-        )
+        table[("double", direction, None)] = decide_existence(g, "double", direction)
         for d in d_values:
-            table[("stable", direction, d)] = decide_existence(
-                g, "stable", direction, d, witness=False
-            )
-        table[("strong", direction, None)] = decide_existence(
-            g, "strong", direction, witness=False
-        )
+            table[("stable", direction, d)] = decide_existence(g, "stable", direction, d)
+        table[("strong", direction, None)] = decide_existence(g, "strong", direction)
     return table

@@ -34,10 +34,8 @@ from .walks import (
 KINDS = ("double", "stable", "strong")
 DIRECTIONS = ("any", PARALLEL, ANTIPARALLEL)
 
-#: :func:`enumerate_traces` has no budget and refuses hosts with more edges.
-UNBUDGETED_EDGE_LIMIT = 12
-
-#: Node budget of a :func:`find_trace` call that passes none.
+#: Node budget of :func:`enumerate_traces` and of a :func:`find_trace` call
+#: that passes none.
 DEFAULT_BUDGET = 5_000_000
 
 
@@ -88,7 +86,7 @@ class _Engine:
     states why one local test keeps it after a step.
     """
 
-    def __init__(self, g: Graph, spec: TraceSpec, budget: int | None):
+    def __init__(self, g: Graph, spec: TraceSpec, budget: int):
         self.g = g
         self.spec = spec
         self.budget = budget
@@ -201,7 +199,7 @@ class _Engine:
         check_repetitions = spec.kind != "double"
         strong = spec.kind == "strong"
         d = spec.d
-        limit = self.budget if self.budget is not None else float("inf")
+        limit = self.budget
         used = [0] * self.m
         first_from = [0] * self.m
         mark = [0] * self.n
@@ -339,16 +337,11 @@ def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTr
 def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:
     """All spec-satisfying traces up to rotation, in canonical sorted order.
 
-    Reflections count as distinct traces since direction matters.  The
-    enumeration has no budget, so hosts with more than
-    ``UNBUDGETED_EDGE_LIMIT`` edges are refused.
+    Reflections count as distinct traces since direction matters.  Raises
+    :class:`BudgetExhaustedError` past :data:`DEFAULT_BUDGET` nodes, read at
+    call time.
     """
     require_connected(g)
-    if g.num_edges > UNBUDGETED_EDGE_LIMIT:
-        raise ValueError(
-            f"enumerate_traces takes no search budget and refuses graphs with "
-            f"more than {UNBUDGETED_EDGE_LIMIT} edges"
-        )
-    engine = _Engine(g, spec, None)
+    engine = _Engine(g, spec, DEFAULT_BUDGET)
     canonical = {seq for seq in engine.run()}
     return [DoubleTrace(g, seq) for seq in sorted(canonical)]

@@ -32,28 +32,30 @@ MIXED = "mixed"
 def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically minimal rotation; reflections are left alone.
 
-    Booth's algorithm (Lexicographically least circular substrings, IPL 10,
-    1980): a failure function over the doubled sequence finds the start of
-    the least rotation in O(len(seq)) comparisons.
+    A two-index scan: starts i and j are the two candidates still standing
+    and k is the length of their common prefix.  At the first mismatch the
+    start with the larger entry loses, and so does every start up to k past
+    it, each beaten by its counterpart from the other start; so the scan
+    ends after O(len(seq)) comparisons and needs no auxiliary array.
     """
     seq = tuple(seq)
+    n = len(seq)
     doubled = seq + seq
-    fail = [-1] * len(doubled)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(doubled)):
-        x = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and x != doubled[k + i + 1]:
-            if x < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if x != doubled[k + i + 1]:  # here i == -1
-            if x < doubled[k]:
-                k = j
-            fail[j - k] = -1
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            fail[j - k] = i + 1
-    return seq[k:] + seq[:k]
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return seq[start:] + seq[:start]
 
 
 @dataclass(frozen=True)

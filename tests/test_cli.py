@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trace_forge import cli, search
+from trace_forge import cli, decide, search
 from trace_forge.cli import main
 from trace_forge.formats import (
     load_graph,
@@ -161,7 +161,7 @@ def test_find_answers_no_cells_without_search(tmp_path, capsys, monkeypatch, edg
     def no_search(g, spec, budget):
         raise AssertionError("find searched a cell that decide answers no")
 
-    monkeypatch.setattr(cli, "find_trace", no_search)
+    monkeypatch.setattr(decide, "find_trace", no_search)
     path = tmp_path / "g.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in edges))
     code, out = run(
@@ -172,7 +172,7 @@ def test_find_answers_no_cells_without_search(tmp_path, capsys, monkeypatch, edg
 
 @pytest.mark.parametrize("direction", ["antiparallel", "any"])
 def test_find_rejects_edgeless_input(tmp_path, capsys, direction):
-    # decide's "decisions need at least one edge" must not replace this message
+    # every cell names the same cause, whether it is built or searched
     path = tmp_path / "k1.g6"
     path.write_text("@\n")
     code = main(
@@ -184,13 +184,13 @@ def test_find_rejects_edgeless_input(tmp_path, capsys, direction):
 
 def test_find_searches_yes_cells(capsys, monkeypatch):
     calls = []
-    search_trace = cli.find_trace
+    search_trace = decide.find_trace
 
     def counting(g, spec, budget):
         calls.append(spec)
         return search_trace(g, spec, budget)
 
-    monkeypatch.setattr(cli, "find_trace", counting)
+    monkeypatch.setattr(decide, "find_trace", counting)
     code, _ = run(
         capsys,
         "find", "-i", str(FIXTURES / "k5.edges"),
@@ -198,6 +198,24 @@ def test_find_searches_yes_cells(capsys, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def test_find_prints_the_trace_decide_prints(capsys):
+    # one witness dispatch: wherever decide shows a trace, find prints it
+    compared = 0
+    for name in ("k3", "p3", "c4", "k4", "k5", "q3"):
+        path = str(FIXTURES / f"{name}.edges")
+        for direction in ("any", "parallel", "antiparallel"):
+            for kind, d in (("double", None), ("stable", "1"), ("stable", "2"), ("stable", "3"), ("strong", None)):
+                cell = ["--kind", kind, "--direction", direction] + (["-d", d] if d else [])
+                _, out = run(capsys, "decide", "-i", path, *cell, "--json")
+                evidence = json.loads(out).get("evidence", {})
+                if evidence.get("type") != "trace":
+                    continue
+                code, out = run(capsys, "find", "-i", path, *cell, "--json")
+                assert (code, json.loads(out)["trace"]) == (0, evidence["sequence"]), (name, cell)
+                compared += 1
+    assert compared == 38
 
 
 def test_find_verify_round_trip(tmp_path, capsys):
@@ -370,7 +388,18 @@ def test_oracle_disagreement_names_the_cell(capsys, monkeypatch, argv, cell):
 def test_malformed_budget_fails_plain_table(capsys, monkeypatch):
     monkeypatch.setenv("TRACE_FORGE_BUDGET", "x")
     assert main(["table", "-i", str(FIXTURES / "k3.edges")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == (
+        "error: TRACE_FORGE_BUDGET must be a positive integer, got 'x'\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "x", "1e3", ""])
+def test_budget_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("TRACE_FORGE_BUDGET", value)
+    assert main(["find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: TRACE_FORGE_BUDGET must be a positive integer, got {value!r}\n"
+    )
 
 
 def test_main_reuses_parser_without_carry_over(tmp_path, capsys, monkeypatch):

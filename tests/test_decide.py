@@ -14,16 +14,17 @@ from trace_forge.decide import (
     condition_table,
     decide_existence,
     extract_qualified_tree_from_trace,
+    find_witness,
     graph_deficiency_report,
     sufficient_four_edge_connected,
 )
-from trace_forge.errors import NotAntiparallelError, NotStableError
+from trace_forge.errors import BudgetExhaustedError, NotAntiparallelError, NotStableError
 from trace_forge.graph import build_graph
 from trace_forge.search import TraceSpec, find_trace, spec_satisfied
 from trace_forge.spanning import cotree_decomposition, tree_is_qualified
 from trace_forge.walks import classify_trace, transition_graph_at, validate_double_trace
 
-from conftest import fixture_family, random_connected_graph
+from conftest import atlas_graphs, fixture_family, random_connected_graph
 
 
 def test_k4_antiparallel_stable_is_no(k4):
@@ -83,15 +84,14 @@ def test_k4_parallel_double_is_no(k4):
 
 
 def test_parallel_witnesses(k3, k4, k5):
-    assert decide_existence(k3, "double", "parallel").witness_trace.sequence == (
-        0, 1, 2, 0, 1, 2
-    )
+    assert find_witness(k3, "double", "parallel").sequence == (0, 1, 2, 0, 1, 2)
     assert decide_existence(k4, "stable", "parallel", 1).violated_condition == "NotEulerian"
+    assert find_witness(k4, "stable", "parallel", 1) is None
     # K5's doubled Euler tour walks all 10 edges twice and is exactly 1-stable
-    tour = decide_existence(k5, "double", "parallel").witness_trace
+    tour = find_witness(k5, "double", "parallel")
     cls = classify_trace(tour)
     assert tour.length == 20 and cls.direction == "parallel" and cls.stability_order == 1
-    cls = classify_trace(decide_existence(k5, "stable", "parallel", 3).witness_trace)
+    cls = classify_trace(find_witness(k5, "stable", "parallel", 3))
     assert cls.direction == "parallel" and cls.stability_order >= 3
     cert = decide_existence(k5, "stable", "parallel", 4)
     assert not cert.verdict and cert.violated_condition == "MinDegree"
@@ -107,15 +107,40 @@ def test_yes_witnesses_revalidate(k3, k5):
     ]:
         cert = decide_existence(g, kind, direction, d)
         assert cert.verdict
-        if cert.witness_trace is not None:
-            revalidated = validate_double_trace(g, cert.witness_trace.sequence)
-            assert spec_satisfied(
-                TraceSpec(kind, direction, d), classify_trace(revalidated)
-            )
-        else:
-            assert cert.witness_tree is not None
+        if direction == "antiparallel":
             threshold = None if kind == "strong" else 2 * d + 2
             assert tree_is_qualified(g, cert.witness_tree, threshold)
+        else:
+            assert cert.witness_tree is None
+        revalidated = validate_double_trace(g, find_witness(g, kind, direction, d).sequence)
+        assert spec_satisfied(TraceSpec(kind, direction, d), classify_trace(revalidated))
+
+
+DISPATCH_CELLS = [
+    (kind, direction, d)
+    for direction in ("any", "parallel", "antiparallel")
+    for kind, d in (("double", None), ("stable", 1), ("stable", 2), ("stable", 3), ("strong", None))
+]
+
+
+def test_find_witness_follows_the_decision():
+    # every cell of every connected graph on up to 6 vertices: a witness
+    # comes back exactly on the yes-cells, and it satisfies its cell
+    exhausted = 0
+    for g in atlas_graphs(6):
+        for kind, direction, d in DISPATCH_CELLS:
+            verdict = decide_existence(g, kind, direction, d).verdict
+            try:
+                trace = find_witness(g, kind, direction, d, budget=20_000)
+            except BudgetExhaustedError:
+                exhausted += 1
+                continue
+            if verdict:
+                cls = classify_trace(trace)
+                assert spec_satisfied(TraceSpec(kind, direction, d), cls), (g.edges, kind, direction, d)
+            else:
+                assert trace is None, (g.edges, kind, direction, d)
+    assert exhausted == 13
 
 
 def test_condition_table_k3(k3):
@@ -315,19 +340,14 @@ def test_sufficient_never_contradicts_decide():
         g = random_connected_graph(rng, n_min=3, n_max=6)
         for d in (1, 2):
             if sufficient_four_edge_connected(g, d):
-                assert decide_existence(
-                    g, "stable", "antiparallel", d, witness=False
-                ).verdict
+                assert decide_existence(g, "stable", "antiparallel", d).verdict
 
 
 def test_monotonicity_in_d():
     rng = random.Random(37)
     for _ in range(20):
         g = random_connected_graph(rng, n_min=3, n_max=6)
-        verdicts = [
-            decide_existence(g, "stable", "antiparallel", d, witness=False).verdict
-            for d in (1, 2, 3)
-        ]
+        verdicts = [decide_existence(g, "stable", "antiparallel", d).verdict for d in (1, 2, 3)]
         for lower, higher in zip(verdicts, verdicts[1:]):
             assert lower or not higher  # yes at d implies yes at d' < d
 
@@ -354,7 +374,7 @@ def test_no_certificates_reevaluate():
             ("double", "parallel", None),
             ("strong", "antiparallel", None),
         ]:
-            cert = decide_existence(g, kind, direction, d, witness=False)
+            cert = decide_existence(g, kind, direction, d)
             if cert.verdict:
                 continue
             name = cert.violated_condition
@@ -392,7 +412,7 @@ def test_fixture_matrix_against_oracle():
     family = fixture_family()
     for (name, kind, direction, d), expected in pinned.items():
         g = family[name]
-        cert = decide_existence(g, kind, direction, d, witness=False)
+        cert = decide_existence(g, kind, direction, d)
         assert cert.verdict == expected, (name, kind, direction, d)
         oracle = find_trace(g, TraceSpec(kind, direction, d))
         assert (oracle is not None) == expected, (name, kind, direction, d)

@@ -3,7 +3,8 @@ violated condition and its witness trace.
 
 The cases are every connected Eulerian atlas graph with at most 7 vertices,
 in the parallel cells double, stable d = 1, 2, 3 and strong.  Each case runs
-``decide_existence(g, kind, "parallel", d, budget=BUDGET)`` and records
+``decide_existence(g, kind, "parallel", d)`` and
+``find_witness(g, kind, "parallel", d, budget=BUDGET)`` and records
 ``[verdict, violated condition, witness sequence]``, or ``"budget"`` when
 the witness search runs out of budget.  Entries are keyed by the sorted edge
 list and the cell.  A change to how parallel witnesses are built that keeps
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from trace_forge.decide import decide_existence
+from trace_forge.decide import decide_existence, find_witness
 from trace_forge.errors import BudgetExhaustedError
 
 from conftest import atlas_graphs
@@ -40,12 +41,12 @@ def outcomes() -> dict[str, object]:
         edges = " ".join(f"{u}-{v}" for u, v in g.edges)
         for kind, d in CELLS:
             cell = f"{kind}/parallel" + (f"/{d}" if d is not None else "")
+            cert = decide_existence(g, kind, "parallel", d)
             try:
-                cert = decide_existence(g, kind, "parallel", d, budget=BUDGET)
+                witness = find_witness(g, kind, "parallel", d, budget=BUDGET)
             except BudgetExhaustedError:
                 table[f"{edges} | {cell}"] = "budget"
                 continue
-            witness = cert.witness_trace
             table[f"{edges} | {cell}"] = [
                 cert.verdict,
                 cert.violated_condition,

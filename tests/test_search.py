@@ -5,7 +5,7 @@ import random
 import pytest
 
 from trace_forge import search
-from trace_forge.decide import build_antiparallel_d_stable, decide_existence
+from trace_forge.decide import build_antiparallel_d_stable, find_witness
 from trace_forge.errors import BudgetExhaustedError, DisconnectedGraphError
 from trace_forge.graph import build_graph, complete_graph, path_graph
 from trace_forge.search import (
@@ -236,7 +236,7 @@ def test_budget_exhaustion(k5):
 
 
 def test_unbudgeted_search_runs_under_default_budget():
-    g = complete_graph(6)  # 15 edges, more than enumerate_traces accepts
+    g = complete_graph(6)
     assert find_trace(g, TraceSpec("double")) is not None
     assert find_trace(g, TraceSpec("double"), budget=10_000_000) is not None
 
@@ -251,13 +251,15 @@ def test_default_budget_is_read_at_call_time(monkeypatch):
         find_trace(k7, TraceSpec("strong", "antiparallel"))
     assert info.value.nodes == 1_001
     with pytest.raises(BudgetExhaustedError) as info:
-        decide_existence(k7, "stable", "parallel", 2)
+        find_witness(k7, "stable", "parallel", 2)
     assert info.value.nodes == 1_001
 
 
-def test_enumerate_refuses_hosts_above_edge_limit():
-    with pytest.raises(ValueError, match="takes no search budget"):
+def test_enumerate_runs_under_default_budget(monkeypatch):
+    monkeypatch.setattr(search, "DEFAULT_BUDGET", 1_000)
+    with pytest.raises(BudgetExhaustedError) as info:
         enumerate_traces(complete_graph(6), TraceSpec("strong", "antiparallel"))
+    assert info.value.nodes == 1_001
 
 
 K44 = build_graph([(i, j + 4) for i in range(4) for j in range(4)])

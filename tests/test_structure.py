@@ -68,7 +68,7 @@ def test_exports_resolve():
     assert missing == []
 
 
-def _calls_to(tree: ast.Module, name: str) -> list[int]:
+def _calls_to(tree: ast.AST, name: str) -> list[int]:
     """Lines that call ``name`` by bare name or as an attribute."""
     return [
         node.lineno
@@ -110,3 +110,32 @@ def test_spanning_trees_are_not_found_by_subset_scan():
     ]
     names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
     assert "combinations" not in names
+
+
+def _functions_calling(tree: ast.Module, name: str) -> list[str]:
+    """Top-level functions whose bodies call ``name``, once per call."""
+    return [
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for _ in _calls_to(fn, name)
+    ]
+
+
+def test_witnesses_are_dispatched_in_decide_only():
+    # decide.find_witness chooses between construction and search; the CLI
+    # searches only to re-check verdicts with --oracle, and a decision
+    # never searches
+    searches = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "decide.py":
+            callers = _functions_calling(ast.parse(path.read_text()), "find_trace")
+            if callers:
+                searches[path.name] = callers
+    assert searches == {"cli.py": ["_oracle_agrees"]}
+    decide = ast.parse((SOURCE / "decide.py").read_text())
+    (body,) = [
+        fn for fn in decide.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "decide_existence"
+    ]
+    assert _calls_to(body, "find_trace") == _calls_to(body, "find_witness") == []
