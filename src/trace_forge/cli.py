@@ -110,8 +110,13 @@ def cmd_decide(args) -> int:
     trace = None
     if cert.verdict and cert.witness_tree is None:
         trace = find_witness(g, args.kind, args.direction, args.d, budget=budget)
-    if args.oracle and not _oracle_agrees(g, [cert], budget):
-        return EXIT_ERROR
+    if args.oracle:
+        # a witness that classifies into the cell confirms a yes unsearched
+        witnessed = trace is not None and spec_satisfied(
+            TraceSpec(cert.kind, cert.direction, cert.d), classify_trace(trace)
+        )
+        if not witnessed and not _oracle_agrees(g, [cert], budget):
+            return EXIT_ERROR
     doc = _certificate_doc(cert, trace)
     doc["command"] = "decide"
     if cert.verdict:
@@ -161,6 +166,10 @@ def cmd_verify(args) -> int:
     sequence = load_trace_sequence(args.trace)
     cls = classify_trace(validate_double_trace(g, sequence))
     ok = spec_satisfied(TraceSpec(args.kind, args.direction, args.d), cls)
+    repetitions = [
+        (v, [sorted(c) for c in comps])
+        for v, comps in sorted(cls.minimal_repetitions.items())
+    ]
     doc = {
         "command": "verify",
         "verdict": "yes" if ok else "no",
@@ -169,19 +178,18 @@ def cmd_verify(args) -> int:
             "stability_order": cls.stability_order,
             "strong": cls.strong,
         },
-        "minimal_repetitions": {
-            str(v): [sorted(c) for c in comps]
-            for v, comps in sorted(cls.minimal_repetitions.items())
-        },
+        "minimal_repetitions": {str(v): comps for v, comps in repetitions},
     }
-    lines = [
-        f"direction: {cls.direction}",
-        f"stability_order: {cls.stability_order}",
-        f"strong: {cls.strong}",
-    ]
-    for v, comps in sorted(cls.minimal_repetitions.items()):
-        lines.append(f"repetitions at {v}: " + " ".join(str(sorted(c)) for c in comps))
-    lines.append(f"satisfies requested cell: {'yes' if ok else 'no'}")
+    lines = []
+    if not args.json:
+        lines = [
+            f"direction: {cls.direction}",
+            f"stability_order: {cls.stability_order}",
+            f"strong: {cls.strong}",
+        ]
+        for v, comps in repetitions:
+            lines.append(f"repetitions at {v}: " + " ".join(map(str, comps)))
+        lines.append(f"satisfies requested cell: {'yes' if ok else 'no'}")
     _emit(args, doc, lines)
     return EXIT_YES if ok else EXIT_NO
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import networkx as nx
-
 from .errors import ParseError, TraceForgeError
 from .graph import Graph, build_graph
 from .walks import parse_trace_text
@@ -48,6 +46,8 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError("no graph6 data in input")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
+    import networkx as nx  # noqa: PLC0415 - imported on use, it is slow to load
+
     try:
         h = nx.from_graph6_bytes(line.encode("ascii"))
     except (nx.NetworkXError, ValueError, UnicodeEncodeError) as exc:

@@ -12,8 +12,6 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from .errors import (
     AdjacentTargetsError,
     DegreeTooSmallError,
@@ -66,6 +64,12 @@ class Graph:
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def connected(self) -> bool:
+        """True iff the graph has exactly one component, found by one
+        traversal per graph value; see :func:`is_connected`."""
+        return _reaches_all(self)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.adjacency:
@@ -146,8 +150,8 @@ def build_graph(
     return make_graph(vertices, edges)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff the graph has exactly one component (single vertex counts)."""
+def _reaches_all(g: Graph) -> bool:
+    """One traversal from the least vertex: does it reach every vertex?"""
     if not g.vertices:
         raise EmptyGraphError("connectivity of the empty graph is undefined")
     seen = {g.vertices[0]}
@@ -158,6 +162,15 @@ def is_connected(g: Graph) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == g.num_vertices
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff the graph has exactly one component (single vertex counts).
+
+    The answer is computed once per graph value and kept on it; the empty
+    graph raises :class:`EmptyGraphError`.
+    """
+    return g.connected
 
 
 def require_connected(g: Graph) -> None:
@@ -176,6 +189,8 @@ def edge_connectivity(g: Graph) -> int:
     if g.num_vertices < 2:
         raise GraphTooSmallError("edge connectivity needs at least 2 vertices")
     require_connected(g)
+    import networkx as nx  # noqa: PLC0415 - imported on use, it is slow to load
+
     h = nx.Graph()
     h.add_nodes_from(g.vertices)
     h.add_edges_from(g.edges)

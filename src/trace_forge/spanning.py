@@ -1,26 +1,28 @@
 """Spanning trees, co-tree components, and deficiency.
 
 The co-tree of a spanning tree T is the edge complement G - E(T); its
-connected components, found by one pass of the package's union-find
-(``graph._find_root``), are classified odd or even by edge count.  The
+connected components are classified odd or even by edge count.  The
 deficiency of T counts its odd components, the deficiency of G is the
 minimum over all spanning trees, and the qualified variant restricts the
 minimum to trees whose every odd component contains a vertex meeting a
-degree threshold.  One scan serves every question: ``qualified_trees``
-yields the qualified trees with their deficiencies in enumeration order and
-``min_tree`` takes the first of least deficiency.
+degree threshold.
 
-``iter_spanning_trees`` yields every spanning tree in the order
-``itertools.combinations`` lists their edge sets, by a pruned depth-first
-search over edge indices instead of a scan of all C(|E|, |V| - 1) subsets.
-A full scan of a graph with many trees is still exponential and has no
-budget.
+One depth-first search, ``_tree_indices``, lists the spanning trees as
+edge-index lists in the order ``itertools.combinations`` lists their edge
+sets, without a scan of all C(|E|, |V| - 1) subsets.  One index scorer,
+``_score``, gives a tree's qualified deficiency from a union-find pass over
+its co-tree edge indices; every score in the package goes through it.  A
+full scan (``qualified_trees``, ``min_tree``) scores each tree on indices and
+builds a validated :class:`SpanningTree` only for a tree it returns;
+``iter_spanning_trees`` builds one for every tree.  ``cotree_decomposition``
+lists the components themselves.  A full scan of a graph with many trees is
+still exponential and has no budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import NotSpanningTreeError
 from .graph import Edge, Graph, _find_root, betti_number, require_connected
@@ -98,17 +100,6 @@ class CoTreeDecomposition:
     def odd_components(self) -> tuple[CotreeComponent, ...]:
         return tuple(c for c in self.components if c.is_odd)
 
-    def qualified_deficiency(self, threshold: int | None) -> int | None:
-        """Number of odd components when each has a vertex of host degree at
-        least ``threshold``, else None; ``None`` lets no odd component
-        through."""
-        host = self.tree.host
-        odd = self.odd_components()
-        for comp in odd:
-            if threshold is None or host.degree(comp.witness_vertex) < threshold:
-                return None
-        return len(odd)
-
 
 @dataclass(frozen=True)
 class DeficiencyCertificate:
@@ -153,9 +144,69 @@ def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
     return CoTreeDecomposition(tree=t, components=tuple(components))
 
 
+def _index(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
+    """Edge ends as vertex positions, in edge order, and host degrees by
+    position: built once per scan, not once per tree."""
+    position = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(position[u], position[v]) for u, v in g.edges]
+    return ends, [len(g.adjacency[v]) for v in g.vertices]
+
+
+def _score(
+    ends: list[tuple[int, int]],
+    degrees: list[int],
+    cotree: Iterable[int],
+    threshold: int | None,
+) -> int | None:
+    """Qualified deficiency of the co-tree given by its edge indices.
+
+    One union-find pass keeps, for each root, the parity of its component's
+    edge count and the largest host degree in it.  The result is the number
+    of odd roots when each reaches ``threshold``, else None; ``None`` admits
+    no odd root.
+    """
+    parent = list(range(len(degrees)))
+    odd = [False] * len(degrees)
+    top = degrees[:]
+    for i in cotree:
+        a, b = ends[i]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            odd[a] = not odd[a]
+        else:
+            parent[b] = a
+            odd[a] = odd[a] is odd[b]  # the joining edge flips the sum's parity
+            if top[b] > top[a]:
+                top[a] = top[b]
+    count = 0
+    for r, p in enumerate(parent):
+        if p == r and odd[r]:
+            if threshold is None or top[r] < threshold:
+                return None
+            count += 1
+    return count
+
+
+def qualified_deficiency_of_tree(
+    g: Graph, t: SpanningTree, threshold: int | None
+) -> int | None:
+    """Number of odd co-tree components of t when each has a vertex of host
+    degree at least ``threshold``, else None; ``None`` admits no odd
+    component and 0 admits every one."""
+    if t.host != g:
+        raise NotSpanningTreeError("tree does not span this graph")
+    ends, degrees = _index(g)
+    tree = t.tree_edges
+    cotree = [i for i, e in enumerate(g.edges) if e not in tree]
+    return _score(ends, degrees, cotree, threshold)
+
+
 def deficiency_of_tree(g: Graph, t: SpanningTree) -> int:
     """Number of odd co-tree components of t."""
-    return len(cotree_decomposition(g, t).odd_components())
+    return qualified_deficiency_of_tree(g, t, 0)
 
 
 def tree_is_qualified(g: Graph, t: SpanningTree, threshold: int | None) -> bool:
@@ -163,34 +214,33 @@ def tree_is_qualified(g: Graph, t: SpanningTree, threshold: int | None) -> bool:
 
     ``threshold=None`` demands that there are no odd components at all.
     """
-    return cotree_decomposition(g, t).qualified_deficiency(threshold) is not None
+    return qualified_deficiency_of_tree(g, t, threshold) is not None
 
 
-def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
-    """All spanning trees in edge-lexicographic order.
+def _tree_indices(ends: list[tuple[int, int]], n: int) -> Iterator[list[int]]:
+    """The edge indices of every spanning tree on vertex positions
+    ``0..n-1``, increasing, in edge-lexicographic order.
 
-    The trees come in the order ``itertools.combinations(g.edges, |V| - 1)``
-    lists their edge sets: a depth-first search over edge indices takes
-    each edge before leaving it out.  An edge that closes a cycle with the
-    edges taken so far is left out at once, and a prefix is dropped as soon
-    as too few edges remain to finish a tree, so the search visits forests,
-    never the cyclic subsets.  Acyclicity is kept by a union-find with
-    union by size and no path compression, undone edge by edge on
-    backtracking.
+    The trees come in the order ``itertools.combinations`` lists their edge
+    index sets: a depth-first search takes each edge before leaving it out.
+    An edge that closes a cycle with the edges taken so far is left out at
+    once, and a prefix is dropped as soon as too few edges remain to finish
+    a tree, so the search visits forests, never the cyclic subsets.
+    Acyclicity is kept by a union-find with union by size and no path
+    compression, undone edge by edge on backtracking.  Every tree is the
+    same list, changed after the caller resumes: copy what you keep.
     """
-    require_connected(g)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[u], index[v]) for u, v in g.edges]
-    m, k = len(ends), g.num_vertices - 1
-    parent = list(range(g.num_vertices))
-    size = [1] * g.num_vertices
+    k = n - 1
+    slack = len(ends) - k  # edges that may be left out
+    parent = list(range(n))
+    size = [1] * n
     chosen: list[int] = []  # edge indices of the current forest, increasing
     attached: list[int] = []  # the root each chosen edge hung below another
-    i = 0
+    taken = i = 0  # len(chosen), and the next edge to decide
     while True:
-        if len(chosen) == k:
-            yield SpanningTree(g, frozenset(g.edges[j] for j in chosen))
-        elif m - i >= k - len(chosen):
+        if taken == k:
+            yield chosen
+        elif i - taken <= slack:
             a, b = ends[i]
             while parent[a] != a:
                 a = parent[a]
@@ -203,14 +253,45 @@ def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
                 size[b] += size[a]
                 chosen.append(i)
                 attached.append(a)
+                taken += 1
             i += 1
             continue
-        if not chosen:
+        if not taken:
             return
         a = attached.pop()
         size[parent[a]] -= size[a]
         parent[a] = a
         i = chosen.pop() + 1
+        taken -= 1
+
+
+def _tree(g: Graph, chosen: list[int]) -> SpanningTree:
+    return SpanningTree(g, frozenset(g.edges[j] for j in chosen))
+
+
+def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
+    """All spanning trees in edge-lexicographic order: the order
+    ``itertools.combinations(g.edges, |V| - 1)`` lists their edge sets."""
+    require_connected(g)
+    ends, _ = _index(g)
+    for chosen in _tree_indices(ends, g.num_vertices):
+        yield _tree(g, chosen)
+
+
+def _qualified_scan(g: Graph, threshold: int | None) -> Iterator[tuple[int, list[int]]]:
+    """``(deficiency, edge indices)`` of every qualified tree in enumeration
+    order, scored on indices; the index list is :func:`_tree_indices`'s."""
+    betti = betti_number(g)  # rejects a disconnected graph before the shortcut
+    if threshold is None or threshold > g.max_degree():
+        if betti % 2 == 1:
+            return
+        threshold = None
+    ends, degrees = _index(g)
+    edges = frozenset(range(len(ends)))
+    for chosen in _tree_indices(ends, len(degrees)):
+        value = _score(ends, degrees, edges.difference(chosen), threshold)
+        if value is not None:
+            yield value, chosen
 
 
 def qualified_trees(
@@ -225,15 +306,8 @@ def qualified_trees(
     only all-even co-trees, and since component parities sum to the Betti
     number, an odd Betti number then rules out every tree unenumerated.
     """
-    betti = betti_number(g)  # rejects a disconnected graph before the shortcut
-    if threshold is None or threshold > g.max_degree():
-        if betti % 2 == 1:
-            return
-        threshold = None
-    for t in iter_spanning_trees(g):
-        value = cotree_decomposition(g, t).qualified_deficiency(threshold)
-        if value is not None:
-            yield value, t
+    for value, chosen in _qualified_scan(g, threshold):
+        yield value, _tree(g, chosen)
 
 
 def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | None:
@@ -242,12 +316,13 @@ def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | Non
 
     ``min_tree(g)`` is the deficiency of g.  Every tree's deficiency has
     the parity of the Betti number, so the scan stops at the first tree of
-    deficiency 0 or 1: none can be lower.
+    deficiency 0 or 1: none can be lower.  Only the running best becomes a
+    :class:`SpanningTree`.
     """
     best: tuple[int, SpanningTree] | None = None
-    for value, tree in qualified_trees(g, threshold):
+    for value, chosen in _qualified_scan(g, threshold):
         if best is None or value < best[0]:
-            best = (value, tree)
+            best = (value, _tree(g, chosen))
             if value <= 1:
                 break
     if best is None:

@@ -46,6 +46,7 @@ from .spanning import (
     SpanningTree,
     cotree_decomposition,
     iter_spanning_trees,
+    qualified_deficiency_of_tree,
 )
 from .walks import DoubleTrace, validate_double_trace
 
@@ -233,15 +234,14 @@ def split_reduce_qualified(
     same rule.  The recipe runs on t first, then on another tree with at
     least two tree edges at v and no larger deficiency.  No other search
     runs: when both fail, the guaranteed construction has been broken.  Each
-    candidate is scored by one co-tree decomposition; the outcome is
-    validated, not assumed.
+    candidate is scored by ``spanning.qualified_deficiency_of_tree``; the
+    outcome is validated, not assumed.
     """
     if v in g.adjacency and g.degree(v) < threshold:
         raise NotQualifiedError(
             f"vertex {v} has degree {g.degree(v)} < threshold {threshold}"
         )
-    decomposition = cotree_decomposition(g, t)
-    before = decomposition.qualified_deficiency(threshold)
+    before = qualified_deficiency_of_tree(g, t, threshold)
     if before is None:
         raise NotQualifiedError(
             f"an odd co-tree component has no vertex of degree >= {threshold}"
@@ -250,7 +250,8 @@ def split_reduce_qualified(
         raise UnknownVertexError(f"vertex {v} not in graph")
     if g.degree(v) < 2:
         raise DegreeTooSmallError(f"vertex {v} has degree {g.degree(v)} < 2")
-    if not any(v in c.vertices for c in decomposition.odd_components()):
+    odd = cotree_decomposition(g, t).odd_components()
+    if not any(v in c.vertices for c in odd):
         raise NotInOddComponentError(
             f"vertex {v} does not lie in an odd co-tree component"
         )
@@ -258,7 +259,7 @@ def split_reduce_qualified(
     new_ids = fresh_vertex_ids(g, 2)
     for tree in _recipe_trees(g, t, v, before):
         for g2, t2, parts in _split_candidates(g, tree, v):
-            after = cotree_decomposition(g2, t2).qualified_deficiency(threshold)
+            after = qualified_deficiency_of_tree(g2, t2, threshold)
             if after is not None and after < before:
                 return SplitOutcome(
                     graph_after=g2,

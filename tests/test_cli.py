@@ -378,11 +378,42 @@ def test_table_oracle_searches_large_hosts_under_budget(tmp_path, capsys, monkey
 )
 def test_oracle_disagreement_names_the_cell(capsys, monkeypatch, argv, cell):
     monkeypatch.setattr(cli, "find_trace", lambda g, spec, budget: None)
+    # with no witness in hand, decide's yes-cell goes to the oracle
+    monkeypatch.setattr(cli, "find_witness", lambda *args, **kwargs: None)
     code = main(argv + ["-i", str(FIXTURES / "k3.edges"), "--oracle"])
     assert code == 2
     assert capsys.readouterr().err == (
         f"oracle disagreement at cell {cell}: predicate=True found=False\n"
     )
+
+
+def test_decide_oracle_trusts_a_witness_in_hand(capsys, monkeypatch):
+    # find_witness searches for Q3's strong trace; the oracle does not
+    # repeat that search, because the trace classifies into the cell
+    searches = []
+
+    def counting(find):
+        def wrapper(g, spec, budget=None):
+            searches.append(spec)
+            return find(g, spec, budget)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "find_trace", counting(cli.find_trace))
+    monkeypatch.setattr(decide, "find_trace", counting(decide.find_trace))
+    argv = ["decide", "-i", str(FIXTURES / "q3.edges"), "--kind", "strong"]
+    code, out = run(capsys, *argv, "--oracle")
+    assert code == 0 and out.startswith("verdict: yes\nwitness trace: ")
+    assert searches == [search.TraceSpec("strong", "any")]
+    # a no-cell and a tree-cell have no trace in hand: the oracle searches
+    searches.clear()
+    code, _ = run(capsys, *argv[:3], "--kind", "stable", "-d", "3", "--oracle")
+    assert code == 1 and len(searches) == 1
+    searches.clear()
+    k5 = str(FIXTURES / "k5.edges")
+    code, _ = run(capsys, "decide", "-i", k5, "--kind", "strong",
+                  "--direction", "antiparallel", "--oracle")  # fmt: skip
+    assert code == 0 and len(searches) == 1
 
 
 def test_malformed_budget_fails_plain_table(capsys, monkeypatch):

@@ -1,11 +1,13 @@
 """Graph core: construction, structure queries, splitting, identification."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trace_forge import cli, graph
 from trace_forge.errors import (
     AdjacentTargetsError,
     DegreeTooSmallError,
@@ -56,6 +58,28 @@ def test_connectivity():
     assert is_connected(build_graph([], isolated_vertices=[7]))
     with pytest.raises(EmptyGraphError):
         is_connected(build_graph([]))
+
+
+def test_connectivity_is_traversed_once_per_graph(monkeypatch, capsys):
+    # a table runs require_connected in every cell; the graph keeps the answer
+    traversals = []
+    traverse = graph._reaches_all
+
+    def counting(g):
+        traversals.append(g)
+        return traverse(g)
+
+    monkeypatch.setattr(graph, "_reaches_all", counting)
+    k5 = Path(__file__).parent / "fixtures" / "k5.edges"
+    assert cli.main(["table", "-i", str(k5), "-d", "1,2"]) == 0
+    assert len(traversals) == 1
+    g = traversals[0]
+    assert is_connected(g) and betti_number(g) == 6
+    assert len(traversals) == 1
+    empty = build_graph([])
+    for _ in range(2):  # an error is not kept: every query raises
+        with pytest.raises(EmptyGraphError):
+            is_connected(empty)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ from itertools import combinations, islice
 import networkx as nx
 import pytest
 
+from trace_forge import spanning
 from trace_forge.errors import NotSpanningTreeError
 from trace_forge.graph import _find_root, betti_number, build_graph, path_graph
 from trace_forge.spanning import (
@@ -13,6 +14,7 @@ from trace_forge.spanning import (
     deficiency_of_tree,
     iter_spanning_trees,
     min_tree,
+    qualified_deficiency_of_tree,
     qualified_trees,
     spanning_tree,
     tree_is_qualified,
@@ -205,6 +207,17 @@ def test_parity_law_and_minimality():
         assert (min_tree(g, None) is not None) == (minimum == 0)
 
 
+def component_score(g, t, threshold):
+    """Qualified deficiency of t read off ``cotree_decomposition``: the
+    number of odd components when each has a vertex of host degree at least
+    ``threshold``, else None; ``None`` admits no odd component."""
+    odd = [c for c in cotree_decomposition(g, t).components if c.is_odd]
+    for comp in odd:
+        if threshold is None or max(g.degree(x) for x in comp.vertices) < threshold:
+            return None
+    return len(odd)
+
+
 def test_qualified_deficiency_below_threshold_matches_enumeration():
     """On every connected atlas graph with up to 6 vertices, ``min_tree`` is
     the first qualified tree of least deficiency and ``qualified_trees``
@@ -215,11 +228,8 @@ def test_qualified_deficiency_below_threshold_matches_enumeration():
     for g in atlas_graphs(6):
         trees = [spanning_tree(g, edges) for edges in reference_trees(g)]
         for threshold in (0, None, 4, 6, g.max_degree() + 1):
-            qualified = [
-                (deficiency_of_tree(g, t), t)
-                for t in trees
-                if tree_is_qualified(g, t, threshold)
-            ]
+            scored = ((component_score(g, t, threshold), t) for t in trees)
+            qualified = [(value, t) for value, t in scored if value is not None]
             first = qualified[0] if qualified else None
             least = min(qualified, key=lambda pair: pair[0]) if qualified else None
             assert next(qualified_trees(g, threshold), None) == first
@@ -230,3 +240,100 @@ def test_qualified_deficiency_below_threshold_matches_enumeration():
                 assert (cert.value, cert.witness_tree) == least
             outcomes.add(first is None)
     assert outcomes == {True, False}
+
+
+def test_scorer_matches_components_on_every_atlas_tree():
+    """On every spanning tree of every connected atlas graph with up to 6
+    vertices, the per-tree scores agree with the co-tree components."""
+    checked = 0
+    for g in atlas_graphs(6):
+        for t in iter_spanning_trees(g):
+            assert deficiency_of_tree(g, t) == component_score(g, t, 0)
+            for threshold in (0, None, 4, 6, g.max_degree() + 1):
+                expected = component_score(g, t, threshold)
+                assert qualified_deficiency_of_tree(g, t, threshold) == expected
+                assert tree_is_qualified(g, t, threshold) == (expected is not None)
+            checked += 1
+    assert checked > 10_000
+
+
+def k4_chain(k):
+    """k copies of K4 joined in a row by k - 1 bridges."""
+    edges = []
+    for b in range(k):
+        edges += [(4 * b + i, 4 * b + j) for i in range(4) for j in range(i + 1, 4)]
+        if b:
+            edges.append((4 * b - 1, 4 * b))
+    return build_graph(edges)
+
+
+def grid_graph(k):
+    return build_graph(
+        [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+        + [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    )
+
+
+CHAIN2_WITNESS = [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6)]
+CHAIN3_WITNESS = CHAIN2_WITNESS + [(4, 7), (7, 8), (8, 9), (8, 10)]
+GRID_PREFIX = [
+    (0, 1), (0, 4), (1, 2), (1, 5), (2, 3), (2, 6), (3, 7), (4, 8), (5, 9),
+    (6, 10), (7, 11), (8, 12), (9, 13), (10, 14),
+]  # fmt: skip
+
+#: graph -> threshold -> (min_tree, first of qualified_trees), each as
+#: (value, sorted tree edges) or None
+PINNED_SCANS = {
+    "k4chain2": (k4_chain(2), {
+        0: ((2, CHAIN2_WITNESS + [(4, 7)]),) * 2,
+        None: (None, None),
+        4: ((2, CHAIN2_WITNESS + [(5, 7)]),) * 2,
+        6: (None, None),
+    }),
+    "k4chain3": (k4_chain(3), {
+        0: ((3, CHAIN3_WITNESS + [(8, 11)]),) * 2,
+        None: (None, None),
+        4: ((3, CHAIN3_WITNESS + [(9, 11)]),) * 2,
+        6: (None, None),
+    }),
+    "grid4x4": (grid_graph(4), {
+        0: ((1, GRID_PREFIX + [(14, 15)]), (3, GRID_PREFIX + [(11, 15)])),
+        None: (None, None),
+        4: ((1, GRID_PREFIX + [(14, 15)]),) * 2,
+        6: (None, None),
+    }),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCANS))
+def test_scans_pinned_on_larger_graphs(name):
+    g, expected = PINNED_SCANS[name]
+    for threshold, (least, first) in expected.items():
+        cert = min_tree(g, threshold)
+        got = None if cert is None else (cert.value, cert.witness_tree.sorted_edges())
+        assert got == least, threshold
+        pair = next(qualified_trees(g, threshold), None)
+        got = None if pair is None else (pair[0], pair[1].sorted_edges())
+        assert got == first, threshold
+
+
+def test_scans_validate_only_the_trees_they_keep(monkeypatch):
+    # full scans score trees on edge indices: of k4chain3's 4,096 trees only
+    # the returned one becomes a validated SpanningTree
+    checked = []
+    check = spanning._check_spanning_tree
+
+    def counting(g, edges):
+        checked.append(edges)
+        check(g, edges)
+
+    monkeypatch.setattr(spanning, "_check_spanning_tree", counting)
+    g = k4_chain(3)
+    for threshold in (0, 4):
+        checked.clear()
+        cert = min_tree(g, threshold)
+        assert checked == [cert.witness_tree.tree_edges]
+    checked.clear()
+    assert min_tree(g, 6) is None and checked == []
+    _, tree = next(qualified_trees(g, 4))
+    assert checked == [tree.tree_edges]

@@ -1,6 +1,9 @@
 """Structural guards on the library source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import trace_forge
@@ -139,3 +142,19 @@ def test_witnesses_are_dispatched_in_decide_only():
         if isinstance(fn, ast.FunctionDef) and fn.name == "decide_existence"
     ]
     assert _calls_to(body, "find_trace") == _calls_to(body, "find_witness") == []
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx takes most of the start-up time; only graph6 parsing and
+    # edge connectivity load it, on first use
+    src = str(SOURCE.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, trace_forge.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "False"
