@@ -68,8 +68,18 @@ class Graph:
     @cached_property
     def connected(self) -> bool:
         """True iff the graph has exactly one component, found by one
-        traversal per graph value; see :func:`is_connected`."""
-        return _reaches_all(self)
+        traversal from the least vertex per graph value; see
+        :func:`is_connected`."""
+        if not self.vertices:
+            raise EmptyGraphError("connectivity of the empty graph is undefined")
+        seen = {self.vertices[0]}
+        stack = [self.vertices[0]]
+        while stack:
+            for w in self.adjacency[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == self.num_vertices
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.adjacency:
@@ -148,20 +158,6 @@ def build_graph(
     if any(w < 0 for w in vertices):
         raise UnknownVertexError("vertex ids must be non-negative")
     return make_graph(vertices, edges)
-
-
-def _reaches_all(g: Graph) -> bool:
-    """One traversal from the least vertex: does it reach every vertex?"""
-    if not g.vertices:
-        raise EmptyGraphError("connectivity of the empty graph is undefined")
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for w in g.adjacency[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.num_vertices
 
 
 def is_connected(g: Graph) -> bool:

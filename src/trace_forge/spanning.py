@@ -7,16 +7,17 @@ minimum over all spanning trees, and the qualified variant restricts the
 minimum to trees whose every odd component contains a vertex meeting a
 degree threshold.
 
-One depth-first search, ``_tree_indices``, lists the spanning trees as
-edge-index lists in the order ``itertools.combinations`` lists their edge
-sets, without a scan of all C(|E|, |V| - 1) subsets.  One index scorer,
-``_score``, gives a tree's qualified deficiency from a union-find pass over
-its co-tree edge indices; every score in the package goes through it.  A
-full scan (``qualified_trees``, ``min_tree``) scores each tree on indices and
-builds a validated :class:`SpanningTree` only for a tree it returns;
-``iter_spanning_trees`` builds one for every tree.  ``cotree_decomposition``
-lists the components themselves.  A full scan of a graph with many trees is
-still exponential and has no budget.
+One depth-first search, ``iter_spanning_trees``, lists the spanning trees
+in the order ``itertools.combinations`` lists their edge sets, without a
+scan of all C(|E|, |V| - 1) subsets; the trees it builds are not checked
+again.  One index scorer, ``_score``, gives a tree's qualified deficiency
+from a union-find pass over its co-tree on vertex positions, and one rule,
+``_qualified_count``, turns odd components into a score; every score in the
+package goes through that rule.  A full scan (``qualified_trees``,
+``min_tree``) scores each tree of the search and checks again only a tree
+it returns.  ``cotree_decomposition`` lists the components themselves.  A
+full scan of a graph with many trees is still exponential and has no
+budget.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .graph import Edge, Graph, _find_root, betti_number, require_connected
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A validated spanning tree of ``host`` given by its edge subset."""
+    """A spanning tree of ``host`` given by its edge subset, checked when
+    constructed; the trees of :func:`iter_spanning_trees` skip the check."""
 
     host: Graph
     tree_edges: frozenset[Edge]
@@ -144,32 +146,44 @@ def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
     return CoTreeDecomposition(tree=t, components=tuple(components))
 
 
-def _index(g: Graph) -> tuple[list[tuple[int, int]], list[int]]:
-    """Edge ends as vertex positions, in edge order, and host degrees by
-    position: built once per scan, not once per tree."""
+def _index(g: Graph) -> tuple[dict[Edge, tuple[int, int]], list[int]]:
+    """Each edge's ends as vertex positions, in edge order, and host degrees
+    by position: built once per scan, not once per tree."""
     position = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(position[u], position[v]) for u, v in g.edges]
+    ends = {e: (position[e[0]], position[e[1]]) for e in g.edges}
     return ends, [len(g.adjacency[v]) for v in g.vertices]
 
 
+def _qualified_count(odd_degrees: Iterable[int], threshold: int | None) -> int | None:
+    """The qualification rule, given the largest host degree in each odd
+    co-tree component: the number of odd components when each reaches
+    ``threshold``, else None.  ``None`` admits no odd component and 0
+    admits every one."""
+    count = 0
+    for top in odd_degrees:
+        if threshold is None or top < threshold:
+            return None
+        count += 1
+    return count
+
+
 def _score(
-    ends: list[tuple[int, int]],
+    ends: dict[Edge, tuple[int, int]],
     degrees: list[int],
-    cotree: Iterable[int],
+    cotree: Iterable[Edge],
     threshold: int | None,
 ) -> int | None:
-    """Qualified deficiency of the co-tree given by its edge indices.
+    """Qualified deficiency of the co-tree ``cotree``.
 
-    One union-find pass keeps, for each root, the parity of its component's
-    edge count and the largest host degree in it.  The result is the number
-    of odd roots when each reaches ``threshold``, else None; ``None`` admits
-    no odd root.
+    One union-find pass over vertex positions keeps, for each root, the
+    parity of its component's edge count and the largest host degree in it;
+    :func:`_qualified_count` reads the odd roots.
     """
     parent = list(range(len(degrees)))
     odd = [False] * len(degrees)
     top = degrees[:]
-    for i in cotree:
-        a, b = ends[i]
+    for e in cotree:
+        a, b = ends[e]
         while parent[a] != a:
             a = parent[a]
         while parent[b] != b:
@@ -181,27 +195,20 @@ def _score(
             odd[a] = odd[a] is odd[b]  # the joining edge flips the sum's parity
             if top[b] > top[a]:
                 top[a] = top[b]
-    count = 0
-    for r, p in enumerate(parent):
-        if p == r and odd[r]:
-            if threshold is None or top[r] < threshold:
-                return None
-            count += 1
-    return count
+    return _qualified_count(
+        [top[r] for r, p in enumerate(parent) if p == r and odd[r]], threshold
+    )
 
 
 def qualified_deficiency_of_tree(
     g: Graph, t: SpanningTree, threshold: int | None
 ) -> int | None:
     """Number of odd co-tree components of t when each has a vertex of host
-    degree at least ``threshold``, else None; ``None`` admits no odd
-    component and 0 admits every one."""
+    degree at least ``threshold``, else None (see :func:`_qualified_count`)."""
     if t.host != g:
         raise NotSpanningTreeError("tree does not span this graph")
     ends, degrees = _index(g)
-    tree = t.tree_edges
-    cotree = [i for i, e in enumerate(g.edges) if e not in tree]
-    return _score(ends, degrees, cotree, threshold)
+    return _score(ends, degrees, t.cotree_edges, threshold)
 
 
 def deficiency_of_tree(g: Graph, t: SpanningTree) -> int:
@@ -217,19 +224,31 @@ def tree_is_qualified(g: Graph, t: SpanningTree, threshold: int | None) -> bool:
     return qualified_deficiency_of_tree(g, t, threshold) is not None
 
 
-def _tree_indices(ends: list[tuple[int, int]], n: int) -> Iterator[list[int]]:
-    """The edge indices of every spanning tree on vertex positions
-    ``0..n-1``, increasing, in edge-lexicographic order.
+def _searched_tree(g: Graph, edges: frozenset[Edge]) -> SpanningTree:
+    """A :class:`SpanningTree` the search below has already proved, built
+    without running the check again."""
+    t = object.__new__(SpanningTree)
+    object.__setattr__(t, "host", g)
+    object.__setattr__(t, "tree_edges", edges)
+    return t
 
-    The trees come in the order ``itertools.combinations`` lists their edge
-    index sets: a depth-first search takes each edge before leaving it out.
-    An edge that closes a cycle with the edges taken so far is left out at
-    once, and a prefix is dropped as soon as too few edges remain to finish
-    a tree, so the search visits forests, never the cyclic subsets.
+
+def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
+    """All spanning trees in edge-lexicographic order: the order
+    ``itertools.combinations(g.edges, |V| - 1)`` lists their edge sets.
+
+    A depth-first search over edge indices takes each edge before leaving
+    it out.  An edge that closes a cycle with the edges taken so far is left
+    out at once, and a prefix is dropped as soon as too few edges remain to
+    finish a tree, so the search visits forests, never the cyclic subsets.
     Acyclicity is kept by a union-find with union by size and no path
-    compression, undone edge by edge on backtracking.  Every tree is the
-    same list, changed after the caller resumes: copy what you keep.
+    compression, undone edge by edge on backtracking.  Every yielded tree is
+    |V| - 1 edges that never closed a cycle, so it is not checked again.
     """
+    require_connected(g)
+    edges = g.edges
+    ends = list(_index(g)[0].values())
+    n = g.num_vertices
     k = n - 1
     slack = len(ends) - k  # edges that may be left out
     parent = list(range(n))
@@ -239,7 +258,7 @@ def _tree_indices(ends: list[tuple[int, int]], n: int) -> Iterator[list[int]]:
     taken = i = 0  # len(chosen), and the next edge to decide
     while True:
         if taken == k:
-            yield chosen
+            yield _searched_tree(g, frozenset(map(edges.__getitem__, chosen)))
         elif i - taken <= slack:
             a, b = ends[i]
             while parent[a] != a:
@@ -265,33 +284,20 @@ def _tree_indices(ends: list[tuple[int, int]], n: int) -> Iterator[list[int]]:
         taken -= 1
 
 
-def _tree(g: Graph, chosen: list[int]) -> SpanningTree:
-    return SpanningTree(g, frozenset(g.edges[j] for j in chosen))
-
-
-def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
-    """All spanning trees in edge-lexicographic order: the order
-    ``itertools.combinations(g.edges, |V| - 1)`` lists their edge sets."""
-    require_connected(g)
-    ends, _ = _index(g)
-    for chosen in _tree_indices(ends, g.num_vertices):
-        yield _tree(g, chosen)
-
-
-def _qualified_scan(g: Graph, threshold: int | None) -> Iterator[tuple[int, list[int]]]:
-    """``(deficiency, edge indices)`` of every qualified tree in enumeration
-    order, scored on indices; the index list is :func:`_tree_indices`'s."""
+def _qualified_scan(g: Graph, threshold: int | None) -> Iterator[tuple[int, SpanningTree]]:
+    """``(deficiency, tree)`` of every qualified tree in enumeration order,
+    each scored by :func:`_score`; the trees are not checked again."""
     betti = betti_number(g)  # rejects a disconnected graph before the shortcut
     if threshold is None or threshold > g.max_degree():
         if betti % 2 == 1:
             return
         threshold = None
     ends, degrees = _index(g)
-    edges = frozenset(range(len(ends)))
-    for chosen in _tree_indices(ends, len(degrees)):
-        value = _score(ends, degrees, edges.difference(chosen), threshold)
+    edge_set = g.edge_set
+    for t in iter_spanning_trees(g):
+        value = _score(ends, degrees, edge_set - t.tree_edges, threshold)
         if value is not None:
-            yield value, chosen
+            yield value, t
 
 
 def qualified_trees(
@@ -305,9 +311,11 @@ def qualified_trees(
     all-even co-trees.  A threshold above the maximum degree also leaves
     only all-even co-trees, and since component parities sum to the Betti
     number, an odd Betti number then rules out every tree unenumerated.
+    Each yielded tree is checked once more.
     """
-    for value, chosen in _qualified_scan(g, threshold):
-        yield value, _tree(g, chosen)
+    for value, t in _qualified_scan(g, threshold):
+        _check_spanning_tree(g, t.tree_edges)
+        yield value, t
 
 
 def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | None:
@@ -316,15 +324,16 @@ def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | Non
 
     ``min_tree(g)`` is the deficiency of g.  Every tree's deficiency has
     the parity of the Betti number, so the scan stops at the first tree of
-    deficiency 0 or 1: none can be lower.  Only the running best becomes a
-    :class:`SpanningTree`.
+    deficiency 0 or 1: none can be lower.  Only the returned tree is checked
+    once more.
     """
     best: tuple[int, SpanningTree] | None = None
-    for value, chosen in _qualified_scan(g, threshold):
+    for value, t in _qualified_scan(g, threshold):
         if best is None or value < best[0]:
-            best = (value, _tree(g, chosen))
+            best = (value, t)
             if value <= 1:
                 break
     if best is None:
         return None
+    _check_spanning_tree(g, best[1].tree_edges)
     return DeficiencyCertificate(value=best[0], witness_tree=best[1])

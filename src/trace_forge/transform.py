@@ -44,6 +44,7 @@ from .graph import (
 )
 from .spanning import (
     SpanningTree,
+    _qualified_count,
     cotree_decomposition,
     iter_spanning_trees,
     qualified_deficiency_of_tree,
@@ -233,15 +234,17 @@ def split_reduce_qualified(
     floor(d(v)/2) with a spanning tree of the split graph that meets the
     same rule.  The recipe runs on t first, then on another tree with at
     least two tree edges at v and no larger deficiency.  No other search
-    runs: when both fail, the guaranteed construction has been broken.  Each
-    candidate is scored by ``spanning.qualified_deficiency_of_tree``; the
-    outcome is validated, not assumed.
+    runs: when both fail, the guaranteed construction has been broken.  t is
+    scored from its co-tree components and each candidate by
+    ``spanning.qualified_deficiency_of_tree``, both under spanning's one
+    qualification rule; the outcome is validated, not assumed.
     """
     if v in g.adjacency and g.degree(v) < threshold:
         raise NotQualifiedError(
             f"vertex {v} has degree {g.degree(v)} < threshold {threshold}"
         )
-    before = qualified_deficiency_of_tree(g, t, threshold)
+    odd = cotree_decomposition(g, t).odd_components()
+    before = _qualified_count([g.degree(c.witness_vertex) for c in odd], threshold)
     if before is None:
         raise NotQualifiedError(
             f"an odd co-tree component has no vertex of degree >= {threshold}"
@@ -250,7 +253,6 @@ def split_reduce_qualified(
         raise UnknownVertexError(f"vertex {v} not in graph")
     if g.degree(v) < 2:
         raise DegreeTooSmallError(f"vertex {v} has degree {g.degree(v)} < 2")
-    odd = cotree_decomposition(g, t).odd_components()
     if not any(v in c.vertices for c in odd):
         raise NotInOddComponentError(
             f"vertex {v} does not lie in an odd co-tree component"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_forge import cli, graph
+from trace_forge import cli
 from trace_forge.errors import (
     AdjacentTargetsError,
     DegreeTooSmallError,
@@ -19,6 +19,7 @@ from trace_forge.errors import (
     SelfLoopError,
 )
 from trace_forge.graph import (
+    Graph,
     SplitSpec,
     betti_number,
     build_graph,
@@ -63,13 +64,13 @@ def test_connectivity():
 def test_connectivity_is_traversed_once_per_graph(monkeypatch, capsys):
     # a table runs require_connected in every cell; the graph keeps the answer
     traversals = []
-    traverse = graph._reaches_all
+    traverse = Graph.connected.func
 
     def counting(g):
         traversals.append(g)
         return traverse(g)
 
-    monkeypatch.setattr(graph, "_reaches_all", counting)
+    monkeypatch.setattr(Graph.connected, "func", counting)
     k5 = Path(__file__).parent / "fixtures" / "k5.edges"
     assert cli.main(["table", "-i", str(k5), "-d", "1,2"]) == 0
     assert len(traversals) == 1

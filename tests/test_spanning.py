@@ -318,8 +318,8 @@ def test_scans_pinned_on_larger_graphs(name):
 
 
 def test_scans_validate_only_the_trees_they_keep(monkeypatch):
-    # full scans score trees on edge indices: of k4chain3's 4,096 trees only
-    # the returned one becomes a validated SpanningTree
+    # the search builds trees without checking them again: of k4chain3's
+    # 4,096 trees a scan checks only the one it returns
     checked = []
     check = spanning._check_spanning_tree
 
