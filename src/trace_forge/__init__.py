@@ -32,11 +32,7 @@ from .graph import (
     path_graph,
     split_vertex,
 )
-from .search import (
-    TraceSpec,
-    enumerate_traces,
-    find_trace,
-)
+from .search import enumerate_traces, find_trace
 from .spanning import (
     CoTreeDecomposition,
     DeficiencyCertificate,
@@ -58,6 +54,7 @@ from .transform import (
 from .walks import (
     DoubleTrace,
     TraceClass,
+    TraceSpec,
     TransitionGraph,
     classify_trace,
     direction_profile,

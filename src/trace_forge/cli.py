@@ -22,15 +22,17 @@ from .decide import (
     graph_deficiency_report,
 )
 from .errors import TraceForgeError
-from .formats import EDGELIST, GRAPH6, load_graph, load_trace_sequence
-from .search import (
+from .formats import EDGELIST, GRAPH6, format_trace_text, load_graph, load_trace_sequence
+from .search import find_trace
+from .walks import (
     DIRECTIONS,
     KINDS,
+    DoubleTrace,
     TraceSpec,
-    find_trace,
+    classify_trace,
     spec_satisfied,
+    validate_double_trace,
 )
-from .walks import DoubleTrace, classify_trace, format_trace_text, validate_double_trace
 
 SCHEMA = "trace-forge/1"
 EXIT_YES = 0
@@ -43,13 +45,14 @@ def _json_dump(doc: dict) -> str:
 
 
 def _certificate_doc(cert: DecisionCertificate, trace: DoubleTrace | None) -> dict:
+    spec = cert.spec
     doc: dict = {
         "verdict": "yes" if cert.verdict else "no",
-        "kind": cert.kind,
-        "direction": cert.direction,
+        "kind": spec.kind,
+        "direction": spec.direction,
     }
-    if cert.d is not None:
-        doc["d"] = cert.d
+    if spec.d is not None:
+        doc["d"] = spec.d
     if trace is not None:
         doc["evidence"] = {"type": "trace", "sequence": list(trace.sequence)}
     elif cert.witness_tree is not None:
@@ -83,10 +86,11 @@ def _budget() -> int | None:
 def _oracle_agrees(g, certs, budget: int | None) -> bool:
     """Search each cell under ``budget``; report the first that contradicts its verdict."""
     for cert in certs:
-        found = find_trace(g, TraceSpec(cert.kind, cert.direction, cert.d), budget)
+        spec = cert.spec
+        found = find_trace(g, spec, budget)
         if (found is not None) != cert.verdict:
             print(
-                f"oracle disagreement at cell ({cert.kind}, {cert.direction}, d={cert.d}): "
+                f"oracle disagreement at cell ({spec.kind}, {spec.direction}, d={spec.d}): "
                 f"predicate={cert.verdict} found={found is not None}",
                 file=sys.stderr,
             )
@@ -112,9 +116,7 @@ def cmd_decide(args) -> int:
         trace = find_witness(g, args.kind, args.direction, args.d, budget=budget)
     if args.oracle:
         # a witness that classifies into the cell confirms a yes unsearched
-        witnessed = trace is not None and spec_satisfied(
-            TraceSpec(cert.kind, cert.direction, cert.d), classify_trace(trace)
-        )
+        witnessed = trace is not None and spec_satisfied(cert.spec, classify_trace(trace))
         if not witnessed and not _oracle_agrees(g, [cert], budget):
             return EXIT_ERROR
     doc = _certificate_doc(cert, trace)

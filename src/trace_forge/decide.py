@@ -23,7 +23,7 @@ from .errors import (
     NotStableError,
 )
 from .graph import Graph, betti_number, edge_connectivity, fresh_vertex_ids, require_connected
-from .search import TraceSpec, find_trace, spec_satisfied
+from .search import find_trace
 from .spanning import (
     SpanningTree,
     cotree_decomposition,
@@ -39,9 +39,12 @@ from .transform import (
 )
 from .walks import (
     ANTIPARALLEL,
+    DIRECTIONS,
     PARALLEL,
     DoubleTrace,
+    TraceSpec,
     classify_trace,
+    spec_satisfied,
     transition_graph_at,
     validate_double_trace,
 )
@@ -57,9 +60,7 @@ class DecisionCertificate:
     """Outcome of one matrix cell, with re-checkable evidence."""
 
     verdict: bool
-    kind: str
-    direction: str
-    d: int | None = None
+    spec: TraceSpec
     witness_tree: SpanningTree | None = None
     violated_condition: str | None = None
     condition_detail: dict = field(default_factory=dict)
@@ -74,21 +75,14 @@ class DecisionCertificate:
         return self.violated_condition or "no"
 
 
-def _no(kind, direction, d, condition, **detail) -> DecisionCertificate:
+def _no(spec, condition, **detail) -> DecisionCertificate:
     return DecisionCertificate(
-        verdict=False,
-        kind=kind,
-        direction=direction,
-        d=d,
-        violated_condition=condition,
-        condition_detail=detail,
+        verdict=False, spec=spec, violated_condition=condition, condition_detail=detail
     )
 
 
-def _yes_tree(kind, direction, d, tree) -> DecisionCertificate:
-    return DecisionCertificate(
-        verdict=True, kind=kind, direction=direction, d=d, witness_tree=tree
-    )
+def _yes_tree(spec, tree) -> DecisionCertificate:
+    return DecisionCertificate(verdict=True, spec=spec, witness_tree=tree)
 
 
 def _doubled_euler_tour(g: Graph) -> DoubleTrace:
@@ -139,30 +133,29 @@ def decide_existence(
     if g.num_edges == 0:
         raise EmptyGraphError("a double trace needs at least one edge")
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
-    kind, direction, d = spec.kind, spec.direction, spec.d
 
     if kind == "stable" and g.min_degree() <= d:
-        return _no(kind, direction, d, MIN_DEGREE, min_degree=g.min_degree())
+        return _no(spec, MIN_DEGREE, min_degree=g.min_degree())
 
     if direction == PARALLEL and any(g.degree(v) % 2 for v in g.vertices):
-        return _no(kind, direction, d, NOT_EULERIAN)
+        return _no(spec, NOT_EULERIAN)
 
     if kind == "stable" and direction == ANTIPARALLEL:
         threshold = 2 * d + 2
         _, tree = next(qualified_trees(g, threshold), (None, None))
         if tree is None:
-            return _no(kind, direction, d, NO_QUALIFIED_TREE, threshold=threshold)
-        return _yes_tree(kind, direction, d, tree)
+            return _no(spec, NO_QUALIFIED_TREE, threshold=threshold)
+        return _yes_tree(spec, tree)
 
     if kind == "strong" and direction == ANTIPARALLEL:
         if betti_number(g) % 2 == 1:
-            return _no(kind, direction, d, PARITY_OBSTRUCTION, betti=betti_number(g))
+            return _no(spec, PARITY_OBSTRUCTION, betti=betti_number(g))
         certificate = min_tree(g, None)
         if certificate is None:
-            return _no(kind, direction, d, NO_QUALIFIED_TREE, threshold=None)
-        return _yes_tree(kind, direction, d, certificate.witness_tree)
+            return _no(spec, NO_QUALIFIED_TREE, threshold=None)
+        return _yes_tree(spec, certificate.witness_tree)
 
-    return DecisionCertificate(verdict=True, kind=kind, direction=direction, d=d)
+    return DecisionCertificate(verdict=True, spec=spec)
 
 
 def find_witness(
@@ -346,7 +339,7 @@ def condition_table(
 ) -> dict[tuple[str, str, int | None], DecisionCertificate]:
     """All nine cells of the matrix; stable cells once per requested d."""
     table: dict[tuple[str, str, int | None], DecisionCertificate] = {}
-    for direction in ("any", PARALLEL, ANTIPARALLEL):
+    for direction in DIRECTIONS:
         table[("double", direction, None)] = decide_existence(g, "double", direction)
         for d in d_values:
             table[("stable", direction, d)] = decide_existence(g, "stable", direction, d)

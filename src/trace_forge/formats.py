@@ -1,4 +1,4 @@
-"""Input file formats: edge lists, graph6, and trace files."""
+"""Text formats: edge lists and graph6 in, traces in and out."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from pathlib import Path
 
 from .errors import ParseError, TraceForgeError
 from .graph import Graph, build_graph
-from .walks import parse_trace_text
+from .walks import DoubleTrace
 
 EDGELIST = "edgelist"
 GRAPH6 = "graph6"
@@ -67,10 +67,21 @@ def load_graph(path: str | Path, fmt: str = EDGELIST) -> Graph:
     raise ParseError(f"unknown input format {fmt!r}")
 
 
+def parse_trace_text(text: str) -> tuple[int, ...]:
+    """One line of whitespace-separated vertex ids, interpreted cyclically."""
+    fields = text.split()
+    if not fields:
+        raise ParseError("empty trace")
+    try:
+        return tuple(int(f) for f in fields)
+    except ValueError as exc:
+        raise ParseError(f"non-integer vertex id in trace: {exc}") from exc
+
+
+def format_trace_text(w: DoubleTrace) -> str:
+    return " ".join(str(x) for x in w.sequence)
+
+
 def load_trace_sequence(path: str | Path) -> tuple[int, ...]:
     text = Path(path).read_text(encoding="utf-8")
-    line = next((ln for ln in text.splitlines() if ln.strip()), "")
-    try:
-        return parse_trace_text(line)
-    except TraceForgeError as exc:
-        raise ParseError(str(exc)) from exc
+    return parse_trace_text(next((ln for ln in text.splitlines() if ln.strip()), ""))

@@ -1,7 +1,10 @@
 """Exhaustive backtracking over double traces.
 
-The search walks the doubled edge multiset: every edge has two traversal
-slots and a step consumes one.  Constraints prune slots (parallel: the second
+This module is the engine alone; the cell it searches for is a
+:class:`~trace_forge.walks.TraceSpec`.  It serves the tests, ``--oracle``,
+and the traces that ``decide`` has no construction for yet.  The search
+walks the doubled edge multiset: every edge has two traversal slots and a
+step consumes one.  Constraints prune slots (parallel: the second
 traversal must repeat the first direction; antiparallel: oppose it) and
 partial transition graphs prune stability violations as soon as a local
 component is sealed.  The search is complete: a ``None`` result means the
@@ -17,7 +20,6 @@ stops at the step's tail, not a scan of every open edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import BudgetExhaustedError, EmptyGraphError
@@ -26,47 +28,14 @@ from .walks import (
     ANTIPARALLEL,
     PARALLEL,
     DoubleTrace,
-    TraceClass,
+    TraceSpec,
     min_rotation,
     validate_double_trace,
 )
 
-KINDS = ("double", "stable", "strong")
-DIRECTIONS = ("any", PARALLEL, ANTIPARALLEL)
-
 #: Node budget of :func:`enumerate_traces` and of a :func:`find_trace` call
 #: that passes none.
 DEFAULT_BUDGET = 5_000_000
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """A cell of the kind x direction matrix to search for."""
-
-    kind: str
-    direction: str = "any"
-    d: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.kind == "stable":
-            if self.d is None or self.d < 1:
-                raise ValueError("stable kind needs d >= 1")
-        elif self.d is not None:
-            raise ValueError(f"kind {self.kind!r} takes no d")
-
-
-def spec_satisfied(spec: TraceSpec, cls: TraceClass) -> bool:
-    if spec.kind == "stable" and cls.stability_order < spec.d:
-        return False
-    if spec.kind == "strong" and not cls.strong:
-        return False
-    if spec.direction != "any" and cls.direction != spec.direction:
-        return False
-    return True
 
 
 class _Engine:
@@ -131,19 +100,14 @@ class _Engine:
             return True
         return False
 
-    def _component_sizes_ok(self, center: int, link: tuple[int, int] | None = None) -> bool:
-        """Full spec check at one vertex whose links are all known, after
-        joining the positions in ``link`` when one is given."""
+    def _component_sizes_ok(self, center: int) -> bool:
+        """Full spec check at one vertex whose links are all known."""
         size = self.dsu_size[center]
         groups: dict[int, int] = {}
         for pos in range(len(self.adj[center])):
             r = self._find(center, pos)
             if r not in groups:
                 groups[r] = size[r]
-        if link is not None:
-            ra, rb = self._find(center, link[0]), self._find(center, link[1])
-            if ra != rb:
-                groups[ra] += groups.pop(rb)
         if len(groups) <= 1:
             # connected: only trivial repetitions; the upfront min-degree
             # check already covers the stable degree bound
@@ -151,19 +115,6 @@ class _Engine:
         if self.spec.kind == "strong":
             return False
         return min(groups.values()) > self.spec.d
-
-    def _final_ok(self, center: int, link: tuple[int, int]) -> bool:
-        """Spec check for a completed walk whose last step left ``center``.
-
-        Direction constraints were enforced per step, and every component at
-        every vertex other than the start and ``center`` was screened when it
-        sealed; those two vertices get the full check here.  The start vertex
-        gains its wrap-around link, given as the positions in ``adj[0]`` of
-        the last and the second walk vertex.
-        """
-        if self.spec.kind == "double":
-            return True
-        return self._component_sizes_ok(center) and self._component_sizes_ok(0, link)
 
     # -- DFS ---------------------------------------------------------------------
 
@@ -175,8 +126,8 @@ class _Engine:
         drops the open count of the edge's position at u and at v, and joins
         at u the positions of the previous walk vertex and v (the transition
         {prev, v}).  The node is then cut when it seals a transition
-        component at u (other than vertex 0, whose wrap-around link is still
-        pending) that can only end as a forbidden repetition, or when it
+        component at u (other than vertex 0, checked once in full when the
+        walk closes) that can only end as a forbidden repetition, or when it
         strands an open edge.  Stranding is tested without scanning the open
         edges.  Before the step, every open edge lay in u's component of the
         open-edge graph.  A step that leaves u-v open keeps that component
@@ -263,7 +214,16 @@ class _Engine:
                         sealed = su[rp]
                         cut = strong or sealed <= d or deg[u] - sealed <= d
                 if depth == last:
-                    if v == 0 and self._final_ok(u, (back, resume[0] - 1)):
+                    # Each transition component is checked once.  At u != 0
+                    # every final component sealed at a departure from u,
+                    # where the screen above ran, so `cut` is the full check
+                    # there.  At vertex 0 every position ends two joined
+                    # links except the first-departure and last-arrival
+                    # positions, which end one each; a component holds an
+                    # even number of odd-degree positions, so those two
+                    # already share one and the wrap-around link joins
+                    # nothing.
+                    if v == 0 and not cut and (not check_repetitions or self._component_sizes_ok(0)):
                         self.nodes = nodes
                         yield min_rotation(tuple(labels[i] for i in walk))
                 elif not cut and k == 1:

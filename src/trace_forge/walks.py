@@ -6,6 +6,10 @@ successor of each visit of v; its connected components are the minimal
 non-empty repetition sets, and every repetition is a union of components.
 The stability order of a trace is the largest d such that no vertex carries
 a repetition of size between 1 and d.
+
+A cell of the kind x direction matrix, :class:`TraceSpec`, is defined by
+what :func:`classify_trace` computes, and :func:`spec_satisfied` reads one
+classification against one cell.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .graph import Graph, _find_root, edge_key, require_connected
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
 MIXED = "mixed"
+
+KINDS = ("double", "stable", "strong")
+DIRECTIONS = ("any", PARALLEL, ANTIPARALLEL)
 
 
 def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
@@ -238,18 +245,32 @@ def classify_trace(w: DoubleTrace) -> TraceClass:
     )
 
 
-# -- trace text format (shared with the CLI) ----------------------------------
+@dataclass(frozen=True)
+class TraceSpec:
+    """A cell of the kind x direction matrix."""
 
-def parse_trace_text(text: str) -> tuple[int, ...]:
-    """One line of whitespace-separated vertex ids, interpreted cyclically."""
-    fields = text.split()
-    if not fields:
-        raise WrongLengthError("empty trace")
-    try:
-        return tuple(int(f) for f in fields)
-    except ValueError as exc:
-        raise WrongLengthError(f"non-integer vertex id in trace: {exc}") from exc
+    kind: str
+    direction: str = "any"
+    d: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {self.direction!r}")
+        if self.kind == "stable":
+            if self.d is None or self.d < 1:
+                raise ValueError("stable kind needs d >= 1")
+        elif self.d is not None:
+            raise ValueError(f"kind {self.kind!r} takes no d")
 
 
-def format_trace_text(w: DoubleTrace) -> str:
-    return " ".join(str(x) for x in w.sequence)
+def spec_satisfied(spec: TraceSpec, cls: TraceClass) -> bool:
+    """Whether a trace classified as ``cls`` lies in the cell ``spec``."""
+    if spec.kind == "stable" and cls.stability_order < spec.d:
+        return False
+    if spec.kind == "strong" and not cls.strong:
+        return False
+    if spec.direction != "any" and cls.direction != spec.direction:
+        return False
+    return True

@@ -19,7 +19,7 @@ from trace_forge.decide import (
     sufficient_four_edge_connected,
 )
 from trace_forge.graph import betti_number, build_graph
-from trace_forge.search import TraceSpec, find_trace
+from trace_forge.search import find_trace
 from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
@@ -28,7 +28,7 @@ from trace_forge.spanning import (
     tree_is_qualified,
 )
 from trace_forge.transform import split_reduce_deficiency, split_reduce_qualified
-from trace_forge.walks import classify_trace
+from trace_forge.walks import TraceSpec, classify_trace
 
 from conftest import (
     atlas_graphs,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from trace_forge import cli, decide, search
+from trace_forge import cli, decide, search, walks
 from trace_forge.cli import main
 from trace_forge.formats import (
     load_graph,
@@ -404,7 +404,7 @@ def test_decide_oracle_trusts_a_witness_in_hand(capsys, monkeypatch):
     argv = ["decide", "-i", str(FIXTURES / "q3.edges"), "--kind", "strong"]
     code, out = run(capsys, *argv, "--oracle")
     assert code == 0 and out.startswith("verdict: yes\nwitness trace: ")
-    assert searches == [search.TraceSpec("strong", "any")]
+    assert searches == [walks.TraceSpec("strong", "any")]
     # a no-cell and a tree-cell have no trace in hand: the oracle searches
     searches.clear()
     code, _ = run(capsys, *argv[:3], "--kind", "stable", "-d", "3", "--oracle")

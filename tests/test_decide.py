@@ -20,9 +20,15 @@ from trace_forge.decide import (
 )
 from trace_forge.errors import BudgetExhaustedError, NotAntiparallelError, NotStableError
 from trace_forge.graph import build_graph
-from trace_forge.search import TraceSpec, find_trace, spec_satisfied
+from trace_forge.search import find_trace
 from trace_forge.spanning import cotree_decomposition, tree_is_qualified
-from trace_forge.walks import classify_trace, transition_graph_at, validate_double_trace
+from trace_forge.walks import (
+    TraceSpec,
+    classify_trace,
+    spec_satisfied,
+    transition_graph_at,
+    validate_double_trace,
+)
 
 from conftest import atlas_graphs, fixture_family, random_connected_graph
 

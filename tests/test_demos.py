@@ -1,6 +1,8 @@
-"""The narrative demos run to completion against the library in ``src``."""
+"""The narrative demos and the README's library tour run to completion
+against the library in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,10 @@ def test_demo_runs(demo):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour_runs():
+    # a moved or renamed export fails here before a reader meets it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (tour,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    exec(compile(tour, "README.md", "exec"), {})

@@ -8,13 +8,8 @@ from trace_forge import search
 from trace_forge.decide import build_antiparallel_d_stable, find_witness
 from trace_forge.errors import BudgetExhaustedError, DisconnectedGraphError
 from trace_forge.graph import build_graph, complete_graph, path_graph
-from trace_forge.search import (
-    TraceSpec,
-    enumerate_traces,
-    find_trace,
-    spec_satisfied,
-)
-from trace_forge.walks import classify_trace, validate_double_trace
+from trace_forge.search import enumerate_traces, find_trace
+from trace_forge.walks import TraceSpec, classify_trace, spec_satisfied, validate_double_trace
 
 from conftest import random_connected_graph
 

@@ -21,7 +21,8 @@ import json
 from pathlib import Path
 
 from trace_forge.errors import BudgetExhaustedError
-from trace_forge.search import TraceSpec, _Engine
+from trace_forge.search import _Engine
+from trace_forge.walks import TraceSpec
 
 from conftest import atlas_graphs
 from test_search import ALL_SPECS

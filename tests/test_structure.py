@@ -158,3 +158,40 @@ def test_cli_import_leaves_networkx_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "False"
+
+
+def _names_imported_from(tree: ast.Module, module: str) -> list[str]:
+    """Names a package module imports from its sibling ``module``; the
+    sibling itself, taken by ``from . import``, counts as ``"*"``."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == module:
+                names += [alias.name for alias in node.names]
+            elif node.module is None:
+                names += ["*" for alias in node.names if alias.name == module]
+    return sorted(names)
+
+
+def test_search_is_imported_only_for_searches():
+    # the cell (TraceSpec, spec_satisfied, KINDS, DIRECTIONS) lives in
+    # walks, so search.py is imported only by code that runs a search
+    imports = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        names = _names_imported_from(ast.parse(path.read_text()), "search")
+        if names:
+            imports[path.name] = names
+    assert imports == {
+        "__init__.py": ["enumerate_traces", "find_trace"],
+        "cli.py": ["find_trace"],
+        "decide.py": ["find_trace"],
+    }
+
+
+def test_import_scan_finds_both_forms():
+    tree = ast.parse(
+        "from .search import find_trace, TraceSpec\n"
+        "from . import search, walks\n"
+        "from trace_forge.search import DEFAULT_BUDGET\n"
+    )
+    assert _names_imported_from(tree, "search") == ["*", "TraceSpec", "find_trace"]

@@ -24,7 +24,7 @@ from trace_forge.graph import (
     split_vertex,
     SplitSpec,
 )
-from trace_forge.search import TraceSpec, find_trace
+from trace_forge.search import find_trace
 from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
@@ -40,6 +40,7 @@ from trace_forge.transform import (
     transfer_tree_on_identification,
 )
 from trace_forge.walks import (
+    TraceSpec,
     classify_trace,
     direction_profile,
     transition_graph_at,

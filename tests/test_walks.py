@@ -174,7 +174,8 @@ def test_complement_symmetry_random_traces():
 
 
 def test_strong_trace_stability_is_min_degree_minus_one():
-    from trace_forge.search import TraceSpec, find_trace
+    from trace_forge.search import find_trace
+    from trace_forge.walks import TraceSpec
 
     rng = random.Random(3)
     for _ in range(10):
@@ -190,7 +191,8 @@ def test_one_directional_reading_matches_iff_on_antiparallel_traces():
     and one exit); any disagreement would be reported here."""
     from itertools import chain, combinations
 
-    from trace_forge.search import TraceSpec, find_trace
+    from trace_forge.search import find_trace
+    from trace_forge.walks import TraceSpec
 
     rng = random.Random(23)
     checked = 0
