@@ -4,6 +4,14 @@ Exit codes: 0 = yes/found/satisfied, 1 = no/not found/not satisfied,
 2 = any error (parse failure, disconnected input, exhausted budget,
 oracle disagreement).  ``--json`` switches to a machine-readable
 certificate document with a versioned schema key.
+
+Every ``--json`` document is written by :func:`_json_dump`, a small writer
+for the values documents hold: str-keyed dicts, lists, tuples, str, int,
+bool and None.  Its text is byte for byte ``json.dumps(doc,
+sort_keys=True, indent=2)``.  That call would run the standard library's
+pure-Python encoder, which ``indent`` forces, one generator step per
+value; the writer escapes strings with the C ``encode_basestring_ascii``
+and writes a list of ints with one ``join``.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .decide import (
     DecisionCertificate,
@@ -40,8 +49,64 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 
 
+_INDENT = "  "
+
+
 def _json_dump(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """``json.dumps(doc, sort_keys=True, indent=2)``, written directly.
+
+    A stack of open containers replaces recursion: each frame holds an
+    iterator over its items, each item paired with the text that goes
+    before it (separator, newline, indent and key).  A scalar or a list of
+    ints is written in place; a non-empty container pushes a frame, and an
+    exhausted frame writes its closing bracket.  A value of any other type,
+    a float included, raises ``TypeError``, and so does a non-str key, in
+    ``encode_basestring_ascii`` (or in ``sorted``, among str keys).
+    """
+    out: list[str] = []
+    frames = [(iter((("", doc),)), 0, "")]
+    while frames:
+        items, depth, close = frames[-1]
+        end = "\n" + _INDENT * depth
+        inner = end + _INDENT
+        for prefix, value in items:
+            out.append(prefix)
+            kind = type(value)
+            if kind is list or kind is tuple:
+                if not value:
+                    out.append("[]")
+                    continue
+                if {*map(type, value)} == {int}:
+                    ints = ("," + inner).join(map(int.__repr__, value))
+                    out.append("[" + inner + ints + end + "]")
+                    continue
+                seps = ["," + inner] * len(value)
+                seps[0] = "[" + inner
+                frames.append((zip(seps, value), depth + 1, end + "]"))
+                break
+            if kind is dict:
+                if not value:
+                    out.append("{}")
+                    continue
+                keys = sorted(value)
+                seps = ["," + inner + encode_basestring_ascii(key) + ": " for key in keys]
+                seps[0] = "{" + seps[0][1:]
+                frames.append((zip(seps, map(value.__getitem__, keys)), depth + 1, end + "}"))
+                break
+            if kind is str:
+                out.append(encode_basestring_ascii(value))
+            elif kind is int:
+                out.append(int.__repr__(value))
+            elif value is None:
+                out.append("null")
+            elif kind is bool:
+                out.append("true" if value else "false")
+            else:
+                raise TypeError(f"{kind.__name__} values are not written")
+        else:
+            out.append(close)
+            frames.pop()
+    return "".join(out)
 
 
 def _certificate_doc(cert: DecisionCertificate, trace: DoubleTrace | None) -> dict:

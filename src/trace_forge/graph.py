@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -154,10 +154,12 @@ def build_graph(
         if key in edges:
             raise DuplicateEdgeError(f"edge {key} given more than once")
         edges.add(key)
-    vertices = {w for e in edges for w in e} | {int(w) for w in isolated_vertices}
-    if any(w < 0 for w in vertices):
+    # the loop above checked every endpoint; the edges are distinct already
+    isolated = {int(w) for w in isolated_vertices}
+    if any(w < 0 for w in isolated):
         raise UnknownVertexError("vertex ids must be non-negative")
-    return make_graph(vertices, edges)
+    vertices = isolated.union(chain.from_iterable(edges))
+    return Graph(tuple(sorted(vertices)), tuple(sorted(edges)))
 
 
 def is_connected(g: Graph) -> bool:

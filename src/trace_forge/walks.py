@@ -14,10 +14,9 @@ classification against one cell.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     EmptyGraphError,
@@ -26,7 +25,7 @@ from .errors import (
     WrongLengthError,
     WrongMultiplicityError,
 )
-from .graph import Graph, _find_root, edge_key, require_connected
+from .graph import Graph, edge_key, require_connected
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
@@ -104,6 +103,28 @@ class DoubleTrace:
         return f"DoubleTrace({' '.join(map(str, self.sequence))})"
 
 
+def _components(
+    nodes: Sequence[int], links: Iterable[tuple[int, int]]
+) -> tuple[frozenset[int], ...]:
+    """Connected components of the pairing given by ``links`` on ``nodes``.
+
+    A union-find that keeps each group as a list: a link merges the smaller
+    of its endpoints' groups into the larger, so a node moves O(log |nodes|)
+    times.  Groups are listed in the order of their first node, so sorted
+    ``nodes`` give components ordered by least element.
+    """
+    group = {x: [x] for x in nodes}
+    for a, b in links:
+        ga, gb = group[a], group[b]
+        if ga is not gb:
+            if len(ga) < len(gb):
+                ga, gb = gb, ga
+            ga += gb
+            for x in gb:
+                group[x] = ga
+    return tuple(map(frozenset, {id(grp): grp for grp in group.values()}.values()))
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
     """Pairing of predecessors and successors at one vertex.
@@ -120,17 +141,7 @@ class TransitionGraph:
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
-        parent = {x: x for x in self.nodes}
-        for a, b in self.links:
-            ra, rb = _find_root(parent, a), _find_root(parent, b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[int, set[int]] = {}
-        for x in self.nodes:
-            groups.setdefault(_find_root(parent, x), set()).add(x)
-        return tuple(
-            sorted((frozenset(grp) for grp in groups.values()), key=min)
-        )
+        return _components(sorted(self.nodes), self.links)
 
     @property
     def is_connected(self) -> bool:
@@ -164,25 +175,26 @@ def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
     require_connected(g)
     if g.num_edges == 0:
         raise EmptyGraphError("a double trace needs at least one edge")
-    seq = tuple(int(x) for x in sequence)
-    for x in seq:
-        if x not in g.adjacency:
-            raise UnknownVertexError(f"vertex {x} not in host")
+    seq = tuple(map(int, sequence))
+    adjacency = g.adjacency
+    if not adjacency.keys() >= set(seq):
+        x = next(x for x in seq if x not in adjacency)
+        raise UnknownVertexError(f"vertex {x} not in host")
     if len(seq) != 2 * g.num_edges:
         raise WrongLengthError(
             f"sequence length {len(seq)} != 2|E| = {2 * g.num_edges}"
         )
-    counts: Counter[tuple[int, int]] = Counter()
-    n = len(seq)
-    for i in range(n):
-        u, v = seq[i], seq[(i + 1) % n]
-        if not g.has_edge(u, v):
+    edges = g.edge_set
+    counts: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(zip(seq, seq[1:] + seq[:1])):
+        key = (u, v) if u < v else (v, u)
+        seen = counts.get(key, 0)
+        if not seen and key not in edges:
             raise NonAdjacentStepError(i, u, v)
-        key = edge_key(u, v)
-        counts[key] += 1
-        if counts[key] > 2:
+        if seen == 2:
             # reported at the step where the third traversal happens
-            raise WrongMultiplicityError(key, counts[key])
+            raise WrongMultiplicityError(key, 3)
+        counts[key] = seen + 1
     return DoubleTrace(g, min_rotation(seq))
 
 
@@ -204,10 +216,17 @@ def direction_profile(w: DoubleTrace) -> dict[tuple[int, int], str]:
 
 
 def trace_direction(w: DoubleTrace) -> str:
-    labels = set(direction_profile(w).values())
-    if labels == {PARALLEL}:
+    """The trace's direction class, from one count of its directed steps.
+
+    Every edge is traversed twice: a parallel edge takes one directed step
+    twice, an antiparallel edge two opposite steps once each.  So the
+    distinct directed steps number 2|E| minus the parallel edges.
+    """
+    seq = w.sequence
+    distinct = len(set(zip(seq, seq[1:] + seq[:1])))
+    if distinct == w.host.num_edges:
         return PARALLEL
-    if labels == {ANTIPARALLEL}:
+    if distinct == len(seq):
         return ANTIPARALLEL
     return MIXED
 
@@ -227,14 +246,17 @@ def classify_trace(w: DoubleTrace) -> TraceClass:
     The stability order is the largest d such that no vertex has a repetition
     of size in [1, d]; it is always finite, bounded above by the host's
     minimum degree minus one.  The trace is strong when every transition
-    graph is connected.
+    graph is connected.  Each vertex's links are read from the trace's visit
+    index, without building a :class:`TransitionGraph`.
     """
-    per_vertex = {v: transition_graph_at(w, v).components for v in w.host.vertices}
+    index = w._visit_index
+    adjacency = w.host.adjacency
+    per_vertex = {v: _components(adjacency[v], index.get(v, ())) for v in w.host.vertices}
     # At v: with a connected pairing only the trivial repetitions exist, so the
     # bound is d(v) - 1; otherwise the smallest component is itself a
     # repetition, giving (min component size) - 1.
     order = min(
-        (w.host.degree(v) if len(comps) == 1 else min(map(len, comps))) - 1
+        (len(adjacency[v]) if len(comps) == 1 else min(map(len, comps))) - 1
         for v, comps in per_vertex.items()
     )
     return TraceClass(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations, permutations
 
@@ -119,6 +120,97 @@ def random_double_trace(g: Graph, rng: random.Random) -> DoubleTrace:
             stack.append(w)
     tour.reverse()
     return validate_double_trace(g, tour[:-1])
+
+
+def _shuffled_neighbors(g: Graph, rng: random.Random) -> dict[int, list[int]]:
+    nbrs = {v: list(g.neighbors(v)) for v in g.vertices}
+    for ns in nbrs.values():
+        rng.shuffle(ns)
+    return nbrs
+
+
+def euler_circuit(g: Graph, rng: random.Random) -> list[int]:
+    """A random Euler circuit of an Eulerian graph (Hierholzer), read
+    cyclically: the start is not repeated at the end."""
+    unused = _shuffled_neighbors(g, rng)
+    used: set[tuple[int, int]] = set()
+    stack = [rng.choice(g.vertices)]
+    circuit: list[int] = []
+    while stack:
+        u = stack[-1]
+        while unused[u] and edge_key(u, unused[u][-1]) in used:
+            unused[u].pop()
+        if unused[u]:
+            w = unused[u].pop()
+            used.add(edge_key(u, w))
+            stack.append(w)
+        else:
+            circuit.append(stack.pop())
+    circuit.reverse()
+    return circuit[:-1]
+
+
+def retracting_dfs_tour(g: Graph, rng: random.Random) -> list[int]:
+    """A depth-first walk that steps back along every edge it takes: tree
+    edges on retreat, the others at once; each edge is traversed once in
+    each direction, so the trace is antiparallel."""
+    nbrs = _shuffled_neighbors(g, rng)
+    start = rng.choice(g.vertices)
+    seen, used = {start}, set()
+    tour = [start]
+    stack = [(start, iter(nbrs[start]))]
+    while stack:
+        u, pending = stack[-1]
+        for w in pending:
+            if edge_key(u, w) in used:
+                continue
+            used.add(edge_key(u, w))
+            tour.append(w)
+            if w in seen:
+                tour.append(u)
+            else:
+                seen.add(w)
+                stack.append((w, iter(nbrs[w])))
+            break
+        else:
+            stack.pop()
+            if stack:
+                tour.append(stack[-1][0])
+    return tour[:-1]
+
+
+def hypercube(k: int) -> Graph:
+    """The k-dimensional hypercube Q_k on vertices 0 .. 2^k - 1."""
+    return build_graph(
+        [(i, i | 1 << b) for i in range(1 << k) for b in range(k) if not i >> b & 1]
+    )
+
+
+def torus(k: int) -> Graph:
+    """The k x k torus grid; vertex r * k + c."""
+    return build_graph(
+        [(r * k + c, r * k + (c + 1) % k) for r in range(k) for c in range(k)]
+        + [(r * k + c, (r + 1) % k * k + c) for r in range(k) for c in range(k)]
+    )
+
+
+@functools.cache
+def long_traces() -> dict[str, DoubleTrace]:
+    """A mixed, a parallel and an antiparallel trace over Q6 (384 steps) and
+    over the 12 x 12 torus (576 steps), keyed ``"<graph>-<direction>"``."""
+    rng = random.Random(16)
+    traces = {}
+    for name, g in (("Q6", hypercube(6)), ("torus12", torus(12))):
+        circuit = euler_circuit(g, rng)
+        traces[f"{name}-mixed"] = random_double_trace(g, rng)
+        traces[f"{name}-parallel"] = validate_double_trace(g, circuit + circuit)
+        traces[f"{name}-antiparallel"] = validate_double_trace(g, retracting_dfs_tour(g, rng))
+    return traces
+
+
+LONG_TRACE_NAMES = [
+    f"{g}-{d}" for g in ("Q6", "torus12") for d in ("mixed", "parallel", "antiparallel")
+]
 
 
 # -- brute-force repetition oracle ------------------------------------------------

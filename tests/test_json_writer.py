@@ -1,0 +1,111 @@
+"""``cli._json_dump`` writes exactly what ``json.dumps(doc, sort_keys=True,
+indent=2)`` writes: on every golden CLI document, on ``verify --json``
+documents of long traces, and on generated documents."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import test_cli_golden
+from conftest import LONG_TRACE_NAMES, long_traces
+from trace_forge import cli
+
+
+def _reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _recorded_documents(monkeypatch) -> list:
+    """Documents passed to the writer while the caller runs the CLI."""
+    docs = []
+    write = cli._json_dump
+
+    def record(doc):
+        docs.append(doc)
+        return write(doc)
+
+    monkeypatch.setattr(cli, "_json_dump", record)
+    return docs
+
+
+def test_writer_matches_json_on_golden_documents(tmp_path, monkeypatch):
+    monkeypatch.delenv("TRACE_FORGE_BUDGET", raising=False)
+    write = cli._json_dump
+    docs = _recorded_documents(monkeypatch)
+    golden = test_cli_golden.digests(tmp_path)
+    assert len(docs) == len(golden)  # every golden run writes one document
+    assert {doc["command"] for doc in docs} == {"decide", "find", "verify", "table", "deficiency"}
+    for doc in docs:
+        assert write(doc) == _reference(doc)
+
+
+def test_writer_matches_json_on_long_verify_documents(tmp_path, monkeypatch, capsys):
+    write = cli._json_dump
+    docs = _recorded_documents(monkeypatch)
+    cells = (
+        ["--kind", "double"],
+        ["--kind", "stable", "-d", "1"],
+        ["--kind", "strong", "--direction", "antiparallel"],
+        ["--direction", "parallel"],
+    )
+    for i, name in enumerate(LONG_TRACE_NAMES):
+        w = long_traces()[name]
+        graph, trace = tmp_path / f"{name}.edges", tmp_path / f"{name}.trace"
+        graph.write_text("".join(f"{u} {v}\n" for u, v in w.host.edges))
+        trace.write_text(" ".join(map(str, w.sequence)) + "\n")
+        cli.main(["verify", "-i", str(graph), "-t", str(trace), *cells[i % 4], "--json"])
+    capsys.readouterr()
+    assert len(docs) == len(LONG_TRACE_NAMES)
+    for doc in docs:
+        assert len(doc["minimal_repetitions"]) in (64, 144)
+        assert write(doc) == _reference(doc)
+
+
+#: strings heavy in what JSON escapes: quotes, backslashes, control
+#: characters, non-ASCII letters, astral characters and lone surrogates
+_TEXT = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ9\xe9\xdf\u0416\u20ac \u6f22\U0001f600\ud800\udfff'),
+    max_size=12,
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | _TEXT
+    | st.lists(st.integers(min_value=-(10**6), max_value=10**6), max_size=6)
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=st.dictionaries(_TEXT, _VALUES, max_size=6))
+def test_writer_matches_json_on_generated_documents(doc):
+    assert cli._json_dump(doc) == _reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"ratio": 0.5}, {"values": [1, 2.0]}, {"nested": {"x": [[1], [1.5]]}}],
+    ids=["float", "float-in-int-list", "nested-float"],
+)
+def test_writer_rejects_floats(doc):
+    with pytest.raises(TypeError):
+        cli._json_dump(doc)
+
+
+@pytest.mark.parametrize(
+    "doc", [{1: "a"}, {"a": 1, 2: "b"}, {"a": {(0, 1): 2}}], ids=["int", "mixed", "tuple"]
+)
+def test_writer_rejects_non_str_keys(doc):
+    with pytest.raises(TypeError):
+        cli._json_dump(doc)

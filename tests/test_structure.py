@@ -195,3 +195,36 @@ def test_import_scan_finds_both_forms():
         "from trace_forge.search import DEFAULT_BUDGET\n"
     )
     assert _names_imported_from(tree, "search") == ["*", "TraceSpec", "find_trace"]
+
+
+def _indented_dumps(tree: ast.AST) -> list[int]:
+    """Lines that call ``dumps`` or ``dump``, by bare name or as an
+    attribute, with an ``indent`` argument."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("dumps", "dump")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    )
+
+
+def test_json_documents_have_one_writer():
+    # cli._json_dump writes every --json document; json.dumps with indent
+    # would be a second writer, on the standard library's pure-Python encoder
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        lines = _indented_dumps(ast.parse(path.read_text(), filename=str(path)))
+        if lines:
+            offenders[path.name] = lines
+    assert offenders == {}
+
+
+def test_indent_scan_finds_both_forms():
+    tree = ast.parse(
+        "json.dumps(doc, indent=2)\n"
+        "dumps(doc, sort_keys=True, indent=None)\n"
+        "json.dumps(doc, sort_keys=True)\n"
+        "json.dump(doc, out, indent=4)\n"
+    )
+    assert _indented_dumps(tree) == [1, 2, 4]

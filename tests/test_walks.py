@@ -1,7 +1,9 @@
 """Double-trace validation and the repetition calculus."""
 
 import random
+from collections import Counter
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from trace_forge.errors import (
     WrongLengthError,
     WrongMultiplicityError,
 )
-from trace_forge.graph import build_graph, edge_key, path_graph
+from trace_forge.graph import build_graph, cycle_graph, edge_key, path_graph
 from trace_forge.walks import (
     classify_trace,
     direction_profile,
@@ -23,7 +25,9 @@ from trace_forge.walks import (
 )
 
 from conftest import (
+    LONG_TRACE_NAMES,
     is_repetition,
+    long_traces,
     random_connected_graph,
     random_double_trace,
     repetitions_brute,
@@ -273,3 +277,120 @@ def test_visit_index_matches_rescan():
             assert tg.nodes == g.neighbors(v)
             assert tg.links == tuple(sorted(edge_key(p, s) for p, s in rescan))
         assert list(w.visits(max(g.vertices) + 1)) == []
+
+
+# -- long traces against references built here --------------------------------
+
+
+def _components_nx(w, v):
+    """Components of v's transition graph, by networkx."""
+    h = nx.MultiGraph()
+    h.add_nodes_from(w.host.neighbors(v))
+    h.add_edges_from(w.visits(v))
+    return tuple(sorted(map(frozenset, nx.connected_components(h)), key=min))
+
+
+def _profile_by_steps(w):
+    """edge -> direction label, from the list of each edge's directed steps."""
+    seq, n = w.sequence, w.length
+    steps = {}
+    for i in range(n):
+        u, v = seq[i], seq[(i + 1) % n]
+        steps.setdefault(edge_key(u, v), []).append((u, v))
+    return {e: "parallel" if a == b else "antiparallel" for e, (a, b) in steps.items()}
+
+
+@pytest.mark.parametrize("name", LONG_TRACE_NAMES)
+def test_classification_matches_networkx_on_long_traces(name):
+    w = long_traces()[name]
+    cls = classify_trace(w)
+    comps = {v: _components_nx(w, v) for v in w.host.vertices}
+    assert cls.minimal_repetitions == comps
+    assert list(cls.minimal_repetitions) == list(w.host.vertices)
+    profile = _profile_by_steps(w)
+    assert direction_profile(w) == profile
+    labels = set(profile.values())
+    assert cls.direction == (labels.pop() if len(labels) == 1 else "mixed")
+    assert cls.direction == name.split("-")[1]
+    assert cls.stability_order == min(
+        (w.host.degree(v) if len(c) == 1 else min(map(len, c))) - 1
+        for v, c in comps.items()
+    )
+    assert cls.strong == all(len(c) == 1 for c in comps.values())
+
+
+def test_direction_matches_step_profile_on_random_traces():
+    # the sample holds traces one edge short of parallel, where a direction
+    # read from a count of steps would slip first; one edge short of
+    # antiparallel cannot occur, since the parallel edges of a closed walk
+    # form directed cycles
+    rng = random.Random(17)
+    single_antiparallel = 0
+    for _ in range(400):
+        g = random_connected_graph(rng, n_min=2, n_max=6)
+        w = random_double_trace(g, rng)
+        labels = Counter(_profile_by_steps(w).values())
+        expected = next(iter(labels)) if len(labels) == 1 else "mixed"
+        assert classify_trace(w).direction == expected
+        assert labels["parallel"] not in (1, 2)
+        single_antiparallel += labels == Counter(parallel=g.num_edges - 1, antiparallel=1)
+    assert single_antiparallel > 0
+
+
+def _first_fault(g, seq):
+    """What the step-by-step check with a Counter raises first, as
+    (type, message, step index or None)."""
+    counts = Counter()
+    n = len(seq)
+    for i in range(n):
+        u, v = seq[i], seq[(i + 1) % n]
+        if not g.has_edge(u, v):
+            err = NonAdjacentStepError(i, u, v)
+            return type(err), str(err), i
+        counts[edge_key(u, v)] += 1
+        if counts[edge_key(u, v)] > 2:
+            err = WrongMultiplicityError(edge_key(u, v), counts[edge_key(u, v)])
+            return type(err), str(err), None
+    return None
+
+
+def _raised(g, seq):
+    try:
+        validate_double_trace(g, seq)
+    except (NonAdjacentStepError, WrongMultiplicityError) as err:
+        return type(err), str(err), getattr(err, "index", None)
+    return None
+
+
+def test_validation_reports_the_first_of_two_faults():
+    # both sequences hold a third traversal of 0-1 and a step 3 -> 1 or
+    # 0 -> 2 that is no edge of the 4-cycle; the earlier fault is reported
+    c4 = cycle_graph(4)
+    triple_first = [0, 1, 0, 1, 0, 3, 1, 3]
+    with pytest.raises(WrongMultiplicityError) as err:
+        validate_double_trace(c4, triple_first)
+    assert (err.value.edge, err.value.count) == ((0, 1), 3)
+    assert _raised(c4, triple_first) == _first_fault(c4, triple_first)
+    non_adjacent_first = [0, 2, 1, 0, 1, 0, 1, 3]
+    with pytest.raises(NonAdjacentStepError) as err:
+        validate_double_trace(c4, non_adjacent_first)
+    assert err.value.index == 0
+    assert _raised(c4, non_adjacent_first) == _first_fault(c4, non_adjacent_first)
+
+
+@pytest.mark.parametrize("name", LONG_TRACE_NAMES)
+def test_validation_faults_match_stepwise_check_on_long_traces(name):
+    # two vertices of a long trace overwritten, each by a neighbour of the
+    # vertex before it: whichever fault comes first is reported, with the
+    # same type, message and step index
+    w = long_traces()[name]
+    rng = random.Random(name)
+    kinds = set()
+    for _ in range(60):
+        seq = list(w.sequence)
+        for i in rng.sample(range(w.length), 2):
+            seq[i] = rng.choice(w.host.neighbors(seq[i - 1]))
+        expected = _first_fault(w.host, seq)
+        assert _raised(w.host, seq) == expected
+        kinds.add(None if expected is None else expected[0])
+    assert {NonAdjacentStepError, WrongMultiplicityError} <= kinds
