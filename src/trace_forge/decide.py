@@ -26,9 +26,9 @@ from .graph import Graph, betti_number, edge_connectivity, fresh_vertex_ids, req
 from .search import find_trace
 from .spanning import (
     SpanningTree,
+    _first_tree,
     cotree_decomposition,
     min_tree,
-    qualified_trees,
     tree_is_qualified,
 )
 from .transform import (
@@ -142,10 +142,10 @@ def decide_existence(
 
     if kind == "stable" and direction == ANTIPARALLEL:
         threshold = 2 * d + 2
-        _, tree = next(qualified_trees(g, threshold), (None, None))
-        if tree is None:
+        found = _first_tree(g, threshold, least=False)
+        if found is None:
             return _no(spec, NO_QUALIFIED_TREE, threshold=threshold)
-        return _yes_tree(spec, tree)
+        return _yes_tree(spec, found[1])
 
     if kind == "strong" and direction == ANTIPARALLEL:
         if betti_number(g) % 2 == 1:

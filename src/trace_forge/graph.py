@@ -81,6 +81,58 @@ class Graph:
                     stack.append(w)
         return len(seen) == self.num_vertices
 
+    @cached_property
+    def _scan_index(
+        self,
+    ) -> tuple[dict[int, int], dict[Edge, tuple[int, int]], list[int]]:
+        """Each vertex's position, each edge's ends as positions in edge
+        order, and degrees by position: the index spanning-tree scans work
+        on, built once per graph value."""
+        position = {v: i for i, v in enumerate(self.vertices)}
+        ends = {e: (position[e[0]], position[e[1]]) for e in self.edges}
+        return position, ends, [len(self.adjacency[v]) for v in self.vertices]
+
+    @cached_property
+    def bridges(self) -> frozenset[Edge]:
+        """The edges on no cycle, found once per graph value by one Tarjan
+        pass over vertex positions, kept on an explicit stack."""
+        _, ends, _ = self._scan_index
+        n = self.num_vertices
+        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i, (a, b) in enumerate(ends.values()):
+            incident[a].append((b, i))
+            incident[b].append((a, i))
+        found = [0] * n  # discovery time, 0 while unvisited
+        low = [0] * n  # least discovery time reached through one back edge
+        clock = 0
+        bridges = []
+        for root in range(n):
+            if found[root]:
+                continue
+            clock += 1
+            found[root] = low[root] = clock
+            stack = [(root, -1, iter(incident[root]))]
+            while stack:
+                v, via, pending = stack[-1]
+                for w, i in pending:
+                    if found[w]:
+                        if i != via and found[w] < low[v]:
+                            low[v] = found[w]
+                        continue
+                    clock += 1
+                    found[w] = low[w] = clock
+                    stack.append((w, i, iter(incident[w])))
+                    break
+                else:
+                    stack.pop()
+                    if stack:
+                        u = stack[-1][0]
+                        if low[v] < low[u]:
+                            low[u] = low[v]
+                        if low[v] > found[u]:
+                            bridges.append(self.edges[via])
+        return frozenset(bridges)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.adjacency:
             raise UnknownVertexError(f"vertex {v} not in graph")

@@ -13,11 +13,24 @@ scan of all C(|E|, |V| - 1) subsets; the trees it builds are not checked
 again.  One index scorer, ``_score``, gives a tree's qualified deficiency
 from a union-find pass over its co-tree on vertex positions, and one rule,
 ``_qualified_count``, turns odd components into a score; every score in the
-package goes through that rule.  A full scan (``qualified_trees``,
-``min_tree``) scores each tree of the search and checks again only a tree
-it returns.  ``cotree_decomposition`` lists the components themselves.  A
-full scan of a graph with many trees is still exponential and has no
-budget.
+package goes through that rule.  The positions, edge ends and degrees are
+kept on the graph (``Graph._scan_index``).  ``qualified_trees`` scores
+every tree of the search; ``min_tree`` and the first-qualified scan of the
+antiparallel stable decision check again only the tree they return.
+``cotree_decomposition`` lists the components themselves.
+
+The block rule: a bridge lies in every spanning tree and no co-tree
+component crosses one, so a tree's value is the sum of its values on the
+bridge-free blocks, scored with the host's degrees, and the first tree of
+least value (or the first qualified tree) is the union of the bridges and
+each block's own.  ``min_tree`` and the decision walk the whole graph
+first; once |E| trees have passed without an answer they look for bridges
+(``Graph.bridges``, one pass without recursion) and, if there are any,
+walk each block on its own: the sum of the blocks' tree counts instead of
+their product.  The chain of four K4 blocks joined by three bridges walks
+at most 27 + 4 x 16 trees per scan instead of 65,536.  A bridge-free graph
+with many trees still gets an exhaustive scan with no budget: the ring of
+four K4 blocks joined by four single edges has 393,216 trees.
 """
 
 from __future__ import annotations
@@ -115,26 +128,31 @@ def _witness_vertex(g: Graph, vertices: frozenset[int]) -> int:
     return min(vertices, key=lambda v: (-g.degree(v), v))
 
 
-def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
-    """Components of the co-tree with parities and degree witnesses.
-
-    One union-find pass over the sorted co-tree edges, then the edges are
-    grouped by root in the order each root is first met, which is the order
-    of the components' least edges.
-    """
-    if t.host != g:
-        raise NotSpanningTreeError("tree does not span this graph")
-    cotree = sorted(t.cotree_edges)
-    parent = {x: x for e in cotree for x in e}
-    for u, v in cotree:
+def _edge_groups(edges: list[Edge]) -> Iterable[list[Edge]]:
+    """``edges`` grouped by the connected components they form: one
+    union-find pass, then the edges grouped by root in the order each root
+    is first met, each group in the given order."""
+    parent = {x: x for e in edges for x in e}
+    for u, v in edges:
         ru, rv = _find_root(parent, u), _find_root(parent, v)
         if ru != rv:
             parent[ru] = rv
     groups: dict[int, list[Edge]] = {}
-    for e in cotree:
+    for e in edges:
         groups.setdefault(_find_root(parent, e[0]), []).append(e)
+    return groups.values()
+
+
+def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
+    """Components of the co-tree with parities and degree witnesses.
+
+    The sorted co-tree edges are grouped by :func:`_edge_groups`, so the
+    components come in the order of their least edges.
+    """
+    if t.host != g:
+        raise NotSpanningTreeError("tree does not span this graph")
     components = []
-    for edges in groups.values():
+    for edges in _edge_groups(sorted(t.cotree_edges)):
         verts = frozenset(x for e in edges for x in e)
         components.append(
             CotreeComponent(
@@ -144,14 +162,6 @@ def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
             )
         )
     return CoTreeDecomposition(tree=t, components=tuple(components))
-
-
-def _index(g: Graph) -> tuple[dict[Edge, tuple[int, int]], list[int]]:
-    """Each edge's ends as vertex positions, in edge order, and host degrees
-    by position: built once per scan, not once per tree."""
-    position = {v: i for i, v in enumerate(g.vertices)}
-    ends = {e: (position[e[0]], position[e[1]]) for e in g.edges}
-    return ends, [len(g.adjacency[v]) for v in g.vertices]
 
 
 def _qualified_count(odd_degrees: Iterable[int], threshold: int | None) -> int | None:
@@ -207,7 +217,7 @@ def qualified_deficiency_of_tree(
     degree at least ``threshold``, else None (see :func:`_qualified_count`)."""
     if t.host != g:
         raise NotSpanningTreeError("tree does not span this graph")
-    ends, degrees = _index(g)
+    _, ends, degrees = g._scan_index
     return _score(ends, degrees, t.cotree_edges, threshold)
 
 
@@ -247,7 +257,7 @@ def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
     """
     require_connected(g)
     edges = g.edges
-    ends = list(_index(g)[0].values())
+    ends = list(g._scan_index[1].values())
     n = g.num_vertices
     k = n - 1
     slack = len(ends) - k  # edges that may be left out
@@ -284,20 +294,25 @@ def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
         taken -= 1
 
 
-def _qualified_scan(g: Graph, threshold: int | None) -> Iterator[tuple[int, SpanningTree]]:
-    """``(deficiency, tree)`` of every qualified tree in enumeration order,
-    each scored by :func:`_score`; the trees are not checked again."""
+def _scores(
+    g: Graph, degrees: list[int], threshold: int | None
+) -> Iterator[tuple[int | None, SpanningTree]]:
+    """``(value, tree)`` for every tree of :func:`iter_spanning_trees`, the
+    value by :func:`_score` with ``degrees`` by vertex position (None when
+    the tree does not qualify); the trees are not checked again.
+
+    A threshold above every degree admits no odd component, so an odd
+    Betti number rules out every tree and nothing is yielded.
+    """
     betti = betti_number(g)  # rejects a disconnected graph before the shortcut
-    if threshold is None or threshold > g.max_degree():
+    if threshold is None or threshold > max(degrees):
         if betti % 2 == 1:
             return
         threshold = None
-    ends, degrees = _index(g)
+    ends = g._scan_index[1]
     edge_set = g.edge_set
     for t in iter_spanning_trees(g):
-        value = _score(ends, degrees, edge_set - t.tree_edges, threshold)
-        if value is not None:
-            yield value, t
+        yield _score(ends, degrees, edge_set - t.tree_edges, threshold), t
 
 
 def qualified_trees(
@@ -313,27 +328,99 @@ def qualified_trees(
     number, an odd Betti number then rules out every tree unenumerated.
     Each yielded tree is checked once more.
     """
-    for value, t in _qualified_scan(g, threshold):
-        _check_spanning_tree(g, t.tree_edges)
-        yield value, t
+    for value, t in _scores(g, g._scan_index[2], threshold):
+        if value is not None:
+            _check_spanning_tree(g, t.tree_edges)
+            yield value, t
+
+
+_SPLIT = object()  # a scan ran long on a graph with a bridge
+
+
+def _pick(
+    g: Graph,
+    degrees: list[int],
+    threshold: int | None,
+    least: bool,
+    gate: int | None = None,
+):
+    """The first qualified ``(value, tree)`` of least value, or the first
+    qualified one when not ``least``; None when no tree qualifies.
+
+    Every tree's value has the parity of the Betti number, so a value of 0
+    or 1 ends the scan: none can be lower.  Once ``gate`` trees have passed
+    without an end and g has a bridge, the scan gives up with ``_SPLIT``.
+    """
+    best = None
+    for walked, (value, t) in enumerate(_scores(g, degrees, threshold), 1):
+        if value is not None and (best is None or value < best[0]):
+            best = (value, t)
+            if value <= 1 or not least:
+                break
+        if walked == gate and g.bridges:
+            return _SPLIT
+    return best
+
+
+def _blocks(g: Graph) -> Iterator[Graph]:
+    """The 2-edge-connected components of g that have an edge, each a
+    :class:`Graph` on its sorted subsequence of ``g.edges``, built as it
+    is reached."""
+    bridges = g.bridges
+    for edges in _edge_groups([e for e in g.edges if e not in bridges]):
+        yield Graph(tuple(sorted({x for e in edges for x in e})), tuple(edges))
+
+
+def _by_blocks(
+    g: Graph, threshold: int | None, least: bool
+) -> tuple[int, SpanningTree] | None:
+    """:func:`_pick` for g assembled from its blocks: the bridges lie in
+    every spanning tree and no co-tree component crosses one, so a tree's
+    value is the sum of its blocks' values with host degrees, and the first
+    tree of least value (or the first qualified tree) is the union of each
+    block's own and the bridges."""
+    position, _, degrees = g._scan_index
+    value, tree = 0, set(g.bridges)
+    for h in _blocks(g):
+        found = _pick(h, [degrees[position[v]] for v in h.vertices], threshold, least)
+        if found is None:
+            return None
+        value += found[0]
+        tree |= found[1].tree_edges
+    return value, _searched_tree(g, frozenset(tree))
+
+
+def _first_tree(
+    g: Graph, threshold: int | None, least: bool
+) -> tuple[int, SpanningTree] | None:
+    """``(value, tree)`` of the first qualified tree of least value, or of
+    the first qualified tree when not ``least``, in enumeration order; None
+    when no tree qualifies.
+
+    The scan walks the whole graph first.  After |E| trees without an end
+    it looks for bridges, and if there are any it starts again on each
+    bridge-free block (:func:`_by_blocks`), which walks the sum of the
+    blocks' tree counts instead of their product.  Only the returned tree
+    is checked once more.
+    """
+    found = _pick(g, g._scan_index[2], threshold, least, gate=g.num_edges)
+    if found is _SPLIT:
+        found = _by_blocks(g, threshold, least)
+    if found is not None:
+        _check_spanning_tree(g, found[1].tree_edges)
+    return found
 
 
 def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | None:
     """The first qualified tree of least deficiency, or None when no tree
     qualifies (see :func:`qualified_trees` for ``threshold``).
 
-    ``min_tree(g)`` is the deficiency of g.  Every tree's deficiency has
-    the parity of the Betti number, so the scan stops at the first tree of
-    deficiency 0 or 1: none can be lower.  Only the returned tree is checked
-    once more.
+    ``min_tree(g)`` is the deficiency of g.  The tree and its value are
+    those of a scan over every tree in enumeration order, found block by
+    block once the scan runs long on a graph with a bridge
+    (:func:`_first_tree`).
     """
-    best: tuple[int, SpanningTree] | None = None
-    for value, t in _qualified_scan(g, threshold):
-        if best is None or value < best[0]:
-            best = (value, t)
-            if value <= 1:
-                break
-    if best is None:
+    found = _first_tree(g, threshold, least=True)
+    if found is None:
         return None
-    _check_spanning_tree(g, best[1].tree_edges)
-    return DeficiencyCertificate(value=best[0], witness_tree=best[1])
+    return DeficiencyCertificate(value=found[0], witness_tree=found[1])

@@ -3,6 +3,7 @@
 import random
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,7 @@ from trace_forge.graph import (
     split_vertex,
 )
 
-from conftest import random_connected_graph
+from conftest import atlas_graphs, random_connected_graph
 
 
 def test_build_triangle():
@@ -81,6 +82,38 @@ def test_connectivity_is_traversed_once_per_graph(monkeypatch, capsys):
     for _ in range(2):  # an error is not kept: every query raises
         with pytest.raises(EmptyGraphError):
             is_connected(empty)
+
+
+def test_scan_index_is_built_once_per_graph(monkeypatch, capsys):
+    # deficiency with a threshold runs two scans and a tree check
+    builds = []
+    build = Graph._scan_index.func
+
+    def counting(g):
+        builds.append(g)
+        return build(g)
+
+    monkeypatch.setattr(Graph._scan_index, "func", counting)
+    k5 = Path(__file__).parent / "fixtures" / "k5.edges"
+    assert cli.main(["deficiency", "-i", str(k5), "-d", "4"]) == 0
+    assert len(builds) == 1
+
+
+def test_bridges_match_networkx_on_atlas():
+    graphs = atlas_graphs(7)
+    assert len(graphs) == 995
+    for g in graphs:
+        expected = {tuple(sorted(e)) for e in nx.bridges(nx.Graph(g.edges))}
+        assert g.bridges == expected, g.edges
+
+
+def test_bridges_on_long_path_and_cycle():
+    # the pass keeps its own stack, so depth 20,000 needs no recursion
+    path = path_graph(20_000)
+    assert path.bridges == set(path.edges)
+    assert cycle_graph(20_000).bridges == frozenset()
+    two_triangles = build_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert two_triangles.bridges == frozenset()  # one pass per component
 
 
 @pytest.mark.parametrize(

@@ -318,22 +318,109 @@ def test_scans_pinned_on_larger_graphs(name):
 
 
 def test_scans_validate_only_the_trees_they_keep(monkeypatch):
-    # the search builds trees without checking them again: of k4chain3's
-    # 4,096 trees a scan checks only the one it returns
-    checked = []
-    check = spanning._check_spanning_tree
+    # the search builds trees without checking them again: of the trees a
+    # scan walks it checks only the one it returns.  k4chain3 has 4,096
+    # trees; min_tree gives up on the whole graph after |E| = 20 of them
+    # and walks each of the three K4 blocks (16 trees) on its own
+    checked, walked = [], []
+    check, trees = spanning._check_spanning_tree, spanning.iter_spanning_trees
 
     def counting(g, edges):
         checked.append(edges)
         check(g, edges)
 
+    def walking(g):
+        for t in trees(g):
+            walked.append(t)
+            yield t
+
     monkeypatch.setattr(spanning, "_check_spanning_tree", counting)
+    monkeypatch.setattr(spanning, "iter_spanning_trees", walking)
     g = k4_chain(3)
     for threshold in (0, 4):
         checked.clear()
+        walked.clear()
         cert = min_tree(g, threshold)
         assert checked == [cert.witness_tree.tree_edges]
+        assert 20 < len(walked) <= 20 + 3 * 16
     checked.clear()
     assert min_tree(g, 6) is None and checked == []
     _, tree = next(qualified_trees(g, 4))
     assert checked == [tree.tree_edges]
+
+
+def k4_ring(k):
+    """k copies of K4 joined in a ring by k single edges: no bridge."""
+    edges = []
+    for b in range(k):
+        edges += [(4 * b + i, 4 * b + j) for i in range(4) for j in range(i + 1, 4)]
+        edges.append((4 * b + 3, (4 * b + 4) % (4 * k)))
+    return build_graph(edges)
+
+
+#: two K4s sharing vertex 3: a cut vertex, but no bridge
+K4_PAIR = build_graph(
+    [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    + [(i, j) for i in range(3, 7) for j in range(i + 1, 7)]
+)
+
+
+def global_scans(g, threshold):
+    """``(least, first)``: the first qualified tree of least value and the
+    first qualified tree from one pass over ``qualified_trees``, each as
+    ``(value, tree edges)`` or None."""
+    least = first = None
+    for value, t in qualified_trees(g, threshold):
+        if first is None:
+            first = (value, t.tree_edges)
+        if least is None or value < least[0]:
+            least = (value, t.tree_edges)
+    return least, first
+
+
+def assert_block_scan_matches(g, thresholds):
+    """The block path, forced through ``spanning._by_blocks``, and the
+    public scans agree with the global scan in value and witness tree."""
+
+    def pair(found):
+        return None if found is None else (found[0], found[1].tree_edges)
+
+    for threshold in thresholds:
+        least, first = global_scans(g, threshold)
+        assert pair(spanning._by_blocks(g, threshold, True)) == least, threshold
+        assert pair(spanning._by_blocks(g, threshold, False)) == first, threshold
+        cert = min_tree(g, threshold)
+        got = None if cert is None else (cert.value, cert.witness_tree.tree_edges)
+        assert got == least, threshold
+        assert pair(spanning._first_tree(g, threshold, False)) == first, threshold
+
+
+def test_block_scan_matches_global_scan_on_bridged_atlas_graphs():
+    graphs = [g for g in atlas_graphs(7) if g.bridges]
+    assert len(graphs) == 418
+    for g in graphs:
+        assert_block_scan_matches(g, (0, None, 4, 6, g.max_degree() + 1))
+
+
+@pytest.mark.parametrize(
+    "g", [k4_chain(2), k4_chain(3), k4_chain(4), K4_PAIR],
+    ids=["k4chain2", "k4chain3", "k4chain4", "k4pair"],
+)
+def test_block_scan_matches_global_scan(g):
+    assert_block_scan_matches(g, (0, None, 4, 6, g.max_degree() + 1))
+
+
+def test_block_scan_of_a_bridge_free_graph_is_the_global_scan():
+    # the ring's 393,216 trees take seconds per full scan, so min_tree is
+    # compared only where it needs none; the first qualified trees come
+    # early at every threshold
+    ring = k4_ring(4)
+    assert ring.bridges == K4_PAIR.bridges == frozenset()
+    assert list(spanning._blocks(ring)) == [ring]
+    assert list(spanning._blocks(K4_PAIR)) == [K4_PAIR]
+    for threshold in (0, None, 4, 6, ring.max_degree() + 1):
+        first = next(qualified_trees(ring, threshold), None)
+        found = spanning._by_blocks(ring, threshold, False)
+        assert found == spanning._first_tree(ring, threshold, False) == first
+    for threshold in (None, 6, ring.max_degree() + 1):
+        assert min_tree(ring, threshold) is spanning._by_blocks(ring, threshold, True) is None

@@ -144,12 +144,23 @@ def test_witnesses_are_dispatched_in_decide_only():
     assert _calls_to(body, "find_trace") == _calls_to(body, "find_witness") == []
 
 
-def test_cli_import_leaves_networkx_unloaded():
+def test_cli_import_leaves_networkx_unloaded(tmp_path):
     # networkx takes most of the start-up time; only graph6 parsing and
-    # edge connectivity load it, on first use
+    # edge connectivity load it, on first use.  A deficiency scan of three
+    # K4 blocks joined by two bridges finds the bridges without it.
+    chain = [(4 * b + i, 4 * b + j) for b in range(3) for i in range(4) for j in range(i + 1, 4)]
+    chain += [(3, 4), (7, 8)]
+    edges = tmp_path / "k4chain3.edges"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in chain))
     src = str(SOURCE.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = "import sys, trace_forge.cli; print('networkx' in sys.modules)"
+    probe = (
+        "import contextlib, io, sys, trace_forge.cli\n"
+        "print('networkx' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = trace_forge.cli.main(['deficiency', '-i', {str(edges)!r}, '-d', '4'])\n"
+        "print(code, 'networkx' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -157,7 +168,7 @@ def test_cli_import_leaves_networkx_unloaded():
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "0", "False"]
 
 
 def _names_imported_from(tree: ast.Module, module: str) -> list[str]:
