@@ -16,12 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    EmptyGraphError,
-    InternalInvariantError,
-    NotAntiparallelError,
-    NotStableError,
-)
+from .errors import InternalInvariantError, NotAntiparallelError, NotStableError
 from .graph import Graph, betti_number, edge_connectivity, fresh_vertex_ids, require_connected
 from .search import find_trace
 from .spanning import (
@@ -44,6 +39,7 @@ from .walks import (
     DoubleTrace,
     TraceSpec,
     classify_trace,
+    require_trace_host,
     spec_satisfied,
     transition_graph_at,
     validate_double_trace,
@@ -129,9 +125,7 @@ def decide_existence(
     Antiparallel stable and strong yes-cells carry that tree; the decision
     never searches, and :func:`find_witness` turns a yes into a trace.
     """
-    require_connected(g)
-    if g.num_edges == 0:
-        raise EmptyGraphError("a double trace needs at least one edge")
+    require_trace_host(g)
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
 
     if kind == "stable" and g.min_degree() <= d:
@@ -209,9 +203,7 @@ def build_antiparallel_d_stable(
     through the identifications, the last split first.  The strong search
     runs under ``budget``; no budget means ``search.DEFAULT_BUDGET``.
     """
-    require_connected(g)
-    if g.num_edges == 0:
-        raise EmptyGraphError("a double trace needs at least one edge")
+    require_trace_host(g)
     spec = TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     if g.min_degree() <= d:
         return None

@@ -85,9 +85,9 @@ class NotAntiparallelError(TraceValidationError):
 class NotStableError(TraceValidationError):
     """The trace has a repetition of order at most d."""
 
-    def __init__(self, d: int, message: str = ""):
+    def __init__(self, d: int):
         self.d = d
-        super().__init__(message or f"trace is not {d}-stable")
+        super().__init__(f"trace is not {d}-stable")
 
 
 # -- spanning trees and deficiency -------------------------------------------

@@ -33,12 +33,26 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _find_root(parent: dict[int, int], x: int) -> int:
-    """Root of x in a union-find forest, halving the path on the way up."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _components(
+    nodes: Iterable[int], links: Iterable[tuple[int, int]]
+) -> tuple[frozenset[int], ...]:
+    """Connected components of the pairing given by ``links`` on ``nodes``.
+
+    A union-find that keeps each group as a list: a link merges the smaller
+    of its endpoints' groups into the larger, so a node moves O(log |nodes|)
+    times.  Groups are listed in the order of their first node, so sorted
+    ``nodes`` give components ordered by least element.
+    """
+    group = {x: [x] for x in nodes}
+    for a, b in links:
+        ga, gb = group[a], group[b]
+        if ga is not gb:
+            if len(ga) < len(gb):
+                ga, gb = gb, ga
+            ga += gb
+            for x in gb:
+                group[x] = ga
+    return tuple(map(frozenset, {id(grp): grp for grp in group.values()}.values()))
 
 
 @dataclass(frozen=True)

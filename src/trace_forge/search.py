@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import BudgetExhaustedError, EmptyGraphError
-from .graph import Graph, require_connected
+from .errors import BudgetExhaustedError
+from .graph import Graph
 from .walks import (
     ANTIPARALLEL,
     PARALLEL,
     DoubleTrace,
     TraceSpec,
     min_rotation,
+    require_trace_host,
     validate_double_trace,
 )
 
@@ -49,7 +50,8 @@ class _Engine:
     ``adj[c]``; each root holds its component size and its count of still
     open traversal slots, and every union is undone on backtracking.
 
-    The caller checks that the host is connected.  Every node the search
+    The caller checks that the host is connected and has an edge
+    (:func:`~trace_forge.walks.require_trace_host`).  Every node the search
     expands keeps one invariant: each open edge (used fewer than twice)
     lies in the head's component of the open-edge graph.  :meth:`run`
     states why one local test keeps it after a step.
@@ -138,8 +140,6 @@ class _Engine:
         just that, with a DFS from v that stops when it meets u, and so cuts
         the same nodes as a count of the open edges v reaches.
         """
-        if self.m == 0:
-            raise EmptyGraphError("a double trace needs at least one edge")
         if self._impossible_upfront():
             return
         spec = self.spec
@@ -287,7 +287,7 @@ def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTr
     Raises :class:`BudgetExhaustedError` past ``budget`` nodes; no budget
     means :data:`DEFAULT_BUDGET`, read at call time.
     """
-    require_connected(g)
+    require_trace_host(g)
     engine = _Engine(g, spec, DEFAULT_BUDGET if budget is None else budget)
     for seq in engine.run():
         return validate_double_trace(g, seq)
@@ -301,7 +301,7 @@ def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:
     :class:`BudgetExhaustedError` past :data:`DEFAULT_BUDGET` nodes, read at
     call time.
     """
-    require_connected(g)
+    require_trace_host(g)
     engine = _Engine(g, spec, DEFAULT_BUDGET)
     canonical = {seq for seq in engine.run()}
     return [DoubleTrace(g, seq) for seq in sorted(canonical)]

@@ -11,10 +11,10 @@ One depth-first search, ``iter_spanning_trees``, lists the spanning trees
 in the order ``itertools.combinations`` lists their edge sets, without a
 scan of all C(|E|, |V| - 1) subsets; the trees it builds are not checked
 again.  One index scorer, ``_score``, gives a tree's qualified deficiency
-from a union-find pass over its co-tree on vertex positions, and one rule,
-``_qualified_count``, turns odd components into a score; every score in the
-package goes through that rule.  The positions, edge ends and degrees are
-kept on the graph (``Graph._scan_index``).  ``qualified_trees`` scores
+from a union-find pass over its co-tree on vertex positions; every score in
+the package, ``qualified_deficiency_of_tree`` included, comes from it.  The
+positions, edge ends and degrees are kept on the graph
+(``Graph._scan_index``).  ``qualified_trees`` scores
 every tree of the search; ``min_tree`` and the first-qualified scan of the
 antiparallel stable decision check again only the tree they return.
 ``cotree_decomposition`` lists the components themselves.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import NotSpanningTreeError
-from .graph import Edge, Graph, _find_root, betti_number, require_connected
+from .graph import Edge, Graph, _components, betti_number, require_connected
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,9 @@ def _check_spanning_tree(g: Graph, edges: frozenset[Edge]) -> None:
         raise NotSpanningTreeError(
             f"{len(edges)} edges cannot span {g.num_vertices} vertices"
         )
-    parent = {v: v for v in g.vertices}
-    for u, v in edges:
-        ru, rv = _find_root(parent, u), _find_root(parent, v)
-        if ru == rv:
-            raise NotSpanningTreeError("tree edges contain a cycle")
-        parent[ru] = rv
-    # n-1 acyclic edges on n vertices are automatically spanning and connected
+    # n - 1 edges on n vertices are acyclic exactly when they connect them
+    if len(_components(g.vertices, edges)) != 1:
+        raise NotSpanningTreeError("tree edges contain a cycle")
 
 
 def spanning_tree(g: Graph, edges) -> SpanningTree:
@@ -129,17 +125,13 @@ def _witness_vertex(g: Graph, vertices: frozenset[int]) -> int:
 
 
 def _edge_groups(edges: list[Edge]) -> Iterable[list[Edge]]:
-    """``edges`` grouped by the connected components they form: one
-    union-find pass, then the edges grouped by root in the order each root
-    is first met, each group in the given order."""
-    parent = {x: x for e in edges for x in e}
-    for u, v in edges:
-        ru, rv = _find_root(parent, u), _find_root(parent, v)
-        if ru != rv:
-            parent[ru] = rv
+    """``edges`` grouped by the connected components they form, in the
+    order each component is first met, each group in the given order."""
+    components = _components({x for e in edges for x in e}, edges)
+    owner = {x: i for i, comp in enumerate(components) for x in comp}
     groups: dict[int, list[Edge]] = {}
     for e in edges:
-        groups.setdefault(_find_root(parent, e[0]), []).append(e)
+        groups.setdefault(owner[e[0]], []).append(e)
     return groups.values()
 
 
@@ -164,30 +156,19 @@ def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
     return CoTreeDecomposition(tree=t, components=tuple(components))
 
 
-def _qualified_count(odd_degrees: Iterable[int], threshold: int | None) -> int | None:
-    """The qualification rule, given the largest host degree in each odd
-    co-tree component: the number of odd components when each reaches
-    ``threshold``, else None.  ``None`` admits no odd component and 0
-    admits every one."""
-    count = 0
-    for top in odd_degrees:
-        if threshold is None or top < threshold:
-            return None
-        count += 1
-    return count
-
-
 def _score(
     ends: dict[Edge, tuple[int, int]],
     degrees: list[int],
     cotree: Iterable[Edge],
     threshold: int | None,
 ) -> int | None:
-    """Qualified deficiency of the co-tree ``cotree``.
+    """Qualified deficiency of the co-tree ``cotree``: the number of odd
+    components when each has a host degree of at least ``threshold``, else
+    None.  ``None`` admits no odd component and 0 admits every one.
 
     One union-find pass over vertex positions keeps, for each root, the
     parity of its component's edge count and the largest host degree in it;
-    :func:`_qualified_count` reads the odd roots.
+    then the odd roots are read.
     """
     parent = list(range(len(degrees)))
     odd = [False] * len(degrees)
@@ -205,16 +186,21 @@ def _score(
             odd[a] = odd[a] is odd[b]  # the joining edge flips the sum's parity
             if top[b] > top[a]:
                 top[a] = top[b]
-    return _qualified_count(
-        [top[r] for r, p in enumerate(parent) if p == r and odd[r]], threshold
-    )
+    count = 0
+    for r, p in enumerate(parent):
+        if p == r and odd[r]:
+            if threshold is None or top[r] < threshold:
+                return None
+            count += 1
+    return count
 
 
 def qualified_deficiency_of_tree(
     g: Graph, t: SpanningTree, threshold: int | None
 ) -> int | None:
     """Number of odd co-tree components of t when each has a vertex of host
-    degree at least ``threshold``, else None (see :func:`_qualified_count`)."""
+    degree at least ``threshold``, else None.  ``None`` admits no odd
+    component and 0 admits every one."""
     if t.host != g:
         raise NotSpanningTreeError("tree does not span this graph")
     _, ends, degrees = g._scan_index

@@ -36,7 +36,7 @@ from .graph import (
     Edge,
     Graph,
     SplitSpec,
-    _find_root,
+    _components,
     edge_key,
     fresh_vertex_ids,
     identify_vertices,
@@ -44,7 +44,6 @@ from .graph import (
 )
 from .spanning import (
     SpanningTree,
-    _qualified_count,
     cotree_decomposition,
     iter_spanning_trees,
     qualified_deficiency_of_tree,
@@ -91,14 +90,16 @@ def transfer_tree_on_identification(
     graph and every odd co-tree component contains a protected vertex or
     ``new_id``.
 
-    One Kruskal pass over the relabeled tree edges: first the edges that
-    touch no target, a sub-forest of ``t_prime``, then the edges of each
-    target, the last target first, in sorted order, dropping every edge that
-    would close a cycle.  ``t_prime`` is acyclic, so every cycle of the
-    relabeled tree passes through ``new_id``: the dropped edges, one fewer
-    than the targets, all join the co-tree component of ``new_id``, and the
-    odd components away from the targets are unchanged and stay covered by
-    ``protected``.
+    The result is the Kruskal tree of the relabeled tree edges: first the
+    edges that touch no target, a sub-forest of ``t_prime``, then the edges
+    of each target, the last target first, in sorted order, dropping every
+    edge that would close a cycle.  ``t_prime`` is acyclic, so every cycle of
+    the relabeled tree passes through ``new_id``: the dropped edges, one
+    fewer than the targets, all join the co-tree component of ``new_id``,
+    and the odd components away from the targets are unchanged and stay
+    covered by ``protected``.  Every relabeled target edge ends at
+    ``new_id``, so the pass keeps the sub-forest and, for each of its
+    pieces, the first target edge into it.
     """
     targets = sorted(set(targets))
     target_set = frozenset(targets)
@@ -119,20 +120,16 @@ def transfer_tree_on_identification(
         raise PreconditionViolatedError(str(exc)) from exc
 
     tree_edges = sorted(t_prime.tree_edges)
-    order = [e for e in tree_edges if not target_set.intersection(e)]
+    kept = [e for e in tree_edges if not target_set.intersection(e)]
+    piece = {x: i for i, comp in enumerate(_components(g.vertices, kept)) for x in comp}
+    first: dict[int, Edge] = {}
     for a in reversed(targets):
-        order += [
-            edge_key(new_id, y if x == a else x) for x, y in tree_edges if a in (x, y)
-        ]
-    parent = {x: x for x in g.vertices}
-    kept = set()
-    for x, y in order:
-        rx, ry = _find_root(parent, x), _find_root(parent, y)
-        if rx != ry:
-            parent[rx] = ry
-            kept.add((x, y))
+        for x, y in tree_edges:
+            if a in (x, y):
+                w = y if x == a else x
+                first.setdefault(piece[w], edge_key(new_id, w))
     try:
-        t = SpanningTree(g, frozenset(kept))
+        t = SpanningTree(g, frozenset(kept + list(first.values())))
     except NotSpanningTreeError as exc:  # pragma: no cover - construction bug
         raise InternalInvariantError(
             f"tree transfer produced a non-tree: {exc}"
@@ -234,17 +231,16 @@ def split_reduce_qualified(
     floor(d(v)/2) with a spanning tree of the split graph that meets the
     same rule.  The recipe runs on t first, then on another tree with at
     least two tree edges at v and no larger deficiency.  No other search
-    runs: when both fail, the guaranteed construction has been broken.  t is
-    scored from its co-tree components and each candidate by
-    ``spanning.qualified_deficiency_of_tree``, both under spanning's one
-    qualification rule; the outcome is validated, not assumed.
+    runs: when both fail, the guaranteed construction has been broken.  t
+    and each candidate are scored by
+    ``spanning.qualified_deficiency_of_tree``; the outcome is validated, not
+    assumed.
     """
     if v in g.adjacency and g.degree(v) < threshold:
         raise NotQualifiedError(
             f"vertex {v} has degree {g.degree(v)} < threshold {threshold}"
         )
-    odd = cotree_decomposition(g, t).odd_components()
-    before = _qualified_count([g.degree(c.witness_vertex) for c in odd], threshold)
+    before = qualified_deficiency_of_tree(g, t, threshold)
     if before is None:
         raise NotQualifiedError(
             f"an odd co-tree component has no vertex of degree >= {threshold}"
@@ -253,7 +249,7 @@ def split_reduce_qualified(
         raise UnknownVertexError(f"vertex {v} not in graph")
     if g.degree(v) < 2:
         raise DegreeTooSmallError(f"vertex {v} has degree {g.degree(v)} < 2")
-    if not any(v in c.vertices for c in odd):
+    if not any(v in c.vertices for c in cotree_decomposition(g, t).odd_components()):
         raise NotInOddComponentError(
             f"vertex {v} does not lie in an odd co-tree component"
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     EmptyGraphError,
@@ -25,7 +25,7 @@ from .errors import (
     WrongLengthError,
     WrongMultiplicityError,
 )
-from .graph import Graph, edge_key, require_connected
+from .graph import Graph, _components, edge_key, require_connected
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
@@ -103,28 +103,6 @@ class DoubleTrace:
         return f"DoubleTrace({' '.join(map(str, self.sequence))})"
 
 
-def _components(
-    nodes: Sequence[int], links: Iterable[tuple[int, int]]
-) -> tuple[frozenset[int], ...]:
-    """Connected components of the pairing given by ``links`` on ``nodes``.
-
-    A union-find that keeps each group as a list: a link merges the smaller
-    of its endpoints' groups into the larger, so a node moves O(log |nodes|)
-    times.  Groups are listed in the order of their first node, so sorted
-    ``nodes`` give components ordered by least element.
-    """
-    group = {x: [x] for x in nodes}
-    for a, b in links:
-        ga, gb = group[a], group[b]
-        if ga is not gb:
-            if len(ga) < len(gb):
-                ga, gb = gb, ga
-            ga += gb
-            for x in gb:
-                group[x] = ga
-    return tuple(map(frozenset, {id(grp): grp for grp in group.values()}.values()))
-
-
 @dataclass(frozen=True)
 class TransitionGraph:
     """Pairing of predecessors and successors at one vertex.
@@ -164,6 +142,14 @@ class TraceClass:
     )
 
 
+def require_trace_host(g: Graph) -> None:
+    """Reject a host that has no double trace: it must be connected, then
+    have at least one edge."""
+    require_connected(g)
+    if g.num_edges == 0:
+        raise EmptyGraphError("a double trace needs at least one edge")
+
+
 def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
     """Check a cyclic vertex sequence and return the canonical trace.
 
@@ -172,9 +158,7 @@ def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
     Then every edge appears exactly twice: 2|E| traversals over |E| edges,
     none more than two, leave none with fewer.
     """
-    require_connected(g)
-    if g.num_edges == 0:
-        raise EmptyGraphError("a double trace needs at least one edge")
+    require_trace_host(g)
     seq = tuple(map(int, sequence))
     adjacency = g.adjacency
     if not adjacency.keys() >= set(seq):

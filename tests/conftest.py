@@ -5,13 +5,14 @@ from __future__ import annotations
 import functools
 import random
 from itertools import combinations, permutations
+from typing import Iterable
 
 import networkx as nx
 import pytest
 
 from trace_forge.graph import (
+    Edge,
     Graph,
-    _find_root,
     build_graph,
     complete_graph,
     cube_graph,
@@ -89,18 +90,33 @@ def random_connected_graph(
     return build_graph(sorted(edges))
 
 
+def find_root(parent: dict[int, int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way up: the
+    tests' own union-find, apart from the library's ``graph._components``."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def kruskal(vertices: Iterable[int], order: Iterable[Edge]) -> list[Edge]:
+    """The edges of ``order`` that close no cycle with the edges kept before
+    them, in that order."""
+    parent = {v: v for v in vertices}
+    kept = []
+    for u, v in order:
+        ru, rv = find_root(parent, u), find_root(parent, v)
+        if ru != rv:
+            parent[ru] = rv
+            kept.append((u, v))
+    return kept
+
+
 def random_spanning_tree(g: Graph, rng: random.Random) -> SpanningTree:
     """Kruskal over a shuffled edge order."""
     edges = list(g.edges)
     rng.shuffle(edges)
-    parent = {v: v for v in g.vertices}
-    chosen = []
-    for u, v in edges:
-        ru, rv = _find_root(parent, u), _find_root(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append((u, v))
-    return spanning_tree(g, chosen)
+    return spanning_tree(g, kruskal(g.vertices, edges))
 
 
 def random_double_trace(g: Graph, rng: random.Random) -> DoubleTrace:
@@ -184,6 +200,25 @@ def hypercube(k: int) -> Graph:
     return build_graph(
         [(i, i | 1 << b) for i in range(1 << k) for b in range(k) if not i >> b & 1]
     )
+
+
+def k4_chain(k: int) -> Graph:
+    """k copies of K4 joined in a row by k - 1 bridges."""
+    edges = []
+    for b in range(k):
+        edges += [(4 * b + i, 4 * b + j) for i in range(4) for j in range(i + 1, 4)]
+        if b:
+            edges.append((4 * b - 1, 4 * b))
+    return build_graph(edges)
+
+
+def k4_ring(k: int) -> Graph:
+    """k copies of K4 joined in a ring by k single edges: no bridge."""
+    edges = []
+    for b in range(k):
+        edges += [(4 * b + i, 4 * b + j) for i in range(4) for j in range(i + 1, 4)]
+        edges.append((4 * b + 3, (4 * b + 4) % (4 * k)))
+    return build_graph(edges)
 
 
 def torus(k: int) -> Graph:

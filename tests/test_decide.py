@@ -30,7 +30,7 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
-from conftest import atlas_graphs, fixture_family, random_connected_graph
+from conftest import atlas_graphs, fixture_family, k4_chain, random_connected_graph
 
 
 def test_k4_antiparallel_stable_is_no(k4):
@@ -250,14 +250,6 @@ def test_build_extract_round_trip():
     assert tree_is_qualified(g, tree, 4)
 
 
-def _three_k4_chain():
-    edges = []
-    for base in (0, 4, 8):
-        edges += [(base + i, base + j) for i in range(4) for j in range(i + 1, 4)]
-    edges += [(3, 4), (7, 8)]
-    return build_graph(edges)
-
-
 def test_build_with_three_chained_reductions(monkeypatch):
     # K4 blocks joined by bridges: bridges sit in every spanning tree, so
     # each block keeps its own odd co-tree component around its degree-4
@@ -287,7 +279,7 @@ def test_build_with_three_chained_reductions(monkeypatch):
         at_depth("transfer", decide_module.transfer_tree_on_identification),
     )
 
-    g = _three_k4_chain()
+    g = k4_chain(3)
     assert min_tree(g, 4).value == 3
     w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
     cls = classify_trace(w)
@@ -313,7 +305,7 @@ def test_extract_scans_transition_graphs_once(monkeypatch):
     import trace_forge.transform as transform_module
     import trace_forge.walks as walks_module
 
-    g = _three_k4_chain()
+    g = k4_chain(3)
     w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
     calls = {"trace_forge.decide": [], "trace_forge.transform": []}
 

@@ -8,7 +8,7 @@ import pytest
 
 from trace_forge import spanning
 from trace_forge.errors import NotSpanningTreeError
-from trace_forge.graph import _find_root, betti_number, build_graph, path_graph
+from trace_forge.graph import betti_number, build_graph, path_graph
 from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
@@ -20,7 +20,14 @@ from trace_forge.spanning import (
     tree_is_qualified,
 )
 
-from conftest import atlas_graphs, random_connected_graph, random_spanning_tree
+from conftest import (
+    atlas_graphs,
+    find_root,
+    k4_chain,
+    k4_ring,
+    random_connected_graph,
+    random_spanning_tree,
+)
 
 
 def reference_trees(g):
@@ -29,7 +36,7 @@ def reference_trees(g):
     for subset in combinations(g.edges, g.num_vertices - 1):
         parent = {v: v for v in g.vertices}
         for u, v in subset:
-            ru, rv = _find_root(parent, u), _find_root(parent, v)
+            ru, rv = find_root(parent, u), find_root(parent, v)
             if ru == rv:
                 break
             parent[ru] = rv
@@ -257,16 +264,6 @@ def test_scorer_matches_components_on_every_atlas_tree():
     assert checked > 10_000
 
 
-def k4_chain(k):
-    """k copies of K4 joined in a row by k - 1 bridges."""
-    edges = []
-    for b in range(k):
-        edges += [(4 * b + i, 4 * b + j) for i in range(4) for j in range(i + 1, 4)]
-        if b:
-            edges.append((4 * b - 1, 4 * b))
-    return build_graph(edges)
-
-
 def grid_graph(k):
     return build_graph(
         [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
@@ -347,15 +344,6 @@ def test_scans_validate_only_the_trees_they_keep(monkeypatch):
     assert min_tree(g, 6) is None and checked == []
     _, tree = next(qualified_trees(g, 4))
     assert checked == [tree.tree_edges]
-
-
-def k4_ring(k):
-    """k copies of K4 joined in a ring by k single edges: no bridge."""
-    edges = []
-    for b in range(k):
-        edges += [(4 * b + i, 4 * b + j) for i in range(4) for j in range(i + 1, 4)]
-        edges.append((4 * b + 3, (4 * b + 4) % (4 * k)))
-    return build_graph(edges)
 
 
 #: two K4s sharing vertex 3: a cut vertex, but no bridge

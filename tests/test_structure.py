@@ -8,6 +8,8 @@ from pathlib import Path
 
 import trace_forge
 
+from conftest import k4_chain
+
 SOURCE = Path(trace_forge.__file__).parent
 
 
@@ -148,10 +150,8 @@ def test_cli_import_leaves_networkx_unloaded(tmp_path):
     # networkx takes most of the start-up time; only graph6 parsing and
     # edge connectivity load it, on first use.  A deficiency scan of three
     # K4 blocks joined by two bridges finds the bridges without it.
-    chain = [(4 * b + i, 4 * b + j) for b in range(3) for i in range(4) for j in range(i + 1, 4)]
-    chain += [(3, 4), (7, 8)]
     edges = tmp_path / "k4chain3.edges"
-    edges.write_text("".join(f"{u} {v}\n" for u, v in chain))
+    edges.write_text("".join(f"{u} {v}\n" for u, v in k4_chain(3).edges))
     src = str(SOURCE.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = (
@@ -206,6 +206,78 @@ def test_import_scan_finds_both_forms():
         "from trace_forge.search import DEFAULT_BUDGET\n"
     )
     assert _names_imported_from(tree, "search") == ["*", "TraceSpec", "find_trace"]
+
+
+def _climbs_a_forest(node: ast.AST) -> bool:
+    """A loop ``while parent[x] != x``: the climb to a union-find root."""
+    test = node.test if isinstance(node, ast.While) else None
+    return (
+        isinstance(test, ast.Compare)
+        and isinstance(test.ops[0], ast.NotEq)
+        and isinstance(test.left, ast.Subscript)
+        and ast.dump(test.left.slice) == ast.dump(test.comparators[0])
+    )
+
+
+def _root_chasers(tree: ast.Module) -> list[str]:
+    """Functions and methods, as ``name`` or ``Class.name``, that climb a
+    union-find forest."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scope = [(f"{node.name}.", fn) for fn in node.body]
+        else:
+            scope = [("", node)]
+        for prefix, fn in scope:
+            if isinstance(fn, ast.FunctionDef) and any(map(_climbs_a_forest, ast.walk(fn))):
+                found.append(prefix + fn.name)
+    return found
+
+
+def test_one_general_union_find():
+    # graph._components answers every component question; the loops that
+    # keep state it lacks (parity and top degree per root in _score, unions
+    # undone on backtracking in iter_spanning_trees and the search engine)
+    # are the only other union-finds, and the scoring rule stays in spanning
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
+    chasers = {name: found for name, tree in trees.items() if (found := _root_chasers(tree))}
+    assert chasers == {
+        "search.py": ["_Engine._find", "_Engine.run"],
+        "spanning.py": ["_score", "iter_spanning_trees"],
+    }
+    defined = [
+        (node.name, name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_components", "_find_root", "_qualified_count")
+    ]
+    assert defined == [("_components", "graph.py")]
+    importers = [
+        name for name, tree in trees.items()
+        if "_components" in _names_imported_from(tree, "graph")
+    ]
+    assert importers == ["spanning.py", "transform.py", "walks.py"]
+    from_spanning = _names_imported_from(trees["transform.py"], "spanning")
+    assert [n for n in from_spanning if n.startswith("_")] == []
+
+
+def test_root_chase_scan_finds_functions_and_methods():
+    tree = ast.parse(
+        "def find(p, x):\n"
+        "    while p[x] != x:\n"
+        "        x = p[x]\n"
+        "    return x\n"
+        "class Forest:\n"
+        "    def root(self, x):\n"
+        "        while self.parent[x] != x:\n"
+        "            x = self.parent[x]\n"
+        "        return x\n"
+        "def count(xs, n):\n"
+        "    while xs[0] != n:\n"
+        "        n += 1\n"
+    )
+    assert _root_chasers(tree) == ["find", "Forest.root"]
 
 
 def _indented_dumps(tree: ast.AST) -> list[int]:

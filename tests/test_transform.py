@@ -47,7 +47,7 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
-from conftest import atlas_graphs, random_connected_graph, random_spanning_tree
+from conftest import atlas_graphs, kruskal, random_connected_graph, random_spanning_tree
 
 
 # -- tree transfer ---------------------------------------------------------------
@@ -129,12 +129,10 @@ def _set_partitions(items, k):
             )
 
 
-def test_transfer_over_atlas_splits():
-    """Every connected 2- and 3-way split of every vertex of every connected
-    atlas graph with up to 6 vertices, from the first tree upstairs: the
-    transfer spans the graph, moves exactly k - 1 tree edges at the merged
-    vertex to the co-tree, and keeps every odd component covered."""
-    checked = 0
+def _atlas_transfers():
+    """``(g, v, t_prime, targets, protected, tree)`` for every connected 2-
+    and 3-way split of every vertex of every connected atlas graph with up
+    to 6 vertices, transferred back from the first tree upstairs."""
     for g in atlas_graphs(6):
         for v in g.vertices:
             for k in (2, 3):
@@ -155,18 +153,41 @@ def test_transfer_over_atlas_splits():
                     tree = transfer_tree_on_identification(
                         g_prime, t_prime, targets, v, protected
                     )
-                    assert tree.host == g
-                    relabeled = {
-                        edge_key(*(v if x in targets else x for x in e))
-                        for e in t_prime.cotree_edges
-                    }
-                    added = tree.cotree_edges - relabeled
-                    assert relabeled <= tree.cotree_edges
-                    assert len(added) == k - 1
-                    assert all(v in e for e in added)
-                    for comp in cotree_decomposition(g, tree).odd_components():
-                        assert comp.vertices & (protected | {v})
-                    checked += 1
+                    yield g, v, t_prime, targets, protected, tree
+
+
+def test_transfer_over_atlas_splits():
+    """The transfer spans the graph, moves exactly k - 1 tree edges at the
+    merged vertex to the co-tree, and keeps every odd component covered."""
+    checked = 0
+    for g, v, t_prime, targets, protected, tree in _atlas_transfers():
+        assert tree.host == g
+        relabeled = {
+            edge_key(*(v if x in targets else x for x in e))
+            for e in t_prime.cotree_edges
+        }
+        added = tree.cotree_edges - relabeled
+        assert relabeled <= tree.cotree_edges
+        assert len(added) == len(targets) - 1
+        assert all(v in e for e in added)
+        for comp in cotree_decomposition(g, tree).odd_components():
+            assert comp.vertices & (protected | {v})
+        checked += 1
+    assert checked > 4000
+
+
+def test_transfer_is_the_kruskal_tree_of_the_relabeled_order():
+    # the docstring's Kruskal pass, run with the tests' own union-find: the
+    # edges touching no target, then each target's edges, the last target
+    # first, relabeled to the merged vertex
+    checked = 0
+    for g, v, t_prime, targets, _, tree in _atlas_transfers():
+        tree_edges = sorted(t_prime.tree_edges)
+        order = [e for e in tree_edges if not set(targets).intersection(e)]
+        for a in reversed(targets):
+            order += [edge_key(v, y if x == a else x) for x, y in tree_edges if a in (x, y)]
+        assert tree.tree_edges == frozenset(kruskal(g.vertices, order))
+        checked += 1
     assert checked > 4000
 
 
