@@ -186,7 +186,9 @@ def cmd_decide(args) -> int:
             return EXIT_ERROR
     doc = _certificate_doc(cert, trace)
     doc["command"] = "decide"
-    if cert.verdict:
+    if args.json:
+        lines = []
+    elif cert.verdict:
         lines = ["verdict: yes"]
         if trace is not None:
             lines.append("witness trace: " + format_trace_text(trace))
@@ -265,16 +267,18 @@ def cmd_deficiency(args) -> int:
     g = load_graph(args.input, args.format)
     report = graph_deficiency_report(g, args.d)
     doc = {"command": "deficiency", **report}
-    lines = [
-        f"betti_number: {report['betti_number']}",
-        f"deficiency: {report['deficiency']}",
-        f"witness_tree: {report['witness_tree']}",
-    ]
-    if args.d is not None:
-        lines.append(
-            f"qualified_deficiency(D={args.d}): "
-            + str(report["qualified_deficiency"])
-        )
+    lines = []
+    if not args.json:
+        lines = [
+            f"betti_number: {report['betti_number']}",
+            f"deficiency: {report['deficiency']}",
+            f"witness_tree: {report['witness_tree']}",
+        ]
+        if args.d is not None:
+            lines.append(
+                f"qualified_deficiency(D={args.d}): "
+                + str(report["qualified_deficiency"])
+            )
     _emit(args, doc, lines)
     return EXIT_YES
 
@@ -290,7 +294,6 @@ def cmd_table(args) -> int:
     lines = []
     for (kind, direction, d), cert in table.items():
         label = "yes" if cert.verdict else cert.condition_label()
-        cell_name = kind if d is None else f"{kind}(d={d})"
         cells.append(
             {
                 "kind": kind,
@@ -300,9 +303,21 @@ def cmd_table(args) -> int:
                 "condition": label,
             }
         )
-        lines.append(f"{cell_name:>14} | {direction:>12} | {label}")
+        if not args.json:
+            cell_name = kind if d is None else f"{kind}(d={d})"
+            lines.append(f"{cell_name:>14} | {direction:>12} | {label}")
     _emit(args, doc={"command": "table", "cells": cells}, text_lines=lines)
     return EXIT_YES
+
+
+def _d_list(text: str) -> list[int]:
+    """``table -d``: comma-separated stability orders."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -338,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decide, construct, and verify double traces of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # main() hands argv straight to the parser its first word names
+    parser.subcommands = sub.choices
 
     p_decide = sub.add_parser("decide", help="decide existence for one matrix cell")
     _add_common(p_decide)
@@ -376,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "-d",
         dest="d_list",
-        type=lambda s: [int(x) for x in s.split(",")],
+        type=_d_list,
         default=None,
         help="comma-separated stability orders (default: 1)",
     )
@@ -395,8 +412,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, scanning argv once where it can.
+
+    When ``argv[0]`` names a subcommand, the rest goes straight to that
+    subcommand's parser, as the full parser would hand it on, into a
+    namespace that already holds ``command``.  The full parser runs for
+    anything else (no argv, ``-h``, an unknown command) and when arguments
+    are left over, so that argparse itself writes the usage or the error.
+    """
+    parser = _parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (TraceForgeError, ValueError) as exc:

@@ -126,12 +126,22 @@ def decide_existence(
     never searches, and :func:`find_witness` turns a yes into a trace.
     """
     require_trace_host(g)
+    return _decide_cell(g, kind, direction, d)
+
+
+def _decide_cell(
+    g: Graph, kind: str, direction: str, d: int | None
+) -> DecisionCertificate:
+    """:func:`decide_existence` on a host that has passed
+    ``require_trace_host``."""
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
 
-    if kind == "stable" and g.min_degree() <= d:
-        return _no(spec, MIN_DEGREE, min_degree=g.min_degree())
+    if kind == "stable":
+        min_degree = g.min_degree()
+        if min_degree <= d:
+            return _no(spec, MIN_DEGREE, min_degree=min_degree)
 
-    if direction == PARALLEL and any(g.degree(v) % 2 for v in g.vertices):
+    if direction == PARALLEL and any(n % 2 for n in map(len, g.adjacency.values())):
         return _no(spec, NOT_EULERIAN)
 
     if kind == "stable" and direction == ANTIPARALLEL:
@@ -329,11 +339,16 @@ def graph_deficiency_report(g: Graph, threshold: int | None = None) -> dict:
 def condition_table(
     g: Graph, d_values: list[int]
 ) -> dict[tuple[str, str, int | None], DecisionCertificate]:
-    """All nine cells of the matrix; stable cells once per requested d."""
+    """All nine cells of the matrix; stable cells once per requested d.
+
+    Each cell is :func:`decide_existence`'s certificate; the host is
+    checked once for the whole table.
+    """
+    require_trace_host(g)
     table: dict[tuple[str, str, int | None], DecisionCertificate] = {}
     for direction in DIRECTIONS:
-        table[("double", direction, None)] = decide_existence(g, "double", direction)
+        table[("double", direction, None)] = _decide_cell(g, "double", direction, None)
         for d in d_values:
-            table[("stable", direction, d)] = decide_existence(g, "stable", direction, d)
-        table[("strong", direction, None)] = decide_existence(g, "strong", direction)
+            table[("stable", direction, d)] = _decide_cell(g, "stable", direction, d)
+        table[("strong", direction, None)] = _decide_cell(g, "strong", direction, None)
     return table

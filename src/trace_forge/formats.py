@@ -73,7 +73,7 @@ def parse_trace_text(text: str) -> tuple[int, ...]:
     if not fields:
         raise ParseError("empty trace")
     try:
-        return tuple(int(f) for f in fields)
+        return tuple(map(int, fields))
     except ValueError as exc:
         raise ParseError(f"non-integer vertex id in trace: {exc}") from exc
 

@@ -159,10 +159,10 @@ class Graph:
         return edge_key(u, v) in self.edge_set
 
     def min_degree(self) -> int:
-        return min(len(ns) for ns in self.adjacency.values())
+        return min(map(len, self.adjacency.values()))
 
     def max_degree(self) -> int:
-        return max(len(ns) for ns in self.adjacency.values())
+        return max(map(len, self.adjacency.values()))
 
     @property
     def num_vertices(self) -> int:

@@ -469,3 +469,103 @@ def test_main_reuses_parser_without_carry_over(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert outputs() == shared
     assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 2]
+
+
+@pytest.mark.parametrize("value", ["1,x", ""])
+def test_table_names_a_malformed_d_list(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "-i", str(FIXTURES / "k4.edges"), "-d", value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"trace-forge table: error: argument -d: "
+        f"expected comma-separated integers, got {value!r}"
+    )
+
+
+def _golden_argvs() -> list[list[str]]:
+    """The argv of every golden CLI run, with fixture paths put back (a
+    ``verify`` trace path is only parsed here, never opened)."""
+    golden = json.loads((FIXTURES / "cli_golden.json").read_text())
+    paths = {path.stem: str(path) for path in FIXTURES.glob("*.edges")}
+    paths["@find"] = str(FIXTURES / "k3.trace")
+    return [[paths.get(arg, arg) for arg in key.split(" ")] for key in golden]
+
+
+def test_dispatch_parses_golden_argvs_as_the_full_parser():
+    for argv in _golden_argvs():
+        assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+
+
+def _outcome(capsys, call) -> tuple:
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["decide", "-h"],
+        ["bogus", "-i", "x"],
+        ["decide", "-i", "x", "--bogus"],
+        ["decide", "--kind", "strong"],
+        ["find", "-i", "x", "--kind", "nope"],
+    ],
+)
+def test_dispatch_rejects_and_helps_as_the_full_parser(capsys, argv):
+    dispatched = _outcome(capsys, lambda: main(argv))
+    full = _outcome(capsys, lambda: cli.build_parser().parse_args(argv))
+    assert dispatched == full
+    assert dispatched[0] in (0, 2)
+
+
+def test_main_scans_argv_once(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "k3.trace"
+    trace.write_text("0 1 2 0 2 1\n")
+    k4 = str(FIXTURES / "k4.edges")
+    calls = []
+    parse_known_args = cli.argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (
+        ["decide", "-i", k4, "--kind", "stable", "-d", "1", "--json"],
+        ["find", "-i", k4, "--kind", "strong"],
+        ["verify", "-i", str(FIXTURES / "k3.edges"), "-t", str(trace)],
+        ["deficiency", "-i", k4, "-d", "4"],
+        ["table", "-i", k4, "-d", "1,2", "--json"],
+    ):
+        calls.clear()
+        main(argv)
+        assert calls == [f"trace-forge {argv[0]}"], argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "-i", str(FIXTURES / "k4.edges"), "-d", "1,2"],
+        ["decide", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong", "--json"],
+        ["decide", "-i", str(FIXTURES / "k4.edges"), "--bogus"],
+    ],
+)
+def test_module_entry_prints_what_main_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # one usage width on both sides
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "trace_forge", *argv],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    in_process = _outcome(capsys, lambda: main(argv))
+    assert (result.returncode, result.stdout, result.stderr) == in_process

@@ -189,6 +189,29 @@ def test_condition_table_k5_d_sweep(k5):
         assert cert.violated_condition == "MinDegree"
 
 
+def test_condition_table_checks_the_host_once(monkeypatch):
+    """Every cell of the table is the certificate decide_existence gives
+    for it alone, and the host is checked once per table."""
+    import trace_forge.decide as decide_module
+
+    checks = []
+    check = decide_module.require_trace_host
+
+    def counted(g):
+        checks.append(g)
+        check(g)
+
+    monkeypatch.setattr(decide_module, "require_trace_host", counted)
+    for g in atlas_graphs(7):
+        checks.clear()
+        table = condition_table(g, [1, 2, 3])
+        assert checks == [g]
+        assert len(table) == 15
+        for (kind, direction, d), cert in table.items():
+            # dataclass equality: verdict, cell, witness tree, condition, detail
+            assert cert == decide_existence(g, kind, direction, d), (g, kind, direction, d)
+
+
 def test_build_k5(k5):
     w = build_antiparallel_d_stable(k5, 1)
     assert w is not None
