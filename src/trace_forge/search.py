@@ -10,12 +10,15 @@ partial transition graphs prune stability violations as soon as a local
 component is sealed.  The search is complete: a ``None`` result means the
 whole space was exhausted.
 
-The bookkeeping is positional.  Each adjacency entry carries the edge id and
-the position of the reverse entry in the neighbor's list, so a step updates
-the transition graphs at both ends without a lookup.  Every expanded node
-keeps all open edges in the head's component of the open-edge graph, so
-after a step that closes an edge the stranded-edge test is one DFS that
-stops at the step's tail, not a scan of every open edge.
+The bookkeeping is positional.  Each move carries its edge id, its own
+position and the position of the reverse entry in the neighbor's list, so a
+step touches both ends without a lookup.  Every transition graph is a set of
+paths and cycles, kept as the far end and the size at each path end: a step
+joins two paths or closes a cycle in O(1), and a closed cycle is a sealed
+component.  Every expanded node keeps all open edges in the head's component
+of the open-edge graph, so after a step that closes an edge the
+stranded-edge test is one DFS that stops at the step's tail, not a scan of
+every open edge.
 """
 
 from __future__ import annotations
@@ -42,13 +45,18 @@ DEFAULT_BUDGET = 5_000_000
 class _Engine:
     """One backtracking run over a fixed host and spec.
 
-    Vertices are indices into the sorted labels.  ``adj[c]`` lists
-    ``(w, eid, back)`` by ascending neighbor ``w``, where ``back`` is the
+    Vertices are indices into the sorted labels.  ``adj[c]`` lists the moves
+    ``(w, eid, back, pos)`` from ``c`` by ascending neighbor ``w``, where
+    ``pos`` is the move's own position in ``adj[c]`` and ``back`` is the
     position of ``c`` in ``adj[w]``, so a step carries the positions it
-    touches at both ends and the search never looks a position up.  The
-    transition graph at ``c`` is a union-find over the positions of
-    ``adj[c]``; each root holds its component size and its count of still
-    open traversal slots, and every union is undone on backtracking.
+    touches at both ends and the search never looks a position up.
+
+    The transition graph at ``c`` has the positions of ``adj[c]`` as nodes.
+    Each traversal of an edge end takes part in one transition there, so a
+    position has at most two links and every component is a path or a
+    cycle.  :meth:`run` keeps the far end and the size of each path at both
+    of its ends: a transition {a, b} closes a cycle exactly when b is a's far
+    end, and otherwise joins two paths, which backtracking undoes.
 
     The caller checks that the host is connected and has an edge
     (:func:`~trace_forge.walks.require_trace_host`).  Every node the search
@@ -76,18 +84,10 @@ class _Engine:
         for lst in pairs:
             lst.sort()  # ascending neighbor id (labels are sorted, so index order matches)
         position = {(c, w): pos for c in range(self.n) for pos, (w, _) in enumerate(pairs[c])}
-        self.adj: list[list[tuple[int, int, int]]] = [
-            [(w, eid, position[(w, c)]) for w, eid in pairs[c]] for c in range(self.n)
+        self.adj: list[list[tuple[int, int, int, int]]] = [
+            [(w, eid, position[(w, c)], pos) for pos, (w, eid) in enumerate(pairs[c])]
+            for c in range(self.n)
         ]
-        self.dsu_parent = [list(range(len(a))) for a in self.adj]
-        self.dsu_size = [[1] * len(a) for a in self.adj]
-        self.dsu_open = [[2] * len(a) for a in self.adj]
-
-    def _find(self, center: int, pos: int) -> int:
-        parent = self.dsu_parent[center]
-        while parent[pos] != pos:
-            pos = parent[pos]
-        return pos
 
     # -- pruning ---------------------------------------------------------------
 
@@ -102,33 +102,18 @@ class _Engine:
             return True
         return False
 
-    def _component_sizes_ok(self, center: int) -> bool:
-        """Full spec check at one vertex whose links are all known."""
-        size = self.dsu_size[center]
-        groups: dict[int, int] = {}
-        for pos in range(len(self.adj[center])):
-            r = self._find(center, pos)
-            if r not in groups:
-                groups[r] = size[r]
-        if len(groups) <= 1:
-            # connected: only trivial repetitions; the upfront min-degree
-            # check already covers the stable degree bound
-            return True
-        if self.spec.kind == "strong":
-            return False
-        return min(groups.values()) > self.spec.d
-
     # -- DFS ---------------------------------------------------------------------
 
     def run(self) -> Iterator[tuple[int, ...]]:
         """Yield each spec-satisfying closed walk from vertex 0, as its
         minimal rotation of labels, in DFS order.
 
-        A step u -> v is one node.  It consumes a traversal slot of the edge,
-        drops the open count of the edge's position at u and at v, and joins
-        at u the positions of the previous walk vertex and v (the transition
-        {prev, v}).  The node is then cut when it seals a transition
-        component at u (other than vertex 0, checked once in full when the
+        A step u -> v is one node.  It consumes a traversal slot of the edge
+        and adds at u the transition {prev, v} between the positions of the
+        previous walk vertex and v.  At u != 0 every earlier traversal at u
+        already sits in a transition, so the step seals a component exactly
+        when that transition closes a cycle.  The node is cut when it seals
+        a component at u (other than vertex 0, checked once in full when the
         walk closes) that can only end as a forbidden repetition, or when it
         strands an open edge.  Stranding is tested without scanning the open
         edges.  Before the step, every open edge lay in u's component of the
@@ -137,14 +122,14 @@ class _Engine:
         edge, which splits that component into at most two parts, one
         holding u and one holding v.  So an edge is stranded exactly when u
         still has an open edge and v no longer reaches u.  The search tests
-        just that, with a DFS from v that stops when it meets u, and so cuts
-        the same nodes as a count of the open edges v reaches.
+        just that, from a count of open edges per vertex and, when v keeps
+        one, a DFS from v that stops when it meets u, and so cuts the same
+        nodes as a count of the open edges v reaches.
         """
         if self._impossible_upfront():
             return
         spec = self.spec
         adj, deg, labels = self.adj, self.deg, self.labels
-        parent, size, opened = self.dsu_parent, self.dsu_size, self.dsu_open
         constrained = spec.direction != "any"
         parallel = spec.direction == PARALLEL
         check_repetitions = spec.kind != "double"
@@ -153,27 +138,30 @@ class _Engine:
         limit = self.budget
         used = [0] * self.m
         first_from = [0] * self.m
+        open_edges = list(deg)  # per vertex: edges used fewer than twice
+        # per vertex and position, read while the position ends a path of
+        # the transition graph: the path's far end and its size
+        ends = [list(range(k)) for k in deg]
+        sizes = [[1] * k for k in deg]
+        zero_cycles: list[int] = []  # sizes of the cycles closed at vertex 0
         mark = [0] * self.n
         stamp = 0
         nodes = 0
         last = 2 * self.m - 1  # depth whose step completes a walk
-        # per depth k <= last: the walk vertex, the position of walk[k - 1]
-        # in its adjacency, the index of the next move to try from it (saved
-        # on the way down), and the position at walk[k - 1] that the step
-        # into k attached under another root, or -1
-        walk = [0] * (last + 1)
-        into = [0] * (last + 1)
-        resume = [0] * (last + 1)
-        child_at = [0] * (last + 1)
+        # one frame per step on the walk: the tail, the tail's arrival
+        # position, the tail's move iterator, the move's position and edge,
+        # and what the transition at the tail did: the size of the arrival
+        # position's path when it joined two paths, -1 when it closed a
+        # cycle at vertex 0, else 0
+        frames: list[tuple[int, int, Iterator[tuple[int, int, int, int]], int, int, int]] = []
         # antiparallel traces use each start edge exactly once outward, so
         # every trace has exactly one rotation beginning with the smallest
         # neighbor; pinning the first step drops the duplicate rotations
-        first_moves = adj[0][:1] if spec.direction == ANTIPARALLEL else adj[0]
-        depth, u, moves, idx = 0, 0, first_moves, 0
+        moves = iter(adj[0][:1] if spec.direction == ANTIPARALLEL else adj[0])
+        depth = u = a = 0
+        end, size, deg_u = ends[0], sizes[0], deg[0]
         while True:
-            if idx < len(moves):
-                v, eid, back = moves[idx]
-                idx += 1
+            for v, eid, back, b in moves:
                 k = used[eid]
                 if k == 2 or (k == 1 and constrained and (first_from[eid] == u) != parallel):
                     continue
@@ -181,102 +169,96 @@ class _Engine:
                 if nodes > limit:
                     self.nodes = nodes
                     raise BudgetExhaustedError(nodes)
-                used[eid] = k + 1
-                if k == 0:
-                    first_from[eid] = u
-                pu, ou = parent[u], opened[u]
-                ru = idx - 1
-                while pu[ru] != ru:
-                    ru = pu[ru]
-                ou[ru] -= 1
-                pv = parent[v]
-                rv = back
-                while pv[rv] != rv:
-                    rv = pv[rv]
-                opened[v][rv] -= 1
-                child = -1
-                cut = False
-                if depth:
-                    rp = into[depth]
-                    while pu[rp] != rp:
-                        rp = pu[rp]
-                    su = size[u]
-                    if rp != ru:
-                        if su[rp] < su[ru]:
-                            rp, ru = ru, rp
-                        pu[ru] = rp
-                        su[rp] += su[ru]
-                        ou[rp] += ou[ru]
-                        child = ru
-                    if check_repetitions and u and ou[rp] == 0 and su[rp] != deg[u]:
-                        # a sealed proper component survives into every
-                        # completion as a repetition
-                        sealed = su[rp]
-                        cut = strong or sealed <= d or deg[u] - sealed <= d
+                closes = depth and end[a] == b
+                if closes and check_repetitions and u and size[a] != deg_u:
+                    # a sealed proper component survives into every
+                    # completion as a repetition
+                    sealed = size[a]
+                    if strong or sealed <= d or deg_u - sealed <= d:
+                        continue
                 if depth == last:
                     # Each transition component is checked once.  At u != 0
-                    # every final component sealed at a departure from u,
-                    # where the screen above ran, so `cut` is the full check
-                    # there.  At vertex 0 every position ends two joined
-                    # links except the first-departure and last-arrival
-                    # positions, which end one each; a component holds an
-                    # even number of odd-degree positions, so those two
-                    # already share one and the wrap-around link joins
-                    # nothing.
-                    if v == 0 and not cut and (not check_repetitions or self._component_sizes_ok(0)):
+                    # every final component is a cycle closed at a departure
+                    # from u, where the screen above ran.  At vertex 0 every
+                    # position ends two links except the first-departure and
+                    # last-arrival positions, which end one each, so those
+                    # two end the one path at vertex 0, whose size its
+                    # first-departure end keeps; the wrap-around link closes
+                    # it and joins nothing else.
+                    if v == 0 and (
+                        not check_repetitions
+                        or not zero_cycles
+                        or (not strong and min(min(zero_cycles), sizes[0][frames[0][3]]) > d)
+                    ):
                         self.nodes = nodes
-                        yield min_rotation(tuple(labels[i] for i in walk))
-                elif not cut and k == 1:
-                    # the step closed u-v: while u keeps an open edge, cut
+                        yield min_rotation(tuple(labels[f[0]] for f in frames) + (labels[u],))
+                    continue
+                if k:
+                    # the step closes u-v: while u keeps an open edge, cut
                     # unless v still reaches u over open edges
-                    for _, e, _ in adj[u]:
-                        if used[e] < 2:
-                            cut = True
-                            break
-                    if cut:
+                    if open_edges[u] > 1:
+                        if open_edges[v] == 1:
+                            continue
+                        used[eid] = 2  # the DFS must not cross u-v
                         stamp += 1
                         mark[v] = stamp
                         stack = [v]
+                        cut = True
                         while stack and cut:
-                            for y, e, _ in adj[stack.pop()]:
+                            for y, e, _, _ in adj[stack.pop()]:
                                 if used[e] < 2 and mark[y] != stamp:
                                     if y == u:
                                         cut = False
                                         break
                                     mark[y] = stamp
                                     stack.append(y)
-                if depth != last and not cut:
-                    resume[depth] = idx
-                    depth += 1
-                    walk[depth], into[depth], child_at[depth] = v, back, child
-                    u, moves, idx = v, adj[v], 0
-                    continue
+                        if cut:
+                            used[eid] = 1
+                            continue
+                    open_edges[u] -= 1
+                    open_edges[v] -= 1
+                else:
+                    first_from[eid] = u
+                # only a node the search descends into writes its step, so a
+                # cut node or a leaf leaves nothing to undo
+                used[eid] = k + 1
+                joined = 0
+                if closes:
+                    if not u:
+                        zero_cycles.append(size[a])
+                        joined = -1
+                elif depth:
+                    joined = size[a]
+                    ea, eb = end[a], end[b]
+                    end[ea], end[eb] = eb, ea
+                    size[ea] = size[eb] = joined + size[b]
+                frames.append((u, a, moves, b, eid, joined))
+                depth += 1
+                u, a, moves = v, back, iter(adj[v])
+                end, size, deg_u = ends[v], sizes[v], deg[v]
+                break
             else:
                 # every move from u is tried: step back along the edge into u
                 if not depth:
                     break
-                v, back, child = u, into[depth], child_at[depth]
                 depth -= 1
-                u, idx = walk[depth], resume[depth]
-                moves = adj[u] if depth else first_moves
-                eid = moves[idx - 1][1]
-                pu, ou = parent[u], opened[u]
-            # undo the step u -> v taken by moves[idx - 1]
-            if child >= 0:
-                root = pu[child]
-                pu[child] = child
-                size[u][root] -= size[u][child]
-                ou[root] -= ou[child]
-            pv = parent[v]
-            rv = back
-            while pv[rv] != rv:
-                rv = pv[rv]
-            opened[v][rv] += 1
-            ru = idx - 1
-            while pu[ru] != ru:
-                ru = pu[ru]
-            ou[ru] += 1
-            used[eid] -= 1
+                v = u
+                u, a, moves, b, eid, joined = frames.pop()
+                end, size, deg_u = ends[u], sizes[u], deg[u]
+                k = used[eid] - 1
+                used[eid] = k
+                if k:
+                    open_edges[u] += 1
+                    open_edges[v] += 1
+                if joined > 0:
+                    # a was its own far end when its path had size 1
+                    ea = a if joined == 1 else end[a]
+                    eb = end[ea]
+                    size[eb] = size[ea] - joined
+                    size[ea] = joined
+                    end[ea], end[eb] = a, b
+                elif joined:
+                    zero_cycles.pop()
         self.nodes = nodes
 
 

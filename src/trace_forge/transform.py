@@ -165,14 +165,19 @@ def _split_candidates(
     """Splits following the constructive recipe: the tree neighbor u sits in
     one half, a co-tree neighbor w in the other, and the tree regains the
     edge wv.  Halves have sizes ceil(d/2) and floor(d/2); both assignments of
-    u's side are tried.  Disconnected splits are skipped by the tree check:
-    the relabeled tree plus v2-w puts |V| edges on the |V| + 1 vertices of
-    the split graph, so a disconnected split leaves them a cycle.
+    u's side are tried.  The relabeled tree plus v2-w puts |V| edges on the
+    |V| + 1 vertices of the split graph, so they form a spanning tree exactly
+    when v2-w closes no cycle, that is when the branch of t - v holding w
+    hangs off a tree neighbor of v in u's half.  Other splits are skipped
+    before they are built; they include every disconnected one.
     """
     nbhd = set(g.neighbors(v))
     degree = len(nbhd)
     tree_nbrs = sorted(x for x in nbhd if edge_key(x, v) in t.tree_edges)
     cotree_nbrs = sorted(x for x in nbhd if edge_key(x, v) not in t.tree_edges)
+    # each vertex but v -> the tree neighbor of v whose branch of t - v holds it
+    branches = _components((x for x in g.vertices if x != v), (e for e in t.tree_edges if v not in e))
+    hub = {y: x for comp in branches for x in tree_nbrs if x in comp for y in comp}
     ceil_half = (degree + 1) // 2
     floor_half = degree // 2
     sizes = [ceil_half] if ceil_half == floor_half else [ceil_half, floor_half]
@@ -183,17 +188,13 @@ def _split_candidates(
             for size in sizes:
                 for extra in combinations(rest, size - 1):
                     u_side = frozenset({u, *extra})
+                    if hub[w] not in u_side:
+                        continue
                     w_side = frozenset(nbhd - u_side)
                     g2 = split_vertex(g, SplitSpec(v, (u_side, w_side)))
                     edges = _relabeled_tree_edges(t, v, u_side, v1, v2)
                     edges.add(edge_key(v2, w))
-                    try:
-                        t2 = SpanningTree(g2, frozenset(edges))
-                    except NotSpanningTreeError:
-                        # v2-w closes a cycle: w hangs off a tree neighbor
-                        # of v that went to w's half, so v2 already reaches w
-                        continue
-                    yield g2, t2, (u_side, w_side)
+                    yield g2, SpanningTree(g2, frozenset(edges)), (u_side, w_side)
 
 
 def _recipe_trees(

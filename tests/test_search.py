@@ -1,10 +1,12 @@
 """Backtracking search: soundness, completeness at desk scale, determinism."""
 
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
-from trace_forge import search
+from trace_forge import decide, search
 from trace_forge.decide import build_antiparallel_d_stable, find_witness
 from trace_forge.errors import BudgetExhaustedError, DisconnectedGraphError
 from trace_forge.graph import build_graph, complete_graph, path_graph
@@ -262,14 +264,65 @@ K44 = build_graph([(i, j + 4) for i in range(4) for j in range(4)])
 
 @pytest.mark.parametrize(
     "graph,budget,nodes",
-    [(K44, 54_153, 54_154), (complete_graph(6), 100_000, 100_001)],
+    [(K44, 54_153, 54_154), (complete_graph(6), 100_000, 100_001), (complete_graph(7), 100_000, 100_001)],
 )
 def test_budget_exhausts_one_node_past_the_budget(graph, budget, nodes):
     # the benchmark's budget boundaries: K4,4 at d = 1 needs 54,154 search
-    # nodes, K6 at d = 1 exhausts a budget of 100,000
+    # nodes, K6 and K7 at d = 1 exhaust a budget of 100,000 (the benchmark
+    # counts a success of either as an incorrect output)
     with pytest.raises(BudgetExhaustedError) as info:
         build_antiparallel_d_stable(graph, 1, budget=budget)
     assert info.value.nodes == nodes
+
+
+ICOSAHEDRON = build_graph(list(nx.icosahedral_graph().edges()))
+TWO_K4 = build_graph(
+    [(a, b) for block in ((0, 1, 2, 3), (3, 4, 5, 6)) for a, b in combinations(block, 2)]
+)
+
+
+def _reduced_host(g, d, monkeypatch):
+    """The all-even host whose strong trace ``build_antiparallel_d_stable``
+    searches for."""
+    hosts = []
+    real = decide.find_trace
+
+    def capture(h, spec, budget=None):
+        hosts.append(h)
+        return real(h, spec, budget)
+
+    monkeypatch.setattr(decide, "find_trace", capture)
+    build_antiparallel_d_stable(g, d)
+    (host,) = hosts
+    return host
+
+
+@pytest.mark.parametrize(
+    "graph,size,nodes,first",
+    [
+        (K44, (9, 16), 54_154, (
+            0, 4, 2, 5, 0, 6, 2, 4, 3, 5, 2, 7, 0, 5, 9, 7,
+            2, 6, 3, 7, 9, 5, 3, 6, 8, 4, 0, 7, 3, 4, 8, 6,
+        )),
+        (ICOSAHEDRON, (13, 30), 4_289, (
+            0, 5, 4, 3, 2, 6, 3, 4, 6, 2, 8, 0, 7, 8, 2, 9, 3, 6, 5, 0,
+            8, 9, 2, 12, 0, 11, 4, 5, 11, 7, 0, 12, 6, 4, 10, 3, 9, 7, 10, 4,
+            11, 5, 13, 8, 7, 9, 10, 7, 11, 10, 9, 8, 13, 5, 6, 12, 2, 3, 10, 11,
+        )),
+        (TWO_K4, (7, 12), 7_977, (
+            0, 1, 2, 0, 3, 1, 0, 2, 3, 4, 5, 3, 2, 1, 3, 5, 6, 4, 3, 6, 5, 4, 6, 3,
+        )),
+    ],
+    ids=["K4,4", "icosahedron", "2K4"],
+)
+def test_engine_pins_the_benchmark_hosts(graph, size, nodes, first, monkeypatch):
+    # the search golden stops at 6 vertices; these are the reduced hosts the
+    # benchmark's construct_roundtrip searches at d = 1, node for node
+    host = _reduced_host(graph, 1, monkeypatch)
+    assert (len(host.vertices), host.num_edges) == size
+    engine = search._Engine(host, TraceSpec("strong", "antiparallel"), search.DEFAULT_BUDGET)
+    assert next(engine.run()) == first
+    assert engine.nodes == nodes
 
 
 def test_budget_boundary_success():

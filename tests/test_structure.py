@@ -237,14 +237,12 @@ def _root_chasers(tree: ast.Module) -> list[str]:
 def test_one_general_union_find():
     # graph._components answers every component question; the loops that
     # keep state it lacks (parity and top degree per root in _score, unions
-    # undone on backtracking in iter_spanning_trees and the search engine)
-    # are the only other union-finds, and the scoring rule stays in spanning
+    # undone on backtracking in iter_spanning_trees) are the only other
+    # union-finds, and the scoring rule stays in spanning.  The search engine
+    # keeps path ends instead, since its transition graphs are paths and cycles
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
     chasers = {name: found for name, tree in trees.items() if (found := _root_chasers(tree))}
-    assert chasers == {
-        "search.py": ["_Engine._find", "_Engine.run"],
-        "spanning.py": ["_score", "iter_spanning_trees"],
-    }
+    assert chasers == {"spanning.py": ["_score", "iter_spanning_trees"]}
     defined = [
         (node.name, name)
         for name, tree in trees.items()

@@ -1,7 +1,7 @@
 """Tree transfer, deficiency-reducing splits, and trace projection/lifting."""
 
 import random
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -26,6 +26,7 @@ from trace_forge.graph import (
 )
 from trace_forge.search import find_trace
 from trace_forge.spanning import (
+    SpanningTree,
     cotree_decomposition,
     deficiency_of_tree,
     iter_spanning_trees,
@@ -33,6 +34,7 @@ from trace_forge.spanning import (
     tree_is_qualified,
 )
 from trace_forge.transform import (
+    _split_candidates,
     lift_trace_through_identification,
     project_trace_through_split,
     split_reduce_deficiency,
@@ -305,6 +307,41 @@ def test_split_reduce_universal_over_small_graphs():
                 assert tree_is_qualified(q.graph_after, q.tree_after, threshold)
                 checked += 1
     assert checked > 2000
+
+
+def test_split_candidates_are_the_recipe_splits_whose_tree_spans():
+    """The candidates, filtered before any split is built, are exactly the
+    recipe's splits whose relabeled tree plus v2-w spans the split graph, in
+    the recipe's order, on the first trees of every connected atlas graph
+    with up to 5 vertices."""
+    rejected = 0
+    for g in atlas_graphs(5):
+        for t in islice(iter_spanning_trees(g), 3):
+            for v in g.vertices:
+                nbhd = set(g.neighbors(v))
+                v1, v2 = fresh_vertex_ids(g, 2)
+                tree_nbrs = sorted(x for x in nbhd if edge_key(x, v) in t.tree_edges)
+                expected = []
+                for u, w in product(tree_nbrs, sorted(nbhd - set(tree_nbrs))):
+                    for size in sorted({(len(nbhd) + 1) // 2, len(nbhd) // 2}, reverse=True):
+                        for extra in combinations(sorted(nbhd - {u, w}), size - 1):
+                            parts = (frozenset({u, *extra}), frozenset(nbhd - {u, *extra}))
+                            g2 = split_vertex(g, SplitSpec(v, parts))
+                            edges = {edge_key(v2, w)}
+                            for x, y in t.tree_edges:
+                                if v in (x, y):
+                                    nbr = x if y == v else y
+                                    x, y = (v1 if nbr in parts[0] else v2), nbr
+                                edges.add(edge_key(x, y))
+                            try:
+                                tree = SpanningTree(g2, frozenset(edges))
+                            except NotSpanningTreeError:
+                                rejected += 1
+                                continue
+                            expected.append((g2, tree.tree_edges, parts))
+                found = [(g2, t2.tree_edges, parts) for g2, t2, parts in _split_candidates(g, t, v)]
+                assert found == expected, (g.edges, sorted(t.tree_edges), v)
+    assert rejected > 0
 
 
 def test_split_reduce_qualified_degree8_hub():
