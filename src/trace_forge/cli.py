@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = yes/found/satisfied, 1 = no/not found/not satisfied,
-2 = any error (parse failure, disconnected input, exhausted budget,
-oracle disagreement).  ``--json`` switches to a machine-readable
-certificate document with a versioned schema key.
+2 = any error (parse failure, unreadable input, disconnected input,
+exhausted budget, oracle disagreement, stdout closed by its reader).
+``--json`` switches to a machine-readable certificate document with a
+versioned schema key.
 
 Every ``--json`` document is written by :func:`_json_dump`, a small writer
 for the values documents hold: str-keyed dicts, lists, tuples, str, int,
@@ -412,31 +413,86 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, scanning argv once where it can.
+def _scan(sub: argparse.ArgumentParser, words: list[str]) -> dict | None:
+    """The values ``sub.parse_args(words)`` gives, or None where argparse
+    itself has to parse.
 
-    When ``argv[0]`` names a subcommand, the rest goes straight to that
-    subcommand's parser, as the full parser would hand it on, into a
-    namespace that already holds ``command``.  The full parser runs for
-    anything else (no argv, ``-h``, an unknown command) and when arguments
-    are left over, so that argparse itself writes the usage or the error.
+    Each word must be one of ``sub``'s option strings, exactly.  A store
+    action takes the next word through its ``type`` and ``choices``, and a
+    ``store_true`` action sets True.  Actions left unset take their
+    ``default`` (each option has a dest of its own, as in
+    :func:`build_parser`), then ``set_defaults`` applies.  None comes back
+    for anything else: an unknown or abbreviated option, ``--opt=value``,
+    ``-d1``, a value that starts with ``-`` or is missing, a failed
+    ``type`` or ``choices`` check, a missing required option, ``-h``.
+    """
+    options = sub._option_string_actions
+    values: dict = {}
+    words = iter(words)
+    for word in words:
+        action = options.get(word)
+        if type(action) is argparse._StoreTrueAction:
+            values[action.dest] = True
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in sub._actions:
+        if action.dest in values or action.default is argparse.SUPPRESS:
+            continue
+        # argparse passes a str default through the action's type
+        if action.required or (action.type is not None and isinstance(action.default, str)):
+            return None
+        values[action.dest] = action.default
+    for dest, value in sub._defaults.items():
+        values.setdefault(dest, value)
+    return values
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, without argparse where it can.
+
+    When ``argv[0]`` names a subcommand, :func:`_scan` matches the rest
+    against that subcommand's options, and the values it returns, with
+    ``command``, are the namespace.  The full parser runs for anything the
+    scan leaves to argparse, and for no argv, ``-h`` or an unknown command,
+    so that argparse itself writes the usage, the help or the error.
     """
     parser = _parser()
     sub = parser.subcommands.get(argv[0]) if argv else None
     if sub is not None:
-        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
+        values = _scan(sub, argv[1:])
+        if values is not None:
+            return argparse.Namespace(command=argv[0], **values)
     return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        return args.func(args)
-    except (TraceForgeError, ValueError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone: send what is left to devnull, so
+        # that the flush at exit writes nowhere (the Python docs' recipe)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
+    except (TraceForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

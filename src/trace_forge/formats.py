@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 
-from .errors import ParseError, TraceForgeError
+from .errors import ParseError
 from .graph import Graph, build_graph
 from .walks import DoubleTrace
 
@@ -13,30 +14,46 @@ GRAPH6 = "graph6"
 
 
 def parse_edgelist(text: str) -> Graph:
-    """One ``u v`` pair per line; ``#`` starts a comment; ids are decimal."""
-    edges = []
+    """One ``u v`` pair per line; ``#`` starts a comment; ids are decimal.
+
+    Each pair is checked as it is read.  A line that is not two
+    non-negative integers raises at once, with its line number; the first
+    self-loop or repeated edge raises only once every line has parsed, and
+    without a line number, so a malformed line after it is still the error
+    reported.
+    """
+    edges: set[tuple[int, int]] = set()
+    conflict = None  # the message of the first self-loop or repeated edge
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        fields = raw.split()
+        if not fields:
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise ParseError(
-                f"expected 'u v', got {len(fields)} fields: {line!r}", lineno
+                f"expected 'u v', got {len(fields)} fields: {raw.strip()!r}", lineno
             )
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError(f"non-integer vertex id in {line!r}", lineno) from None
+            raise ParseError(f"non-integer vertex id in {raw.strip()!r}", lineno) from None
         if u < 0 or v < 0:
-            raise ParseError(f"negative vertex id in {line!r}", lineno)
-        edges.append((u, v))
+            raise ParseError(f"negative vertex id in {raw.strip()!r}", lineno)
+        key = (u, v) if u < v else (v, u)  # graph.edge_key, inlined
+        if u == v or key in edges:
+            if conflict is None:
+                conflict = (
+                    f"self-loop at vertex {u}" if u == v
+                    else f"edge {key} given more than once"
+                )
+            continue
+        edges.add(key)
+    if conflict is not None:
+        raise ParseError(conflict)
     if not edges:
         raise ParseError("no edges in input")
-    try:
-        return build_graph(edges)
-    except TraceForgeError as exc:
-        raise ParseError(str(exc)) from exc
+    return Graph(tuple(sorted({*chain.from_iterable(edges)})), tuple(sorted(edges)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -58,8 +75,19 @@ def parse_graph6(text: str) -> Graph:
     )
 
 
+def _read(path: str | Path) -> str:
+    """The file's text, read unbuffered and decoded whole as UTF-8.
+
+    Text mode would also turn ``\\r\\n`` and ``\\r`` into ``\\n``; every
+    reader here splits with ``splitlines``, which breaks at those too, so
+    the lines are the same.
+    """
+    with open(path, "rb", buffering=0) as f:
+        return f.read().decode("utf-8")
+
+
 def load_graph(path: str | Path, fmt: str = EDGELIST) -> Graph:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read(path)
     if fmt == EDGELIST:
         return parse_edgelist(text)
     if fmt == GRAPH6:
@@ -83,5 +111,5 @@ def format_trace_text(w: DoubleTrace) -> str:
 
 
 def load_trace_sequence(path: str | Path) -> tuple[int, ...]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read(path)
     return parse_trace_text(next((ln for ln in text.splitlines() if ln.strip()), ""))

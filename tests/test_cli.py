@@ -17,7 +17,9 @@ from trace_forge.formats import (
     parse_graph6,
 )
 from trace_forge.errors import ParseError
-from trace_forge.graph import complete_graph
+from trace_forge.graph import build_graph, complete_graph
+
+from conftest import atlas_graphs
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,20 +51,50 @@ def test_parse_rejects_garbage_graph6():
 
 
 @pytest.mark.parametrize(
-    "text,line",
-    [("0 1\n1 x\n", 2), ("0 1\n# comment\n1 -2\n", 3), ("0 1\n1 1\n", None)],
-    ids=["non-integer", "negative", "self-loop"],
+    "text,line,message",
+    [
+        ("0 1\n1 x\n", 2, "non-integer vertex id in '1 x'"),
+        ("0 1\n# comment\n1 -2\n", 3, "negative vertex id in '1 -2'"),
+        ("0 1\n1 1\n", None, "self-loop at vertex 1"),
+        ("0 1\n1 0\n", None, "edge (0, 1) given more than once"),
+        ("0 1\n1 0\n1 2\n2 y\n", 4, "non-integer vertex id in '2 y'"),
+        ("\ufeff0 1\n1 2\n", 1, "non-integer vertex id in '\\ufeff0 1'"),
+    ],
+    ids=["non-integer", "negative", "self-loop", "repeat", "repeat-then-non-integer", "bom"],
 )
-def test_edgelist_rejects_bad_ids(tmp_path, capsys, text, line):
-    # a self-loop passes the line checks and fails in build_graph, whose
-    # error knows no line number
+def test_edgelist_rejects_bad_ids(tmp_path, capsys, text, line, message):
+    # a self-loop or a repeated edge is reported once every line has parsed,
+    # without a line number, so a malformed line after it wins
+    if line is not None:
+        message = f"line {line}: {message}"
     with pytest.raises(ParseError) as err:
         parse_edgelist(text)
-    assert err.value.line == line
+    assert (err.value.line, str(err.value)) == (line, message)
     path = tmp_path / "bad.edges"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     assert main(["decide", "-i", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_edgelist_line_endings_and_comments():
+    k3 = complete_graph(3)
+    for text in (
+        "0 1\r\n1 2\r\n0 2\r\n",
+        "0\t1\n1 \t 2\n\t0 2\t\n",
+        "0 1\n1 2\n0 2",
+        "# K3\n0 1\n   # a comment only\n\n1 2 # trailing\n#\n0 2\n",
+    ):
+        assert parse_edgelist(text) == k3, text
+    with pytest.raises(ParseError, match="no edges in input"):
+        parse_edgelist("# nothing\n  # here\n")
+
+
+def test_edgelist_parses_every_atlas_graph_as_build_graph():
+    for g in atlas_graphs(7):
+        # endpoints swapped and the lines reversed, so the canonical keys and
+        # the sort are what make the two equal
+        text = "".join(f"{v} {u}\n" for u, v in reversed(g.edges))
+        assert parse_edgelist(text) == build_graph(g.edges), g.edges
 
 
 def test_graph6_accepts_header_and_rejects_invalid_data():
@@ -492,8 +524,24 @@ def _golden_argvs() -> list[list[str]]:
 
 
 def test_dispatch_parses_golden_argvs_as_the_full_parser():
-    for argv in _golden_argvs():
+    k4 = str(FIXTURES / "k4.edges")
+    # --opt=value, an abbreviation, an attached or a negative value
+    unscanned = [
+        ["decide", "-i", k4, "--kind=stable", "-d", "1"],
+        ["decide", "-i", k4, "--dir", "antiparallel"],
+        ["find", "-i", k4, "--kind", "stable", "-d1"],
+        ["decide", "-i", k4, "--kind", "stable", "-d", "-1"],
+    ]
+    # a flag or an option given twice, an empty value
+    scanned = _golden_argvs() + [
+        ["table", "-i", k4, "--json", "--json"],
+        ["decide", "-i", k4, "--kind", "strong", "--kind", "stable", "-d", "2"],
+        ["decide", "-i", ""],
+    ]
+    for argv in unscanned + scanned:
         assert vars(cli._parse(argv)) == vars(cli.build_parser().parse_args(argv)), argv
+        sub = cli._parser().subcommands[argv[0]]
+        assert (cli._scan(sub, argv[1:]) is not None) == (argv in scanned), argv
 
 
 def _outcome(capsys, call) -> tuple:
@@ -515,6 +563,12 @@ def _outcome(capsys, call) -> tuple:
         ["decide", "-i", "x", "--bogus"],
         ["decide", "--kind", "strong"],
         ["find", "-i", "x", "--kind", "nope"],
+        ["decide", "-i", "x", "-d", "x"],
+        ["table", "-i", "x", "-d", "1,x"],
+        ["verify", "-i", "x"],
+        ["decide", "-i"],
+        ["verify", "-i", "x", "-t", "y", "--kind=nope"],
+        ["decide", "-i", "--json"],
     ],
 )
 def test_dispatch_rejects_and_helps_as_the_full_parser(capsys, argv):
@@ -525,6 +579,7 @@ def test_dispatch_rejects_and_helps_as_the_full_parser(capsys, argv):
 
 
 def test_main_scans_argv_once(tmp_path, capsys, monkeypatch):
+    """Plain argv never reach argparse's own scan."""
     trace = tmp_path / "k3.trace"
     trace.write_text("0 1 2 0 2 1\n")
     k4 = str(FIXTURES / "k4.edges")
@@ -545,7 +600,7 @@ def test_main_scans_argv_once(tmp_path, capsys, monkeypatch):
     ):
         calls.clear()
         main(argv)
-        assert calls == [f"trace-forge {argv[0]}"], argv
+        assert calls == [], argv
     capsys.readouterr()
 
 
@@ -569,3 +624,42 @@ def test_module_entry_prints_what_main_prints(capsys, monkeypatch, argv):
     )
     in_process = _outcome(capsys, lambda: main(argv))
     assert (result.returncode, result.stdout, result.stderr) == in_process
+
+
+@pytest.mark.parametrize("which", ["missing input", "directory input", "missing trace"])
+def test_unreadable_input_exits_2(tmp_path, capsys, which):
+    k3 = str(FIXTURES / "k3.edges")
+    missing = str(tmp_path / "missing")
+    argv = {
+        "missing input": ["decide", "-i", missing],
+        "directory input": ["decide", "-i", str(tmp_path)],
+        "missing trace": ["verify", "-i", k3, "-t", missing],
+    }[which]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_2_without_traceback(unbuffered):
+    # buffered, the first write to the pipe is the flush in main; unbuffered,
+    # it is the print in the command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "trace_forge",
+             "table", "-i", str(FIXTURES / "k4.edges"), "-d", "1,2", "--json"],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (2, "")
