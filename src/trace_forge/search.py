@@ -10,15 +10,19 @@ partial transition graphs prune stability violations as soon as a local
 component is sealed.  The search is complete: a ``None`` result means the
 whole space was exhausted.
 
-The bookkeeping is positional.  Each move carries its edge id, its own
-position and the position of the reverse entry in the neighbor's list, so a
-step touches both ends without a lookup.  Every transition graph is a set of
-paths and cycles, kept as the far end and the size at each path end: a step
-joins two paths or closes a cycle in O(1), and a closed cycle is a sealed
-component.  Every expanded node keeps all open edges in the head's component
-of the open-edge graph, so after a step that closes an edge the
-stranded-edge test is one DFS that stops at the step's tail, not a scan of
-every open edge.
+The bookkeeping is positional and bitwise.  Each move carries its edge id,
+its own position and the position of the reverse entry in the neighbor's
+list, so a step touches both ends without a lookup.  Each vertex keeps a
+mask of the positions whose edge still has a slot the direction allows, and
+the move loop tries only those.  Every transition graph is a set of paths
+and cycles, kept as the far end and the size at each path end: a step joins
+two paths or closes a cycle in O(1), and a closed cycle is a sealed
+component.  The open-edge graph (edges used fewer than twice) is one mask of
+open neighbors per vertex.  Every expanded node keeps all open edges in the
+head's component of that graph, so after a step that closes an edge the
+stranded-edge test is a breadth-first search over masks from the step's
+head that stops as soon as it meets an open neighbor of the step's tail;
+one AND answers it when the two ends share an open neighbor.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ class _Engine:
     of its ends: a transition {a, b} closes a cycle exactly when b is a's far
     end, and otherwise joins two paths, which backtracking undoes.
 
-    The caller checks that the host is connected and has an edge
+    ``nbr_bits[c]`` has bit ``w`` set for each neighbor ``w`` of ``c``;
+    :meth:`run` starts its open-edge graph from it.  The caller checks that
+    the host is connected and has an edge
     (:func:`~trace_forge.walks.require_trace_host`).  Every node the search
     expands keeps one invariant: each open edge (used fewer than twice)
     lies in the head's component of the open-edge graph.  :meth:`run`
@@ -77,10 +83,13 @@ class _Engine:
         self.m = g.num_edges
         self.deg = [g.degree(v) for v in self.labels]
         pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        self.nbr_bits = [0] * self.n
         for eid, (u, v) in enumerate(g.edges):
             ui, vi = index[u], index[v]
             pairs[ui].append((vi, eid))
             pairs[vi].append((ui, eid))
+            self.nbr_bits[ui] |= 1 << vi
+            self.nbr_bits[vi] |= 1 << ui
         for lst in pairs:
             lst.sort()  # ascending neighbor id (labels are sorted, so index order matches)
         position = {(c, w): pos for c in range(self.n) for pos, (w, _) in enumerate(pairs[c])}
@@ -110,49 +119,71 @@ class _Engine:
 
         A step u -> v is one node.  It consumes a traversal slot of the edge
         and adds at u the transition {prev, v} between the positions of the
-        previous walk vertex and v.  At u != 0 every earlier traversal at u
-        already sits in a transition, so the step seals a component exactly
-        when that transition closes a cycle.  The node is cut when it seals
-        a component at u (other than vertex 0, checked once in full when the
-        walk closes) that can only end as a forbidden repetition, or when it
-        strands an open edge.  Stranding is tested without scanning the open
-        edges.  Before the step, every open edge lay in u's component of the
-        open-edge graph.  A step that leaves u-v open keeps that component
-        and moves the head inside it.  A step that closes u-v removes one
-        edge, which splits that component into at most two parts, one
-        holding u and one holding v.  So an edge is stranded exactly when u
-        still has an open edge and v no longer reaches u.  The search tests
-        just that, from a count of open edges per vertex and, when v keeps
-        one, a DFS from v that stops when it meets u, and so cuts the same
-        nodes as a count of the open edges v reaches.
+        previous walk vertex and v.  The moves tried from u are those whose
+        position is set in u's live mask.  A step clears each position whose
+        last allowed slot it takes: an antiparallel step clears its own
+        position at u, since the edge's other traversal must run v -> u; a
+        parallel first traversal clears the reverse position at v and the
+        second clears its own at u; with any direction the second traversal
+        clears both.  Backtracking sets them again, so the loop never tries
+        a slot that is used twice or that the direction forbids.
+
+        At u != 0 every earlier traversal at u already sits in a transition,
+        so the step seals a component exactly when that transition closes a
+        cycle.  The node is cut when it seals a component at u (other than
+        vertex 0, checked once in full when the walk closes) that can only
+        end as a forbidden repetition, or when it strands an open edge.
+        Stranding is tested without scanning the open edges.  Before the
+        step, every open edge lay in u's component of the open-edge graph.
+        A step that leaves u-v open keeps that component and moves the head
+        inside it.  A step that closes u-v removes one edge, which splits
+        that component into at most two parts, one holding u and one holding
+        v.  So an edge is stranded exactly when u still has an open edge and
+        v no longer reaches u.  Let ou and ov be the open neighbors of u and
+        v without each other.  An empty ou strands nothing, and an empty ov
+        strands u's edges.  Otherwise a breadth-first search grows from ov
+        one frontier mask at a time and stops when a frontier meets ou,
+        since the last vertex before u on an open path from v lies in ou;
+        it cuts the node when the frontier empties first.  So the test cuts
+        the same nodes as a count of the open edges v reaches.
         """
         if self._impossible_upfront():
             return
         spec = self.spec
         adj, deg, labels = self.adj, self.deg, self.labels
-        constrained = spec.direction != "any"
-        parallel = spec.direction == PARALLEL
+        # indexed by the edge's traversal count k before a step u -> v:
+        # whether the step takes the last allowed slot of its position at u
+        # (tail) and of the reverse position at v (head)
+        if spec.direction == ANTIPARALLEL:
+            tail_clear, head_clear = (True, True), (False, False)
+        elif spec.direction == PARALLEL:
+            tail_clear, head_clear = (False, True), (True, False)
+        else:
+            tail_clear, head_clear = (False, True), (False, True)
         check_repetitions = spec.kind != "double"
         strong = spec.kind == "strong"
         d = spec.d
         limit = self.budget
         used = [0] * self.m
-        first_from = [0] * self.m
-        open_edges = list(deg)  # per vertex: edges used fewer than twice
+        # the open-edge graph: bit w of oadj[x] is set while x-w is open
+        oadj = list(self.nbr_bits)
+        # per vertex: bit p of live[x] is set while the move at position p
+        # has a slot the direction allows; menus[x] maps each live mask
+        # seen to its moves, starting with the full mask
+        live = [(1 << k) - 1 for k in deg]
+        menus = [{mask: moves} for mask, moves in zip(live, adj)]
         # per vertex and position, read while the position ends a path of
         # the transition graph: the path's far end and its size
         ends = [list(range(k)) for k in deg]
         sizes = [[1] * k for k in deg]
         zero_cycles: list[int] = []  # sizes of the cycles closed at vertex 0
-        mark = [0] * self.n
-        stamp = 0
         nodes = 0
         last = 2 * self.m - 1  # depth whose step completes a walk
         # one frame per step on the walk: the tail, the tail's arrival
-        # position, the tail's move iterator, the move's position and edge,
-        # and what the transition at the tail did: the size of the arrival
-        # position's path when it joined two paths, -1 when it closed a
-        # cycle at vertex 0, else 0
+        # position, the iterator over the tail's live moves, the move's
+        # position and edge, and what the transition at the tail did: the
+        # size of the arrival position's path when it joined two paths, -1
+        # when it closed a cycle at vertex 0, else 0
         frames: list[tuple[int, int, Iterator[tuple[int, int, int, int]], int, int, int]] = []
         # antiparallel traces use each start edge exactly once outward, so
         # every trace has exactly one rotation beginning with the smallest
@@ -163,8 +194,6 @@ class _Engine:
         while True:
             for v, eid, back, b in moves:
                 k = used[eid]
-                if k == 2 or (k == 1 and constrained and (first_from[eid] == u) != parallel):
-                    continue
                 nodes += 1
                 if nodes > limit:
                     self.nodes = nodes
@@ -196,29 +225,33 @@ class _Engine:
                 if k:
                     # the step closes u-v: while u keeps an open edge, cut
                     # unless v still reaches u over open edges
-                    if open_edges[u] > 1:
-                        if open_edges[v] == 1:
+                    ou = oadj[u] ^ 1 << v
+                    ov = oadj[v] ^ 1 << u
+                    if ou and not ov & ou:
+                        if not ov:
                             continue
-                        used[eid] = 2  # the DFS must not cross u-v
-                        stamp += 1
-                        mark[v] = stamp
-                        stack = [v]
-                        cut = True
-                        while stack and cut:
-                            for y, e, _, _ in adj[stack.pop()]:
-                                if used[e] < 2 and mark[y] != stamp:
-                                    if y == u:
-                                        cut = False
-                                        break
-                                    mark[y] = stamp
-                                    stack.append(y)
-                        if cut:
-                            used[eid] = 1
-                            continue
-                    open_edges[u] -= 1
-                    open_edges[v] -= 1
-                else:
-                    first_from[eid] = u
+                        # breadth-first from v's open neighbors until a
+                        # frontier meets one of u's
+                        seen = ov | 1 << v
+                        front = ov
+                        while front:
+                            reach = 0
+                            while front:
+                                low = front & -front
+                                reach |= oadj[low.bit_length() - 1]
+                                front ^= low
+                            if reach & ou:
+                                break
+                            front = reach & ~seen
+                            seen |= front
+                        else:
+                            continue  # the frontier emptied first
+                    oadj[u] = ou
+                    oadj[v] = ov
+                if tail_clear[k]:
+                    live[u] ^= 1 << b
+                if head_clear[k]:
+                    live[v] ^= 1 << back
                 # only a node the search descends into writes its step, so a
                 # cut node or a leaf leaves nothing to undo
                 used[eid] = k + 1
@@ -234,7 +267,11 @@ class _Engine:
                     size[ea] = size[eb] = joined + size[b]
                 frames.append((u, a, moves, b, eid, joined))
                 depth += 1
-                u, a, moves = v, back, iter(adj[v])
+                mask = live[v]
+                menu = menus[v].get(mask)
+                if menu is None:
+                    menu = menus[v][mask] = [mv for mv in adj[v] if mask >> mv[3] & 1]
+                u, a, moves = v, back, iter(menu)
                 end, size, deg_u = ends[v], sizes[v], deg[v]
                 break
             else:
@@ -242,14 +279,18 @@ class _Engine:
                 if not depth:
                     break
                 depth -= 1
-                v = u
+                v, back = u, a
                 u, a, moves, b, eid, joined = frames.pop()
                 end, size, deg_u = ends[u], sizes[u], deg[u]
                 k = used[eid] - 1
                 used[eid] = k
                 if k:
-                    open_edges[u] += 1
-                    open_edges[v] += 1
+                    oadj[u] ^= 1 << v
+                    oadj[v] ^= 1 << u
+                if tail_clear[k]:
+                    live[u] ^= 1 << b
+                if head_clear[k]:
+                    live[v] ^= 1 << back
                 if joined > 0:
                     # a was its own far end when its path had size 1
                     ea = a if joined == 1 else end[a]

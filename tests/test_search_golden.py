@@ -2,7 +2,11 @@
 first result, node for node.
 
 The cases are every connected atlas graph with an edge and at most 6
-vertices, under each of the nine trace specs of ``test_search.ALL_SPECS``.
+vertices, and the five larger graphs of ``LARGER`` (K7, K7 minus a
+triangle, K3,4, the 7-vertex wheel and the square of the 8-cycle), each
+under the nine trace specs of ``test_search.ALL_SPECS``.  The larger graphs
+reach degree 6, one above the atlas cases, on all-even hosts (which the
+parallel specs need) and on hosts that mix odd and even degrees.
 Each case runs ``_Engine(g, spec, BUDGET).run()`` up to its first result and
 records the node count at that point together with the result: the first
 trace the engine yields, ``null`` when the search space is exhausted
@@ -18,9 +22,13 @@ After an intended change to the search order, rewrite the file with
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
+
 from trace_forge.errors import BudgetExhaustedError
+from trace_forge.graph import build_graph, complete_graph
 from trace_forge.search import _Engine
 from trace_forge.walks import TraceSpec
 
@@ -29,6 +37,14 @@ from test_search import ALL_SPECS
 
 GOLDEN = Path(__file__).parent / "fixtures" / "search_golden.json"
 BUDGET = 20_000
+
+LARGER = [
+    complete_graph(7),
+    build_graph([e for e in combinations(range(7), 2) if e not in {(0, 1), (0, 2), (1, 2)}]),
+    build_graph(list(nx.complete_bipartite_graph(3, 4).edges())),
+    build_graph(list(nx.wheel_graph(7).edges())),
+    build_graph(list(nx.circulant_graph(8, [1, 2]).edges())),
+]
 
 
 def _spec_key(spec: TraceSpec) -> str:
@@ -41,7 +57,7 @@ def _spec_key(spec: TraceSpec) -> str:
 def outcomes() -> dict[str, list]:
     """case key -> [nodes, first trace | None | "budget"] for every case."""
     table: dict[str, list] = {}
-    for g in atlas_graphs(6):
+    for g in atlas_graphs(6) + LARGER:
         edges = " ".join(f"{u}-{v}" for u, v in g.edges)
         for spec in ALL_SPECS:
             engine = _Engine(g, spec, BUDGET)
