@@ -2,7 +2,10 @@
 
 Vertices are arbitrary non-negative integers, edges are unordered pairs of
 distinct vertices.  Graph values are frozen after construction; every
-operation returns a new value, so sharing across threads is safe.
+operation returns a new value, so sharing across threads is safe.  Each
+value numbers its vertices, edge ends and darts once, on first use: the
+spanning-tree scans read ``Graph._scan_index``, and the bridge finder and
+the search engine walk ``Graph._darts``.
 """
 
 from __future__ import annotations
@@ -107,15 +110,26 @@ class Graph:
         return position, ends, [len(self.adjacency[v]) for v in self.vertices]
 
     @cached_property
+    def _darts(self) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+        """Row ``c`` holds ``(w, i, back, pos)`` for each dart (edge end, read
+        as its edge leaving ``c``) by ascending ``w``: edge ``i`` joins ``c``
+        and ``w``, ``pos`` is the dart's place in row ``c`` and ``back`` its
+        twin's in row ``w``.  Built once per graph value in one pass over the
+        sorted edges, which meets each vertex's lower neighbours first."""
+        rows: list[list[tuple[int, int, int, int]]] = [[] for _ in self.vertices]
+        for i, (a, b) in enumerate(self._scan_index[1].values()):
+            ra, rb = rows[a], rows[b]
+            pa, pb = len(ra), len(rb)
+            ra.append((b, i, pb, pa))
+            rb.append((a, i, pa, pb))
+        return tuple(map(tuple, rows))
+
+    @cached_property
     def bridges(self) -> frozenset[Edge]:
         """The edges on no cycle, found once per graph value by one Tarjan
-        pass over vertex positions, kept on an explicit stack."""
-        _, ends, _ = self._scan_index
+        pass over the rows of :attr:`_darts`, kept on an explicit stack."""
+        darts = self._darts
         n = self.num_vertices
-        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (a, b) in enumerate(ends.values()):
-            incident[a].append((b, i))
-            incident[b].append((a, i))
         found = [0] * n  # discovery time, 0 while unvisited
         low = [0] * n  # least discovery time reached through one back edge
         clock = 0
@@ -125,17 +139,17 @@ class Graph:
                 continue
             clock += 1
             found[root] = low[root] = clock
-            stack = [(root, -1, iter(incident[root]))]
+            stack = [(root, -1, iter(darts[root]))]
             while stack:
                 v, via, pending = stack[-1]
-                for w, i in pending:
+                for w, i, _, _ in pending:
                     if found[w]:
                         if i != via and found[w] < low[v]:
                             low[v] = found[w]
                         continue
                     clock += 1
                     found[w] = low[w] = clock
-                    stack.append((w, i, iter(incident[w])))
+                    stack.append((w, i, iter(darts[w])))
                     break
                 else:
                     stack.pop()

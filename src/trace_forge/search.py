@@ -10,9 +10,9 @@ partial transition graphs prune stability violations as soon as a local
 component is sealed.  The search is complete: a ``None`` result means the
 whole space was exhausted.
 
-The bookkeeping is positional and bitwise.  Each move carries its edge id,
-its own position and the position of the reverse entry in the neighbor's
-list, so a step touches both ends without a lookup.  Each vertex keeps a
+The bookkeeping is positional and bitwise.  The moves are the host's darts
+(``Graph._darts``): each carries its edge id, its own position and its
+twin's, so a step touches both ends without a lookup.  Each vertex keeps a
 mask of the positions whose edge still has a slot the direction allows, and
 the move loop tries only those.  Every transition graph is a set of paths
 and cycles, kept as the far end and the size at each path end: a step joins
@@ -49,11 +49,12 @@ DEFAULT_BUDGET = 5_000_000
 class _Engine:
     """One backtracking run over a fixed host and spec.
 
-    Vertices are indices into the sorted labels.  ``adj[c]`` lists the moves
+    Vertices are positions in the sorted labels.  ``adj[c]`` lists the moves
     ``(w, eid, back, pos)`` from ``c`` by ascending neighbor ``w``, where
     ``pos`` is the move's own position in ``adj[c]`` and ``back`` is the
     position of ``c`` in ``adj[w]``, so a step carries the positions it
-    touches at both ends and the search never looks a position up.
+    touches at both ends and the search never looks a position up.  ``adj``
+    is the host's ``Graph._darts``, tuples that every search reuses.
 
     The transition graph at ``c`` has the positions of ``adj[c]`` as nodes.
     Each traversal of an edge end takes part in one transition there, so a
@@ -72,37 +73,20 @@ class _Engine:
     """
 
     def __init__(self, g: Graph, spec: TraceSpec, budget: int):
-        self.g = g
         self.spec = spec
         self.budget = budget
         self.nodes = 0
-
-        self.labels = list(g.vertices)
-        index = {v: i for i, v in enumerate(self.labels)}
-        self.n = len(self.labels)
+        self.labels = g.vertices
         self.m = g.num_edges
-        self.deg = [g.degree(v) for v in self.labels]
-        pairs: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        self.nbr_bits = [0] * self.n
-        for eid, (u, v) in enumerate(g.edges):
-            ui, vi = index[u], index[v]
-            pairs[ui].append((vi, eid))
-            pairs[vi].append((ui, eid))
-            self.nbr_bits[ui] |= 1 << vi
-            self.nbr_bits[vi] |= 1 << ui
-        for lst in pairs:
-            lst.sort()  # ascending neighbor id (labels are sorted, so index order matches)
-        position = {(c, w): pos for c in range(self.n) for pos, (w, _) in enumerate(pairs[c])}
-        self.adj: list[list[tuple[int, int, int, int]]] = [
-            [(w, eid, position[(w, c)], pos) for pos, (w, eid) in enumerate(pairs[c])]
-            for c in range(self.n)
-        ]
+        self.deg = g._scan_index[2]
+        self.adj = g._darts
+        self.nbr_bits = [sum(1 << w for w, _, _, _ in row) for row in self.adj]
 
     # -- pruning ---------------------------------------------------------------
 
     def _impossible_upfront(self) -> bool:
         spec = self.spec
-        if spec.kind == "stable" and self.g.min_degree() <= spec.d:
+        if spec.kind == "stable" and min(self.deg) <= spec.d:
             # any trace's stability is at most min degree - 1
             return True
         if spec.direction == PARALLEL and any(d % 2 for d in self.deg):

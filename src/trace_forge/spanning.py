@@ -14,9 +14,10 @@ again.  One index scorer, ``_score``, gives a tree's qualified deficiency
 from a union-find pass over its co-tree on vertex positions; every score in
 the package, ``qualified_deficiency_of_tree`` included, comes from it.  The
 positions, edge ends and degrees are kept on the graph
-(``Graph._scan_index``).  ``qualified_trees`` scores
-every tree of the search; ``min_tree`` and the first-qualified scan of the
-antiparallel stable decision check again only the tree they return.
+(``Graph._scan_index``; its edge ends also number ``Graph._darts``).
+``qualified_trees`` scores every tree of the search; ``min_tree`` and the
+first-qualified scan of the antiparallel stable decision check again only
+the tree they return.
 ``cotree_decomposition`` lists the components themselves.
 
 The block rule: a bridge lies in every spanning tree and no co-tree

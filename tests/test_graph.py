@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trace_forge import cli
+from trace_forge import cli, search
 from trace_forge.errors import (
     AdjacentTargetsError,
     DegreeTooSmallError,
@@ -85,18 +85,33 @@ def test_connectivity_is_traversed_once_per_graph(monkeypatch, capsys):
 
 
 def test_scan_index_is_built_once_per_graph(monkeypatch, capsys):
-    # deficiency with a threshold runs two scans and a tree check
-    builds = []
-    build = Graph._scan_index.func
+    builds = {"_scan_index": [], "_darts": []}
+    for name, made in builds.items():
+        build = getattr(Graph, name).func
 
-    def counting(g):
-        builds.append(g)
-        return build(g)
+        def counting(g, build=build, made=made):
+            made.append(g)
+            return build(g)
 
-    monkeypatch.setattr(Graph._scan_index, "func", counting)
+        monkeypatch.setattr(getattr(Graph, name), "func", counting)
+    engines = []
+    engine = search._Engine
+
+    def counting_engine(g, spec, budget):
+        engines.append(g)
+        return engine(g, spec, budget)
+
+    monkeypatch.setattr(search, "_Engine", counting_engine)
     k5 = Path(__file__).parent / "fixtures" / "k5.edges"
+    # deficiency with a threshold runs two scans and a tree check
     assert cli.main(["deficiency", "-i", str(k5), "-d", "4"]) == 0
-    assert len(builds) == 1
+    assert len(builds["_scan_index"]) == 1
+    # the oracle searches all 15 cells of K5, one dart table for all of them
+    assert cli.main(["table", "-i", str(k5), "-d", "1,2,3", "--oracle"]) == 0
+    assert len(engines) == 15
+    (g,) = builds["_darts"]
+    assert all(h is g for h in engines)
+    assert len(builds["_scan_index"]) == 2 and builds["_scan_index"][1] is g
 
 
 def test_bridges_match_networkx_on_atlas():

@@ -13,7 +13,7 @@ from trace_forge.graph import build_graph, complete_graph, path_graph
 from trace_forge.search import enumerate_traces, find_trace
 from trace_forge.walks import TraceSpec, classify_trace, spec_satisfied, validate_double_trace
 
-from conftest import random_connected_graph
+from conftest import atlas_graphs, random_connected_graph
 
 ALL_SPECS = [
     TraceSpec("double"),
@@ -281,20 +281,72 @@ TWO_K4 = build_graph(
 )
 
 
+class _Captured(Exception):
+    pass
+
+
 def _reduced_host(g, d, monkeypatch):
     """The all-even host whose strong trace ``build_antiparallel_d_stable``
-    searches for."""
+    searches for, taken before that search runs."""
     hosts = []
-    real = decide.find_trace
 
     def capture(h, spec, budget=None):
         hosts.append(h)
-        return real(h, spec, budget)
+        raise _Captured
 
-    monkeypatch.setattr(decide, "find_trace", capture)
-    build_antiparallel_d_stable(g, d)
+    with monkeypatch.context() as patch:
+        patch.setattr(decide, "find_trace", capture)
+        with pytest.raises(_Captured):
+            build_antiparallel_d_stable(g, d)
     (host,) = hosts
     return host
+
+
+def _moves_by_sorting(g):
+    """The engine's move table and neighbour masks built without the dart
+    table: sorted (neighbour, edge) pairs per vertex and a (vertex,
+    neighbour) -> position dict for the reverse entries."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(index)
+    pairs = [[] for _ in range(n)]
+    bits = [0] * n
+    for eid, (u, v) in enumerate(g.edges):
+        ui, vi = index[u], index[v]
+        pairs[ui].append((vi, eid))
+        pairs[vi].append((ui, eid))
+        bits[ui] |= 1 << vi
+        bits[vi] |= 1 << ui
+    for lst in pairs:
+        lst.sort()
+    position = {(c, w): pos for c in range(n) for pos, (w, _) in enumerate(pairs[c])}
+    adj = tuple(
+        tuple((w, eid, position[(w, c)], pos) for pos, (w, eid) in enumerate(pairs[c]))
+        for c in range(n)
+    )
+    return adj, bits
+
+
+def test_dart_table_is_the_engine_move_table(monkeypatch):
+    # K6's reduced host is K6 itself; K7's lost vertex 1 to a split
+    hosts = [_reduced_host(complete_graph(k), 1, monkeypatch) for k in (6, 7)]
+    assert hosts[1].vertices == (0, 2, 3, 4, 5, 6, 7, 8)
+    gapped = build_graph([(0, 5), (5, 17), (17, 40), (0, 40), (0, 17)])
+    graphs = atlas_graphs(7) + hosts + [gapped]
+    assert len(graphs) == 998
+    for g in graphs:
+        darts = g._darts
+        assert len(darts) == g.num_vertices
+        for c, row in enumerate(darts):
+            for p, (w, i, back, pos) in enumerate(row):
+                assert pos == p
+                assert darts[w][back] == (c, i, pos, back)
+                assert g.edges[i] == tuple(sorted((g.vertices[c], g.vertices[w])))
+        engine = search._Engine(g, TraceSpec("strong", "antiparallel"), 1)
+        adj, bits = _moves_by_sorting(g)
+        assert engine.adj == adj and engine.adj is darts
+        assert engine.nbr_bits == bits
+        assert engine.deg == [g.degree(v) for v in g.vertices]
+        assert engine.labels == g.vertices
 
 
 @pytest.mark.parametrize(
