@@ -285,21 +285,29 @@ class _Captured(Exception):
     pass
 
 
-def _reduced_host(g, d, monkeypatch):
+def _reduced_host(g, d, monkeypatch, search=True):
     """The all-even host whose strong trace ``build_antiparallel_d_stable``
-    searches for, taken before that search runs."""
+    searches for, and the construction's result. With ``search=False`` the
+    construction stops at that search and the result is None."""
     hosts = []
+    real = decide.find_trace
 
     def capture(h, spec, budget=None):
         hosts.append(h)
-        raise _Captured
+        if not search:
+            raise _Captured
+        return real(h, spec, budget)
 
     with monkeypatch.context() as patch:
         patch.setattr(decide, "find_trace", capture)
-        with pytest.raises(_Captured):
-            build_antiparallel_d_stable(g, d)
+        if search:
+            trace = build_antiparallel_d_stable(g, d)
+        else:
+            trace = None
+            with pytest.raises(_Captured):
+                build_antiparallel_d_stable(g, d)
     (host,) = hosts
-    return host
+    return host, trace
 
 
 def _moves_by_sorting(g):
@@ -328,7 +336,8 @@ def _moves_by_sorting(g):
 
 def test_dart_table_is_the_engine_move_table(monkeypatch):
     # K6's reduced host is K6 itself; K7's lost vertex 1 to a split
-    hosts = [_reduced_host(complete_graph(k), 1, monkeypatch) for k in (6, 7)]
+    # (their searches exhaust the budget, so stop the construction there)
+    hosts = [_reduced_host(complete_graph(k), 1, monkeypatch, search=False)[0] for k in (6, 7)]
     assert hosts[1].vertices == (0, 2, 3, 4, 5, 6, 7, 8)
     gapped = build_graph([(0, 5), (5, 17), (17, 40), (0, 40), (0, 17)])
     graphs = atlas_graphs(7) + hosts + [gapped]
@@ -370,8 +379,10 @@ def test_dart_table_is_the_engine_move_table(monkeypatch):
 def test_engine_pins_the_benchmark_hosts(graph, size, nodes, first, monkeypatch):
     # the search golden stops at 6 vertices; these are the reduced hosts the
     # benchmark's construct_roundtrip searches at d = 1, node for node
-    host = _reduced_host(graph, 1, monkeypatch)
+    host, trace = _reduced_host(graph, 1, monkeypatch)
     assert (len(host.vertices), host.num_edges) == size
+    cls = classify_trace(trace)
+    assert cls.direction == "antiparallel" and cls.stability_order >= 1
     engine = search._Engine(host, TraceSpec("strong", "antiparallel"), search.DEFAULT_BUDGET)
     assert next(engine.run()) == first
     assert engine.nodes == nodes
