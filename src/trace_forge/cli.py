@@ -12,7 +12,7 @@ bool and None.  Its text is byte for byte ``json.dumps(doc,
 sort_keys=True, indent=2)``.  That call would run the standard library's
 pure-Python encoder, which ``indent`` forces, one generator step per
 value; the writer escapes strings with the C ``encode_basestring_ascii``
-and writes a list of ints with one ``join``.
+and writes a list of ints, or of int rows, with ``join`` alone.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .decide import (
@@ -51,6 +52,30 @@ EXIT_ERROR = 2
 
 
 _INDENT = "  "
+_SEQUENCES = frozenset((list, tuple))
+_INTS = frozenset((int,))
+
+
+@functools.cache
+def _layout(depth: int) -> tuple[str, str, str, str, str, str]:
+    """The text around the items at ``depth``, built once per depth.
+
+    ``end`` starts an item's line and ``inner`` a line one deeper.  The
+    other four lay out a list of int rows standing at ``depth``: the text
+    before its first int, between two ints of a row, between two rows, and
+    after its last int.
+    """
+    end = "\n" + _INDENT * depth
+    inner = end + _INDENT
+    row_inner = inner + _INDENT
+    return (
+        end,
+        inner,
+        "[" + inner + "[" + row_inner,
+        "," + row_inner,
+        inner + "]," + inner + "[" + row_inner,
+        inner + "]" + end + "]",
+    )
 
 
 def _json_dump(doc: dict) -> str:
@@ -58,9 +83,11 @@ def _json_dump(doc: dict) -> str:
 
     A stack of open containers replaces recursion: each frame holds an
     iterator over its items, each item paired with the text that goes
-    before it (separator, newline, indent and key).  A scalar or a list of
-    ints is written in place; a non-empty container pushes a frame, and an
-    exhausted frame writes its closing bracket.  A value of any other type,
+    before it (separator, newline, indent and key).  A scalar, a list of
+    ints or a list of non-empty int rows (the components of a ``verify``
+    document) is written in place, the rows after one type check over all
+    their ints; a non-empty container pushes a frame, and an exhausted
+    frame writes its closing bracket.  A value of any other type,
     a float included, raises ``TypeError``, and so does a non-str key, in
     ``encode_basestring_ascii`` (or in ``sorted``, among str keys).
     """
@@ -68,8 +95,7 @@ def _json_dump(doc: dict) -> str:
     frames = [(iter((("", doc),)), 0, "")]
     while frames:
         items, depth, close = frames[-1]
-        end = "\n" + _INDENT * depth
-        inner = end + _INDENT
+        end, inner, rows_open, rows_ints, rows_sep, rows_close = _layout(depth)
         for prefix, value in items:
             out.append(prefix)
             kind = type(value)
@@ -77,9 +103,19 @@ def _json_dump(doc: dict) -> str:
                 if not value:
                     out.append("[]")
                     continue
-                if {*map(type, value)} == {int}:
+                types = {*map(type, value)}
+                if types == _INTS:
                     ints = ("," + inner).join(map(int.__repr__, value))
                     out.append("[" + inner + ints + end + "]")
+                    continue
+                if (
+                    types <= _SEQUENCES
+                    and all(value)
+                    and {*map(type, chain.from_iterable(value))} == _INTS
+                ):
+                    join_row = rows_ints.join
+                    rows = rows_sep.join([join_row(map(int.__repr__, row)) for row in value])
+                    out += rows_open, rows, rows_close
                     continue
                 seps = ["," + inner] * len(value)
                 seps[0] = "[" + inner
@@ -236,10 +272,6 @@ def cmd_verify(args) -> int:
     sequence = load_trace_sequence(args.trace)
     cls = classify_trace(validate_double_trace(g, sequence))
     ok = spec_satisfied(TraceSpec(args.kind, args.direction, args.d), cls)
-    repetitions = [
-        (v, [sorted(c) for c in comps])
-        for v, comps in sorted(cls.minimal_repetitions.items())
-    ]
     doc = {
         "command": "verify",
         "verdict": "yes" if ok else "no",
@@ -248,7 +280,7 @@ def cmd_verify(args) -> int:
             "stability_order": cls.stability_order,
             "strong": cls.strong,
         },
-        "minimal_repetitions": {str(v): comps for v, comps in repetitions},
+        "minimal_repetitions": {str(v): comps for v, comps in cls.minimal_repetitions.items()},
     }
     lines = []
     if not args.json:
@@ -257,8 +289,9 @@ def cmd_verify(args) -> int:
             f"stability_order: {cls.stability_order}",
             f"strong: {cls.strong}",
         ]
-        for v, comps in repetitions:
-            lines.append(f"repetitions at {v}: " + " ".join(map(str, comps)))
+        # vertices ascending, each component a sorted tuple, printed as a list
+        for v, comps in cls.minimal_repetitions.items():
+            lines.append(f"repetitions at {v}: " + " ".join(str(list(c)) for c in comps))
         lines.append(f"satisfies requested cell: {'yes' if ok else 'no'}")
     _emit(args, doc, lines)
     return EXIT_YES if ok else EXIT_NO

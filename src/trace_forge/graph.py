@@ -38,13 +38,16 @@ def edge_key(u: int, v: int) -> Edge:
 
 def _components(
     nodes: Iterable[int], links: Iterable[tuple[int, int]]
-) -> tuple[frozenset[int], ...]:
+) -> tuple[tuple[int, ...], ...]:
     """Connected components of the pairing given by ``links`` on ``nodes``.
 
     A union-find that keeps each group as a list: a link merges the smaller
     of its endpoints' groups into the larger, so a node moves O(log |nodes|)
-    times.  Groups are listed in the order of their first node, so sorted
-    ``nodes`` give components ordered by least element.
+    times.  Then the nodes are bucketed by group in their given order: each
+    component is the tuple of its nodes in that order, and components come
+    in the order of their first node.  So sorted ``nodes`` give sorted
+    tuples, ordered by least element.  A link outside ``nodes`` raises
+    ``KeyError``.
     """
     group = {x: [x] for x in nodes}
     for a, b in links:
@@ -55,7 +58,10 @@ def _components(
             ga += gb
             for x in gb:
                 group[x] = ga
-    return tuple(map(frozenset, {id(grp): grp for grp in group.values()}.values()))
+    buckets: dict[int, list[int]] = {}
+    for x, grp in group.items():
+        buckets.setdefault(id(grp), []).append(x)
+    return tuple(map(tuple, buckets.values()))
 
 
 @dataclass(frozen=True)
@@ -72,11 +78,13 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's neighbours, ascending: the sorted edges meet each
+        vertex's lower neighbours first, then its higher ones in order."""
         nbrs: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+        return {v: tuple(ns) for v, ns in nbrs.items()}
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:

@@ -174,10 +174,11 @@ def _split_candidates(
     nbhd = set(g.neighbors(v))
     degree = len(nbhd)
     tree_nbrs = sorted(x for x in nbhd if edge_key(x, v) in t.tree_edges)
+    tree_set = set(tree_nbrs)
     cotree_nbrs = sorted(x for x in nbhd if edge_key(x, v) not in t.tree_edges)
     # each vertex but v -> the tree neighbor of v whose branch of t - v holds it
     branches = _components((x for x in g.vertices if x != v), (e for e in t.tree_edges if v not in e))
-    hub = {y: x for comp in branches for x in tree_nbrs if x in comp for y in comp}
+    hub = {y: x for comp in branches for x in tree_set.intersection(comp) for y in comp}
     ceil_half = (degree + 1) // 2
     floor_half = degree // 2
     sizes = [ceil_half] if ceil_half == floor_half else [ceil_half, floor_half]

@@ -110,7 +110,9 @@ class TransitionGraph:
     Nodes are the neighbors of the center; each visit contributes one
     unordered link {pred, succ} (a self-link when pred == succ).  The link
     count equals the center's degree and every neighbor appears as an
-    endpoint exactly twice, counting multiplicity.
+    endpoint exactly twice, counting multiplicity.  ``components`` lists
+    the minimal repetitions at the center, each a sorted tuple, ordered by
+    least element.
     """
 
     center: int
@@ -118,7 +120,7 @@ class TransitionGraph:
     links: tuple[tuple[int, int], ...]
 
     @cached_property
-    def components(self) -> tuple[frozenset[int], ...]:
+    def components(self) -> tuple[tuple[int, ...], ...]:
         return _components(sorted(self.nodes), self.links)
 
     @property
@@ -130,14 +132,15 @@ class TransitionGraph:
 class TraceClass:
     """Where a trace sits in the kind/direction matrix.
 
-    ``minimal_repetitions`` maps each vertex to the components of its
-    transition graph; it takes no part in equality, hashing or the repr.
+    ``minimal_repetitions`` maps each vertex, in ascending order, to the
+    components of its transition graph, each a sorted tuple, ordered by least
+    element; it takes no part in equality, hashing or the repr.
     """
 
     direction: str
     stability_order: int
     strong: bool
-    minimal_repetitions: dict[int, tuple[frozenset[int], ...]] = field(
+    minimal_repetitions: dict[int, tuple[tuple[int, ...], ...]] = field(
         repr=False, compare=False
     )
 

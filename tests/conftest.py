@@ -256,8 +256,9 @@ def is_repetition(w: DoubleTrace, v: int, subset: frozenset[int]) -> bool:
     return all((p in subset) == (s in subset) for p, s in w.visits(v))
 
 
-def minimal_repetitions_brute(w: DoubleTrace, v: int) -> tuple[frozenset[int], ...]:
-    """Inclusion-minimal non-empty repetition sets by scanning all subsets."""
+def minimal_repetitions_brute(w: DoubleTrace, v: int) -> tuple[tuple[int, ...], ...]:
+    """Inclusion-minimal non-empty repetition sets by scanning all subsets,
+    each a sorted tuple, ordered by least element."""
     nbhd = w.host.neighbors(v)
     reps = [
         frozenset(sub)
@@ -266,7 +267,7 @@ def minimal_repetitions_brute(w: DoubleTrace, v: int) -> tuple[frozenset[int], .
         if is_repetition(w, v, frozenset(sub))
     ]
     minimal = [s for s in reps if not any(t < s for t in reps)]
-    return tuple(sorted(minimal, key=min))
+    return tuple(sorted(tuple(sorted(s)) for s in minimal))
 
 
 def repetitions_brute(w: DoubleTrace) -> tuple[dict, int, bool]:

@@ -282,6 +282,29 @@ def test_verify_reports_repetition(tmp_path, capsys):
     assert [[1], [2]] == doc["minimal_repetitions"]["0"]
 
 
+def test_verify_text_mode_bytes(tmp_path, capsys):
+    # vertices 0 and 2 have disconnected transition graphs; each component
+    # prints as a list, the singletons too
+    trace_file = tmp_path / "trace.txt"
+    trace_file.write_text("0 1 2 1 3 0 2 0 3 2 3 1\n")
+    code, out = run(
+        capsys,
+        "verify", "-i", str(FIXTURES / "k4.edges"), "-t", str(trace_file),
+        "--kind", "stable", "-d", "1",
+    )
+    assert code == 1
+    assert out == (
+        "direction: antiparallel\n"
+        "stability_order: 0\n"
+        "strong: False\n"
+        "repetitions at 0: [1] [2, 3]\n"
+        "repetitions at 1: [0, 2, 3]\n"
+        "repetitions at 2: [0] [1] [3]\n"
+        "repetitions at 3: [0, 1, 2]\n"
+        "satisfies requested cell: no\n"
+    )
+
+
 def test_verify_strong_parallel_exit0(tmp_path, capsys):
     trace_file = tmp_path / "trace.txt"
     trace_file.write_text("0 1 2 0 1 2\n")

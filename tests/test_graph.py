@@ -22,6 +22,7 @@ from trace_forge.errors import (
 from trace_forge.graph import (
     Graph,
     SplitSpec,
+    _components,
     betti_number,
     build_graph,
     complete_graph,
@@ -120,6 +121,45 @@ def test_bridges_match_networkx_on_atlas():
     for g in graphs:
         expected = {tuple(sorted(e)) for e in nx.bridges(nx.Graph(g.edges))}
         assert g.bridges == expected, g.edges
+
+
+def test_adjacency_rows_ascend():
+    # the rows are appended in sorted edge order, with no sort of their own
+    gapped = build_graph([(0, 5), (5, 17), (17, 40), (0, 40), (0, 17)])
+    for g in [*atlas_graphs(7), gapped]:
+        adjacency = g.adjacency
+        assert list(adjacency) == list(g.vertices)
+        for v, row in adjacency.items():
+            assert list(row) == sorted(row), (g.edges, v)
+    assert gapped.adjacency == {0: (5, 17, 40), 5: (0, 17), 17: (0, 5, 40), 40: (0, 17)}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_components_are_sorted_tuples_matching_networkx(seed):
+    rng = random.Random(seed)
+    nodes = sorted(rng.sample(range(1000), rng.randint(1, 40)))
+    links = [
+        (rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(0, len(nodes)))
+    ]
+    comps = _components(nodes, links)
+    assert all(type(c) is tuple and list(c) == sorted(c) for c in comps)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    h = nx.MultiGraph(links)
+    h.add_nodes_from(nodes)
+    assert {*map(frozenset, comps)} == {*map(frozenset, nx.connected_components(h))}
+    # each component lists its nodes in the given order
+    shuffled = nodes[:]
+    rng.shuffle(shuffled)
+    rank = {x: i for i, x in enumerate(shuffled)}
+    again = _components(shuffled, links)
+    assert sorted(map(sorted, again)) == sorted(map(list, comps))
+    assert all(list(c) == sorted(c, key=rank.get) for c in again)
+    assert [rank[c[0]] for c in again] == sorted(rank[c[0]] for c in again)
+
+
+def test_components_reject_a_link_outside_nodes():
+    with pytest.raises(KeyError):
+        _components([0, 1], [(0, 2)])
 
 
 def test_bridges_on_long_path_and_cycle():

@@ -94,6 +94,23 @@ def test_writer_matches_json_on_generated_documents(doc):
 
 
 @pytest.mark.parametrize(
+    "value",
+    [[[]], [[1], []], [[1, True]], [(1, 2), [3]], [[1], 2]],
+    ids=["empty-row", "one-empty-row", "bool-in-row", "tuple-and-list-rows", "int-after-row"],
+)
+def test_writer_on_int_rows(value):
+    # a list of non-empty int rows is written in one piece; anything else
+    # there takes the general path
+    doc = {"rows": value, "nested": {"x": [value]}}
+    assert cli._json_dump(doc) == _reference(doc)
+
+
+def test_writer_rejects_a_float_row():
+    with pytest.raises(TypeError):
+        cli._json_dump({"x": [[1.5]]})
+
+
+@pytest.mark.parametrize(
     "doc",
     [{"ratio": 0.5}, {"values": [1, 2.0]}, {"nested": {"x": [[1], [1.5]]}}],
     ids=["float", "float-in-int-list", "nested-float"],

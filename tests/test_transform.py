@@ -462,7 +462,7 @@ def test_lift_of_uneven_split_breaks_stability(k5):
     assert w_prime is not None
     lifted = lift_trace_through_identification(w_prime, fresh_vertex_ids(k5, 2), 0)
     cls = classify_trace(lifted)
-    assert frozenset({1}) in cls.minimal_repetitions[0]
+    assert (1,) in cls.minimal_repetitions[0]
     assert cls.stability_order == 0
 
 
@@ -491,8 +491,8 @@ def test_lift_of_balanced_split_keeps_stability():
     assert cls.direction == "antiparallel"
     assert cls.stability_order >= 1
     reps = cls.minimal_repetitions[v]
-    assert set(reps) <= {outcome.parts[0], outcome.parts[1]} or all(
-        any(comp <= part for part in outcome.parts) for comp in reps
+    assert {*map(frozenset, reps)} <= {outcome.parts[0], outcome.parts[1]} or all(
+        any(part.issuperset(comp) for part in outcome.parts) for comp in reps
     )
 
 
@@ -520,7 +520,7 @@ def test_project_with_three_or_more_parts():
     comps = transition_graph_at(lifted, 0).components
     assert len(comps) >= 3
     for part in parts:
-        assert any(comp <= part for comp in comps)
+        assert any(part.issuperset(comp) for comp in comps)
     projected = project_trace_through_split(lifted, 0, comps)
     assert projected.host.num_vertices == g.num_vertices - 1 + len(comps)
     back = lift_trace_through_identification(
