@@ -14,7 +14,6 @@ from trace_forge import (
     complete_graph,
     cube_graph,
     direction_profile,
-    enumerate_traces,
     find_trace,
     find_witness,
     transition_graph_at,
@@ -57,9 +56,12 @@ for spec in [
     label = found.sequence if found else "none exists (search exhausted)"
     print(f"K4, {spec.kind}/{spec.direction}" + (f" d={spec.d}" if spec.d else ""), "->", label)
 
-print("\nall double traces of the triangle up to rotation:")
-for w in enumerate_traces(k3, TraceSpec("double")):
-    print(" ", w.sequence, classify_trace(w).direction)
+print("\nthe triangle's first double trace in each direction, as the search finds it:")
+for direction in ("any", "parallel", "antiparallel"):
+    w = find_trace(k3, TraceSpec("double", direction))
+    print(f"  {direction}:", w.sequence, "->", classify_trace(w).direction)
+print("  strong antiparallel:", find_trace(k3, TraceSpec("strong", "antiparallel")),
+      "(betti 1 is odd)")
 
 print("\n=== parallel traces come from doubled Euler tours ===")
 k5 = complete_graph(5)

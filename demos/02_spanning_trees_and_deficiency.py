@@ -19,7 +19,6 @@ from trace_forge import (
     cube_graph,
     deficiency_of_tree,
     min_tree,
-    qualified_trees,
     spanning_tree,
     split_reduce_deficiency,
 )
@@ -49,8 +48,7 @@ for name, g in [("K3", complete_graph(3)), ("K4", k4), ("K5", k5), ("Q3", cube_g
 print("\n=== all-even co-trees and qualified trees ===")
 print("K5 all-even co-tree tree:", min_tree(k5, None).witness_tree)
 print("K4 all-even co-tree tree:", min_tree(k4, None), "(betti 3 is odd)")
-print("K4 first qualified tree at D=4:", next(qualified_trees(k4, 4), None),
-      "(max degree is 3)")
+print("K4 qualified tree at D=4:", min_tree(k4, 4), "(max degree is 3)")
 print("K5 qualified deficiency at D=8:", min_tree(k5, 8))
 
 print("\n=== detaching a vertex splits its component by parity ===")

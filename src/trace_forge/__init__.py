@@ -32,7 +32,7 @@ from .graph import (
     path_graph,
     split_vertex,
 )
-from .search import enumerate_traces, find_trace
+from .search import find_trace
 from .spanning import (
     CoTreeDecomposition,
     DeficiencyCertificate,
@@ -40,7 +40,6 @@ from .spanning import (
     cotree_decomposition,
     deficiency_of_tree,
     min_tree,
-    qualified_trees,
     spanning_tree,
 )
 from .transform import (
@@ -86,14 +85,12 @@ __all__ = [
     "classify_trace",
     "TraceSpec",
     "find_trace",
-    "enumerate_traces",
     "SpanningTree",
     "CoTreeDecomposition",
     "DeficiencyCertificate",
     "spanning_tree",
     "cotree_decomposition",
     "deficiency_of_tree",
-    "qualified_trees",
     "min_tree",
     "SplitOutcome",
     "transfer_tree_on_identification",

@@ -327,7 +327,7 @@ def cmd_table(args) -> int:
     cells = []
     lines = []
     for (kind, direction, d), cert in table.items():
-        label = "yes" if cert.verdict else cert.condition_label()
+        label = cert.condition_label()
         cells.append(
             {
                 "kind": kind,

@@ -233,8 +233,6 @@ def build_antiparallel_d_stable(
                 "odd component lost its high-degree vertex during the induction"
             )
         outcome = split_reduce_qualified(h, t, v, threshold)
-        if outcome.deficiency_after >= outcome.deficiency_before:
-            raise InternalInvariantError("split failed to reduce the deficiency")
         splits.append((outcome.new_vertices, v))
         h, t = outcome.graph_after, outcome.tree_after
     trace = find_trace(h, TraceSpec("strong", ANTIPARALLEL), budget)

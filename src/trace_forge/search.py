@@ -41,8 +41,8 @@ from .walks import (
     validate_double_trace,
 )
 
-#: Node budget of :func:`enumerate_traces` and of a :func:`find_trace` call
-#: that passes none.
+#: Node budget of a :func:`find_trace` call that passes none, read at call
+#: time, so replacing it here reaches every search that passes none.
 DEFAULT_BUDGET = 5_000_000
 
 
@@ -300,15 +300,3 @@ def find_trace(g: Graph, spec: TraceSpec, budget: int | None = None) -> DoubleTr
         return validate_double_trace(g, seq)
     return None
 
-
-def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:
-    """All spec-satisfying traces up to rotation, in canonical sorted order.
-
-    Reflections count as distinct traces since direction matters.  Raises
-    :class:`BudgetExhaustedError` past :data:`DEFAULT_BUDGET` nodes, read at
-    call time.
-    """
-    require_trace_host(g)
-    engine = _Engine(g, spec, DEFAULT_BUDGET)
-    canonical = {seq for seq in engine.run()}
-    return [DoubleTrace(g, seq) for seq in sorted(canonical)]

@@ -15,9 +15,10 @@ from a union-find pass over its co-tree on vertex positions; every score in
 the package, ``qualified_deficiency_of_tree`` included, comes from it.  The
 positions, edge ends and degrees are kept on the graph
 (``Graph._scan_index``; its edge ends also number ``Graph._darts``).
-``qualified_trees`` scores every tree of the search; ``min_tree`` and the
-first-qualified scan of the antiparallel stable decision check again only
-the tree they return.
+One scan driver, ``_pick``, scores the trees of the search in order and
+stops at the answer; ``min_tree`` and the first-qualified scan of the
+antiparallel stable decision run it and check again only the tree they
+return.
 ``cotree_decomposition`` lists the components themselves.
 
 The block rule: a bridge lies in every spanning tree and no co-tree
@@ -281,46 +282,6 @@ def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
         taken -= 1
 
 
-def _scores(
-    g: Graph, degrees: list[int], threshold: int | None
-) -> Iterator[tuple[int | None, SpanningTree]]:
-    """``(value, tree)`` for every tree of :func:`iter_spanning_trees`, the
-    value by :func:`_score` with ``degrees`` by vertex position (None when
-    the tree does not qualify); the trees are not checked again.
-
-    A threshold above every degree admits no odd component, so an odd
-    Betti number rules out every tree and nothing is yielded.
-    """
-    betti = betti_number(g)  # rejects a disconnected graph before the shortcut
-    if threshold is None or threshold > max(degrees):
-        if betti % 2 == 1:
-            return
-        threshold = None
-    ends = g._scan_index[1]
-    edge_set = g.edge_set
-    for t in iter_spanning_trees(g):
-        yield _score(ends, degrees, edge_set - t.tree_edges, threshold), t
-
-
-def qualified_trees(
-    g: Graph, threshold: int | None = 0
-) -> Iterator[tuple[int, SpanningTree]]:
-    """``(deficiency, tree)`` for every qualified spanning tree, in
-    enumeration order.
-
-    A tree qualifies when each odd co-tree component has a vertex of degree
-    at least ``threshold``; 0 lets every tree through and ``None`` only
-    all-even co-trees.  A threshold above the maximum degree also leaves
-    only all-even co-trees, and since component parities sum to the Betti
-    number, an odd Betti number then rules out every tree unenumerated.
-    Each yielded tree is checked once more.
-    """
-    for value, t in _scores(g, g._scan_index[2], threshold):
-        if value is not None:
-            _check_spanning_tree(g, t.tree_edges)
-            yield value, t
-
-
 _SPLIT = object()  # a scan ran long on a graph with a bridge
 
 
@@ -332,14 +293,28 @@ def _pick(
     gate: int | None = None,
 ):
     """The first qualified ``(value, tree)`` of least value, or the first
-    qualified one when not ``least``; None when no tree qualifies.
+    qualified one when not ``least``, over the trees of
+    :func:`iter_spanning_trees`; None when no tree qualifies.
 
-    Every tree's value has the parity of the Betti number, so a value of 0
-    or 1 ends the scan: none can be lower.  Once ``gate`` trees have passed
-    without an end and g has a bridge, the scan gives up with ``_SPLIT``.
+    Each tree's value comes from :func:`_score` with ``degrees`` by vertex
+    position, and the walked trees are not checked again.  A threshold above
+    every degree admits no odd component, and component parities sum to
+    the Betti number, so an odd Betti number then rules out every tree
+    unwalked.  Every tree's value has the parity of the Betti number, so a
+    value of 0 or 1 ends the scan: none can be lower.  Once ``gate`` trees
+    have passed without an end and g has a bridge, the scan gives up with
+    ``_SPLIT``.
     """
+    betti = betti_number(g)  # rejects a disconnected graph before the shortcut
+    if threshold is None or threshold > max(degrees):
+        if betti % 2 == 1:
+            return None
+        threshold = None
+    ends = g._scan_index[1]
+    edge_set = g.edge_set
     best = None
-    for walked, (value, t) in enumerate(_scores(g, degrees, threshold), 1):
+    for walked, t in enumerate(iter_spanning_trees(g), 1):
+        value = _score(ends, degrees, edge_set - t.tree_edges, threshold)
         if value is not None and (best is None or value < best[0]):
             best = (value, t)
             if value <= 1 or not least:
@@ -400,8 +375,11 @@ def _first_tree(
 
 def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | None:
     """The first qualified tree of least deficiency, or None when no tree
-    qualifies (see :func:`qualified_trees` for ``threshold``).
+    qualifies.
 
+    A tree qualifies when each odd co-tree component has a vertex of degree
+    at least ``threshold``: 0 lets every tree through, and ``None`` or a
+    threshold above the maximum degree only trees with all-even co-trees.
     ``min_tree(g)`` is the deficiency of g.  The tree and its value are
     those of a scan over every tree in enumeration order, found block by
     block once the scan runs long on a graph with a bridge

@@ -5,14 +5,16 @@ from __future__ import annotations
 import functools
 import random
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import networkx as nx
 import pytest
 
+from trace_forge import search
 from trace_forge.graph import (
     Edge,
     Graph,
+    betti_number,
     build_graph,
     complete_graph,
     cube_graph,
@@ -20,8 +22,18 @@ from trace_forge.graph import (
     edge_key,
     path_graph,
 )
-from trace_forge.spanning import SpanningTree, spanning_tree
-from trace_forge.walks import DoubleTrace, validate_double_trace
+from trace_forge.spanning import (
+    SpanningTree,
+    iter_spanning_trees,
+    qualified_deficiency_of_tree,
+    spanning_tree,
+)
+from trace_forge.walks import (
+    DoubleTrace,
+    TraceSpec,
+    require_trace_host,
+    validate_double_trace,
+)
 
 
 @pytest.fixture
@@ -279,6 +291,40 @@ def repetitions_brute(w: DoubleTrace) -> tuple[dict, int, bool]:
     order = min(len(c) for comps in per_vertex.values() for c in comps) - 1
     strong = all(len(comps) == 1 for comps in per_vertex.values())
     return per_vertex, order, strong
+
+
+# -- brute-force listings of qualified trees and of traces ------------------------
+
+
+def qualified_trees(
+    g: Graph, threshold: int | None = 0
+) -> Iterator[tuple[int, SpanningTree]]:
+    """``(deficiency, tree)`` for every qualified spanning tree, in the
+    order of ``iter_spanning_trees``.
+
+    A tree qualifies when each odd co-tree component has a vertex of degree
+    at least ``threshold``; 0 lets every tree through and ``None`` only
+    all-even co-trees.  A threshold above the maximum degree also leaves
+    only all-even co-trees, and component parities sum to the Betti number,
+    so an odd Betti number then yields nothing without a walk: the ring of
+    four K4 blocks would take seconds per walk of its 393,216 trees.
+    """
+    if (threshold is None or threshold > g.max_degree()) and betti_number(g) % 2:
+        return
+    for t in iter_spanning_trees(g):
+        value = qualified_deficiency_of_tree(g, t, threshold)
+        if value is not None:
+            yield value, t
+
+
+def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:
+    """Every trace of the cell ``spec`` up to rotation, in sorted order, from
+    one full run of the search engine; reflections count as distinct since
+    direction matters.  Raises ``BudgetExhaustedError`` past
+    ``search.DEFAULT_BUDGET`` nodes, read at call time."""
+    require_trace_host(g)
+    engine = search._Engine(g, spec, search.DEFAULT_BUDGET)
+    return [DoubleTrace(g, seq) for seq in sorted(set(engine.run()))]
 
 
 # -- exhaustive small-graph enumeration ------------------------------------------

@@ -24,7 +24,6 @@ from trace_forge.spanning import (
     cotree_decomposition,
     deficiency_of_tree,
     min_tree,
-    qualified_trees,
     tree_is_qualified,
 )
 from trace_forge.transform import split_reduce_deficiency, split_reduce_qualified
@@ -35,6 +34,7 @@ from conftest import (
     canonical_form,
     fixture_family,
     is_repetition,
+    qualified_trees,
     random_connected_graph,
     random_double_trace,
     random_spanning_tree,

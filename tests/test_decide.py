@@ -30,7 +30,13 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
-from conftest import atlas_graphs, fixture_family, k4_chain, random_connected_graph
+from conftest import (
+    atlas_graphs,
+    fixture_family,
+    k4_chain,
+    qualified_trees,
+    random_connected_graph,
+)
 
 
 def test_k4_antiparallel_stable_is_no(k4):
@@ -410,8 +416,6 @@ def test_no_certificates_reevaluate():
 
                     assert min_tree(g, None) is None
                 else:
-                    from trace_forge.spanning import qualified_trees
-
                     assert next(qualified_trees(g, threshold), None) is None
             elif name == "ParityObstruction":
                 from trace_forge.graph import betti_number

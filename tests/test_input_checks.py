@@ -1,6 +1,8 @@
 """Input checks that no other test reaches: each rejects its input with its
 named error class."""
 
+from pathlib import Path
+
 import pytest
 
 from trace_forge.decide import build_antiparallel_d_stable, sufficient_four_edge_connected
@@ -12,7 +14,7 @@ from trace_forge.errors import (
     ParseError,
     UnknownVertexError,
 )
-from trace_forge.formats import parse_trace_text
+from trace_forge.formats import load_graph, parse_trace_text
 from trace_forge.graph import (
     SplitSpec,
     build_graph,
@@ -22,7 +24,7 @@ from trace_forge.graph import (
     path_graph,
     split_vertex,
 )
-from trace_forge.search import enumerate_traces, find_trace
+from trace_forge.search import find_trace
 from trace_forge.spanning import qualified_deficiency_of_tree, spanning_tree
 from trace_forge.transform import project_trace_through_split
 from trace_forge.walks import (
@@ -31,6 +33,9 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
+from conftest import enumerate_traces
+
+K4_EDGES = Path(__file__).parent / "fixtures" / "k4.edges"
 POINT = build_graph([], isolated_vertices=[0])
 K3 = complete_graph(3)
 P4 = path_graph(4)  # 0-1-2-3: 0 and 3 are apart and share no neighbor
@@ -78,6 +83,11 @@ CASES = {
     ),
     "transition-graph-unknown-vertex": (
         lambda: transition_graph_at(EDGE_TRACE, 7), UnknownVertexError, "not in host"
+    ),
+    "load-graph-unknown-format": (
+        lambda: load_graph(K4_EDGES, "bogus"),
+        ParseError,
+        "unknown input format 'bogus'",
     ),
     "parse-empty-trace-text": (
         lambda: parse_trace_text(" \t "), ParseError, "empty trace"

@@ -10,10 +10,10 @@ from trace_forge import decide, search
 from trace_forge.decide import build_antiparallel_d_stable, find_witness
 from trace_forge.errors import BudgetExhaustedError, DisconnectedGraphError
 from trace_forge.graph import build_graph, complete_graph, path_graph
-from trace_forge.search import enumerate_traces, find_trace
+from trace_forge.search import find_trace
 from trace_forge.walks import TraceSpec, classify_trace, spec_satisfied, validate_double_trace
 
-from conftest import atlas_graphs, random_connected_graph
+from conftest import atlas_graphs, enumerate_traces, random_connected_graph
 
 ALL_SPECS = [
     TraceSpec("double"),

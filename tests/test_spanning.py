@@ -15,7 +15,6 @@ from trace_forge.spanning import (
     iter_spanning_trees,
     min_tree,
     qualified_deficiency_of_tree,
-    qualified_trees,
     spanning_tree,
     tree_is_qualified,
 )
@@ -25,6 +24,7 @@ from conftest import (
     find_root,
     k4_chain,
     k4_ring,
+    qualified_trees,
     random_connected_graph,
     random_spanning_tree,
 )
@@ -342,7 +342,7 @@ def test_scans_validate_only_the_trees_they_keep(monkeypatch):
         assert 20 < len(walked) <= 20 + 3 * 16
     checked.clear()
     assert min_tree(g, 6) is None and checked == []
-    _, tree = next(qualified_trees(g, 4))
+    _, tree = spanning._first_tree(g, 4, False)
     assert checked == [tree.tree_edges]
 
 

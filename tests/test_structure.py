@@ -193,10 +193,50 @@ def test_search_is_imported_only_for_searches():
         if names:
             imports[path.name] = names
     assert imports == {
-        "__init__.py": ["enumerate_traces", "find_trace"],
+        "__init__.py": ["find_trace"],
         "cli.py": ["find_trace"],
         "decide.py": ["find_trace"],
     }
+
+
+def _absolute_imports(tree: ast.Module) -> list[str]:
+    """The top-level package of each absolute import."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_library_needs_nothing_from_the_tests():
+    # the brute-force listings of qualified trees and of traces are test
+    # oracles in tests/conftest.py; the library imports nothing the test
+    # suite brings, defines neither listing and does not export them
+    test_only = {"pytest", "hypothesis", "conftest", "tests"}
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
+    imports = {name: test_only.intersection(_absolute_imports(t)) for name, t in trees.items()}
+    assert {name: found for name, found in imports.items() if found} == {}
+    defined = [
+        (node.name, name)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("qualified_trees", "enumerate_traces", "_scores")
+    ]
+    assert defined == []
+    assert {"qualified_trees", "enumerate_traces"}.isdisjoint(trace_forge.__all__)
+
+
+def test_absolute_import_scan_finds_both_forms():
+    tree = ast.parse(
+        "import pytest, os.path\n"
+        "from hypothesis import given\n"
+        "from . import search\n"
+        "from tests.conftest import k4_chain\n"
+    )
+    assert _absolute_imports(tree) == ["pytest", "os", "hypothesis", "tests"]
 
 
 def test_import_scan_finds_both_forms():
