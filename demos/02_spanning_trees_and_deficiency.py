@@ -28,16 +28,16 @@ k5 = complete_graph(5)
 
 print("=== co-trees of star trees ===")
 star4 = spanning_tree(k4, [(0, 1), (0, 2), (0, 3)])
-decomposition = cotree_decomposition(k4, star4)
+decomposition = cotree_decomposition(star4)
 for comp in decomposition.components:
     print("K4 co-tree component:", sorted(comp.edges),
           "odd" if comp.is_odd else "even",
           "| highest-degree vertex:", comp.witness_vertex)
-print("deficiency of the star tree:", deficiency_of_tree(k4, star4))
+print("deficiency of the star tree:", deficiency_of_tree(star4))
 
 star5 = spanning_tree(k5, [(0, w) for w in range(1, 5)])
 print("K5 star co-tree components:",
-      [(sorted(c.edges), c.parity) for c in cotree_decomposition(k5, star5).components])
+      [(sorted(c.edges), c.parity) for c in cotree_decomposition(star5).components])
 
 print("\n=== graph deficiency (minimum over all spanning trees) ===")
 for name, g in [("K3", complete_graph(3)), ("K4", k4), ("K5", k5), ("Q3", cube_graph())]:
@@ -55,7 +55,7 @@ print("\n=== detaching a vertex splits its component by parity ===")
 # give vertex 0 a fresh endpoint per co-tree edge at it; each component of
 # what is left of 0's co-tree component is one part, kept as original edges
 path_tree = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])
-home = next(c for c in cotree_decomposition(k4, path_tree).components
+home = next(c for c in cotree_decomposition(path_tree).components
             if 0 in c.vertices)
 detached = nx.Graph()
 for e in home.edges:
@@ -68,7 +68,7 @@ print("odd parts:", [p for p in parts if len(p) % 2 == 1])
 print("even parts:", [p for p in parts if len(p) % 2 == 0])
 
 print("\n=== a split that reduces deficiency ===")
-outcome = split_reduce_deficiency(k4, path_tree, 0)
+outcome = split_reduce_deficiency(path_tree, 0)
 print(f"deficiency {outcome.deficiency_before} -> {outcome.deficiency_after}")
 print("vertex 0 split into", [sorted(p) for p in outcome.parts],
       "as new vertices", outcome.new_vertices)
@@ -79,6 +79,6 @@ print("\n=== a graph whose odd components need their hub ===")
 edges = [(0, 1)] + [(1, w) for w in range(2, 7)] + [(0, w) for w in range(2, 7)]
 g = build_graph(edges)
 tree = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 7)])
-print("deficiency of the given tree:", deficiency_of_tree(g, tree))
-out = split_reduce_deficiency(g, tree, 0)
+print("deficiency of the given tree:", deficiency_of_tree(tree))
+out = split_reduce_deficiency(tree, 0)
 print(f"after splitting the hub: {out.deficiency_before} -> {out.deficiency_after}")

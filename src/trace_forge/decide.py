@@ -221,21 +221,21 @@ def build_antiparallel_d_stable(
     certificate = min_tree(g, threshold)
     if certificate is None:
         return None
-    h, t = g, certificate.witness_tree
+    tree = certificate.witness_tree
     splits: list[tuple[tuple[int, int], int]] = []
-    while odd := cotree_decomposition(h, t).odd_components():
+    while odd := cotree_decomposition(tree).odd_components():
         v = min(
-            (x for comp in odd for x in comp.vertices if h.degree(x) >= threshold),
+            (x for comp in odd for x in comp.vertices if tree.host.degree(x) >= threshold),
             default=None,
         )
         if v is None:
             raise InternalInvariantError(
                 "odd component lost its high-degree vertex during the induction"
             )
-        outcome = split_reduce_qualified(h, t, v, threshold)
+        outcome = split_reduce_qualified(tree, v, threshold)
         splits.append((outcome.new_vertices, v))
-        h, t = outcome.graph_after, outcome.tree_after
-    trace = find_trace(h, TraceSpec("strong", ANTIPARALLEL), budget)
+        tree = outcome.tree_after
+    trace = find_trace(tree.host, TraceSpec("strong", ANTIPARALLEL), budget)
     if trace is None:
         raise InternalInvariantError(
             "all-even co-tree but no antiparallel strong trace found"
@@ -288,10 +288,10 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
         protected = frozenset(
             x for x in g2.vertices if g2.degree(x) >= threshold and x not in new_ids
         )
-        tree = transfer_tree_on_identification(g2, tree, new_ids, v, protected)
-        if not tree_is_qualified(g, tree, threshold):
+        tree = transfer_tree_on_identification(tree, new_ids, v, protected)
+        if tree.host != g or not tree_is_qualified(tree, threshold):
             raise InternalInvariantError(
-                "transferred tree lost its degree qualification"
+                "transferred tree is not a qualified tree of the identified graph"
             )
     return tree
 

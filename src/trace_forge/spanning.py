@@ -19,7 +19,9 @@ One scan driver, ``_pick``, scores the trees of the search in order and
 stops at the answer; ``min_tree`` and the first-qualified scan of the
 antiparallel stable decision run it and check again only the tree they
 return.
-``cotree_decomposition`` lists the components themselves.
+``cotree_decomposition`` lists the components themselves.  A
+:class:`SpanningTree` carries its host, so the functions on a given tree
+take the tree alone.
 
 The block rule: a bridge lies in every spanning tree and no co-tree
 component crosses one, so a tree's value is the sum of its values on the
@@ -137,14 +139,12 @@ def _edge_groups(edges: list[Edge]) -> Iterable[list[Edge]]:
     return groups.values()
 
 
-def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
+def cotree_decomposition(t: SpanningTree) -> CoTreeDecomposition:
     """Components of the co-tree with parities and degree witnesses.
 
     The sorted co-tree edges are grouped by :func:`_edge_groups`, so the
     components come in the order of their least edges.
     """
-    if t.host != g:
-        raise NotSpanningTreeError("tree does not span this graph")
     components = []
     for edges in _edge_groups(sorted(t.cotree_edges)):
         verts = frozenset(x for e in edges for x in e)
@@ -152,7 +152,7 @@ def cotree_decomposition(g: Graph, t: SpanningTree) -> CoTreeDecomposition:
             CotreeComponent(
                 edges=frozenset(edges),
                 vertices=verts,
-                witness_vertex=_witness_vertex(g, verts),
+                witness_vertex=_witness_vertex(t.host, verts),
             )
         )
     return CoTreeDecomposition(tree=t, components=tuple(components))
@@ -197,29 +197,25 @@ def _score(
     return count
 
 
-def qualified_deficiency_of_tree(
-    g: Graph, t: SpanningTree, threshold: int | None
-) -> int | None:
+def qualified_deficiency_of_tree(t: SpanningTree, threshold: int | None) -> int | None:
     """Number of odd co-tree components of t when each has a vertex of host
     degree at least ``threshold``, else None.  ``None`` admits no odd
     component and 0 admits every one."""
-    if t.host != g:
-        raise NotSpanningTreeError("tree does not span this graph")
-    _, ends, degrees = g._scan_index
+    _, ends, degrees = t.host._scan_index
     return _score(ends, degrees, t.cotree_edges, threshold)
 
 
-def deficiency_of_tree(g: Graph, t: SpanningTree) -> int:
+def deficiency_of_tree(t: SpanningTree) -> int:
     """Number of odd co-tree components of t."""
-    return qualified_deficiency_of_tree(g, t, 0)
+    return qualified_deficiency_of_tree(t, 0)
 
 
-def tree_is_qualified(g: Graph, t: SpanningTree, threshold: int | None) -> bool:
+def tree_is_qualified(t: SpanningTree, threshold: int | None) -> bool:
     """True when every odd co-tree component clears the degree threshold.
 
     ``threshold=None`` demands that there are no odd components at all.
     """
-    return qualified_deficiency_of_tree(g, t, threshold) is not None
+    return qualified_deficiency_of_tree(t, threshold) is not None
 
 
 def _searched_tree(g: Graph, edges: frozenset[Edge]) -> SpanningTree:
@@ -379,12 +375,14 @@ def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | Non
 
     A tree qualifies when each odd co-tree component has a vertex of degree
     at least ``threshold``: 0 lets every tree through, and ``None`` or a
-    threshold above the maximum degree only trees with all-even co-trees.
-    ``min_tree(g)`` is the deficiency of g.  The tree and its value are
-    those of a scan over every tree in enumeration order, found block by
-    block once the scan runs long on a graph with a bridge
-    (:func:`_first_tree`).
+    threshold above the maximum degree only trees with all-even co-trees; a
+    negative threshold raises ``ValueError``.  ``min_tree(g)`` is the
+    deficiency of g.  The tree and its value are those of a scan over every
+    tree in enumeration order, found block by block once the scan runs long
+    on a graph with a bridge (:func:`_first_tree`).
     """
+    if threshold is not None and threshold < 0:
+        raise ValueError(f"degree threshold must be non-negative, got {threshold}")
     found = _first_tree(g, threshold, least=True)
     if found is None:
         return None

@@ -34,7 +34,6 @@ from .errors import (
 )
 from .graph import (
     Edge,
-    Graph,
     SplitSpec,
     _components,
     edge_key,
@@ -55,7 +54,6 @@ from .walks import DoubleTrace, validate_double_trace
 class SplitOutcome:
     """A deficiency-reducing split with its full correspondence record."""
 
-    graph_after: Graph
     tree_after: SpanningTree
     new_vertices: tuple[int, int]
     parts: tuple[frozenset[int], frozenset[int]]
@@ -66,23 +64,19 @@ class SplitOutcome:
 # -- tree transfer under identification ---------------------------------------
 
 
-def _odd_components_covered(
-    g: Graph, t: SpanningTree, covering: frozenset[int]
-) -> bool:
+def _odd_components_covered(t: SpanningTree, covering: frozenset[int]) -> bool:
     return all(
-        comp.vertices & covering
-        for comp in cotree_decomposition(g, t).odd_components()
+        comp.vertices & covering for comp in cotree_decomposition(t).odd_components()
     )
 
 
 def transfer_tree_on_identification(
-    g_prime: Graph,
     t_prime: SpanningTree,
     targets: Iterable[int],
     new_id: int,
     protected: Iterable[int] = (),
 ) -> SpanningTree:
-    """Pull a spanning tree back through vertex identification.
+    """Pull a spanning tree back through vertex identification of its host.
 
     Preconditions: the targets have pairwise disjoint neighborhoods with no
     edge between them, and every odd co-tree component of ``t_prime``
@@ -104,13 +98,12 @@ def transfer_tree_on_identification(
     targets = sorted(set(targets))
     target_set = frozenset(targets)
     protected = frozenset(protected)
-    if t_prime.host != g_prime:
-        raise NotSpanningTreeError("tree does not span this graph")
+    g_prime = t_prime.host
     if protected & target_set:
         raise PreconditionViolatedError("protected vertices must not be targets")
     if not protected <= set(g_prime.vertices):
         raise PreconditionViolatedError("protected vertices must be in the graph")
-    if not _odd_components_covered(g_prime, t_prime, protected | target_set):
+    if not _odd_components_covered(t_prime, protected | target_set):
         raise PreconditionViolatedError(
             "an odd co-tree component contains no protected vertex and no target"
         )
@@ -134,7 +127,7 @@ def transfer_tree_on_identification(
         raise InternalInvariantError(
             f"tree transfer produced a non-tree: {exc}"
         ) from exc
-    if not _odd_components_covered(g, t, protected | frozenset({new_id})):
+    if not _odd_components_covered(t, protected | frozenset({new_id})):
         raise InternalInvariantError(
             "tree transfer left an odd co-tree component uncovered"
         )
@@ -160,8 +153,8 @@ def _relabeled_tree_edges(
 
 
 def _split_candidates(
-    g: Graph, t: SpanningTree, v: int
-) -> Iterator[tuple[Graph, SpanningTree, tuple[frozenset[int], frozenset[int]]]]:
+    t: SpanningTree, v: int
+) -> Iterator[tuple[SpanningTree, tuple[frozenset[int], frozenset[int]]]]:
     """Splits following the constructive recipe: the tree neighbor u sits in
     one half, a co-tree neighbor w in the other, and the tree regains the
     edge wv.  Halves have sizes ceil(d/2) and floor(d/2); both assignments of
@@ -171,6 +164,7 @@ def _split_candidates(
     hangs off a tree neighbor of v in u's half.  Other splits are skipped
     before they are built; they include every disconnected one.
     """
+    g = t.host
     nbhd = set(g.neighbors(v))
     degree = len(nbhd)
     tree_nbrs = sorted(x for x in nbhd if edge_key(x, v) in t.tree_edges)
@@ -195,20 +189,19 @@ def _split_candidates(
                     g2 = split_vertex(g, SplitSpec(v, (u_side, w_side)))
                     edges = _relabeled_tree_edges(t, v, u_side, v1, v2)
                     edges.add(edge_key(v2, w))
-                    yield g2, SpanningTree(g2, frozenset(edges)), (u_side, w_side)
+                    yield SpanningTree(g2, frozenset(edges)), (u_side, w_side)
 
 
-def _recipe_trees(
-    g: Graph, t: SpanningTree, v: int, deficiency: int
-) -> Iterator[SpanningTree]:
-    """t itself, then every other tree the recipe may have to move to first:
-    v in an odd co-tree component, at least two tree edges at v and
-    deficiency at most ``deficiency``."""
+def _recipe_trees(t: SpanningTree, v: int, deficiency: int) -> Iterator[SpanningTree]:
+    """t itself, then every other tree of its host the recipe may have to
+    move to first: v in an odd co-tree component, at least two tree edges at
+    v and deficiency at most ``deficiency``."""
+    g = t.host
     yield t
     for t_alt in iter_spanning_trees(g):
         if t_alt.tree_edges == t.tree_edges:
             continue
-        odd = cotree_decomposition(g, t_alt).odd_components()
+        odd = cotree_decomposition(t_alt).odd_components()
         if len(odd) > deficiency or not any(v in c.vertices for c in odd):
             continue
         if sum(1 for x in g.neighbors(v) if edge_key(x, v) in t_alt.tree_edges) < 2:
@@ -216,16 +209,15 @@ def _recipe_trees(
         yield t_alt
 
 
-def split_reduce_deficiency(g: Graph, t: SpanningTree, v: int) -> SplitOutcome:
+def split_reduce_deficiency(t: SpanningTree, v: int) -> SplitOutcome:
     """:func:`split_reduce_qualified` at threshold 0, the plain deficiency rule."""
-    return split_reduce_qualified(g, t, v, 0)
+    return split_reduce_qualified(t, v, 0)
 
 
-def split_reduce_qualified(
-    g: Graph, t: SpanningTree, v: int, threshold: int = 0
-) -> SplitOutcome:
-    """Split v (in an odd co-tree component) so the deficiency strictly drops
-    and every odd component keeps a vertex of degree >= ``threshold``.
+def split_reduce_qualified(t: SpanningTree, v: int, threshold: int = 0) -> SplitOutcome:
+    """Split v (in an odd co-tree component of t's host) so the deficiency
+    strictly drops and every odd component keeps a vertex of degree >=
+    ``threshold``.
 
     Requires d(v) >= threshold and a tree whose odd components all contain
     such a vertex; threshold 0 is the plain deficiency rule, which every tree
@@ -238,11 +230,12 @@ def split_reduce_qualified(
     ``spanning.qualified_deficiency_of_tree``; the outcome is validated, not
     assumed.
     """
+    g = t.host
     if v in g.adjacency and g.degree(v) < threshold:
         raise NotQualifiedError(
             f"vertex {v} has degree {g.degree(v)} < threshold {threshold}"
         )
-    before = qualified_deficiency_of_tree(g, t, threshold)
+    before = qualified_deficiency_of_tree(t, threshold)
     if before is None:
         raise NotQualifiedError(
             f"an odd co-tree component has no vertex of degree >= {threshold}"
@@ -251,18 +244,17 @@ def split_reduce_qualified(
         raise UnknownVertexError(f"vertex {v} not in graph")
     if g.degree(v) < 2:
         raise DegreeTooSmallError(f"vertex {v} has degree {g.degree(v)} < 2")
-    if not any(v in c.vertices for c in cotree_decomposition(g, t).odd_components()):
+    if not any(v in c.vertices for c in cotree_decomposition(t).odd_components()):
         raise NotInOddComponentError(
             f"vertex {v} does not lie in an odd co-tree component"
         )
 
     new_ids = fresh_vertex_ids(g, 2)
-    for tree in _recipe_trees(g, t, v, before):
-        for g2, t2, parts in _split_candidates(g, tree, v):
-            after = qualified_deficiency_of_tree(g2, t2, threshold)
+    for tree in _recipe_trees(t, v, before):
+        for t2, parts in _split_candidates(tree, v):
+            after = qualified_deficiency_of_tree(t2, threshold)
             if after is not None and after < before:
                 return SplitOutcome(
-                    graph_after=g2,
                     tree_after=t2,
                     new_vertices=new_ids,
                     parts=parts,

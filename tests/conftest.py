@@ -312,7 +312,7 @@ def qualified_trees(
     if (threshold is None or threshold > g.max_degree()) and betti_number(g) % 2:
         return
     for t in iter_spanning_trees(g):
-        value = qualified_deficiency_of_tree(g, t, threshold)
+        value = qualified_deficiency_of_tree(t, threshold)
         if value is not None:
             yield value, t
 

@@ -158,7 +158,7 @@ def test_criterion_4_deficiency_laws():
         g = random_connected_graph(rng, n_min=3, n_max=6)
         t = random_spanning_tree(g, rng)
         beta = betti_number(g)
-        value = deficiency_of_tree(g, t)
+        value = deficiency_of_tree(t)
         minimum = min_tree(g).value
         if value % 2 != beta % 2:
             violations.append(("parity", sorted(g.edges), sorted(t.tree_edges)))
@@ -176,18 +176,18 @@ def test_criterion_5_split_reduction_machinery():
     while checked < 500:
         g = random_connected_graph(rng, n_min=4, n_max=6)
         t = random_spanning_tree(g, rng)
-        decomposition = cotree_decomposition(g, t)
+        decomposition = cotree_decomposition(t)
         odd_vertices = sorted(
             v for comp in decomposition.odd_components() for v in comp.vertices
         )
         if not odd_vertices:
             continue
         v = rng.choice(odd_vertices)
-        before = deficiency_of_tree(g, t)
-        outcome = split_reduce_deficiency(g, t, v)
+        before = deficiency_of_tree(t)
+        outcome = split_reduce_deficiency(t, v)
         from trace_forge.graph import is_connected
 
-        if not is_connected(outcome.graph_after):
+        if not is_connected(outcome.tree_after.host):
             violations.append(("disconnected", sorted(g.edges), v))
         if outcome.deficiency_after >= before:
             violations.append(("no decrease", sorted(g.edges), v))
@@ -204,10 +204,10 @@ def test_criterion_5_split_reduction_machinery():
                 for comp in decomposition.odd_components()
             ]
         )
-        q = split_reduce_qualified(g, t, v, threshold)
+        q = split_reduce_qualified(t, v, threshold)
         if q.deficiency_after >= before:
             violations.append(("qualified no decrease", sorted(g.edges), v))
-        if not tree_is_qualified(q.graph_after, q.tree_after, threshold):
+        if not tree_is_qualified(q.tree_after, threshold):
             violations.append(("qualification lost", sorted(g.edges), v, threshold))
         checked += 1
     report(5, "deficiency-reducing splits validate universally", violations)
@@ -234,7 +234,7 @@ def test_criterion_6_constructive_round_trip(build_results):
             violations.append(("bad trace", sorted(g.edges), d, cls))
             continue
         tree = extract_qualified_tree_from_trace(trace, d)
-        if tree.host != g or not tree_is_qualified(g, tree, 2 * d + 2):
+        if tree.host != g or not tree_is_qualified(tree, 2 * d + 2):
             violations.append(("bad extracted tree", sorted(g.edges), d))
     assert build_results  # the sweep contains yes-instances
     report(6, "built traces validate and extraction qualifies", violations)

@@ -337,6 +337,25 @@ def test_deficiency_command(capsys):
     assert doc["qualified_deficiency"] == "NoQualifiedTree"
 
 
+def test_deficiency_rejects_a_negative_threshold(capsys):
+    code = main(["deficiency", "-i", str(FIXTURES / "k4.edges"), "-d", "-1", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: degree threshold must be non-negative, got -1\n"
+
+
+def test_deficiency_threshold_zero_admits_every_tree(capsys):
+    code, out = run(
+        capsys, "deficiency", "-i", str(FIXTURES / "k4.edges"), "-d", "0", "--json"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["qualified_threshold"] == 0
+    assert doc["qualified_deficiency"] == doc["deficiency"] == 1
+    assert doc["qualified_witness_tree"] == doc["witness_tree"] == [[0, 1], [0, 2], [0, 3]]
+
+
 def test_deficiency_tree_input(tmp_path, capsys):
     path = tmp_path / "tree.edges"
     path.write_text("0 1\n1 2\n2 3\n")

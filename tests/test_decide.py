@@ -18,10 +18,15 @@ from trace_forge.decide import (
     graph_deficiency_report,
     sufficient_four_edge_connected,
 )
-from trace_forge.errors import BudgetExhaustedError, NotAntiparallelError, NotStableError
-from trace_forge.graph import build_graph
+from trace_forge.errors import (
+    BudgetExhaustedError,
+    InternalInvariantError,
+    NotAntiparallelError,
+    NotStableError,
+)
+from trace_forge.graph import build_graph, complete_graph
 from trace_forge.search import find_trace
-from trace_forge.spanning import cotree_decomposition, tree_is_qualified
+from trace_forge.spanning import cotree_decomposition, spanning_tree, tree_is_qualified
 from trace_forge.walks import (
     TraceSpec,
     classify_trace,
@@ -49,7 +54,7 @@ def test_k5_antiparallel_stable_is_yes(k5):
     cert = decide_existence(k5, "stable", "antiparallel", 1)
     assert cert.verdict
     assert cert.witness_tree is not None
-    assert tree_is_qualified(k5, cert.witness_tree, 4)
+    assert tree_is_qualified(cert.witness_tree, 4)
 
 
 def test_k5_stable4_fails_min_degree(k5):
@@ -121,7 +126,7 @@ def test_yes_witnesses_revalidate(k3, k5):
         assert cert.verdict
         if direction == "antiparallel":
             threshold = None if kind == "strong" else 2 * d + 2
-            assert tree_is_qualified(g, cert.witness_tree, threshold)
+            assert tree_is_qualified(cert.witness_tree, threshold)
         else:
             assert cert.witness_tree is None
         revalidated = validate_double_trace(g, find_witness(g, kind, direction, d).sequence)
@@ -256,7 +261,7 @@ def test_extract_from_strong_trace(k5):
     w = find_trace(k5, TraceSpec("strong", "antiparallel"))
     tree = extract_qualified_tree_from_trace(w, 1)
     assert all(
-        not comp.is_odd for comp in cotree_decomposition(k5, tree).components
+        not comp.is_odd for comp in cotree_decomposition(tree).components
     )
 
 
@@ -276,7 +281,26 @@ def test_build_extract_round_trip():
     w = build_antiparallel_d_stable(g, 1)
     tree = extract_qualified_tree_from_trace(w, 1)
     assert tree.host == g
-    assert tree_is_qualified(g, tree, 4)
+    assert tree_is_qualified(tree, 4)
+
+
+def test_extract_rejects_a_transfer_onto_another_graph(monkeypatch):
+    # the extraction checks that each transferred tree spans the graph the
+    # projection came from; a qualified tree of another graph is a broken
+    # transfer, not a caller's error
+    import trace_forge.decide as decide_module
+
+    g = build_graph(
+        [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
+    )
+    w = build_antiparallel_d_stable(g, 1)
+    k5_star = spanning_tree(complete_graph(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
+    assert tree_is_qualified(k5_star, None)
+    monkeypatch.setattr(
+        decide_module, "transfer_tree_on_identification", lambda *args: k5_star
+    )
+    with pytest.raises(InternalInvariantError, match="transferred tree"):
+        extract_qualified_tree_from_trace(w, 1)
 
 
 def test_build_with_three_chained_reductions(monkeypatch):
@@ -319,7 +343,7 @@ def test_build_with_three_chained_reductions(monkeypatch):
     ]
     assert len(repetition_vertices) == 3
     tree = extract_qualified_tree_from_trace(w, 1)
-    assert tree_is_qualified(g, tree, 4)
+    assert tree_is_qualified(tree, 4)
     for key in ("lift", "transfer"):
         assert len(depths[key]) == 3
         assert len(set(depths[key])) == 1, (key, depths[key])
@@ -347,7 +371,7 @@ def test_extract_scans_transition_graphs_once(monkeypatch):
         monkeypatch.setattr(module, "transition_graph_at", counted)
     monkeypatch.setattr(transform_module, "transition_graph_at", counted, raising=False)
     tree = extract_qualified_tree_from_trace(w, 1)
-    assert tree_is_qualified(g, tree, 4)
+    assert tree_is_qualified(tree, 4)
     assert sorted(calls["trace_forge.decide"]) == [
         v for v in g.vertices if not transition_graph_at(w, v).is_connected
     ]

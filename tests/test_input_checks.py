@@ -10,7 +10,6 @@ from trace_forge.errors import (
     EmptyGraphError,
     GraphTooSmallError,
     InvalidPartitionError,
-    NotSpanningTreeError,
     ParseError,
     UnknownVertexError,
 )
@@ -25,7 +24,7 @@ from trace_forge.graph import (
     split_vertex,
 )
 from trace_forge.search import find_trace
-from trace_forge.spanning import qualified_deficiency_of_tree, spanning_tree
+from trace_forge.spanning import min_tree
 from trace_forge.transform import project_trace_through_split
 from trace_forge.walks import (
     TraceSpec,
@@ -92,12 +91,8 @@ CASES = {
     "parse-empty-trace-text": (
         lambda: parse_trace_text(" \t "), ParseError, "empty trace"
     ),
-    "score-tree-of-another-graph": (
-        lambda: qualified_deficiency_of_tree(
-            complete_graph(4), spanning_tree(K3, [(0, 1), (1, 2)]), None
-        ),
-        NotSpanningTreeError,
-        "does not span",
+    "min-tree-negative-threshold": (
+        lambda: min_tree(K3, -1), ValueError, "must be non-negative, got -1"
     ),
     "project-unknown-vertex": (
         lambda: project_trace_through_split(EDGE_TRACE, 7, [[0], [1]]),

@@ -59,29 +59,29 @@ def test_spanning_tree_validation(k4):
 
 def test_cotree_k4_star(k4):
     t = star_tree(k4, 0)
-    decomposition = cotree_decomposition(k4, t)
+    decomposition = cotree_decomposition(t)
     assert len(decomposition.components) == 1
     comp = decomposition.components[0]
     assert comp.edges == frozenset({(1, 2), (1, 3), (2, 3)})
     assert comp.edge_count == 3
     assert comp.is_odd
-    assert deficiency_of_tree(k4, t) == 1
+    assert deficiency_of_tree(t) == 1
 
 
 def test_cotree_k5_star(k5):
     t = star_tree(k5, 0)
-    decomposition = cotree_decomposition(k5, t)
+    decomposition = cotree_decomposition(t)
     assert len(decomposition.components) == 1
     comp = decomposition.components[0]
     assert comp.edge_count == 6
     assert not comp.is_odd
-    assert deficiency_of_tree(k5, t) == 0
+    assert deficiency_of_tree(t) == 0
 
 
 def test_cotree_of_tree_graph_is_empty():
     g = path_graph(5)
     t = spanning_tree(g, g.edges)
-    assert cotree_decomposition(g, t).components == ()
+    assert cotree_decomposition(t).components == ()
 
 
 def test_cotree_matches_networkx_components():
@@ -102,21 +102,16 @@ def test_cotree_matches_networkx_components():
             expected.sort()
             got = [
                 (min(c.edges), c.edges, c.vertices, c.witness_vertex)
-                for c in cotree_decomposition(g, t).components
+                for c in cotree_decomposition(t).components
             ]
             assert got == expected
             checked += 1
     assert checked > 1000
 
 
-def test_cotree_rejects_foreign_tree(k4, k5):
-    with pytest.raises(NotSpanningTreeError):
-        cotree_decomposition(k5, star_tree(k4, 0))
-
-
 def test_cotree_c4_path(c4):
     t = spanning_tree(c4, [(0, 1), (1, 2), (2, 3)])
-    assert deficiency_of_tree(c4, t) == 1
+    assert deficiency_of_tree(t) == 1
 
 
 def test_spanning_tree_count_k4(k4):
@@ -147,7 +142,7 @@ def test_cotree_edges_sum_to_betti():
     for _ in range(20):
         g = random_connected_graph(rng, n_min=3, n_max=6)
         t = random_spanning_tree(g, rng)
-        decomposition = cotree_decomposition(g, t)
+        decomposition = cotree_decomposition(t)
         assert sum(c.edge_count for c in decomposition.components) == betti_number(g)
 
 
@@ -159,7 +154,7 @@ def test_graph_deficiency_values(k3, k4, k5):
 
 def test_deficiency_witness_revalidates(k4):
     cert = min_tree(k4)
-    assert deficiency_of_tree(k4, cert.witness_tree) == cert.value
+    assert deficiency_of_tree(cert.witness_tree) == cert.value
 
 
 def test_qualified_deficiency_k4(k4):
@@ -175,16 +170,16 @@ def test_qualified_deficiency_k5_star(k5):
 def test_qualified_deficiency_with_given_tree(k4, k5):
     # a given tree is scored by tree_is_qualified and deficiency_of_tree
     t = star_tree(k5, 0)
-    assert tree_is_qualified(k5, t, 8)
-    assert deficiency_of_tree(k5, t) == 0
+    assert tree_is_qualified(t, 8)
+    assert deficiency_of_tree(t) == 0
     path = spanning_tree(k5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert tree_is_qualified(k5, path, None)  # one even co-tree component
+    assert tree_is_qualified(path, None)  # one even co-tree component
     # K4's star leaves the odd triangle 1-2-3, whose vertices have degree 3
     star = star_tree(k4, 0)
-    assert deficiency_of_tree(k4, star) == 1
-    assert tree_is_qualified(k4, star, 3)
-    assert not tree_is_qualified(k4, star, 4)
-    assert not tree_is_qualified(k4, star, None)
+    assert deficiency_of_tree(star) == 1
+    assert tree_is_qualified(star, 3)
+    assert not tree_is_qualified(star, 4)
+    assert not tree_is_qualified(star, None)
 
 
 def test_find_even_cotree_tree(k4, k5, q3):
@@ -195,8 +190,8 @@ def test_find_even_cotree_tree(k4, k5, q3):
 
 def test_find_qualified_tree(k4, k5, c4):
     value, t = next(qualified_trees(k5, 4))
-    assert tree_is_qualified(k5, t, 4)
-    assert value == deficiency_of_tree(k5, t)
+    assert tree_is_qualified(t, 4)
+    assert value == deficiency_of_tree(t)
     assert next(qualified_trees(k4, 4), None) is None
     assert next(qualified_trees(c4, 4), None) is None
 
@@ -208,19 +203,19 @@ def test_parity_law_and_minimality():
         beta = betti_number(g)
         minimum = min_tree(g).value
         t = random_spanning_tree(g, rng)
-        value = deficiency_of_tree(g, t)
+        value = deficiency_of_tree(t)
         assert value % 2 == beta % 2
         assert minimum <= value
         assert (min_tree(g, None) is not None) == (minimum == 0)
 
 
-def component_score(g, t, threshold):
+def component_score(t, threshold):
     """Qualified deficiency of t read off ``cotree_decomposition``: the
     number of odd components when each has a vertex of host degree at least
     ``threshold``, else None; ``None`` admits no odd component."""
-    odd = [c for c in cotree_decomposition(g, t).components if c.is_odd]
+    odd = [c for c in cotree_decomposition(t).components if c.is_odd]
     for comp in odd:
-        if threshold is None or max(g.degree(x) for x in comp.vertices) < threshold:
+        if threshold is None or max(t.host.degree(x) for x in comp.vertices) < threshold:
             return None
     return len(odd)
 
@@ -235,7 +230,7 @@ def test_qualified_deficiency_below_threshold_matches_enumeration():
     for g in atlas_graphs(6):
         trees = [spanning_tree(g, edges) for edges in reference_trees(g)]
         for threshold in (0, None, 4, 6, g.max_degree() + 1):
-            scored = ((component_score(g, t, threshold), t) for t in trees)
+            scored = ((component_score(t, threshold), t) for t in trees)
             qualified = [(value, t) for value, t in scored if value is not None]
             first = qualified[0] if qualified else None
             least = min(qualified, key=lambda pair: pair[0]) if qualified else None
@@ -255,11 +250,11 @@ def test_scorer_matches_components_on_every_atlas_tree():
     checked = 0
     for g in atlas_graphs(6):
         for t in iter_spanning_trees(g):
-            assert deficiency_of_tree(g, t) == component_score(g, t, 0)
+            assert deficiency_of_tree(t) == component_score(t, 0)
             for threshold in (0, None, 4, 6, g.max_degree() + 1):
-                expected = component_score(g, t, threshold)
-                assert qualified_deficiency_of_tree(g, t, threshold) == expected
-                assert tree_is_qualified(g, t, threshold) == (expected is not None)
+                expected = component_score(t, threshold)
+                assert qualified_deficiency_of_tree(t, threshold) == expected
+                assert tree_is_qualified(t, threshold) == (expected is not None)
             checked += 1
     assert checked > 10_000
 

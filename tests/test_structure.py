@@ -248,6 +248,48 @@ def test_import_scan_finds_both_forms():
     assert _names_imported_from(tree, "search") == ["*", "TraceSpec", "find_trace"]
 
 
+def _graph_beside_tree(tree: ast.Module) -> list[str]:
+    """Functions and methods with both a ``Graph``-annotated and a
+    ``SpanningTree``-annotated parameter; an annotation names a class bare
+    or as an attribute."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        named = [
+            {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(p.annotation)}
+            for p in params
+            if p.annotation
+        ]
+        if any("Graph" in n for n in named) and any("SpanningTree" in n for n in named):
+            found.append(fn.name)
+    return found
+
+
+def test_trees_carry_their_host():
+    # a SpanningTree holds its host, so a function on a given tree takes the
+    # tree alone and reads the graph from tree.host; a graph passed beside it
+    # could only disagree with the host
+    offenders = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        found = _graph_beside_tree(ast.parse(path.read_text(), filename=str(path)))
+        if found:
+            offenders[path.name] = found
+    assert offenders == {}
+
+
+def test_host_scan_finds_functions_and_methods():
+    tree = ast.parse(
+        "def score(g: Graph, t: SpanningTree | None): ...\n"
+        "class Reducer:\n"
+        "    def grow(self, t: SpanningTree, *, host: graph.Graph): ...\n"
+        "def walk(t: SpanningTree, g=None): ...\n"
+        "def spans(g: Graph, edges: frozenset[Edge]): ...\n"
+    )
+    assert _graph_beside_tree(tree) == ["score", "grow"]
+
+
 def _climbs_a_forest(node: ast.AST) -> bool:
     """A loop ``while parent[x] != x``: the climb to a union-find root."""
     test = node.test if isinstance(node, ast.While) else None

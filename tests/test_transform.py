@@ -60,10 +60,10 @@ def test_transfer_two_triangles_example():
     # into 6 must yield the tree {12?..}: hand-derived result below
     g_prime = build_graph([(0, 1), (0, 2), (1, 2), (5, 3), (5, 4), (3, 4), (1, 3)])
     t_prime = spanning_tree(g_prime, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])
-    tree = transfer_tree_on_identification(g_prime, t_prime, [0, 5], 6)
+    tree = transfer_tree_on_identification(t_prime, [0, 5], 6)
     assert tree.tree_edges == frozenset({(1, 2), (1, 3), (3, 4), (4, 6)})
-    g = identify_vertices(g_prime, [0, 5], 6)
-    decomposition = cotree_decomposition(g, tree)
+    assert tree.host == identify_vertices(g_prime, [0, 5], 6)
+    decomposition = cotree_decomposition(tree)
     assert len(decomposition.components) == 1
     comp = decomposition.components[0]
     assert comp.edges == frozenset({(1, 6), (2, 6), (3, 6)})
@@ -87,14 +87,14 @@ def test_transfer_covered_by_protected_stays_covered():
         t_prime = random_spanning_tree(g_prime, rng)
         protected = frozenset(
             x
-            for comp in cotree_decomposition(g_prime, t_prime).odd_components()
+            for comp in cotree_decomposition(t_prime).odd_components()
             for x in comp.vertices
             if x not in targets
         )
-        tree = transfer_tree_on_identification(g_prime, t_prime, targets, v, protected)
+        tree = transfer_tree_on_identification(t_prime, targets, v, protected)
         g_back = identify_vertices(g_prime, targets, v)
         assert tree.host == g_back
-        for comp in cotree_decomposition(g_back, tree).odd_components():
+        for comp in cotree_decomposition(tree).odd_components():
             assert comp.vertices & (protected | {v})
         runs += 1
 
@@ -110,14 +110,14 @@ def test_transfer_three_way_identification():
     for t in iter_spanning_trees(g_prime):
         if all(
             comp.vertices & set(targets)
-            for comp in cotree_decomposition(g_prime, t).odd_components()
+            for comp in cotree_decomposition(t).odd_components()
         ):
             hypothesis_tree = t
             break
     assert hypothesis_tree is not None
-    tree = transfer_tree_on_identification(g_prime, hypothesis_tree, targets, 0)
+    tree = transfer_tree_on_identification(hypothesis_tree, targets, 0)
     assert tree.host == g
-    for comp in cotree_decomposition(g, tree).odd_components():
+    for comp in cotree_decomposition(tree).odd_components():
         assert 0 in comp.vertices
 
 
@@ -146,15 +146,11 @@ def _atlas_transfers():
                     t_prime = next(iter_spanning_trees(g_prime))
                     protected = frozenset(
                         x
-                        for comp in cotree_decomposition(
-                            g_prime, t_prime
-                        ).odd_components()
+                        for comp in cotree_decomposition(t_prime).odd_components()
                         for x in comp.vertices
                         if x not in targets
                     )
-                    tree = transfer_tree_on_identification(
-                        g_prime, t_prime, targets, v, protected
-                    )
+                    tree = transfer_tree_on_identification(t_prime, targets, v, protected)
                     yield g, v, t_prime, targets, protected, tree
 
 
@@ -172,7 +168,7 @@ def test_transfer_over_atlas_splits():
         assert relabeled <= tree.cotree_edges
         assert len(added) == len(targets) - 1
         assert all(v in e for e in added)
-        for comp in cotree_decomposition(g, tree).odd_components():
+        for comp in cotree_decomposition(tree).odd_components():
             assert comp.vertices & (protected | {v})
         checked += 1
     assert checked > 4000
@@ -199,11 +195,11 @@ def test_transfer_rejects_uncovered_odd_component():
     # split nothing: fabricate targets 0 and 3 (disjoint neighborhoods)
     t_prime = spanning_tree(g_prime, [(0, 1), (1, 2), (1, 4), (4, 5), (5, 3)])
     # co-tree {02, 34}: both odd; 02 contains 0 but 34 contains 3: covered
-    tree = transfer_tree_on_identification(g_prime, t_prime, [0, 3], 6)
+    tree = transfer_tree_on_identification(t_prime, [0, 3], 6)
     assert tree.host == identify_vertices(g_prime, [0, 3], 6)
     # now protect nothing and use targets that avoid the odd component {02}
     with pytest.raises(PreconditionViolatedError):
-        transfer_tree_on_identification(g_prime, t_prime, [2, 5], 6)
+        transfer_tree_on_identification(t_prime, [2, 5], 6)
 
 
 @pytest.mark.parametrize(
@@ -215,20 +211,16 @@ def test_transfer_rejects_targets_identify_rejects(targets):
     g_prime = build_graph([(0, 1), (0, 2), (1, 2), (5, 3), (5, 4), (3, 4), (1, 3)])
     t_prime = spanning_tree(g_prime, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])
     with pytest.raises(PreconditionViolatedError):
-        transfer_tree_on_identification(g_prime, t_prime, targets, 6, (2, 3))
+        transfer_tree_on_identification(t_prime, targets, 6, (2, 3))
 
 
-def test_transfer_rejects_bad_protected_set_and_foreign_tree():
+def test_transfer_rejects_bad_protected_set():
     g_prime = build_graph([(0, 1), (0, 2), (1, 2), (5, 3), (5, 4), (3, 4), (1, 3)])
     t_prime = spanning_tree(g_prime, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5)])
     with pytest.raises(PreconditionViolatedError, match="must not be targets"):
-        transfer_tree_on_identification(g_prime, t_prime, [0, 5], 6, (0, 3))
+        transfer_tree_on_identification(t_prime, [0, 5], 6, (0, 3))
     with pytest.raises(PreconditionViolatedError, match="must be in the graph"):
-        transfer_tree_on_identification(g_prime, t_prime, [0, 5], 6, (2, 9))
-    k4 = complete_graph(4)
-    foreign = spanning_tree(k4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(NotSpanningTreeError):
-        transfer_tree_on_identification(g_prime, foreign, [0, 5], 6)
+        transfer_tree_on_identification(t_prime, [0, 5], 6, (2, 9))
 
 
 # -- deficiency-reducing splits ----------------------------------------------------
@@ -236,12 +228,11 @@ def test_transfer_rejects_bad_protected_set_and_foreign_tree():
 
 def test_split_reduce_k4_case1(k4):
     t = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])
-    assert deficiency_of_tree(k4, t) == 1
-    outcome = split_reduce_deficiency(k4, t, 0)
+    assert deficiency_of_tree(t) == 1
+    outcome = split_reduce_deficiency(t, 0)
     assert outcome.deficiency_before == 1
     assert outcome.deficiency_after == 0
-    assert is_connected(outcome.graph_after)
-    assert outcome.tree_after.host == outcome.graph_after
+    assert is_connected(outcome.tree_after.host)
     sizes = sorted(len(p) for p in outcome.parts)
     assert sizes == [1, 2]
 
@@ -253,8 +244,8 @@ def test_split_reduce_degree6_star_component():
     edges = [(0, 1)] + [(1, w) for w in range(2, 7)] + [(0, w) for w in range(2, 7)]
     g = build_graph(edges)
     t = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 7)])
-    assert deficiency_of_tree(g, t) == 1
-    outcome = split_reduce_deficiency(g, t, 0)
+    assert deficiency_of_tree(t) == 1
+    outcome = split_reduce_deficiency(t, 0)
     assert outcome.deficiency_after < 1
     assert sorted(len(p) for p in outcome.parts) == [3, 3]
 
@@ -265,20 +256,20 @@ def test_split_reduce_needs_tree_rewiring():
     # so the reduction must first move to a tree with two tree edges at v
     g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     t = spanning_tree(g, [(0, 1), (1, 2), (1, 3), (1, 4)])
-    assert deficiency_of_tree(g, t) == 1
-    outcome = split_reduce_deficiency(g, t, 0)
+    assert deficiency_of_tree(t) == 1
+    outcome = split_reduce_deficiency(t, 0)
     assert outcome.deficiency_after == 0
-    assert is_connected(outcome.graph_after)
-    q = split_reduce_qualified(g, t, 0, 4)
+    assert is_connected(outcome.tree_after.host)
+    q = split_reduce_qualified(t, 0, 4)
     assert q.deficiency_after == 0
-    assert tree_is_qualified(q.graph_after, q.tree_after, 4)
+    assert tree_is_qualified(q.tree_after, 4)
 
 
 def test_split_reduce_rejects_even_component_vertex():
     g = build_graph([(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     t = spanning_tree(g, [(0, 3), (1, 3), (2, 3)])
     with pytest.raises(NotInOddComponentError):
-        split_reduce_deficiency(g, t, 0)  # component {01, 02} is even
+        split_reduce_deficiency(t, 0)  # component {01, 02} is even
 
 
 def test_split_reduce_universal_over_small_graphs():
@@ -288,11 +279,11 @@ def test_split_reduce_universal_over_small_graphs():
     checked = 0
     for g in atlas_graphs(6):
         for t in islice(iter_spanning_trees(g), 10):
-            odd = cotree_decomposition(g, t).odd_components()
+            odd = cotree_decomposition(t).odd_components()
             before = len(odd)
             for v in sorted({v for comp in odd for v in comp.vertices}):
-                outcome = split_reduce_deficiency(g, t, v)
-                assert is_connected(outcome.graph_after)
+                outcome = split_reduce_deficiency(t, v)
+                assert is_connected(outcome.tree_after.host)
                 assert outcome.deficiency_after < before
                 degree = g.degree(v)
                 assert sorted(len(p) for p in outcome.parts) == sorted(
@@ -302,9 +293,9 @@ def test_split_reduce_universal_over_small_graphs():
                 threshold = min(
                     [degree] + [g.degree(comp.witness_vertex) for comp in odd]
                 )
-                q = split_reduce_qualified(g, t, v, threshold)
+                q = split_reduce_qualified(t, v, threshold)
                 assert q.deficiency_after < before
-                assert tree_is_qualified(q.graph_after, q.tree_after, threshold)
+                assert tree_is_qualified(q.tree_after, threshold)
                 checked += 1
     assert checked > 2000
 
@@ -339,7 +330,7 @@ def test_split_candidates_are_the_recipe_splits_whose_tree_spans():
                                 rejected += 1
                                 continue
                             expected.append((g2, tree.tree_edges, parts))
-                found = [(g2, t2.tree_edges, parts) for g2, t2, parts in _split_candidates(g, t, v)]
+                found = [(t2.host, t2.tree_edges, parts) for t2, parts in _split_candidates(t, v)]
                 assert found == expected, (g.edges, sorted(t.tree_edges), v)
     assert rejected > 0
 
@@ -349,17 +340,17 @@ def test_split_reduce_qualified_degree8_hub():
     edges = [(0, 1)] + [(1, w) for w in range(2, 9)] + [(0, w) for w in range(2, 9)]
     g = build_graph(edges)
     t = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 9)])
-    assert tree_is_qualified(g, t, 8)
-    outcome = split_reduce_qualified(g, t, 0, 8)
+    assert tree_is_qualified(t, 8)
+    outcome = split_reduce_qualified(t, 0, 8)
     assert outcome.deficiency_after == outcome.deficiency_before - 1
-    assert tree_is_qualified(outcome.graph_after, outcome.tree_after, 8)
+    assert tree_is_qualified(outcome.tree_after, 8)
 
 
 def test_split_reduce_qualified_rejects_low_degree():
     g = complete_graph(4)
     t = spanning_tree(g, [(0, 1), (0, 2), (2, 3)])
     with pytest.raises(NotQualifiedError):
-        split_reduce_qualified(g, t, 0, 5)
+        split_reduce_qualified(t, 0, 5)
 
 
 def test_split_reduce_qualified_rejects_unqualified_tree_and_bad_vertex():
@@ -368,13 +359,13 @@ def test_split_reduce_qualified_rejects_unqualified_tree_and_bad_vertex():
     g = build_graph([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
     t = spanning_tree(g, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
     with pytest.raises(NotQualifiedError, match="no vertex of degree >= 3"):
-        split_reduce_qualified(g, t, 2, 3)
+        split_reduce_qualified(t, 2, 3)
     with pytest.raises(UnknownVertexError):
-        split_reduce_qualified(g, t, 9)
+        split_reduce_qualified(t, 9)
     pendant = build_graph([(0, 1), (0, 2), (1, 2), (2, 3)])
     t = spanning_tree(pendant, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(DegreeTooSmallError):
-        split_reduce_qualified(pendant, t, 3)
+        split_reduce_qualified(t, 3)
 
 
 # -- trace projection and lifting ---------------------------------------------------
@@ -479,12 +470,12 @@ def test_lift_of_balanced_split_keeps_stability():
     assert cert is not None and cert.value == 1
     v = min(
         x
-        for comp in cotree_decomposition(g, cert.witness_tree).odd_components()
+        for comp in cotree_decomposition(cert.witness_tree).odd_components()
         for x in comp.vertices
         if g.degree(x) >= 4
     )
-    outcome = split_reduce_qualified(g, cert.witness_tree, v, 4)
-    w_prime = find_trace(outcome.graph_after, TraceSpec("stable", "antiparallel", 1))
+    outcome = split_reduce_qualified(cert.witness_tree, v, 4)
+    w_prime = find_trace(outcome.tree_after.host, TraceSpec("stable", "antiparallel", 1))
     assert w_prime is not None
     lifted = lift_trace_through_identification(w_prime, outcome.new_vertices, v)
     cls = classify_trace(lifted)
