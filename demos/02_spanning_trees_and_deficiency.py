@@ -17,8 +17,8 @@ from trace_forge import (
     complete_graph,
     cotree_decomposition,
     cube_graph,
-    deficiency_of_tree,
     min_tree,
+    qualified_deficiency_of_tree,
     spanning_tree,
     split_reduce_deficiency,
 )
@@ -28,25 +28,24 @@ k5 = complete_graph(5)
 
 print("=== co-trees of star trees ===")
 star4 = spanning_tree(k4, [(0, 1), (0, 2), (0, 3)])
-decomposition = cotree_decomposition(star4)
-for comp in decomposition.components:
+for comp in cotree_decomposition(star4):
     print("K4 co-tree component:", sorted(comp.edges),
           "odd" if comp.is_odd else "even",
-          "| highest-degree vertex:", comp.witness_vertex)
-print("deficiency of the star tree:", deficiency_of_tree(star4))
+          "| highest-degree vertex:", max(sorted(comp.vertices), key=k4.degree))
+print("deficiency of the star tree:", qualified_deficiency_of_tree(star4, 0))
 
 star5 = spanning_tree(k5, [(0, w) for w in range(1, 5)])
 print("K5 star co-tree components:",
-      [(sorted(c.edges), c.parity) for c in cotree_decomposition(star5).components])
+      [(sorted(c.edges), len(c.edges) % 2) for c in cotree_decomposition(star5)])
 
 print("\n=== graph deficiency (minimum over all spanning trees) ===")
 for name, g in [("K3", complete_graph(3)), ("K4", k4), ("K5", k5), ("Q3", cube_graph())]:
-    cert = min_tree(g)
-    print(f"{name}: betti={betti_number(g)} deficiency={cert.value} "
-          f"witness={sorted(cert.witness_tree.tree_edges)}")
+    value, tree = min_tree(g)
+    print(f"{name}: betti={betti_number(g)} deficiency={value} "
+          f"witness={sorted(tree.tree_edges)}")
 
 print("\n=== all-even co-trees and qualified trees ===")
-print("K5 all-even co-tree tree:", min_tree(k5, None).witness_tree)
+print("K5 all-even co-tree tree:", min_tree(k5, None)[1])
 print("K4 all-even co-tree tree:", min_tree(k4, None), "(betti 3 is odd)")
 print("K4 qualified tree at D=4:", min_tree(k4, 4), "(max degree is 3)")
 print("K5 qualified deficiency at D=8:", min_tree(k5, 8))
@@ -55,8 +54,7 @@ print("\n=== detaching a vertex splits its component by parity ===")
 # give vertex 0 a fresh endpoint per co-tree edge at it; each component of
 # what is left of 0's co-tree component is one part, kept as original edges
 path_tree = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])
-home = next(c for c in cotree_decomposition(path_tree).components
-            if 0 in c.vertices)
+home = next(c for c in cotree_decomposition(path_tree) if 0 in c.vertices)
 detached = nx.Graph()
 for e in home.edges:
     detached.add_edge(*((0, e) if x == 0 else x for x in e), original=e)
@@ -79,6 +77,6 @@ print("\n=== a graph whose odd components need their hub ===")
 edges = [(0, 1)] + [(1, w) for w in range(2, 7)] + [(0, w) for w in range(2, 7)]
 g = build_graph(edges)
 tree = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 7)])
-print("deficiency of the given tree:", deficiency_of_tree(tree))
+print("deficiency of the given tree:", qualified_deficiency_of_tree(tree, 0))
 out = split_reduce_deficiency(tree, 0)
 print(f"after splitting the hub: {out.deficiency_before} -> {out.deficiency_after}")

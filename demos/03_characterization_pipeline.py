@@ -43,10 +43,10 @@ print("classified:", classify_trace(trace))
 print("\n=== and back: extracting a qualified tree from the trace ===")
 tree = extract_qualified_tree_from_trace(trace, 1)
 print("tree:", sorted(tree.tree_edges))
-for comp in cotree_decomposition(tree).components:
+for comp in cotree_decomposition(tree):
     tag = "odd" if comp.is_odd else "even"
     print(f"  co-tree component {sorted(comp.edges)} is {tag}; "
-          f"highest degree inside: {tree.host.degree(comp.witness_vertex)}")
+          f"highest degree inside: {max(map(tree.host.degree, comp.vertices))}")
 
 print("\n=== the cheap sufficient test ===")
 for d in (1, 2, 3, 4):

@@ -34,12 +34,10 @@ from .graph import (
 )
 from .search import find_trace
 from .spanning import (
-    CoTreeDecomposition,
-    DeficiencyCertificate,
     SpanningTree,
     cotree_decomposition,
-    deficiency_of_tree,
     min_tree,
+    qualified_deficiency_of_tree,
     spanning_tree,
 )
 from .transform import (
@@ -86,11 +84,9 @@ __all__ = [
     "TraceSpec",
     "find_trace",
     "SpanningTree",
-    "CoTreeDecomposition",
-    "DeficiencyCertificate",
     "spanning_tree",
     "cotree_decomposition",
-    "deficiency_of_tree",
+    "qualified_deficiency_of_tree",
     "min_tree",
     "SplitOutcome",
     "transfer_tree_on_identification",

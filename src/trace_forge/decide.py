@@ -24,7 +24,7 @@ from .spanning import (
     _first_tree,
     cotree_decomposition,
     min_tree,
-    tree_is_qualified,
+    qualified_deficiency_of_tree,
 )
 from .transform import (
     lift_trace_through_identification,
@@ -154,10 +154,10 @@ def _decide_cell(
     if kind == "strong" and direction == ANTIPARALLEL:
         if betti_number(g) % 2 == 1:
             return _no(spec, PARITY_OBSTRUCTION, betti=betti_number(g))
-        certificate = min_tree(g, None)
-        if certificate is None:
+        found = min_tree(g, None)
+        if found is None:
             return _no(spec, NO_QUALIFIED_TREE, threshold=None)
-        return _yes_tree(spec, certificate.witness_tree)
+        return _yes_tree(spec, found[1])
 
     return DecisionCertificate(verdict=True, spec=spec)
 
@@ -218,12 +218,12 @@ def build_antiparallel_d_stable(
     if g.min_degree() <= d:
         return None
     threshold = 2 * d + 2
-    certificate = min_tree(g, threshold)
-    if certificate is None:
+    found = min_tree(g, threshold)
+    if found is None:
         return None
-    tree = certificate.witness_tree
+    tree = found[1]
     splits: list[tuple[tuple[int, int], int]] = []
-    while odd := cotree_decomposition(tree).odd_components():
+    while odd := [c for c in cotree_decomposition(tree) if c.is_odd]:
         v = min(
             (x for comp in odd for x in comp.vertices if tree.host.degree(x) >= threshold),
             default=None,
@@ -258,6 +258,7 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
     first.  Every odd component of the result contains a vertex of degree at
     least 2d + 2 (and there may be none at all).
     """
+    TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     cls = classify_trace(w)
     if cls.direction != ANTIPARALLEL:
         raise NotAntiparallelError("trace is not antiparallel")
@@ -277,19 +278,19 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
         w = project_trace_through_split(w, v, parts)
     if not spec_satisfied(TraceSpec("strong", ANTIPARALLEL), classify_trace(w)):
         raise InternalInvariantError("projected trace is not strong")
-    certificate = min_tree(w.host, None)
-    if certificate is None:
+    found = min_tree(w.host, None)
+    if found is None:
         raise InternalInvariantError(
             "strong antiparallel trace exists but no all-even co-tree tree found"
         )
-    tree = certificate.witness_tree
+    tree = found[1]
     for g, v, new_ids in reversed(projections):
         g2 = tree.host
         protected = frozenset(
             x for x in g2.vertices if g2.degree(x) >= threshold and x not in new_ids
         )
         tree = transfer_tree_on_identification(tree, new_ids, v, protected)
-        if tree.host != g or not tree_is_qualified(tree, threshold):
+        if tree.host != g or qualified_deficiency_of_tree(tree, threshold) is None:
             raise InternalInvariantError(
                 "transferred tree is not a qualified tree of the identified graph"
             )
@@ -303,6 +304,7 @@ def sufficient_four_edge_connected(g: Graph, d: int) -> bool:
     Never contradicts :func:`decide_existence`: True implies the antiparallel
     d-stable cell is a yes.
     """
+    TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     require_connected(g)
     if g.num_vertices < 2:
         return False
@@ -315,22 +317,18 @@ def sufficient_four_edge_connected(g: Graph, d: int) -> bool:
 
 def graph_deficiency_report(g: Graph, threshold: int | None = None) -> dict:
     """Betti number and (qualified) deficiency summary for reporting."""
-    certificate = min_tree(g)
+    value, tree = min_tree(g)
     report: dict = {
         "betti_number": betti_number(g),
-        "deficiency": certificate.value,
-        "witness_tree": [list(e) for e in certificate.witness_tree.sorted_edges()],
+        "deficiency": value,
+        "witness_tree": [list(e) for e in tree.sorted_edges()],
     }
     if threshold is not None:
-        qualified = min_tree(g, threshold)
         report["qualified_threshold"] = threshold
-        report["qualified_deficiency"] = (
-            qualified.value if qualified is not None else "NoQualifiedTree"
-        )
-        if qualified is not None:
-            report["qualified_witness_tree"] = [
-                list(e) for e in qualified.witness_tree.sorted_edges()
-            ]
+        report["qualified_deficiency"] = NO_QUALIFIED_TREE
+        if (qualified := min_tree(g, threshold)) is not None:
+            report["qualified_deficiency"] = qualified[0]
+            report["qualified_witness_tree"] = [list(e) for e in qualified[1].sorted_edges()]
     return report
 
 

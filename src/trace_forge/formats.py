@@ -13,17 +13,23 @@ EDGELIST = "edgelist"
 GRAPH6 = "graph6"
 
 
-def parse_edgelist(text: str) -> Graph:
-    """One ``u v`` pair per line; ``#`` starts a comment; ids are decimal.
+def _lax(text: str) -> bool:
+    """Whether ``text`` may hold an id that ``int`` reads but that is not
+    ASCII decimal digits: ``1_0``, ``+1``, ``-0``, a non-ASCII digit."""
+    return not text.isascii() or "_" in text or "+" in text or "-" in text
 
-    Each pair is checked as it is read.  A line that is not two
-    non-negative integers raises at once, with its line number; the first
-    self-loop or repeated edge raises only once every line has parsed, and
-    without a line number, so a malformed line after it is still the error
-    reported.
+
+def parse_edgelist(text: str) -> Graph:
+    """One ``u v`` pair of ASCII decimal ids per line; ``#`` starts a comment.
+
+    Each pair is checked as it is read.  A line that is not two such ids
+    raises at once, with its line number; the first self-loop or repeated
+    edge raises only once every line has parsed, and without a line number,
+    so a malformed line after it is still the error reported.
     """
     edges: set[tuple[int, int]] = set()
     conflict = None  # the message of the first self-loop or repeated edge
+    strict = _lax(text)  # one scan of the text keeps the id check off most inputs
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -40,6 +46,8 @@ def parse_edgelist(text: str) -> Graph:
             raise ParseError(f"non-integer vertex id in {raw.strip()!r}", lineno) from None
         if u < 0 or v < 0:
             raise ParseError(f"negative vertex id in {raw.strip()!r}", lineno)
+        if strict and not all(f.isascii() and f.isdigit() for f in fields):
+            raise ParseError(f"non-decimal vertex id in {raw.strip()!r}", lineno)
         key = (u, v) if u < v else (v, u)  # graph.edge_key, inlined
         if u == v or key in edges:
             if conflict is None:
@@ -96,14 +104,21 @@ def load_graph(path: str | Path, fmt: str = EDGELIST) -> Graph:
 
 
 def parse_trace_text(text: str) -> tuple[int, ...]:
-    """One line of whitespace-separated vertex ids, interpreted cyclically."""
+    """One line of whitespace-separated vertex ids, interpreted cyclically.
+
+    An id is ASCII decimal digits; a negative one is left to the host check.
+    """
     fields = text.split()
     if not fields:
         raise ParseError("empty trace")
     try:
-        return tuple(map(int, fields))
+        ids = tuple(map(int, fields))
     except ValueError as exc:
         raise ParseError(f"non-integer vertex id in trace: {exc}") from exc
+    for f, x in zip(fields, ids) if _lax(text) else ():
+        if x >= 0 and not (f.isascii() and f.isdigit()):
+            raise ParseError(f"non-decimal vertex id in trace: {f!r}")
+    return ids
 
 
 def format_trace_text(w: DoubleTrace) -> str:

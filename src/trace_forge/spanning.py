@@ -17,9 +17,9 @@ positions, edge ends and degrees are kept on the graph
 (``Graph._scan_index``; its edge ends also number ``Graph._darts``).
 One scan driver, ``_pick``, scores the trees of the search in order and
 stops at the answer; ``min_tree`` and the first-qualified scan of the
-antiparallel stable decision run it and check again only the tree they
-return.
-``cotree_decomposition`` lists the components themselves.  A
+antiparallel stable decision run it, answer with the same ``(value,
+tree)`` pair and check again only the tree they return.
+``cotree_decomposition`` returns the components themselves, as a tuple.  A
 :class:`SpanningTree` carries its host, so the functions on a given tree
 take the tree alone.
 
@@ -91,41 +91,10 @@ class CotreeComponent:
 
     edges: frozenset[Edge]
     vertices: frozenset[int]
-    witness_vertex: int  # maximum host degree, smallest id on ties
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def parity(self) -> int:
-        """edge_count mod 2; 1 means odd."""
-        return len(self.edges) % 2
 
     @property
     def is_odd(self) -> bool:
-        return self.parity == 1
-
-
-@dataclass(frozen=True)
-class CoTreeDecomposition:
-    tree: SpanningTree
-    components: tuple[CotreeComponent, ...]
-
-    def odd_components(self) -> tuple[CotreeComponent, ...]:
-        return tuple(c for c in self.components if c.is_odd)
-
-
-@dataclass(frozen=True)
-class DeficiencyCertificate:
-    """A deficiency value with the spanning tree that realizes it."""
-
-    value: int
-    witness_tree: SpanningTree
-
-
-def _witness_vertex(g: Graph, vertices: frozenset[int]) -> int:
-    return min(vertices, key=lambda v: (-g.degree(v), v))
+        return len(self.edges) % 2 == 1
 
 
 def _edge_groups(edges: list[Edge]) -> Iterable[list[Edge]]:
@@ -139,23 +108,13 @@ def _edge_groups(edges: list[Edge]) -> Iterable[list[Edge]]:
     return groups.values()
 
 
-def cotree_decomposition(t: SpanningTree) -> CoTreeDecomposition:
-    """Components of the co-tree with parities and degree witnesses.
-
-    The sorted co-tree edges are grouped by :func:`_edge_groups`, so the
-    components come in the order of their least edges.
-    """
-    components = []
-    for edges in _edge_groups(sorted(t.cotree_edges)):
-        verts = frozenset(x for e in edges for x in e)
-        components.append(
-            CotreeComponent(
-                edges=frozenset(edges),
-                vertices=verts,
-                witness_vertex=_witness_vertex(t.host, verts),
-            )
-        )
-    return CoTreeDecomposition(tree=t, components=tuple(components))
+def cotree_decomposition(t: SpanningTree) -> tuple[CotreeComponent, ...]:
+    """Components of the co-tree in the order of their least edges: the
+    sorted co-tree edges grouped by :func:`_edge_groups`."""
+    return tuple(
+        CotreeComponent(frozenset(edges), frozenset(x for e in edges for x in e))
+        for edges in _edge_groups(sorted(t.cotree_edges))
+    )
 
 
 def _score(
@@ -197,25 +156,19 @@ def _score(
     return count
 
 
+def _check_threshold(threshold: int | None) -> None:
+    if threshold is not None and threshold < 0:
+        raise ValueError(f"degree threshold must be non-negative, got {threshold}")
+
+
 def qualified_deficiency_of_tree(t: SpanningTree, threshold: int | None) -> int | None:
     """Number of odd co-tree components of t when each has a vertex of host
     degree at least ``threshold``, else None.  ``None`` admits no odd
-    component and 0 admits every one."""
+    component, 0 admits every one (the plain deficiency of t), and a
+    negative threshold raises ``ValueError``."""
+    _check_threshold(threshold)
     _, ends, degrees = t.host._scan_index
     return _score(ends, degrees, t.cotree_edges, threshold)
-
-
-def deficiency_of_tree(t: SpanningTree) -> int:
-    """Number of odd co-tree components of t."""
-    return qualified_deficiency_of_tree(t, 0)
-
-
-def tree_is_qualified(t: SpanningTree, threshold: int | None) -> bool:
-    """True when every odd co-tree component clears the degree threshold.
-
-    ``threshold=None`` demands that there are no odd components at all.
-    """
-    return qualified_deficiency_of_tree(t, threshold) is not None
 
 
 def _searched_tree(g: Graph, edges: frozenset[Edge]) -> SpanningTree:
@@ -369,21 +322,17 @@ def _first_tree(
     return found
 
 
-def min_tree(g: Graph, threshold: int | None = 0) -> DeficiencyCertificate | None:
-    """The first qualified tree of least deficiency, or None when no tree
-    qualifies.
+def min_tree(g: Graph, threshold: int | None = 0) -> tuple[int, SpanningTree] | None:
+    """``(value, tree)`` of the first qualified tree of least deficiency, or
+    None when no tree qualifies.
 
     A tree qualifies when each odd co-tree component has a vertex of degree
     at least ``threshold``: 0 lets every tree through, and ``None`` or a
     threshold above the maximum degree only trees with all-even co-trees; a
-    negative threshold raises ``ValueError``.  ``min_tree(g)`` is the
+    negative threshold raises ``ValueError``.  ``min_tree(g)[0]`` is the
     deficiency of g.  The tree and its value are those of a scan over every
     tree in enumeration order, found block by block once the scan runs long
     on a graph with a bridge (:func:`_first_tree`).
     """
-    if threshold is not None and threshold < 0:
-        raise ValueError(f"degree threshold must be non-negative, got {threshold}")
-    found = _first_tree(g, threshold, least=True)
-    if found is None:
-        return None
-    return DeficiencyCertificate(value=found[0], witness_tree=found[1])
+    _check_threshold(threshold)
+    return _first_tree(g, threshold, least=True)

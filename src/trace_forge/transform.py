@@ -65,9 +65,7 @@ class SplitOutcome:
 
 
 def _odd_components_covered(t: SpanningTree, covering: frozenset[int]) -> bool:
-    return all(
-        comp.vertices & covering for comp in cotree_decomposition(t).odd_components()
-    )
+    return all(c.vertices & covering for c in cotree_decomposition(t) if c.is_odd)
 
 
 def transfer_tree_on_identification(
@@ -201,7 +199,7 @@ def _recipe_trees(t: SpanningTree, v: int, deficiency: int) -> Iterator[Spanning
     for t_alt in iter_spanning_trees(g):
         if t_alt.tree_edges == t.tree_edges:
             continue
-        odd = cotree_decomposition(t_alt).odd_components()
+        odd = [c for c in cotree_decomposition(t_alt) if c.is_odd]
         if len(odd) > deficiency or not any(v in c.vertices for c in odd):
             continue
         if sum(1 for x in g.neighbors(v) if edge_key(x, v) in t_alt.tree_edges) < 2:
@@ -244,7 +242,7 @@ def split_reduce_qualified(t: SpanningTree, v: int, threshold: int = 0) -> Split
         raise UnknownVertexError(f"vertex {v} not in graph")
     if g.degree(v) < 2:
         raise DegreeTooSmallError(f"vertex {v} has degree {g.degree(v)} < 2")
-    if not any(v in c.vertices for c in cotree_decomposition(t).odd_components()):
+    if not any(v in c.vertices for c in cotree_decomposition(t) if c.is_odd):
         raise NotInOddComponentError(
             f"vertex {v} does not lie in an odd co-tree component"
         )

@@ -23,7 +23,9 @@ from trace_forge.graph import (
     path_graph,
 )
 from trace_forge.spanning import (
+    CotreeComponent,
     SpanningTree,
+    cotree_decomposition,
     iter_spanning_trees,
     qualified_deficiency_of_tree,
     spanning_tree,
@@ -294,6 +296,11 @@ def repetitions_brute(w: DoubleTrace) -> tuple[dict, int, bool]:
 
 
 # -- brute-force listings of qualified trees and of traces ------------------------
+
+
+def odd_components(t: SpanningTree) -> list[CotreeComponent]:
+    """The odd co-tree components of t, in ``cotree_decomposition`` order."""
+    return [c for c in cotree_decomposition(t) if c.is_odd]
 
 
 def qualified_trees(

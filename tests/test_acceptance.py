@@ -20,12 +20,7 @@ from trace_forge.decide import (
 )
 from trace_forge.graph import betti_number, build_graph
 from trace_forge.search import find_trace
-from trace_forge.spanning import (
-    cotree_decomposition,
-    deficiency_of_tree,
-    min_tree,
-    tree_is_qualified,
-)
+from trace_forge.spanning import min_tree, qualified_deficiency_of_tree
 from trace_forge.transform import split_reduce_deficiency, split_reduce_qualified
 from trace_forge.walks import TraceSpec, classify_trace
 
@@ -34,6 +29,7 @@ from conftest import (
     canonical_form,
     fixture_family,
     is_repetition,
+    odd_components,
     qualified_trees,
     random_connected_graph,
     random_double_trace,
@@ -158,8 +154,8 @@ def test_criterion_4_deficiency_laws():
         g = random_connected_graph(rng, n_min=3, n_max=6)
         t = random_spanning_tree(g, rng)
         beta = betti_number(g)
-        value = deficiency_of_tree(t)
-        minimum = min_tree(g).value
+        value = qualified_deficiency_of_tree(t, 0)
+        minimum = min_tree(g)[0]
         if value % 2 != beta % 2:
             violations.append(("parity", sorted(g.edges), sorted(t.tree_edges)))
         if minimum > value:
@@ -176,14 +172,12 @@ def test_criterion_5_split_reduction_machinery():
     while checked < 500:
         g = random_connected_graph(rng, n_min=4, n_max=6)
         t = random_spanning_tree(g, rng)
-        decomposition = cotree_decomposition(t)
-        odd_vertices = sorted(
-            v for comp in decomposition.odd_components() for v in comp.vertices
-        )
+        odd = odd_components(t)
+        odd_vertices = sorted(v for comp in odd for v in comp.vertices)
         if not odd_vertices:
             continue
         v = rng.choice(odd_vertices)
-        before = deficiency_of_tree(t)
+        before = qualified_deficiency_of_tree(t, 0)
         outcome = split_reduce_deficiency(t, v)
         from trace_forge.graph import is_connected
 
@@ -198,16 +192,12 @@ def test_criterion_5_split_reduction_machinery():
             violations.append(("bad halves", sorted(g.edges), v))
         # qualified variant at the largest threshold the instance supports
         threshold = min(
-            [g.degree(v)]
-            + [
-                max(g.degree(x) for x in comp.vertices)
-                for comp in decomposition.odd_components()
-            ]
+            [g.degree(v)] + [max(g.degree(x) for x in comp.vertices) for comp in odd]
         )
         q = split_reduce_qualified(t, v, threshold)
         if q.deficiency_after >= before:
             violations.append(("qualified no decrease", sorted(g.edges), v))
-        if not tree_is_qualified(q.tree_after, threshold):
+        if qualified_deficiency_of_tree(q.tree_after, threshold) is None:
             violations.append(("qualification lost", sorted(g.edges), v, threshold))
         checked += 1
     report(5, "deficiency-reducing splits validate universally", violations)
@@ -234,7 +224,7 @@ def test_criterion_6_constructive_round_trip(build_results):
             violations.append(("bad trace", sorted(g.edges), d, cls))
             continue
         tree = extract_qualified_tree_from_trace(trace, d)
-        if tree.host != g or not tree_is_qualified(tree, 2 * d + 2):
+        if tree.host != g or qualified_deficiency_of_tree(tree, 2 * d + 2) is None:
             violations.append(("bad extracted tree", sorted(g.edges), d))
     assert build_results  # the sweep contains yes-instances
     report(6, "built traces validate and extraction qualifies", violations)

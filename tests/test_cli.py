@@ -15,6 +15,7 @@ from trace_forge.formats import (
     load_trace_sequence,
     parse_edgelist,
     parse_graph6,
+    parse_trace_text,
 )
 from trace_forge.errors import ParseError
 from trace_forge.graph import build_graph, complete_graph
@@ -59,8 +60,16 @@ def test_parse_rejects_garbage_graph6():
         ("0 1\n1 0\n", None, "edge (0, 1) given more than once"),
         ("0 1\n1 0\n1 2\n2 y\n", 4, "non-integer vertex id in '2 y'"),
         ("\ufeff0 1\n1 2\n", 1, "non-integer vertex id in '\\ufeff0 1'"),
+        ("0 1_0\n", 1, "non-decimal vertex id in '0 1_0'"),
+        ("0 1\n0 +2\n", 2, "non-decimal vertex id in '0 +2'"),
+        ("0 1\n1 -0\n", 2, "non-decimal vertex id in '1 -0'"),
+        ("0 \u0661\n", 1, "non-decimal vertex id in '0 \u0661'"),
+        ("0 1\n1 0\n\uff11 2\n", 3, "non-decimal vertex id in '\uff11 2'"),
     ],
-    ids=["non-integer", "negative", "self-loop", "repeat", "repeat-then-non-integer", "bom"],
+    ids=[
+        "non-integer", "negative", "self-loop", "repeat", "repeat-then-non-integer", "bom",
+        "underscore", "plus", "minus-zero", "arabic-indic", "fullwidth-after-repeat",
+    ],
 )
 def test_edgelist_rejects_bad_ids(tmp_path, capsys, text, line, message):
     # a self-loop or a repeated edge is reported once every line has parsed,
@@ -83,6 +92,7 @@ def test_edgelist_line_endings_and_comments():
         "0\t1\n1 \t 2\n\t0 2\t\n",
         "0 1\n1 2\n0 2",
         "# K3\n0 1\n   # a comment only\n\n1 2 # trailing\n#\n0 2\n",
+        "# K3 \u00b1 1_0 +2 -0\n0\u00a01\n1 2 # \u0662\n0 2\n",
     ):
         assert parse_edgelist(text) == k3, text
     with pytest.raises(ParseError, match="no edges in input"):
@@ -108,6 +118,35 @@ def test_trace_file_rejects_non_integer_vertex(tmp_path):
     path.write_text("0 1 x 0 2 1\n")
     with pytest.raises(ParseError, match="non-integer vertex id"):
         load_trace_sequence(path)
+
+
+@pytest.mark.parametrize(
+    "field", ["1_0", "+1", "-0", "\u0661", "\uff11"],
+    ids=["underscore", "plus", "minus-zero", "arabic-indic", "fullwidth"],
+)
+def test_trace_file_rejects_non_decimal_vertex(tmp_path, capsys, field):
+    # int() reads each of these as a vertex id; a trace of K3 with one in
+    # place of vertex 1 is rejected by the parser, not classified
+    text = f"0 {field} 2 0 1 2\n"
+    message = f"non-decimal vertex id in trace: {field!r}"
+    with pytest.raises(ParseError) as err:
+        parse_trace_text(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.trace"
+    path.write_text(text, encoding="utf-8")
+    argv = ["verify", "-i", str(FIXTURES / "k3.edges"), "-t", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_trace_ids_the_decimal_check_lets_through(tmp_path, capsys):
+    # a negative id keeps the host check's message, and non-ASCII spacing,
+    # which turns the check on, still separates decimal ids
+    path = tmp_path / "negative.trace"
+    path.write_text("0 -1 2 0 1 2\n")
+    assert main(["verify", "-i", str(FIXTURES / "k3.edges"), "-t", str(path)]) == 2
+    assert capsys.readouterr().err == "error: vertex -1 not in host\n"
+    assert parse_trace_text("\u00a00 1 2 0 1 2") == (0, 1, 2, 0, 1, 2)
 
 
 def test_decide_yes_exit0_with_witness_tree(capsys):
@@ -652,6 +691,7 @@ def test_main_scans_argv_once(tmp_path, capsys, monkeypatch):
         ["table", "-i", str(FIXTURES / "k4.edges"), "-d", "1,2"],
         ["decide", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong", "--json"],
         ["decide", "-i", str(FIXTURES / "k4.edges"), "--bogus"],
+        ["table", "-i", str(FIXTURES / "k4.edges"), "--json"],
     ],
 )
 def test_module_entry_prints_what_main_prints(capsys, monkeypatch, argv):

@@ -26,7 +26,11 @@ from trace_forge.errors import (
 )
 from trace_forge.graph import build_graph, complete_graph
 from trace_forge.search import find_trace
-from trace_forge.spanning import cotree_decomposition, spanning_tree, tree_is_qualified
+from trace_forge.spanning import (
+    cotree_decomposition,
+    qualified_deficiency_of_tree,
+    spanning_tree,
+)
 from trace_forge.walks import (
     TraceSpec,
     classify_trace,
@@ -54,7 +58,7 @@ def test_k5_antiparallel_stable_is_yes(k5):
     cert = decide_existence(k5, "stable", "antiparallel", 1)
     assert cert.verdict
     assert cert.witness_tree is not None
-    assert tree_is_qualified(cert.witness_tree, 4)
+    assert qualified_deficiency_of_tree(cert.witness_tree, 4) is not None
 
 
 def test_k5_stable4_fails_min_degree(k5):
@@ -126,7 +130,7 @@ def test_yes_witnesses_revalidate(k3, k5):
         assert cert.verdict
         if direction == "antiparallel":
             threshold = None if kind == "strong" else 2 * d + 2
-            assert tree_is_qualified(cert.witness_tree, threshold)
+            assert qualified_deficiency_of_tree(cert.witness_tree, threshold) is not None
         else:
             assert cert.witness_tree is None
         revalidated = validate_double_trace(g, find_witness(g, kind, direction, d).sequence)
@@ -260,12 +264,14 @@ def test_build_with_actual_splits():
 def test_extract_from_strong_trace(k5):
     w = find_trace(k5, TraceSpec("strong", "antiparallel"))
     tree = extract_qualified_tree_from_trace(w, 1)
-    assert all(
-        not comp.is_odd for comp in cotree_decomposition(tree).components
-    )
+    assert not any(comp.is_odd for comp in cotree_decomposition(tree))
 
 
 def test_extract_rejects_wrong_inputs(k3, k5):
+    w = find_trace(k5, TraceSpec("strong", "antiparallel"))
+    for d in (0, -1, -3):
+        with pytest.raises(ValueError, match="stable kind needs d >= 1"):
+            extract_qualified_tree_from_trace(w, d)
     parallel = validate_double_trace(k3, [0, 1, 2, 0, 1, 2])
     with pytest.raises(NotAntiparallelError):
         extract_qualified_tree_from_trace(parallel, 1)
@@ -281,7 +287,7 @@ def test_build_extract_round_trip():
     w = build_antiparallel_d_stable(g, 1)
     tree = extract_qualified_tree_from_trace(w, 1)
     assert tree.host == g
-    assert tree_is_qualified(tree, 4)
+    assert qualified_deficiency_of_tree(tree, 4) is not None
 
 
 def test_extract_rejects_a_transfer_onto_another_graph(monkeypatch):
@@ -295,7 +301,7 @@ def test_extract_rejects_a_transfer_onto_another_graph(monkeypatch):
     )
     w = build_antiparallel_d_stable(g, 1)
     k5_star = spanning_tree(complete_graph(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
-    assert tree_is_qualified(k5_star, None)
+    assert qualified_deficiency_of_tree(k5_star, None) is not None
     monkeypatch.setattr(
         decide_module, "transfer_tree_on_identification", lambda *args: k5_star
     )
@@ -333,7 +339,7 @@ def test_build_with_three_chained_reductions(monkeypatch):
     )
 
     g = k4_chain(3)
-    assert min_tree(g, 4).value == 3
+    assert min_tree(g, 4)[0] == 3
     w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
     cls = classify_trace(w)
     assert cls.direction == "antiparallel"
@@ -343,7 +349,7 @@ def test_build_with_three_chained_reductions(monkeypatch):
     ]
     assert len(repetition_vertices) == 3
     tree = extract_qualified_tree_from_trace(w, 1)
-    assert tree_is_qualified(tree, 4)
+    assert qualified_deficiency_of_tree(tree, 4) is not None
     for key in ("lift", "transfer"):
         assert len(depths[key]) == 3
         assert len(set(depths[key])) == 1, (key, depths[key])
@@ -371,7 +377,7 @@ def test_extract_scans_transition_graphs_once(monkeypatch):
         monkeypatch.setattr(module, "transition_graph_at", counted)
     monkeypatch.setattr(transform_module, "transition_graph_at", counted, raising=False)
     tree = extract_qualified_tree_from_trace(w, 1)
-    assert tree_is_qualified(tree, 4)
+    assert qualified_deficiency_of_tree(tree, 4) is not None
     assert sorted(calls["trace_forge.decide"]) == [
         v for v in g.vertices if not transition_graph_at(w, v).is_connected
     ]

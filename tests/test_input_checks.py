@@ -24,8 +24,8 @@ from trace_forge.graph import (
     split_vertex,
 )
 from trace_forge.search import find_trace
-from trace_forge.spanning import min_tree
-from trace_forge.transform import project_trace_through_split
+from trace_forge.spanning import min_tree, qualified_deficiency_of_tree, spanning_tree
+from trace_forge.transform import project_trace_through_split, split_reduce_qualified
 from trace_forge.walks import (
     TraceSpec,
     transition_graph_at,
@@ -39,6 +39,7 @@ POINT = build_graph([], isolated_vertices=[0])
 K3 = complete_graph(3)
 P4 = path_graph(4)  # 0-1-2-3: 0 and 3 are apart and share no neighbor
 EDGE_TRACE = validate_double_trace(path_graph(2), (0, 1))
+K4_STAR = spanning_tree(complete_graph(4), [(0, 1), (0, 2), (0, 3)])  # odd triangle 1-2-3
 
 
 CASES = {
@@ -94,6 +95,16 @@ CASES = {
     "min-tree-negative-threshold": (
         lambda: min_tree(K3, -1), ValueError, "must be non-negative, got -1"
     ),
+    "tree-score-negative-threshold": (
+        lambda: qualified_deficiency_of_tree(K4_STAR, -1),
+        ValueError,
+        "must be non-negative, got -1",
+    ),
+    "split-reduce-negative-threshold": (
+        lambda: split_reduce_qualified(K4_STAR, 1, -1),
+        ValueError,
+        "must be non-negative, got -1",
+    ),
     "project-unknown-vertex": (
         lambda: project_trace_through_split(EDGE_TRACE, 7, [[0], [1]]),
         UnknownVertexError,
@@ -113,6 +124,14 @@ CASES = {
     "build-pipeline-on-a-point": (
         lambda: build_antiparallel_d_stable(POINT, 1), EmptyGraphError, "at least one edge"
     ),
+    **{
+        f"four-edge-connected-d{d}": (
+            lambda d=d: sufficient_four_edge_connected(complete_graph(5), d),
+            ValueError,
+            "stable kind needs d >= 1",
+        )
+        for d in (0, -1, -3)
+    },
 }
 
 

@@ -11,12 +11,10 @@ from trace_forge.errors import NotSpanningTreeError
 from trace_forge.graph import betti_number, build_graph, path_graph
 from trace_forge.spanning import (
     cotree_decomposition,
-    deficiency_of_tree,
     iter_spanning_trees,
     min_tree,
     qualified_deficiency_of_tree,
     spanning_tree,
-    tree_is_qualified,
 )
 
 from conftest import (
@@ -24,6 +22,7 @@ from conftest import (
     find_root,
     k4_chain,
     k4_ring,
+    odd_components,
     qualified_trees,
     random_connected_graph,
     random_spanning_tree,
@@ -59,51 +58,41 @@ def test_spanning_tree_validation(k4):
 
 def test_cotree_k4_star(k4):
     t = star_tree(k4, 0)
-    decomposition = cotree_decomposition(t)
-    assert len(decomposition.components) == 1
-    comp = decomposition.components[0]
+    (comp,) = cotree_decomposition(t)
     assert comp.edges == frozenset({(1, 2), (1, 3), (2, 3)})
-    assert comp.edge_count == 3
+    assert len(comp.edges) == 3
     assert comp.is_odd
-    assert deficiency_of_tree(t) == 1
+    assert qualified_deficiency_of_tree(t, 0) == 1
 
 
 def test_cotree_k5_star(k5):
     t = star_tree(k5, 0)
-    decomposition = cotree_decomposition(t)
-    assert len(decomposition.components) == 1
-    comp = decomposition.components[0]
-    assert comp.edge_count == 6
+    (comp,) = cotree_decomposition(t)
+    assert len(comp.edges) == 6
     assert not comp.is_odd
-    assert deficiency_of_tree(t) == 0
+    assert qualified_deficiency_of_tree(t, 0) == 0
 
 
 def test_cotree_of_tree_graph_is_empty():
     g = path_graph(5)
     t = spanning_tree(g, g.edges)
-    assert cotree_decomposition(t).components == ()
+    assert cotree_decomposition(t) == ()
 
 
 def test_cotree_matches_networkx_components():
     """On the first 10 trees of every connected atlas graph with up to 6
     vertices, the co-tree components are networkx's connected components of
-    the co-tree edge subgraph, ordered by least edge, each witnessed by its
-    vertex of largest host degree (least id on ties)."""
+    the co-tree edge subgraph, ordered by least edge."""
     checked = 0
     for g in atlas_graphs(6):
-        host = nx.Graph(g.edges)
         for t in islice(iter_spanning_trees(g), 10):
             cotree = nx.Graph(sorted(t.cotree_edges))
             expected = []
             for verts in nx.connected_components(cotree):
                 edges = frozenset(e for e in t.cotree_edges if e[0] in verts)
-                witness = max(sorted(verts), key=host.degree)
-                expected.append((min(edges), edges, frozenset(verts), witness))
+                expected.append((min(edges), edges, frozenset(verts)))
             expected.sort()
-            got = [
-                (min(c.edges), c.edges, c.vertices, c.witness_vertex)
-                for c in cotree_decomposition(t).components
-            ]
+            got = [(min(c.edges), c.edges, c.vertices) for c in cotree_decomposition(t)]
             assert got == expected
             checked += 1
     assert checked > 1000
@@ -111,7 +100,7 @@ def test_cotree_matches_networkx_components():
 
 def test_cotree_c4_path(c4):
     t = spanning_tree(c4, [(0, 1), (1, 2), (2, 3)])
-    assert deficiency_of_tree(t) == 1
+    assert qualified_deficiency_of_tree(t, 0) == 1
 
 
 def test_spanning_tree_count_k4(k4):
@@ -142,19 +131,18 @@ def test_cotree_edges_sum_to_betti():
     for _ in range(20):
         g = random_connected_graph(rng, n_min=3, n_max=6)
         t = random_spanning_tree(g, rng)
-        decomposition = cotree_decomposition(t)
-        assert sum(c.edge_count for c in decomposition.components) == betti_number(g)
+        assert sum(len(c.edges) for c in cotree_decomposition(t)) == betti_number(g)
 
 
 def test_graph_deficiency_values(k3, k4, k5):
-    assert min_tree(k5).value == 0
-    assert min_tree(k4).value == 1
-    assert min_tree(k3).value == 1
+    assert min_tree(k5)[0] == 0
+    assert min_tree(k4)[0] == 1
+    assert min_tree(k3)[0] == 1
 
 
 def test_deficiency_witness_revalidates(k4):
-    cert = min_tree(k4)
-    assert deficiency_of_tree(cert.witness_tree) == cert.value
+    value, tree = min_tree(k4)
+    assert qualified_deficiency_of_tree(tree, 0) == value
 
 
 def test_qualified_deficiency_k4(k4):
@@ -162,24 +150,24 @@ def test_qualified_deficiency_k4(k4):
 
 
 def test_qualified_deficiency_k5_star(k5):
-    cert = min_tree(k5, 8)
-    assert cert is not None
-    assert cert.value == 0
+    found = min_tree(k5, 8)
+    assert found is not None
+    assert found[0] == 0
 
 
 def test_qualified_deficiency_with_given_tree(k4, k5):
-    # a given tree is scored by tree_is_qualified and deficiency_of_tree
+    # a given tree is scored by qualified_deficiency_of_tree
     t = star_tree(k5, 0)
-    assert tree_is_qualified(t, 8)
-    assert deficiency_of_tree(t) == 0
+    assert qualified_deficiency_of_tree(t, 8) is not None
+    assert qualified_deficiency_of_tree(t, 0) == 0
     path = spanning_tree(k5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert tree_is_qualified(path, None)  # one even co-tree component
+    assert qualified_deficiency_of_tree(path, None) is not None  # one even co-tree component
     # K4's star leaves the odd triangle 1-2-3, whose vertices have degree 3
     star = star_tree(k4, 0)
-    assert deficiency_of_tree(star) == 1
-    assert tree_is_qualified(star, 3)
-    assert not tree_is_qualified(star, 4)
-    assert not tree_is_qualified(star, None)
+    assert qualified_deficiency_of_tree(star, 0) == 1
+    assert qualified_deficiency_of_tree(star, 3) is not None
+    assert qualified_deficiency_of_tree(star, 4) is None
+    assert qualified_deficiency_of_tree(star, None) is None
 
 
 def test_find_even_cotree_tree(k4, k5, q3):
@@ -190,8 +178,8 @@ def test_find_even_cotree_tree(k4, k5, q3):
 
 def test_find_qualified_tree(k4, k5, c4):
     value, t = next(qualified_trees(k5, 4))
-    assert tree_is_qualified(t, 4)
-    assert value == deficiency_of_tree(t)
+    assert qualified_deficiency_of_tree(t, 4) is not None
+    assert value == qualified_deficiency_of_tree(t, 0)
     assert next(qualified_trees(k4, 4), None) is None
     assert next(qualified_trees(c4, 4), None) is None
 
@@ -201,9 +189,9 @@ def test_parity_law_and_minimality():
     for _ in range(30):
         g = random_connected_graph(rng, n_min=3, n_max=6)
         beta = betti_number(g)
-        minimum = min_tree(g).value
+        minimum = min_tree(g)[0]
         t = random_spanning_tree(g, rng)
-        value = deficiency_of_tree(t)
+        value = qualified_deficiency_of_tree(t, 0)
         assert value % 2 == beta % 2
         assert minimum <= value
         assert (min_tree(g, None) is not None) == (minimum == 0)
@@ -213,7 +201,7 @@ def component_score(t, threshold):
     """Qualified deficiency of t read off ``cotree_decomposition``: the
     number of odd components when each has a vertex of host degree at least
     ``threshold``, else None; ``None`` admits no odd component."""
-    odd = [c for c in cotree_decomposition(t).components if c.is_odd]
+    odd = odd_components(t)
     for comp in odd:
         if threshold is None or max(t.host.degree(x) for x in comp.vertices) < threshold:
             return None
@@ -235,11 +223,7 @@ def test_qualified_deficiency_below_threshold_matches_enumeration():
             first = qualified[0] if qualified else None
             least = min(qualified, key=lambda pair: pair[0]) if qualified else None
             assert next(qualified_trees(g, threshold), None) == first
-            cert = min_tree(g, threshold)
-            if least is None:
-                assert cert is None
-            else:
-                assert (cert.value, cert.witness_tree) == least
+            assert min_tree(g, threshold) == least
             outcomes.add(first is None)
     assert outcomes == {True, False}
 
@@ -250,11 +234,9 @@ def test_scorer_matches_components_on_every_atlas_tree():
     checked = 0
     for g in atlas_graphs(6):
         for t in iter_spanning_trees(g):
-            assert deficiency_of_tree(t) == component_score(t, 0)
             for threshold in (0, None, 4, 6, g.max_degree() + 1):
                 expected = component_score(t, threshold)
                 assert qualified_deficiency_of_tree(t, threshold) == expected
-                assert tree_is_qualified(t, threshold) == (expected is not None)
             checked += 1
     assert checked > 10_000
 
@@ -301,8 +283,8 @@ PINNED_SCANS = {
 def test_scans_pinned_on_larger_graphs(name):
     g, expected = PINNED_SCANS[name]
     for threshold, (least, first) in expected.items():
-        cert = min_tree(g, threshold)
-        got = None if cert is None else (cert.value, cert.witness_tree.sorted_edges())
+        found = min_tree(g, threshold)
+        got = None if found is None else (found[0], found[1].sorted_edges())
         assert got == least, threshold
         pair = next(qualified_trees(g, threshold), None)
         got = None if pair is None else (pair[0], pair[1].sorted_edges())
@@ -332,8 +314,8 @@ def test_scans_validate_only_the_trees_they_keep(monkeypatch):
     for threshold in (0, 4):
         checked.clear()
         walked.clear()
-        cert = min_tree(g, threshold)
-        assert checked == [cert.witness_tree.tree_edges]
+        _, tree = min_tree(g, threshold)
+        assert checked == [tree.tree_edges]
         assert 20 < len(walked) <= 20 + 3 * 16
     checked.clear()
     assert min_tree(g, 6) is None and checked == []
@@ -372,9 +354,7 @@ def assert_block_scan_matches(g, thresholds):
         least, first = global_scans(g, threshold)
         assert pair(spanning._by_blocks(g, threshold, True)) == least, threshold
         assert pair(spanning._by_blocks(g, threshold, False)) == first, threshold
-        cert = min_tree(g, threshold)
-        got = None if cert is None else (cert.value, cert.witness_tree.tree_edges)
-        assert got == least, threshold
+        assert pair(min_tree(g, threshold)) == least, threshold
         assert pair(spanning._first_tree(g, threshold, False)) == first, threshold
 
 

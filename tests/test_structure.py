@@ -248,6 +248,40 @@ def test_import_scan_finds_both_forms():
     assert _names_imported_from(tree, "search") == ["*", "TraceSpec", "find_trace"]
 
 
+def _definitions(tree: ast.AST) -> tuple[list[str], list[str]]:
+    """The sorted names of the classes, and of the functions and methods,
+    defined anywhere in ``tree``."""
+    nodes = list(ast.walk(tree))
+    classes = [n.name for n in nodes if isinstance(n, ast.ClassDef)]
+    functions = [
+        n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return sorted(classes), sorted(functions)
+
+
+def test_spanning_answers_in_plain_values():
+    # a co-tree is the tuple of its components, the least tree a (value,
+    # tree) pair, and qualified_deficiency_of_tree the one per-tree score:
+    # no result type and no one-line wrapper of the score stands between
+    # them and the caller
+    classes, functions = _definitions(ast.parse((SOURCE / "spanning.py").read_text()))
+    assert classes == ["CotreeComponent", "SpanningTree"]
+    assert {"deficiency_of_tree", "tree_is_qualified"}.isdisjoint(functions)
+
+
+def test_definition_scan_finds_nested_classes_and_methods():
+    tree = ast.parse(
+        "class Certificate:\n"
+        "    def value(self): ...\n"
+        "def score(t):\n"
+        "    class Local: ...\n"
+        "async def fetch(): ...\n"
+        "if True:\n"
+        "    class Hidden: ...\n"
+    )
+    assert _definitions(tree) == (["Certificate", "Hidden", "Local"], ["fetch", "score", "value"])
+
+
 def _graph_beside_tree(tree: ast.Module) -> list[str]:
     """Functions and methods with both a ``Graph``-annotated and a
     ``SpanningTree``-annotated parameter; an annotation names a class bare

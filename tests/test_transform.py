@@ -28,10 +28,9 @@ from trace_forge.search import find_trace
 from trace_forge.spanning import (
     SpanningTree,
     cotree_decomposition,
-    deficiency_of_tree,
     iter_spanning_trees,
+    qualified_deficiency_of_tree,
     spanning_tree,
-    tree_is_qualified,
 )
 from trace_forge.transform import (
     _split_candidates,
@@ -49,7 +48,13 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
-from conftest import atlas_graphs, kruskal, random_connected_graph, random_spanning_tree
+from conftest import (
+    atlas_graphs,
+    kruskal,
+    odd_components,
+    random_connected_graph,
+    random_spanning_tree,
+)
 
 
 # -- tree transfer ---------------------------------------------------------------
@@ -63,9 +68,7 @@ def test_transfer_two_triangles_example():
     tree = transfer_tree_on_identification(t_prime, [0, 5], 6)
     assert tree.tree_edges == frozenset({(1, 2), (1, 3), (3, 4), (4, 6)})
     assert tree.host == identify_vertices(g_prime, [0, 5], 6)
-    decomposition = cotree_decomposition(tree)
-    assert len(decomposition.components) == 1
-    comp = decomposition.components[0]
+    (comp,) = cotree_decomposition(tree)
     assert comp.edges == frozenset({(1, 6), (2, 6), (3, 6)})
     assert comp.is_odd and 6 in comp.vertices
 
@@ -87,14 +90,14 @@ def test_transfer_covered_by_protected_stays_covered():
         t_prime = random_spanning_tree(g_prime, rng)
         protected = frozenset(
             x
-            for comp in cotree_decomposition(t_prime).odd_components()
+            for comp in odd_components(t_prime)
             for x in comp.vertices
             if x not in targets
         )
         tree = transfer_tree_on_identification(t_prime, targets, v, protected)
         g_back = identify_vertices(g_prime, targets, v)
         assert tree.host == g_back
-        for comp in cotree_decomposition(tree).odd_components():
+        for comp in odd_components(tree):
             assert comp.vertices & (protected | {v})
         runs += 1
 
@@ -108,16 +111,13 @@ def test_transfer_three_way_identification():
     targets = fresh_vertex_ids(g, 3)
     hypothesis_tree = None
     for t in iter_spanning_trees(g_prime):
-        if all(
-            comp.vertices & set(targets)
-            for comp in cotree_decomposition(t).odd_components()
-        ):
+        if all(comp.vertices & set(targets) for comp in odd_components(t)):
             hypothesis_tree = t
             break
     assert hypothesis_tree is not None
     tree = transfer_tree_on_identification(hypothesis_tree, targets, 0)
     assert tree.host == g
-    for comp in cotree_decomposition(tree).odd_components():
+    for comp in odd_components(tree):
         assert 0 in comp.vertices
 
 
@@ -146,7 +146,7 @@ def _atlas_transfers():
                     t_prime = next(iter_spanning_trees(g_prime))
                     protected = frozenset(
                         x
-                        for comp in cotree_decomposition(t_prime).odd_components()
+                        for comp in odd_components(t_prime)
                         for x in comp.vertices
                         if x not in targets
                     )
@@ -168,7 +168,7 @@ def test_transfer_over_atlas_splits():
         assert relabeled <= tree.cotree_edges
         assert len(added) == len(targets) - 1
         assert all(v in e for e in added)
-        for comp in cotree_decomposition(tree).odd_components():
+        for comp in odd_components(tree):
             assert comp.vertices & (protected | {v})
         checked += 1
     assert checked > 4000
@@ -228,7 +228,7 @@ def test_transfer_rejects_bad_protected_set():
 
 def test_split_reduce_k4_case1(k4):
     t = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])
-    assert deficiency_of_tree(t) == 1
+    assert qualified_deficiency_of_tree(t, 0) == 1
     outcome = split_reduce_deficiency(t, 0)
     assert outcome.deficiency_before == 1
     assert outcome.deficiency_after == 0
@@ -244,7 +244,7 @@ def test_split_reduce_degree6_star_component():
     edges = [(0, 1)] + [(1, w) for w in range(2, 7)] + [(0, w) for w in range(2, 7)]
     g = build_graph(edges)
     t = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 7)])
-    assert deficiency_of_tree(t) == 1
+    assert qualified_deficiency_of_tree(t, 0) == 1
     outcome = split_reduce_deficiency(t, 0)
     assert outcome.deficiency_after < 1
     assert sorted(len(p) for p in outcome.parts) == [3, 3]
@@ -256,13 +256,13 @@ def test_split_reduce_needs_tree_rewiring():
     # so the reduction must first move to a tree with two tree edges at v
     g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     t = spanning_tree(g, [(0, 1), (1, 2), (1, 3), (1, 4)])
-    assert deficiency_of_tree(t) == 1
+    assert qualified_deficiency_of_tree(t, 0) == 1
     outcome = split_reduce_deficiency(t, 0)
     assert outcome.deficiency_after == 0
     assert is_connected(outcome.tree_after.host)
     q = split_reduce_qualified(t, 0, 4)
     assert q.deficiency_after == 0
-    assert tree_is_qualified(q.tree_after, 4)
+    assert qualified_deficiency_of_tree(q.tree_after, 4) is not None
 
 
 def test_split_reduce_rejects_even_component_vertex():
@@ -279,7 +279,7 @@ def test_split_reduce_universal_over_small_graphs():
     checked = 0
     for g in atlas_graphs(6):
         for t in islice(iter_spanning_trees(g), 10):
-            odd = cotree_decomposition(t).odd_components()
+            odd = odd_components(t)
             before = len(odd)
             for v in sorted({v for comp in odd for v in comp.vertices}):
                 outcome = split_reduce_deficiency(t, v)
@@ -291,11 +291,11 @@ def test_split_reduce_universal_over_small_graphs():
                 )
                 # the largest threshold the instance supports
                 threshold = min(
-                    [degree] + [g.degree(comp.witness_vertex) for comp in odd]
+                    [degree] + [max(map(g.degree, comp.vertices)) for comp in odd]
                 )
                 q = split_reduce_qualified(t, v, threshold)
                 assert q.deficiency_after < before
-                assert tree_is_qualified(q.tree_after, threshold)
+                assert qualified_deficiency_of_tree(q.tree_after, threshold) is not None
                 checked += 1
     assert checked > 2000
 
@@ -340,10 +340,10 @@ def test_split_reduce_qualified_degree8_hub():
     edges = [(0, 1)] + [(1, w) for w in range(2, 9)] + [(0, w) for w in range(2, 9)]
     g = build_graph(edges)
     t = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 9)])
-    assert tree_is_qualified(t, 8)
+    assert qualified_deficiency_of_tree(t, 8) is not None
     outcome = split_reduce_qualified(t, 0, 8)
     assert outcome.deficiency_after == outcome.deficiency_before - 1
-    assert tree_is_qualified(outcome.tree_after, 8)
+    assert qualified_deficiency_of_tree(outcome.tree_after, 8) is not None
 
 
 def test_split_reduce_qualified_rejects_low_degree():
@@ -466,15 +466,10 @@ def test_lift_of_balanced_split_keeps_stability():
     g = build_graph(
         [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
     )
-    cert = min_tree(g, 4)
-    assert cert is not None and cert.value == 1
-    v = min(
-        x
-        for comp in cotree_decomposition(cert.witness_tree).odd_components()
-        for x in comp.vertices
-        if g.degree(x) >= 4
-    )
-    outcome = split_reduce_qualified(cert.witness_tree, v, 4)
+    value, tree = min_tree(g, 4)
+    assert value == 1
+    v = min(x for comp in odd_components(tree) for x in comp.vertices if g.degree(x) >= 4)
+    outcome = split_reduce_qualified(tree, v, 4)
     w_prime = find_trace(outcome.tree_after.host, TraceSpec("stable", "antiparallel", 1))
     assert w_prime is not None
     lifted = lift_trace_through_identification(w_prime, outcome.new_vertices, v)
