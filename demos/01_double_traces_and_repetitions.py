@@ -36,8 +36,8 @@ print("classified:", classify_trace(antiparallel))
 
 # the antiparallel triangle trace always bounces back at vertex 0: whenever
 # it enters from 1 it returns to 1, so {1} is a repetition of order 1
-tg = transition_graph_at(antiparallel, 0)
-print("pairing at vertex 0:", tg.links, "-> components", [sorted(c) for c in tg.components])
+print("pairing at vertex 0:", list(antiparallel.visits(0)),
+      "-> components", transition_graph_at(antiparallel, 0))
 cls = classify_trace(antiparallel)
 print("minimal repetitions (transition-graph components):", {
     v: [sorted(c) for c in comps] for v, comps in cls.minimal_repetitions.items()

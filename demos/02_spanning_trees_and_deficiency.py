@@ -22,6 +22,7 @@ from trace_forge import (
     spanning_tree,
     split_reduce_deficiency,
 )
+from trace_forge.graph import fresh_vertex_ids
 
 k4 = complete_graph(4)
 k5 = complete_graph(5)
@@ -66,11 +67,15 @@ print("odd parts:", [p for p in parts if len(p) % 2 == 1])
 print("even parts:", [p for p in parts if len(p) % 2 == 0])
 
 print("\n=== a split that reduces deficiency ===")
-outcome = split_reduce_deficiency(path_tree, 0)
-print(f"deficiency {outcome.deficiency_before} -> {outcome.deficiency_after}")
-print("vertex 0 split into", [sorted(p) for p in outcome.parts],
-      "as new vertices", outcome.new_vertices)
-print("new tree:", sorted(outcome.tree_after.tree_edges))
+# the split answers with its tree; the new vertices are the host's next
+# fresh ids, and their neighborhoods in the split graph are the halves
+split = split_reduce_deficiency(path_tree, 0)
+print(f"deficiency {qualified_deficiency_of_tree(path_tree, 0)} -> "
+      f"{qualified_deficiency_of_tree(split, 0)}")
+new_vertices = fresh_vertex_ids(k4, 2)
+print("vertex 0 split into", [sorted(split.host.neighbors(x)) for x in new_vertices],
+      "as new vertices", new_vertices)
+print("new tree:", sorted(split.tree_edges))
 
 print("\n=== a graph whose odd components need their hub ===")
 # a degree-6 hub whose five co-tree edges form one odd star component
@@ -78,5 +83,6 @@ edges = [(0, 1)] + [(1, w) for w in range(2, 7)] + [(0, w) for w in range(2, 7)]
 g = build_graph(edges)
 tree = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 7)])
 print("deficiency of the given tree:", qualified_deficiency_of_tree(tree, 0))
-out = split_reduce_deficiency(tree, 0)
-print(f"after splitting the hub: {out.deficiency_before} -> {out.deficiency_after}")
+split = split_reduce_deficiency(tree, 0)
+print(f"after splitting the hub: {qualified_deficiency_of_tree(tree, 0)} -> "
+      f"{qualified_deficiency_of_tree(split, 0)}")

@@ -41,7 +41,6 @@ from .spanning import (
     spanning_tree,
 )
 from .transform import (
-    SplitOutcome,
     lift_trace_through_identification,
     project_trace_through_split,
     split_reduce_deficiency,
@@ -52,7 +51,6 @@ from .walks import (
     DoubleTrace,
     TraceClass,
     TraceSpec,
-    TransitionGraph,
     classify_trace,
     direction_profile,
     transition_graph_at,
@@ -75,7 +73,6 @@ __all__ = [
     "path_graph",
     "cube_graph",
     "DoubleTrace",
-    "TransitionGraph",
     "TraceClass",
     "validate_double_trace",
     "direction_profile",
@@ -88,7 +85,6 @@ __all__ = [
     "cotree_decomposition",
     "qualified_deficiency_of_tree",
     "min_tree",
-    "SplitOutcome",
     "transfer_tree_on_identification",
     "split_reduce_deficiency",
     "split_reduce_qualified",

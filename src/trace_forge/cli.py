@@ -26,15 +26,17 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .decide import (
+    NO_QUALIFIED_TREE,
     DecisionCertificate,
     condition_table,
     decide_existence,
     find_witness,
-    graph_deficiency_report,
 )
 from .errors import TraceForgeError
 from .formats import EDGELIST, GRAPH6, format_trace_text, load_graph, load_trace_sequence
+from .graph import betti_number
 from .search import find_trace
+from .spanning import min_tree
 from .walks import (
     DIRECTIONS,
     KINDS,
@@ -299,20 +301,28 @@ def cmd_verify(args) -> int:
 
 def cmd_deficiency(args) -> int:
     g = load_graph(args.input, args.format)
-    report = graph_deficiency_report(g, args.d)
-    doc = {"command": "deficiency", **report}
+    value, tree = min_tree(g)
+    doc = {
+        "command": "deficiency",
+        "betti_number": betti_number(g),
+        "deficiency": value,
+        "witness_tree": [list(e) for e in tree.sorted_edges()],
+    }
+    if args.d is not None:
+        doc["qualified_threshold"] = args.d
+        doc["qualified_deficiency"] = NO_QUALIFIED_TREE
+        if (qualified := min_tree(g, args.d)) is not None:
+            doc["qualified_deficiency"] = qualified[0]
+            doc["qualified_witness_tree"] = [list(e) for e in qualified[1].sorted_edges()]
     lines = []
     if not args.json:
         lines = [
-            f"betti_number: {report['betti_number']}",
-            f"deficiency: {report['deficiency']}",
-            f"witness_tree: {report['witness_tree']}",
+            f"betti_number: {doc['betti_number']}",
+            f"deficiency: {value}",
+            f"witness_tree: {doc['witness_tree']}",
         ]
         if args.d is not None:
-            lines.append(
-                f"qualified_deficiency(D={args.d}): "
-                + str(report["qualified_deficiency"])
-            )
+            lines.append(f"qualified_deficiency(D={args.d}): {doc['qualified_deficiency']}")
     _emit(args, doc, lines)
     return EXIT_YES
 

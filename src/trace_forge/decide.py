@@ -222,7 +222,7 @@ def build_antiparallel_d_stable(
     if found is None:
         return None
     tree = found[1]
-    splits: list[tuple[tuple[int, int], int]] = []
+    splits: list[tuple[tuple[int, ...], int]] = []
     while odd := [c for c in cotree_decomposition(tree) if c.is_odd]:
         v = min(
             (x for comp in odd for x in comp.vertices if tree.host.degree(x) >= threshold),
@@ -232,9 +232,8 @@ def build_antiparallel_d_stable(
             raise InternalInvariantError(
                 "odd component lost its high-degree vertex during the induction"
             )
-        outcome = split_reduce_qualified(tree, v, threshold)
-        splits.append((outcome.new_vertices, v))
-        tree = outcome.tree_after
+        splits.append((fresh_vertex_ids(tree.host, 2), v))
+        tree = split_reduce_qualified(tree, v, threshold)
     trace = find_trace(tree.host, TraceSpec("strong", ANTIPARALLEL), budget)
     if trace is None:
         raise InternalInvariantError(
@@ -273,7 +272,7 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
         x for x, comps in cls.minimal_repetitions.items() if len(comps) > 1
     ):
         g = w.host
-        parts = transition_graph_at(w, v).components
+        parts = transition_graph_at(w, v)
         projections.append((g, v, fresh_vertex_ids(g, len(parts))))
         w = project_trace_through_split(w, v, parts)
     if not spec_satisfied(TraceSpec("strong", ANTIPARALLEL), classify_trace(w)):
@@ -313,23 +312,6 @@ def sufficient_four_edge_connected(g: Graph, d: int) -> bool:
     if edge_connectivity(g) < 4:
         return False
     return g.max_degree() >= 2 * d + 2 or betti_number(g) % 2 == 0
-
-
-def graph_deficiency_report(g: Graph, threshold: int | None = None) -> dict:
-    """Betti number and (qualified) deficiency summary for reporting."""
-    value, tree = min_tree(g)
-    report: dict = {
-        "betti_number": betti_number(g),
-        "deficiency": value,
-        "witness_tree": [list(e) for e in tree.sorted_edges()],
-    }
-    if threshold is not None:
-        report["qualified_threshold"] = threshold
-        report["qualified_deficiency"] = NO_QUALIFIED_TREE
-        if (qualified := min_tree(g, threshold)) is not None:
-            report["qualified_deficiency"] = qualified[0]
-            report["qualified_witness_tree"] = [list(e) for e in qualified[1].sorted_edges()]
-    return report
 
 
 def condition_table(

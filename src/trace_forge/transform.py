@@ -17,7 +17,6 @@ branch is never trusted blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -48,17 +47,6 @@ from .spanning import (
     qualified_deficiency_of_tree,
 )
 from .walks import DoubleTrace, validate_double_trace
-
-
-@dataclass
-class SplitOutcome:
-    """A deficiency-reducing split with its full correspondence record."""
-
-    tree_after: SpanningTree
-    new_vertices: tuple[int, int]
-    parts: tuple[frozenset[int], frozenset[int]]
-    deficiency_before: int
-    deficiency_after: int
 
 
 # -- tree transfer under identification ---------------------------------------
@@ -150,10 +138,8 @@ def _relabeled_tree_edges(
     return out
 
 
-def _split_candidates(
-    t: SpanningTree, v: int
-) -> Iterator[tuple[SpanningTree, tuple[frozenset[int], frozenset[int]]]]:
-    """Splits following the constructive recipe: the tree neighbor u sits in
+def _split_candidates(t: SpanningTree, v: int) -> Iterator[SpanningTree]:
+    """The split trees of the constructive recipe: the tree neighbor u sits in
     one half, a co-tree neighbor w in the other, and the tree regains the
     edge wv.  Halves have sizes ceil(d/2) and floor(d/2); both assignments of
     u's side are tried.  The relabeled tree plus v2-w puts |V| edges on the
@@ -187,7 +173,7 @@ def _split_candidates(
                     g2 = split_vertex(g, SplitSpec(v, (u_side, w_side)))
                     edges = _relabeled_tree_edges(t, v, u_side, v1, v2)
                     edges.add(edge_key(v2, w))
-                    yield SpanningTree(g2, frozenset(edges)), (u_side, w_side)
+                    yield SpanningTree(g2, frozenset(edges))
 
 
 def _recipe_trees(t: SpanningTree, v: int, deficiency: int) -> Iterator[SpanningTree]:
@@ -207,12 +193,12 @@ def _recipe_trees(t: SpanningTree, v: int, deficiency: int) -> Iterator[Spanning
         yield t_alt
 
 
-def split_reduce_deficiency(t: SpanningTree, v: int) -> SplitOutcome:
+def split_reduce_deficiency(t: SpanningTree, v: int) -> SpanningTree:
     """:func:`split_reduce_qualified` at threshold 0, the plain deficiency rule."""
     return split_reduce_qualified(t, v, 0)
 
 
-def split_reduce_qualified(t: SpanningTree, v: int, threshold: int = 0) -> SplitOutcome:
+def split_reduce_qualified(t: SpanningTree, v: int, threshold: int = 0) -> SpanningTree:
     """Split v (in an odd co-tree component of t's host) so the deficiency
     strictly drops and every odd component keeps a vertex of degree >=
     ``threshold``.
@@ -220,14 +206,18 @@ def split_reduce_qualified(t: SpanningTree, v: int, threshold: int = 0) -> Split
     Requires d(v) >= threshold and a tree whose odd components all contain
     such a vertex; threshold 0 is the plain deficiency rule, which every tree
     meets.  Returns a connected split into halves of sizes ceil(d(v)/2) and
-    floor(d(v)/2) with a spanning tree of the split graph that meets the
-    same rule.  The recipe runs on t first, then on another tree with at
-    least two tree edges at v and no larger deficiency.  No other search
-    runs: when both fail, the guaranteed construction has been broken.  t
-    and each candidate are scored by
-    ``spanning.qualified_deficiency_of_tree``; the outcome is validated, not
-    assumed.
+    floor(d(v)/2): the returned spanning tree of the split graph meets the
+    same rule.  Its host's two new vertices are ``fresh_vertex_ids(t.host,
+    2)``, and their neighborhoods there are the halves.  The recipe runs on
+    t first, then on another tree with at least two tree edges at v and no
+    larger deficiency.  No other search runs: when both fail, the
+    guaranteed construction has been broken.  t and each candidate are
+    scored by ``spanning.qualified_deficiency_of_tree``; the result is
+    validated, not assumed.  A threshold of None, which admits no odd
+    component, leaves nothing to split and raises ``ValueError``.
     """
+    if threshold is None:
+        raise ValueError("a split needs an integer threshold; None admits no odd component")
     g = t.host
     if v in g.adjacency and g.degree(v) < threshold:
         raise NotQualifiedError(
@@ -247,18 +237,11 @@ def split_reduce_qualified(t: SpanningTree, v: int, threshold: int = 0) -> Split
             f"vertex {v} does not lie in an odd co-tree component"
         )
 
-    new_ids = fresh_vertex_ids(g, 2)
     for tree in _recipe_trees(t, v, before):
-        for t2, parts in _split_candidates(tree, v):
+        for t2 in _split_candidates(tree, v):
             after = qualified_deficiency_of_tree(t2, threshold)
             if after is not None and after < before:
-                return SplitOutcome(
-                    tree_after=t2,
-                    new_vertices=new_ids,
-                    parts=parts,
-                    deficiency_before=before,
-                    deficiency_after=after,
-                )
+                return t2
     raise InternalInvariantError(
         f"no deficiency-reducing split exists at vertex {v}; "
         f"this contradicts a guaranteed construction"

@@ -79,12 +79,6 @@ class DoubleTrace:
     def length(self) -> int:
         return len(self.sequence)
 
-    def steps(self) -> Iterator[tuple[int, int]]:
-        """All directed steps (v_i, v_{i+1}), indices mod length."""
-        n = len(self.sequence)
-        for i in range(n):
-            yield self.sequence[i], self.sequence[(i + 1) % n]
-
     @cached_property
     def _visit_index(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> (predecessor, successor) of each visit, in sequence order;
@@ -101,31 +95,6 @@ class DoubleTrace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DoubleTrace({' '.join(map(str, self.sequence))})"
-
-
-@dataclass(frozen=True)
-class TransitionGraph:
-    """Pairing of predecessors and successors at one vertex.
-
-    Nodes are the neighbors of the center; each visit contributes one
-    unordered link {pred, succ} (a self-link when pred == succ).  The link
-    count equals the center's degree and every neighbor appears as an
-    endpoint exactly twice, counting multiplicity.  ``components`` lists
-    the minimal repetitions at the center, each a sorted tuple, ordered by
-    least element.
-    """
-
-    center: int
-    nodes: tuple[int, ...]
-    links: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        return _components(sorted(self.nodes), self.links)
-
-    @property
-    def is_connected(self) -> bool:
-        return len(self.components) == 1
 
 
 @dataclass(frozen=True)
@@ -193,7 +162,8 @@ def direction_profile(w: DoubleTrace) -> dict[tuple[int, int], str]:
     """
     first_dir: dict[tuple[int, int], tuple[int, int]] = {}
     profile: dict[tuple[int, int], str] = {}
-    for u, v in w.steps():
+    seq = w.sequence
+    for u, v in zip(seq, seq[1:] + seq[:1]):
         key = edge_key(u, v)
         if key not in first_dir:
             first_dir[key] = (u, v)
@@ -218,12 +188,19 @@ def trace_direction(w: DoubleTrace) -> str:
     return MIXED
 
 
-def transition_graph_at(w: DoubleTrace, v: int) -> TransitionGraph:
-    """Build the pred/succ pairing at v from all cyclic visits."""
-    if v not in w.host.adjacency:
+def transition_graph_at(w: DoubleTrace, v: int) -> tuple[tuple[int, ...], ...]:
+    """The minimal repetitions at v: the components of v's transition graph,
+    each a sorted tuple, ordered by least element.
+
+    The transition graph's nodes are v's neighbors, and each visit links its
+    predecessor to its successor (a self-link when they agree), so every
+    neighbor ends exactly two links.  v's pairing is connected exactly when
+    one component comes back.
+    """
+    adjacency = w.host.adjacency
+    if v not in adjacency:
         raise UnknownVertexError(f"vertex {v} not in host")
-    links = sorted(edge_key(p, s) for p, s in w.visits(v))
-    return TransitionGraph(v, w.host.neighbors(v), tuple(links))
+    return _components(adjacency[v], w._visit_index.get(v, ()))
 
 
 def classify_trace(w: DoubleTrace) -> TraceClass:
@@ -233,8 +210,9 @@ def classify_trace(w: DoubleTrace) -> TraceClass:
     The stability order is the largest d such that no vertex has a repetition
     of size in [1, d]; it is always finite, bounded above by the host's
     minimum degree minus one.  The trace is strong when every transition
-    graph is connected.  Each vertex's links are read from the trace's visit
-    index, without building a :class:`TransitionGraph`.
+    graph is connected.  Each vertex's components are those
+    :func:`transition_graph_at` returns, read in one comprehension over the
+    trace's visit index.
     """
     index = w._visit_index
     adjacency = w.host.adjacency
@@ -268,6 +246,9 @@ class TraceSpec:
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.kind == "stable":
+            # an exact type test: bool is an int subclass, and True is no order
+            if self.d is not None and type(self.d) is not int:
+                raise ValueError(f"stable kind needs an integer d, got {self.d!r}")
             if self.d is None or self.d < 1:
                 raise ValueError("stable kind needs d >= 1")
         elif self.d is not None:

@@ -20,6 +20,7 @@ from trace_forge.graph import (
     cube_graph,
     cycle_graph,
     edge_key,
+    fresh_vertex_ids,
     path_graph,
 )
 from trace_forge.spanning import (
@@ -301,6 +302,14 @@ def repetitions_brute(w: DoubleTrace) -> tuple[dict, int, bool]:
 def odd_components(t: SpanningTree) -> list[CotreeComponent]:
     """The odd co-tree components of t, in ``cotree_decomposition`` order."""
     return [c for c in cotree_decomposition(t) if c.is_odd]
+
+
+def split_parts(t: SpanningTree, split: SpanningTree) -> tuple[frozenset[int], ...]:
+    """The halves of a split that turned t into ``split``: the neighborhoods,
+    in the split host, of the two ids ``fresh_vertex_ids`` gives t's host."""
+    return tuple(
+        frozenset(split.host.neighbors(x)) for x in fresh_vertex_ids(t.host, 2)
+    )
 
 
 def qualified_trees(

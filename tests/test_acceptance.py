@@ -35,6 +35,7 @@ from conftest import (
     random_double_trace,
     random_spanning_tree,
     repetitions_brute,
+    split_parts,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -178,15 +179,15 @@ def test_criterion_5_split_reduction_machinery():
             continue
         v = rng.choice(odd_vertices)
         before = qualified_deficiency_of_tree(t, 0)
-        outcome = split_reduce_deficiency(t, v)
+        split = split_reduce_deficiency(t, v)
         from trace_forge.graph import is_connected
 
-        if not is_connected(outcome.tree_after.host):
+        if not is_connected(split.host):
             violations.append(("disconnected", sorted(g.edges), v))
-        if outcome.deficiency_after >= before:
+        if qualified_deficiency_of_tree(split, 0) >= before:
             violations.append(("no decrease", sorted(g.edges), v))
         degree = g.degree(v)
-        if sorted(len(p) for p in outcome.parts) != sorted(
+        if sorted(len(p) for p in split_parts(t, split)) != sorted(
             ((degree + 1) // 2, degree // 2)
         ):
             violations.append(("bad halves", sorted(g.edges), v))
@@ -194,11 +195,11 @@ def test_criterion_5_split_reduction_machinery():
         threshold = min(
             [g.degree(v)] + [max(g.degree(x) for x in comp.vertices) for comp in odd]
         )
-        q = split_reduce_qualified(t, v, threshold)
-        if q.deficiency_after >= before:
-            violations.append(("qualified no decrease", sorted(g.edges), v))
-        if qualified_deficiency_of_tree(q.tree_after, threshold) is None:
+        after = qualified_deficiency_of_tree(split_reduce_qualified(t, v, threshold), threshold)
+        if after is None:
             violations.append(("qualification lost", sorted(g.edges), v, threshold))
+        elif after >= before:
+            violations.append(("qualified no decrease", sorted(g.edges), v))
         checked += 1
     report(5, "deficiency-reducing splits validate universally", violations)
 

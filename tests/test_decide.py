@@ -4,6 +4,7 @@ import inspect
 import json
 import random
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -15,7 +16,6 @@ from trace_forge.decide import (
     decide_existence,
     extract_qualified_tree_from_trace,
     find_witness,
-    graph_deficiency_report,
     sufficient_four_edge_connected,
 )
 from trace_forge.errors import (
@@ -24,10 +24,11 @@ from trace_forge.errors import (
     NotAntiparallelError,
     NotStableError,
 )
-from trace_forge.graph import build_graph, complete_graph
+from trace_forge.graph import betti_number, build_graph, complete_graph
 from trace_forge.search import find_trace
 from trace_forge.spanning import (
     cotree_decomposition,
+    min_tree,
     qualified_deficiency_of_tree,
     spanning_tree,
 )
@@ -46,6 +47,8 @@ from conftest import (
     qualified_trees,
     random_connected_graph,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_k4_antiparallel_stable_is_no(k4):
@@ -83,8 +86,7 @@ def test_strong_antiparallel_no_qualified_tree_at_even_betti(tmp_path, capsys):
     assert cert.violated_condition == "NoQualifiedTree"
     assert cert.condition_detail == {"threshold": None}
     assert cert.condition_label() == "NoQualifiedTree"
-    report = graph_deficiency_report(g)
-    assert (report["betti_number"], report["deficiency"]) == (2, 2)
+    assert (betti_number(g), min_tree(g)[0]) == (2, 2)
     assert find_trace(g, TraceSpec("strong", "antiparallel")) is None
     path = tmp_path / "bridged.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in edges))
@@ -316,7 +318,6 @@ def test_build_with_three_chained_reductions(monkeypatch):
     # both directions are loops, so every lift and every transfer is called
     # at the same stack depth
     import trace_forge.decide as decide_module
-    from trace_forge.spanning import min_tree
 
     depths = {"lift": [], "transfer": []}
 
@@ -345,7 +346,7 @@ def test_build_with_three_chained_reductions(monkeypatch):
     assert cls.direction == "antiparallel"
     assert cls.stability_order >= 1
     repetition_vertices = [
-        v for v in g.vertices if not transition_graph_at(w, v).is_connected
+        v for v in g.vertices if len(transition_graph_at(w, v)) > 1
     ]
     assert len(repetition_vertices) == 3
     tree = extract_qualified_tree_from_trace(w, 1)
@@ -379,7 +380,7 @@ def test_extract_scans_transition_graphs_once(monkeypatch):
     tree = extract_qualified_tree_from_trace(w, 1)
     assert qualified_deficiency_of_tree(tree, 4) is not None
     assert sorted(calls["trace_forge.decide"]) == [
-        v for v in g.vertices if not transition_graph_at(w, v).is_connected
+        v for v in g.vertices if len(transition_graph_at(w, v)) > 1
     ]
     assert calls["trace_forge.transform"] == []
 
@@ -409,14 +410,19 @@ def test_monotonicity_in_d():
             assert lower or not higher  # yes at d implies yes at d' < d
 
 
-def test_deficiency_report(k4, k5):
-    report = graph_deficiency_report(k4, 4)
-    assert report["betti_number"] == 3
-    assert report["deficiency"] == 1
-    assert report["qualified_deficiency"] == "NoQualifiedTree"
-    report5 = graph_deficiency_report(k5, 8)
-    assert report5["deficiency"] == 0
-    assert report5["qualified_deficiency"] == 0
+def test_deficiency_report(capsys):
+    def report(name, threshold):
+        argv = ["deficiency", "-i", str(FIXTURES / name), "-d", str(threshold), "--json"]
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out)
+
+    k4 = report("k4.edges", 4)
+    assert k4["betti_number"] == 3
+    assert k4["deficiency"] == 1
+    assert k4["qualified_deficiency"] == "NoQualifiedTree"
+    k5 = report("k5.edges", 8)
+    assert k5["deficiency"] == 0
+    assert k5["qualified_deficiency"] == 0
 
 
 def test_no_certificates_reevaluate():
@@ -442,8 +448,6 @@ def test_no_certificates_reevaluate():
             elif name == "NoQualifiedTree":
                 threshold = cert.condition_detail.get("threshold")
                 if threshold is None:
-                    from trace_forge.spanning import min_tree
-
                     assert min_tree(g, None) is None
                 else:
                     assert next(qualified_trees(g, threshold), None) is None

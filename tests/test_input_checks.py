@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from trace_forge.decide import build_antiparallel_d_stable, sufficient_four_edge_connected
+from trace_forge.decide import (
+    build_antiparallel_d_stable,
+    decide_existence,
+    find_witness,
+    sufficient_four_edge_connected,
+)
 from trace_forge.errors import (
     EmptyGraphError,
     GraphTooSmallError,
@@ -40,6 +45,7 @@ K3 = complete_graph(3)
 P4 = path_graph(4)  # 0-1-2-3: 0 and 3 are apart and share no neighbor
 EDGE_TRACE = validate_double_trace(path_graph(2), (0, 1))
 K4_STAR = spanning_tree(complete_graph(4), [(0, 1), (0, 2), (0, 3)])  # odd triangle 1-2-3
+K5 = complete_graph(5)
 
 
 CASES = {
@@ -105,6 +111,11 @@ CASES = {
         ValueError,
         "must be non-negative, got -1",
     ),
+    "split-reduce-threshold-none": (
+        lambda: split_reduce_qualified(K4_STAR, 1, None),
+        ValueError,
+        "None admits no odd component",
+    ),
     "project-unknown-vertex": (
         lambda: project_trace_through_split(EDGE_TRACE, 7, [[0], [1]]),
         UnknownVertexError,
@@ -131,6 +142,21 @@ CASES = {
             "stable kind needs d >= 1",
         )
         for d in (0, -1, -3)
+    },
+    # a stability order is an int: a float and a bool are rejected, not read
+    **{
+        f"{name}-d-{d}": (
+            lambda call=call, d=d: call(d),
+            ValueError,
+            f"stable kind needs an integer d, got {d}",
+        )
+        for name, call in {
+            "spec": lambda d: TraceSpec("stable", "antiparallel", d),
+            "decide": lambda d: decide_existence(K5, "stable", "antiparallel", d),
+            "find-witness": lambda d: find_witness(K5, "stable", "antiparallel", d),
+            "four-edge-connected": lambda d: sufficient_four_edge_connected(K5, d),
+        }.items()
+        for d in (1.5, True)
     },
 }
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import trace_forge
 
 from conftest import k4_chain
@@ -259,14 +261,30 @@ def _definitions(tree: ast.AST) -> tuple[list[str], list[str]]:
     return sorted(classes), sorted(functions)
 
 
-def test_spanning_answers_in_plain_values():
+# module -> (the classes it defines, functions it must not define)
+PLAIN_VALUES = {
     # a co-tree is the tuple of its components, the least tree a (value,
-    # tree) pair, and qualified_deficiency_of_tree the one per-tree score:
-    # no result type and no one-line wrapper of the score stands between
-    # them and the caller
-    classes, functions = _definitions(ast.parse((SOURCE / "spanning.py").read_text()))
-    assert classes == ["CotreeComponent", "SpanningTree"]
-    assert {"deficiency_of_tree", "tree_is_qualified"}.isdisjoint(functions)
+    # tree) pair, and qualified_deficiency_of_tree the one per-tree score
+    "spanning": (["CotreeComponent", "SpanningTree"], {"deficiency_of_tree", "tree_is_qualified"}),
+    # the repetitions at v are a tuple of sorted tuples, and the steps of a
+    # trace are read from its sequence
+    "walks": (["DoubleTrace", "TraceClass", "TraceSpec"], {"steps"}),
+    # a split answers with its tree; its new ids, halves and values are read
+    # from the inputs and that tree
+    "transform": ([], set()),
+    # the CLI writes the deficiency document from min_tree and betti_number
+    "decide": (["DecisionCertificate"], {"graph_deficiency_report"}),
+}
+
+
+@pytest.mark.parametrize("module", list(PLAIN_VALUES))
+def test_layers_answer_in_plain_values(module):
+    # no result type and no report layer stands between a caller and a
+    # value it already has or can read
+    classes, functions = _definitions(ast.parse((SOURCE / f"{module}.py").read_text()))
+    expected_classes, absent = PLAIN_VALUES[module]
+    assert classes == expected_classes
+    assert absent.isdisjoint(functions)
 
 
 def test_definition_scan_finds_nested_classes_and_methods():

@@ -54,6 +54,7 @@ from conftest import (
     odd_components,
     random_connected_graph,
     random_spanning_tree,
+    split_parts,
 )
 
 
@@ -229,11 +230,10 @@ def test_transfer_rejects_bad_protected_set():
 def test_split_reduce_k4_case1(k4):
     t = spanning_tree(k4, [(0, 1), (0, 2), (2, 3)])
     assert qualified_deficiency_of_tree(t, 0) == 1
-    outcome = split_reduce_deficiency(t, 0)
-    assert outcome.deficiency_before == 1
-    assert outcome.deficiency_after == 0
-    assert is_connected(outcome.tree_after.host)
-    sizes = sorted(len(p) for p in outcome.parts)
+    split = split_reduce_deficiency(t, 0)
+    assert qualified_deficiency_of_tree(split, 0) == 0
+    assert is_connected(split.host)
+    sizes = sorted(len(p) for p in split_parts(t, split))
     assert sizes == [1, 2]
 
 
@@ -245,9 +245,9 @@ def test_split_reduce_degree6_star_component():
     g = build_graph(edges)
     t = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 7)])
     assert qualified_deficiency_of_tree(t, 0) == 1
-    outcome = split_reduce_deficiency(t, 0)
-    assert outcome.deficiency_after < 1
-    assert sorted(len(p) for p in outcome.parts) == [3, 3]
+    split = split_reduce_deficiency(t, 0)
+    assert qualified_deficiency_of_tree(split, 0) < 1
+    assert sorted(len(p) for p in split_parts(t, split)) == [3, 3]
 
 
 def test_split_reduce_needs_tree_rewiring():
@@ -257,12 +257,11 @@ def test_split_reduce_needs_tree_rewiring():
     g = build_graph([(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     t = spanning_tree(g, [(0, 1), (1, 2), (1, 3), (1, 4)])
     assert qualified_deficiency_of_tree(t, 0) == 1
-    outcome = split_reduce_deficiency(t, 0)
-    assert outcome.deficiency_after == 0
-    assert is_connected(outcome.tree_after.host)
+    split = split_reduce_deficiency(t, 0)
+    assert qualified_deficiency_of_tree(split, 0) == 0
+    assert is_connected(split.host)
     q = split_reduce_qualified(t, 0, 4)
-    assert q.deficiency_after == 0
-    assert qualified_deficiency_of_tree(q.tree_after, 4) is not None
+    assert qualified_deficiency_of_tree(q, 4) == 0
 
 
 def test_split_reduce_rejects_even_component_vertex():
@@ -282,20 +281,19 @@ def test_split_reduce_universal_over_small_graphs():
             odd = odd_components(t)
             before = len(odd)
             for v in sorted({v for comp in odd for v in comp.vertices}):
-                outcome = split_reduce_deficiency(t, v)
-                assert is_connected(outcome.tree_after.host)
-                assert outcome.deficiency_after < before
+                split = split_reduce_deficiency(t, v)
+                assert is_connected(split.host)
+                assert qualified_deficiency_of_tree(split, 0) < before
                 degree = g.degree(v)
-                assert sorted(len(p) for p in outcome.parts) == sorted(
+                assert sorted(len(p) for p in split_parts(t, split)) == sorted(
                     ((degree + 1) // 2, degree // 2)
                 )
                 # the largest threshold the instance supports
                 threshold = min(
                     [degree] + [max(map(g.degree, comp.vertices)) for comp in odd]
                 )
-                q = split_reduce_qualified(t, v, threshold)
-                assert q.deficiency_after < before
-                assert qualified_deficiency_of_tree(q.tree_after, threshold) is not None
+                q = qualified_deficiency_of_tree(split_reduce_qualified(t, v, threshold), threshold)
+                assert q is not None and q < before
                 checked += 1
     assert checked > 2000
 
@@ -330,7 +328,9 @@ def test_split_candidates_are_the_recipe_splits_whose_tree_spans():
                                 rejected += 1
                                 continue
                             expected.append((g2, tree.tree_edges, parts))
-                found = [(t2.host, t2.tree_edges, parts) for t2, parts in _split_candidates(t, v)]
+                found = [
+                    (t2.host, t2.tree_edges, split_parts(t, t2)) for t2 in _split_candidates(t, v)
+                ]
                 assert found == expected, (g.edges, sorted(t.tree_edges), v)
     assert rejected > 0
 
@@ -341,9 +341,8 @@ def test_split_reduce_qualified_degree8_hub():
     g = build_graph(edges)
     t = spanning_tree(g, [(0, 1)] + [(1, w) for w in range(2, 9)])
     assert qualified_deficiency_of_tree(t, 8) is not None
-    outcome = split_reduce_qualified(t, 0, 8)
-    assert outcome.deficiency_after == outcome.deficiency_before - 1
-    assert qualified_deficiency_of_tree(outcome.tree_after, 8) is not None
+    split = split_reduce_qualified(t, 0, 8)
+    assert qualified_deficiency_of_tree(split, 8) == qualified_deficiency_of_tree(t, 8) - 1
 
 
 def test_split_reduce_qualified_rejects_low_degree():
@@ -395,12 +394,12 @@ def test_project_then_lift_round_trip():
         split_candidates = [
             v
             for v in g.vertices
-            if len(transition_graph_at(w, v).components) >= 2
+            if len(transition_graph_at(w, v)) >= 2
         ]
         if not split_candidates:
             continue
         v = rng.choice(split_candidates)
-        parts = transition_graph_at(w, v).components
+        parts = transition_graph_at(w, v)
         projected = project_trace_through_split(w, v, parts)
         new_ids = fresh_vertex_ids(g, len(parts))
         lifted = lift_trace_through_identification(projected, new_ids, v)
@@ -417,12 +416,12 @@ def test_project_keeps_other_vertices_and_directions():
         candidates = [
             v
             for v in g.vertices
-            if len(transition_graph_at(w, v).components) >= 2
+            if len(transition_graph_at(w, v)) >= 2
         ]
         if not candidates:
             continue
         v = candidates[0]
-        parts = transition_graph_at(w, v).components
+        parts = transition_graph_at(w, v)
         projected = project_trace_through_split(w, v, parts)
         before = direction_profile(w)
         after = direction_profile(projected)
@@ -439,8 +438,8 @@ def test_project_keeps_other_vertices_and_directions():
         for u in g.vertices:
             if u == v:
                 continue
-            assert unsplit(transition_graph_at(w, u).components) == unsplit(
-                transition_graph_at(projected, u).components
+            assert unsplit(transition_graph_at(w, u)) == unsplit(
+                transition_graph_at(projected, u)
             )
         done += 1
 
@@ -469,16 +468,17 @@ def test_lift_of_balanced_split_keeps_stability():
     value, tree = min_tree(g, 4)
     assert value == 1
     v = min(x for comp in odd_components(tree) for x in comp.vertices if g.degree(x) >= 4)
-    outcome = split_reduce_qualified(tree, v, 4)
-    w_prime = find_trace(outcome.tree_after.host, TraceSpec("stable", "antiparallel", 1))
+    split = split_reduce_qualified(tree, v, 4)
+    w_prime = find_trace(split.host, TraceSpec("stable", "antiparallel", 1))
     assert w_prime is not None
-    lifted = lift_trace_through_identification(w_prime, outcome.new_vertices, v)
+    lifted = lift_trace_through_identification(w_prime, fresh_vertex_ids(g, 2), v)
     cls = classify_trace(lifted)
     assert cls.direction == "antiparallel"
     assert cls.stability_order >= 1
     reps = cls.minimal_repetitions[v]
-    assert {*map(frozenset, reps)} <= {outcome.parts[0], outcome.parts[1]} or all(
-        any(part.issuperset(comp) for part in outcome.parts) for comp in reps
+    parts = split_parts(tree, split)
+    assert {*map(frozenset, reps)} <= set(parts) or all(
+        any(part.issuperset(comp) for part in parts) for comp in reps
     )
 
 
@@ -503,7 +503,7 @@ def test_project_with_three_or_more_parts():
     w_prime = find_trace(g_prime, TraceSpec("double", "antiparallel"))
     new_ids = fresh_vertex_ids(g, 3)
     lifted = lift_trace_through_identification(w_prime, new_ids, 0)
-    comps = transition_graph_at(lifted, 0).components
+    comps = transition_graph_at(lifted, 0)
     assert len(comps) >= 3
     for part in parts:
         assert any(part.issuperset(comp) for comp in comps)

@@ -78,23 +78,20 @@ def test_single_edge_trace_is_antiparallel():
     g = path_graph(2)
     w = validate_double_trace(g, [0, 1])
     assert trace_direction(w) == "antiparallel"
-    tg = transition_graph_at(w, 0)
-    assert tg.links == ((1, 1),)
-    assert tg.components == ((1,),)
+    assert list(w.visits(0)) == [(1, 1)]
+    assert transition_graph_at(w, 0) == ((1,),)
 
 
 def test_transition_graph_antiparallel_triangle(k3):
     w = validate_double_trace(k3, K3_ANTI)
-    tg = transition_graph_at(w, 0)
-    assert sorted(tg.links) == [(1, 1), (2, 2)]
-    assert tg.components == ((1,), (2,))
+    assert sorted(w.visits(0)) == [(1, 1), (2, 2)]
+    assert transition_graph_at(w, 0) == ((1,), (2,))
 
 
 def test_transition_graph_parallel_triangle(k3):
     w = validate_double_trace(k3, K3_PAR)
-    tg = transition_graph_at(w, 1)
-    assert sorted(tg.links) == [(0, 2), (0, 2)]
-    assert tg.components == ((0, 2),)
+    assert list(w.visits(1)) == [(0, 2), (0, 2)]
+    assert transition_graph_at(w, 1) == ((0, 2),)
 
 
 def test_repetition_analysis_modes_agree_on_triangle(k3):
@@ -151,10 +148,10 @@ def test_link_counts_match_degrees():
         # a d-stable trace needs min degree above d, so the order is capped
         assert classify_trace(w).stability_order <= g.min_degree() - 1
         for v in g.vertices:
-            tg = transition_graph_at(w, v)
-            assert len(tg.links) == g.degree(v)
+            links = list(w.visits(v))
+            assert len(links) == g.degree(v)
             endpoint_count = {x: 0 for x in g.neighbors(v)}
-            for a, b in tg.links:
+            for a, b in links:
                 endpoint_count[a] += 1
                 endpoint_count[b] += 1
             assert all(c == 2 for c in endpoint_count.values())
@@ -259,8 +256,9 @@ def test_min_rotation_matches_brute_force():
 
 
 def test_visit_index_matches_rescan():
-    """visits(v) and the transition graph against a rescan of the whole
-    sequence for v, visit order included."""
+    """visits(v) against a rescan of the whole sequence for v, visit order
+    included: its links join v's neighbors, and their components are the
+    minimal repetitions at v."""
     rng = random.Random(13)
     for _ in range(200):
         g = random_connected_graph(rng, n_min=2, n_max=8)
@@ -273,9 +271,8 @@ def test_visit_index_matches_rescan():
                 if x == v
             ]
             assert list(w.visits(v)) == rescan
-            tg = transition_graph_at(w, v)
-            assert tg.nodes == g.neighbors(v)
-            assert tg.links == tuple(sorted(edge_key(p, s) for p, s in rescan))
+            assert {x for link in w.visits(v) for x in link} == set(g.neighbors(v))
+            assert transition_graph_at(w, v) == _components_nx(w, v)
         assert list(w.visits(max(g.vertices) + 1)) == []
 
 
@@ -308,6 +305,9 @@ def test_classification_matches_networkx_on_long_traces(name):
     comps = {v: _components_nx(w, v) for v in w.host.vertices}
     assert cls.minimal_repetitions == comps
     assert list(cls.minimal_repetitions) == list(w.host.vertices)
+    # one answer to "the repetitions at v", per vertex or for the whole trace
+    for v in w.host.vertices:
+        assert transition_graph_at(w, v) == cls.minimal_repetitions[v]
     profile = _profile_by_steps(w)
     assert direction_profile(w) == profile
     labels = set(profile.values())
