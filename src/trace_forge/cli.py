@@ -12,7 +12,8 @@ bool and None.  Its text is byte for byte ``json.dumps(doc,
 sort_keys=True, indent=2)``.  That call would run the standard library's
 pure-Python encoder, which ``indent`` forces, one generator step per
 value; the writer escapes strings with the C ``encode_basestring_ascii``
-and writes a list of ints, or of int rows, with ``join`` alone.
+and writes a list of ints, or of int rows, or a map of such row lists,
+with ``join`` alone.
 """
 
 from __future__ import annotations
@@ -88,8 +89,11 @@ def _json_dump(doc: dict) -> str:
     before it (separator, newline, indent and key).  A scalar, a list of
     ints or a list of non-empty int rows (the components of a ``verify``
     document) is written in place, the rows after one type check over all
-    their ints; a non-empty container pushes a frame, and an exhausted
-    frame writes its closing bracket.  A value of any other type,
+    their ints.  So is a map whose values are all such lists (a ``verify``
+    document's ``minimal_repetitions``), after one type scan over all its
+    rows and ints, in one comprehension over its sorted keys.  Any other
+    non-empty container pushes a frame, and an exhausted frame writes its
+    closing bracket.  A value of any other type,
     a float included, raises ``TypeError``, and so does a non-str key, in
     ``encode_basestring_ascii`` (or in ``sorted``, among str keys).
     """
@@ -128,6 +132,25 @@ def _json_dump(doc: dict) -> str:
                     out.append("{}")
                     continue
                 keys = sorted(value)
+                lists = value.values()
+                if {*map(type, lists)} <= _SEQUENCES and all(lists):
+                    rows = [*chain.from_iterable(lists)]
+                    if (
+                        {*map(type, rows)} <= _SEQUENCES
+                        and all(rows)
+                        and {*map(type, chain.from_iterable(rows))} == _INTS
+                    ):
+                        # each value's rows stand one level deeper
+                        _, _, deep_open, deep_ints, deep_sep, deep_close = _layout(depth + 1)
+                        join_row = deep_ints.join
+                        entries = ("," + inner).join([
+                            encode_basestring_ascii(key) + ": " + deep_open
+                            + deep_sep.join([join_row(map(int.__repr__, row)) for row in value[key]])
+                            + deep_close
+                            for key in keys
+                        ])
+                        out.append("{" + inner + entries + end + "}")
+                        continue
                 seps = ["," + inner + encode_basestring_ascii(key) + ": " for key in keys]
                 seps[0] = "{" + seps[0][1:]
                 frames.append((zip(seps, map(value.__getitem__, keys)), depth + 1, end + "}"))

@@ -126,5 +126,9 @@ def format_trace_text(w: DoubleTrace) -> str:
 
 
 def load_trace_sequence(path: str | Path) -> tuple[int, ...]:
-    text = _read(path)
-    return parse_trace_text(next((ln for ln in text.splitlines() if ln.strip()), ""))
+    """The trace on the file's one non-blank line; blank lines around it
+    are skipped, and a second non-blank line raises."""
+    lines = [(n, ln) for n, ln in enumerate(_read(path).splitlines(), start=1) if ln.strip()]
+    if len(lines) > 1:
+        raise ParseError("trace file has a second non-blank line", lines[1][0])
+    return parse_trace_text(lines[0][1] if lines else "")

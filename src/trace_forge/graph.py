@@ -46,8 +46,9 @@ def _components(
     times.  Then the nodes are bucketed by group in their given order: each
     component is the tuple of its nodes in that order, and components come
     in the order of their first node.  So sorted ``nodes`` give sorted
-    tuples, ordered by least element.  A link outside ``nodes`` raises
-    ``KeyError``.
+    tuples, ordered by least element.  When the first node's group holds
+    every node, the one component is the nodes as given, unbucketed.  A
+    link outside ``nodes`` raises ``KeyError``.
     """
     group = {x: [x] for x in nodes}
     for a, b in links:
@@ -58,6 +59,8 @@ def _components(
             ga += gb
             for x in gb:
                 group[x] = ga
+    if group and len(next(iter(group.values()))) == len(group):
+        return (tuple(group),)
     buckets: dict[int, list[int]] = {}
     for x, grp in group.items():
         buckets.setdefault(id(grp), []).append(x)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -64,6 +65,15 @@ def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
     return seq[start:] + seq[:start]
 
 
+def _index_visits(seq: tuple[int, ...]) -> dict[int, list[tuple[int, int]]]:
+    """vertex -> (predecessor, successor) of each cyclic visit, in sequence
+    order, built in one pass over ``seq``."""
+    index: dict[int, list[tuple[int, int]]] = {}
+    for pred, x, succ in zip(seq[-1:] + seq[:-1], seq, seq[1:] + seq[:1]):
+        index.setdefault(x, []).append((pred, succ))
+    return index
+
+
 @dataclass(frozen=True)
 class DoubleTrace:
     """A validated double trace, stored as its minimal rotation.
@@ -82,12 +92,8 @@ class DoubleTrace:
     @cached_property
     def _visit_index(self) -> dict[int, list[tuple[int, int]]]:
         """vertex -> (predecessor, successor) of each visit, in sequence order;
-        built in one pass over the sequence."""
-        seq = self.sequence
-        index: dict[int, list[tuple[int, int]]] = {}
-        for pred, x, succ in zip(seq[-1:] + seq[:-1], seq, seq[1:] + seq[:1]):
-            index.setdefault(x, []).append((pred, succ))
-        return index
+        :func:`validate_double_trace` hands over the one it checked."""
+        return _index_visits(self.sequence)
 
     def visits(self, v: int) -> Iterator[tuple[int, int]]:
         """(predecessor, successor) for every cyclic visit of v."""
@@ -125,13 +131,48 @@ def require_trace_host(g: Graph) -> None:
 def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
     """Check a cyclic vertex sequence and return the canonical trace.
 
-    Checks, in order: the host has edges, the vertices are in the host, the
-    length is 2|E|, and every cyclic step is an edge not yet traversed twice.
-    Then every edge appears exactly twice: 2|E| traversals over |E| edges,
-    none more than two, leave none with fewer.
+    The visit index of the least rotation proves a non-empty sequence a
+    double trace by itself when it has an entry for every host vertex and
+    no other, and the ends of each vertex's links are its adjacency row
+    taken twice: then every step is an edge (a step's head ends a link at
+    its tail), every edge is walked exactly twice (each traversal of an
+    edge ends one link at either end), and the closed walk reaches every
+    vertex, so the host is connected and has an edge.  The index is kept
+    on the returned trace.
+
+    Any other sequence is checked in order: the host is connected and has
+    edges, the vertices are in the host, the length is 2|E|, and every
+    cyclic step is an edge not yet traversed twice; the first check that
+    fails raises.
     """
+    try:
+        seq = tuple(map(int, sequence))
+    except (TypeError, ValueError):
+        require_trace_host(g)  # a host without a trace is reported first
+        raise
+    rotated = min_rotation(seq)
+    index = _index_visits(rotated)
+    adjacency = g.adjacency
+    if not (
+        seq
+        and index.keys() == adjacency.keys()
+        and all(
+            sorted(chain.from_iterable(index[v])) == sorted(row * 2)
+            for v, row in adjacency.items()
+        )
+    ):
+        _raise_first_fault(g, seq)
+    w = DoubleTrace(g, rotated)
+    w.__dict__["_visit_index"] = index  # the cached property's slot
+    return w
+
+
+def _raise_first_fault(g: Graph, seq: tuple[int, ...]) -> None:
+    """Raise what is wrong with ``seq`` as a double trace of ``g``, checked
+    in order, with the step index of a bad step.  Past the step scan every
+    edge appears exactly twice: 2|E| traversals over |E| edges, none more
+    than two, leave none with fewer."""
     require_trace_host(g)
-    seq = tuple(map(int, sequence))
     adjacency = g.adjacency
     if not adjacency.keys() >= set(seq):
         x = next(x for x in seq if x not in adjacency)
@@ -151,7 +192,6 @@ def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
             # reported at the step where the third traversal happens
             raise WrongMultiplicityError(key, 3)
         counts[key] = seen + 1
-    return DoubleTrace(g, min_rotation(seq))
 
 
 def direction_profile(w: DoubleTrace) -> dict[tuple[int, int], str]:

@@ -18,7 +18,7 @@ from trace_forge.formats import (
     parse_trace_text,
 )
 from trace_forge.errors import ParseError
-from trace_forge.graph import build_graph, complete_graph
+from trace_forge.graph import Graph, build_graph, complete_graph
 
 from conftest import atlas_graphs
 
@@ -363,6 +363,47 @@ def test_verify_wrong_length_exit2(tmp_path, capsys):
         "verify", "-i", str(FIXTURES / "k3.edges"), "-t", str(trace_file),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("0 1 2 0 2 1\nnot a trace at all\n", 2), ("0 1 2\n0 2 1\n", 2)],
+    ids=["garbage-second-line", "split-trace"],
+)
+def test_verify_rejects_a_second_trace_line(tmp_path, capsys, text, line):
+    # the lines after the trace are read, not ignored
+    trace_file = tmp_path / "trace.txt"
+    trace_file.write_text(text)
+    assert main(["verify", "-i", str(FIXTURES / "k3.edges"), "-t", str(trace_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: trace file has a second non-blank line\n"
+
+
+def test_verify_traverses_no_host(tmp_path, capsys, monkeypatch):
+    # a valid trace proves its host connected; an isolated vertex in a
+    # graph6 host is still reported, by the traversal
+    traversals = []
+    traverse = Graph.connected.func
+
+    def counting(g):
+        traversals.append(g)
+        return traverse(g)
+
+    monkeypatch.setattr(Graph.connected, "func", counting)
+    trace_file = tmp_path / "trace.txt"
+    trace_file.write_text("0 1 2 0 2 1\n")
+    for name, fmt in (("k3.edges", "edgelist"), ("k3.g6", "graph6")):
+        argv = ["verify", "-i", str(FIXTURES / name), "--format", fmt, "-t", str(trace_file)]
+        assert main([*argv, "--json"]) == 0
+        assert main(argv) == 0
+    assert traversals == []
+    host = tmp_path / "k3-and-a-point.g6"
+    host.write_text("Cw\n")
+    capsys.readouterr()
+    assert main(["verify", "-i", str(host), "--format", "graph6", "-t", str(trace_file)]) == 2
+    assert len(traversals) == 1
+    assert capsys.readouterr().err == "error: operation requires a connected graph\n"
 
 
 def test_deficiency_command(capsys):

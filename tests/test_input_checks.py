@@ -12,13 +12,14 @@ from trace_forge.decide import (
     sufficient_four_edge_connected,
 )
 from trace_forge.errors import (
+    DisconnectedGraphError,
     EmptyGraphError,
     GraphTooSmallError,
     InvalidPartitionError,
     ParseError,
     UnknownVertexError,
 )
-from trace_forge.formats import load_graph, parse_trace_text
+from trace_forge.formats import load_graph, load_trace_sequence, parse_graph6, parse_trace_text
 from trace_forge.graph import (
     SplitSpec,
     build_graph,
@@ -46,6 +47,8 @@ P4 = path_graph(4)  # 0-1-2-3: 0 and 3 are apart and share no neighbor
 EDGE_TRACE = validate_double_trace(path_graph(2), (0, 1))
 K4_STAR = spanning_tree(complete_graph(4), [(0, 1), (0, 2), (0, 3)])  # odd triangle 1-2-3
 K5 = complete_graph(5)
+TWO_TRIANGLES = build_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+K3_ANTI = (0, 1, 2, 0, 2, 1)
 
 
 CASES = {
@@ -86,6 +89,36 @@ CASES = {
     ),
     "validate-on-a-point": (
         lambda: validate_double_trace(POINT, ()), EmptyGraphError, "at least one edge"
+    ),
+    # hosts no trace proves connected: the host check comes first, then the
+    # unknown vertex, whatever else is wrong with the sequence
+    "validate-on-the-empty-graph": (
+        lambda: validate_double_trace(build_graph([]), ()),
+        EmptyGraphError,
+        "empty graph is undefined",
+    ),
+    "validate-on-two-triangles": (
+        lambda: validate_double_trace(TWO_TRIANGLES, K3_ANTI + (3, 4, 5, 3, 5, 4)),
+        DisconnectedGraphError,
+        "requires a connected graph",
+    ),
+    "validate-on-a-graph6-host-with-an-isolated-vertex": (
+        lambda: validate_double_trace(parse_graph6("Cw"), K3_ANTI),
+        DisconnectedGraphError,
+        "requires a connected graph",
+    ),
+    "validate-id-outside-a-disconnected-host": (
+        lambda: validate_double_trace(TWO_TRIANGLES, K3_ANTI + (3, 4, 5, 3, 5, 9)),
+        DisconnectedGraphError,
+        "requires a connected graph",
+    ),
+    "validate-non-integer-id-on-two-triangles": (
+        lambda: validate_double_trace(TWO_TRIANGLES, ("x",) * 12),
+        DisconnectedGraphError,
+        "requires a connected graph",
+    ),
+    "validate-id-outside-the-host-before-the-length": (
+        lambda: validate_double_trace(K3, K3_ANTI + (7,)), UnknownVertexError, "vertex 7 not in host"
     ),
     "transition-graph-unknown-vertex": (
         lambda: transition_graph_at(EDGE_TRACE, 7), UnknownVertexError, "not in host"
@@ -166,6 +199,25 @@ def test_input_check_raises_its_error(case):
     call, error, message = CASES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("0 1 2 0 2 1\nnot a trace at all\n", 2),
+        ("0 1 2\n0 2 1\n", 2),
+        ("\n0 1 2 0 2 1\n \n0 1 2 0 2 1\n", 4),
+    ],
+    ids=["garbage-second-line", "split-trace", "trace-given-twice"],
+)
+def test_trace_file_holds_one_trace_line(tmp_path, text, line):
+    path = tmp_path / "two-lines.trace"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^line {line}: trace file has a second non-blank line$"):
+        load_trace_sequence(path)
+    # blank lines around the one trace line are skipped
+    path.write_text("\n \t\n0 1 2 0 2 1\n\n  \n")
+    assert load_trace_sequence(path) == K3_ANTI
 
 
 def test_four_edge_connected_shortcut_is_false_on_a_point():

@@ -95,14 +95,32 @@ def test_writer_matches_json_on_generated_documents(doc):
 
 @pytest.mark.parametrize(
     "value",
-    [[[]], [[1], []], [[1, True]], [(1, 2), [3]], [[1], 2]],
-    ids=["empty-row", "one-empty-row", "bool-in-row", "tuple-and-list-rows", "int-after-row"],
+    [[[]], [[1], []], [[1, True]], [(1, 2), [3]], [[1], 2], [], ((0, 1), (2,))],
+    ids=[
+        "empty-row",
+        "one-empty-row",
+        "bool-in-row",
+        "tuple-and-list-rows",
+        "int-after-row",
+        "no-rows",
+        "tuple-of-int-rows",
+    ],
 )
 def test_writer_on_int_rows(value):
-    # a list of non-empty int rows is written in one piece; anything else
-    # there takes the general path
-    doc = {"rows": value, "nested": {"x": [value]}}
+    # a list of non-empty int rows, and a map whose values are all such
+    # lists, is written in one piece; anything else there takes the general
+    # path, and a float still raises
+    rows_map = {"0": [[1, 2]], "12": value, "3": ((0,), [4, 5])}
+    doc = {
+        "rows": value,
+        "nested": {"x": [value], "map": rows_map, "next": [[6], [7, 8]]},
+        "map": rows_map,
+        "mrows": [[6], [7, 8]],  # rows right after a map, at the map's depth
+        "keyed": {'q"\\\u00e9\n': value, "1": [[1]], "a": [[2, 3]]},
+    }
     assert cli._json_dump(doc) == _reference(doc)
+    with pytest.raises(TypeError):
+        cli._json_dump({"map": {**rows_map, "4": [[1.5]]}})
 
 
 def test_writer_rejects_a_float_row():

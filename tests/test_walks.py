@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_forge.errors import (
+    DisconnectedGraphError,
     NonAdjacentStepError,
     UnknownVertexError,
     WrongLengthError,
     WrongMultiplicityError,
 )
-from trace_forge.graph import build_graph, cycle_graph, edge_key, path_graph
+from trace_forge.graph import Graph, build_graph, cycle_graph, edge_key, path_graph
 from trace_forge.walks import (
+    DoubleTrace,
     classify_trace,
     direction_profile,
     min_rotation,
@@ -57,6 +59,50 @@ def test_validate_rejects_triple_edge(k3):
         validate_double_trace(k3, [0, 1, 0, 1, 2, 0])
     assert err.value.edge == (0, 1)
     assert err.value.count == 3
+
+
+def test_valid_traces_are_accepted_without_a_traversal(monkeypatch):
+    # the visit index proves a valid trace's host connected, so validation
+    # runs no traversal and hands its index to the trace; any fault runs
+    # the ordered checks, the host's connectivity first
+    traversals = []
+    traverse = Graph.connected.func
+
+    def counting(g):
+        traversals.append(g)
+        return traverse(g)
+
+    monkeypatch.setattr(Graph.connected, "func", counting)
+    rng = random.Random(29)
+    traces = [(w.host, w.sequence) for w in long_traces().values()]
+    for _ in range(100):
+        g = random_connected_graph(rng, n_min=2, n_max=8)
+        traces.append((g, random_double_trace(g, rng).sequence))
+    traversals.clear()
+    for host, seq in traces:
+        g = build_graph(host.edges)  # a fresh value: nothing cached on it
+        shift = rng.randrange(len(seq))
+        w = validate_double_trace(g, seq[shift:] + seq[:shift])
+        assert w.sequence == seq
+        assert "_visit_index" in w.__dict__
+        assert w._visit_index == DoubleTrace(g, seq)._visit_index
+    assert traversals == []
+    two_triangles = build_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    with pytest.raises(DisconnectedGraphError):
+        validate_double_trace(two_triangles, K3_ANTI + [3, 4, 5, 3, 5, 4])
+    assert traversals == [two_triangles]
+
+
+def test_validate_counts_every_edge_twice():
+    # each vertex of the 4-cycle sees both its neighbors among the ends of
+    # as many links as its degree, yet 0-1 and 2-3 are walked three times
+    # and 1-2 and 3-0 once: the ordered scan reports the third traversal
+    c4 = cycle_graph(4)
+    seq = [0, 1, 0, 1, 2, 3, 2, 3]
+    with pytest.raises(WrongMultiplicityError) as err:
+        validate_double_trace(c4, seq)
+    assert (err.value.edge, err.value.count) == ((0, 1), 3)
+    assert _raised(c4, seq) == _first_fault(c4, seq)
 
 
 def test_validate_rejects_non_adjacent_step():
