@@ -13,7 +13,8 @@ sort_keys=True, indent=2)``.  That call would run the standard library's
 pure-Python encoder, which ``indent`` forces, one generator step per
 value; the writer escapes strings with the C ``encode_basestring_ascii``
 and writes a list of ints, or of int rows, or a map of such row lists,
-with ``join`` alone.
+with ``join`` alone, and a list of flat records (the cells of a ``table``
+document) with one call of the C encoder.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import TraceForgeError
 from .formats import EDGELIST, GRAPH6, format_trace_text, load_graph, load_trace_sequence
 from .graph import betti_number
 from .search import find_trace
-from .spanning import min_tree
+from .spanning import _first_tree
 from .walks import (
     DIRECTIONS,
     KINDS,
@@ -57,6 +58,9 @@ EXIT_ERROR = 2
 _INDENT = "  "
 _SEQUENCES = frozenset((list, tuple))
 _INTS = frozenset((int,))
+_DICTS = frozenset((dict,))
+_STRS = frozenset((str,))
+_FLAT = frozenset((str, int, bool, type(None)))
 
 
 @functools.cache
@@ -81,6 +85,33 @@ def _layout(depth: int) -> tuple[str, str, str, str, str, str]:
     )
 
 
+@functools.cache
+def _records(depth: int) -> tuple:
+    """How a list of flat records standing at ``depth`` is written, built
+    once per depth: a C encoder call, the text it writes between two
+    records and what that text becomes, and the text before and after the
+    records' joined items.
+
+    Without ``indent`` the standard encoder runs in C; its item separator
+    is the line break before an item of a record, so only the brackets
+    between and around the records need the list-level layout.  The text
+    between two records, ``}`` then the separator then ``{``, occurs nowhere
+    else: an ASCII-escaped string holds no raw line break, and a record's
+    items start with a key, never with ``{``.
+    """
+    end = "\n" + _INDENT * depth
+    inner = end + _INDENT
+    sep = "," + inner + _INDENT
+    encoder = json.JSONEncoder(sort_keys=True, check_circular=False, separators=(sep, ": "))
+    return (
+        encoder.encode,
+        "}" + sep + "{",
+        inner + "}," + inner + "{" + inner + _INDENT,
+        "[" + inner + "{" + inner + _INDENT,
+        inner + "}" + end + "]",
+    )
+
+
 def _json_dump(doc: dict) -> str:
     """``json.dumps(doc, sort_keys=True, indent=2)``, written directly.
 
@@ -91,11 +122,15 @@ def _json_dump(doc: dict) -> str:
     document) is written in place, the rows after one type check over all
     their ints.  So is a map whose values are all such lists (a ``verify``
     document's ``minimal_repetitions``), after one type scan over all its
-    rows and ints, in one comprehension over its sorted keys.  Any other
+    rows and ints, in one comprehension over its sorted keys.  So is a
+    list of flat records, non-empty dicts whose keys are all str and whose
+    values are all str, int, bool or None (the cells of a ``table``
+    document): one C encoder call writes them, and one ``str.replace``
+    lays out the text between records (:func:`_records`).  Any other
     non-empty container pushes a frame, and an exhausted frame writes its
-    closing bracket.  A value of any other type,
-    a float included, raises ``TypeError``, and so does a non-str key, in
-    ``encode_basestring_ascii`` (or in ``sorted``, among str keys).
+    closing bracket.  A value of any other type, a float included, raises
+    ``TypeError``, and so does a non-str key, in ``encode_basestring_ascii``
+    (or in ``sorted``, among str keys).
     """
     out: list[str] = []
     frames = [(iter((("", doc),)), 0, "")]
@@ -122,6 +157,16 @@ def _json_dump(doc: dict) -> str:
                     join_row = rows_ints.join
                     rows = rows_sep.join([join_row(map(int.__repr__, row)) for row in value])
                     out += rows_open, rows, rows_close
+                    continue
+                if (
+                    types == _DICTS
+                    and all(value)
+                    and {*map(type, chain.from_iterable(value))} == _STRS
+                    and {*map(type, chain.from_iterable(map(dict.values, value)))} <= _FLAT
+                ):
+                    encode, between, joined, records_open, records_close = _records(depth)
+                    items = encode(value)[2:-2].replace(between, joined)
+                    out += records_open, items, records_close
                     continue
                 seps = ["," + inner] * len(value)
                 seps[0] = "[" + inner
@@ -324,19 +369,22 @@ def cmd_verify(args) -> int:
 
 def cmd_deficiency(args) -> int:
     g = load_graph(args.input, args.format)
-    value, tree = min_tree(g)
+    betti = betti_number(g)  # a disconnected graph fails before the threshold
+    # one walk answers the plain minimum (threshold 0) and the qualified one
+    thresholds = (0,) if args.d is None else (0, args.d)
+    (value, tree), *qualified = _first_tree(g, thresholds, True)
     doc = {
         "command": "deficiency",
-        "betti_number": betti_number(g),
+        "betti_number": betti,
         "deficiency": value,
         "witness_tree": [list(e) for e in tree.sorted_edges()],
     }
     if args.d is not None:
         doc["qualified_threshold"] = args.d
         doc["qualified_deficiency"] = NO_QUALIFIED_TREE
-        if (qualified := min_tree(g, args.d)) is not None:
-            doc["qualified_deficiency"] = qualified[0]
-            doc["qualified_witness_tree"] = [list(e) for e in qualified[1].sorted_edges()]
+        if (found := qualified[0]) is not None:
+            doc["qualified_deficiency"] = found[0]
+            doc["qualified_witness_tree"] = [list(e) for e in found[1].sorted_edges()]
     lines = []
     if not args.json:
         lines = [

@@ -126,14 +126,22 @@ def decide_existence(
     never searches, and :func:`find_witness` turns a yes into a trace.
     """
     require_trace_host(g)
-    return _decide_cell(g, kind, direction, d)
+    return _decide_cell(
+        g, kind, direction, d, lambda threshold: _first_tree(g, (threshold,), False)[0]
+    )
 
 
 def _decide_cell(
-    g: Graph, kind: str, direction: str, d: int | None
+    g: Graph,
+    kind: str,
+    direction: str,
+    d: int | None,
+    first_tree,
 ) -> DecisionCertificate:
     """:func:`decide_existence` on a host that has passed
-    ``require_trace_host``."""
+    ``require_trace_host``.  ``first_tree(threshold)`` is the first qualified
+    ``(value, tree)`` at ``threshold`` or None, as ``_first_tree`` gives it;
+    only the antiparallel stable and strong cells ask for it."""
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
 
     if kind == "stable":
@@ -146,7 +154,7 @@ def _decide_cell(
 
     if kind == "stable" and direction == ANTIPARALLEL:
         threshold = 2 * d + 2
-        found = _first_tree(g, threshold, least=False)
+        found = first_tree(threshold)
         if found is None:
             return _no(spec, NO_QUALIFIED_TREE, threshold=threshold)
         return _yes_tree(spec, found[1])
@@ -154,7 +162,8 @@ def _decide_cell(
     if kind == "strong" and direction == ANTIPARALLEL:
         if betti_number(g) % 2 == 1:
             return _no(spec, PARITY_OBSTRUCTION, betti=betti_number(g))
-        found = min_tree(g, None)
+        # every tree qualified at None has value 0, so the first is the least
+        found = first_tree(None)
         if found is None:
             return _no(spec, NO_QUALIFIED_TREE, threshold=None)
         return _yes_tree(spec, found[1])
@@ -320,13 +329,27 @@ def condition_table(
     """All nine cells of the matrix; stable cells once per requested d.
 
     Each cell is :func:`decide_existence`'s certificate; the host is
-    checked once for the whole table.
+    checked once for the whole table, and one tree walk answers every
+    antiparallel cell that asks for a tree.
     """
     require_trace_host(g)
+    found: dict[int | None, tuple[int, SpanningTree] | None] = {}
     table: dict[tuple[str, str, int | None], DecisionCertificate] = {}
     for direction in DIRECTIONS:
-        table[("double", direction, None)] = _decide_cell(g, "double", direction, None)
+        if direction == ANTIPARALLEL:
+            # the cells of direction any have checked every d by now; the
+            # antiparallel stable cells whose degree rule passes ask for
+            # 2d + 2, and the strong cell for None when the Betti number is
+            # even
+            min_degree = g.min_degree()
+            thresholds = [2 * d + 2 for d in d_values if min_degree > d]
+            if betti_number(g) % 2 == 0:
+                thresholds.append(None)
+            if thresholds:
+                found = dict(zip(thresholds, _first_tree(g, thresholds, False)))
+        first_tree = found.__getitem__
+        table[("double", direction, None)] = _decide_cell(g, "double", direction, None, first_tree)
         for d in d_values:
-            table[("stable", direction, d)] = _decide_cell(g, "stable", direction, d)
-        table[("strong", direction, None)] = _decide_cell(g, "strong", direction, None)
+            table[("stable", direction, d)] = _decide_cell(g, "stable", direction, d, first_tree)
+        table[("strong", direction, None)] = _decide_cell(g, "strong", direction, None, first_tree)
     return table

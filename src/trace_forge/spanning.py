@@ -10,15 +10,19 @@ degree threshold.
 One depth-first search, ``iter_spanning_trees``, lists the spanning trees
 in the order ``itertools.combinations`` lists their edge sets, without a
 scan of all C(|E|, |V| - 1) subsets; the trees it builds are not checked
-again.  One index scorer, ``_score``, gives a tree's qualified deficiency
-from a union-find pass over its co-tree on vertex positions; every score in
-the package, ``qualified_deficiency_of_tree`` included, comes from it.  The
-positions, edge ends and degrees are kept on the graph
-(``Graph._scan_index``; its edge ends also number ``Graph._darts``).
-One scan driver, ``_pick``, scores the trees of the search in order and
-stops at the answer; ``min_tree`` and the first-qualified scan of the
-antiparallel stable decision run it, answer with the same ``(value,
-tree)`` pair and check again only the tree they return.
+again.  One index scorer, ``_score``, reads two numbers from a union-find
+pass over a tree's co-tree on vertex positions: the count of odd
+components and the least top degree among them, from which a tree's
+qualified deficiency at any threshold follows; every score in the package,
+``qualified_deficiency_of_tree`` included, comes from it.  The positions,
+edge ends and degrees are kept on the graph (``Graph._scan_index``; its
+edge ends also number ``Graph._darts``).  One scan driver, ``_pick``,
+scores the trees of the search in order for several thresholds at once and
+stops when each has its answer; ``min_tree``, the deficiency command (the
+plain and the qualified minimum) and the antiparallel cells of the
+decision and of the condition table run it through ``_first_tree``, one
+walk per call, answer with the same ``(value, tree)`` pair and check again
+only the trees they return.
 ``cotree_decomposition`` returns the components themselves, as a tuple.  A
 :class:`SpanningTree` carries its host, so the functions on a given tree
 take the tree alone.
@@ -40,7 +44,7 @@ four K4 blocks joined by four single edges has 393,216 trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotSpanningTreeError
 from .graph import Edge, Graph, _components, betti_number, require_connected
@@ -118,18 +122,16 @@ def cotree_decomposition(t: SpanningTree) -> tuple[CotreeComponent, ...]:
 
 
 def _score(
-    ends: dict[Edge, tuple[int, int]],
-    degrees: list[int],
-    cotree: Iterable[Edge],
-    threshold: int | None,
-) -> int | None:
-    """Qualified deficiency of the co-tree ``cotree``: the number of odd
-    components when each has a host degree of at least ``threshold``, else
-    None.  ``None`` admits no odd component and 0 admits every one.
+    ends: dict[Edge, tuple[int, int]], degrees: list[int], cotree: Iterable[Edge]
+) -> tuple[int, int]:
+    """The number of odd components of the co-tree ``cotree``, and the least
+    over them of the largest host degree in each (0 when there is none).
 
     One union-find pass over vertex positions keeps, for each root, the
     parity of its component's edge count and the largest host degree in it;
-    then the odd roots are read.
+    then the odd roots are read.  The qualified deficiency at a threshold
+    is the count when there is no odd component or the least of those
+    degrees meets the threshold (None admits no odd component), else None.
     """
     parent = list(range(len(degrees)))
     odd = [False] * len(degrees)
@@ -147,17 +149,22 @@ def _score(
             odd[a] = odd[a] is odd[b]  # the joining edge flips the sum's parity
             if top[b] > top[a]:
                 top[a] = top[b]
-    count = 0
+    count = least = 0
     for r, p in enumerate(parent):
         if p == r and odd[r]:
-            if threshold is None or top[r] < threshold:
-                return None
+            if not count or top[r] < least:
+                least = top[r]
             count += 1
-    return count
+    return count, least
 
 
 def _check_threshold(threshold: int | None) -> None:
-    if threshold is not None and threshold < 0:
+    if threshold is None:
+        return
+    # an exact type test: bool is an int subclass, and True is no degree
+    if type(threshold) is not int:
+        raise ValueError(f"degree threshold must be an integer or None, got {threshold!r}")
+    if threshold < 0:
         raise ValueError(f"degree threshold must be non-negative, got {threshold}")
 
 
@@ -165,10 +172,14 @@ def qualified_deficiency_of_tree(t: SpanningTree, threshold: int | None) -> int 
     """Number of odd co-tree components of t when each has a vertex of host
     degree at least ``threshold``, else None.  ``None`` admits no odd
     component, 0 admits every one (the plain deficiency of t), and a
-    negative threshold raises ``ValueError``."""
+    threshold that is not an int or None, or is negative, raises
+    ``ValueError``."""
     _check_threshold(threshold)
     _, ends, degrees = t.host._scan_index
-    return _score(ends, degrees, t.cotree_edges, threshold)
+    count, least_top = _score(ends, degrees, t.cotree_edges)
+    if count and (threshold is None or least_top < threshold):
+        return None
+    return count
 
 
 def _searched_tree(g: Graph, edges: frozenset[Edge]) -> SpanningTree:
@@ -237,40 +248,62 @@ _SPLIT = object()  # a scan ran long on a graph with a bridge
 def _pick(
     g: Graph,
     degrees: list[int],
-    threshold: int | None,
+    thresholds: Sequence[int | None],
     least: bool,
     gate: int | None = None,
-):
-    """The first qualified ``(value, tree)`` of least value, or the first
-    qualified one when not ``least``, over the trees of
-    :func:`iter_spanning_trees`; None when no tree qualifies.
+) -> list:
+    """For each of ``thresholds``, the first qualified ``(value, tree)`` of
+    least value, or the first qualified one when not ``least``, over the
+    trees of :func:`iter_spanning_trees`; None when no tree qualifies.  One
+    walk answers them all.
 
-    Each tree's value comes from :func:`_score` with ``degrees`` by vertex
-    position, and the walked trees are not checked again.  A threshold above
-    every degree admits no odd component, and component parities sum to
-    the Betti number, so an odd Betti number then rules out every tree
-    unwalked.  Every tree's value has the parity of the Betti number, so a
-    value of 0 or 1 ends the scan: none can be lower.  Once ``gate`` trees
-    have passed without an end and g has a bridge, the scan gives up with
+    Each tree is scored once by :func:`_score` with ``degrees`` by vertex
+    position, and each threshold still open reads its value from the score;
+    the walked trees are not checked again.  A threshold above every degree
+    admits no odd component, so it shares the answer of None, and
+    component parities sum to the Betti number, so an odd Betti number
+    then rules out every tree unwalked.  Every tree's value has the parity
+    of the Betti number, so a value of 0 or 1 closes a threshold: none can
+    be lower.  The walk ends once every threshold is closed.  Once ``gate``
+    trees have passed and g has a bridge, every threshold still open gets
     ``_SPLIT``.
     """
     betti = betti_number(g)  # rejects a disconnected graph before the shortcut
-    if threshold is None or threshold > max(degrees):
-        if betti % 2 == 1:
-            return None
-        threshold = None
+    top = max(degrees)
+    keys = []  # each threshold, or None for one above every degree
+    best = {}  # each key's answer so far
+    for k in thresholds:
+        if k is not None and k > top:
+            k = None
+        keys.append(k)
+        best[k] = None
+    pending = list(best)
+    if betti % 2 and None in best:
+        pending.remove(None)
+    if not pending:
+        return [None] * len(keys)
     ends = g._scan_index[1]
     edge_set = g.edge_set
-    best = None
     for walked, t in enumerate(iter_spanning_trees(g), 1):
-        value = _score(ends, degrees, edge_set - t.tree_edges, threshold)
-        if value is not None and (best is None or value < best[0]):
-            best = (value, t)
-            if value <= 1 or not least:
+        count, least_top = _score(ends, degrees, edge_set - t.tree_edges)
+        closed = False
+        for k in pending:
+            if count and (k is None or least_top < k):
+                continue  # not qualified at k
+            found = best[k]
+            if found is None or count < found[0]:
+                best[k] = (count, t)
+                if count <= 1 or not least:
+                    closed = True
+        if closed:
+            pending = [k for k in pending if best[k] is None or least and best[k][0] > 1]
+            if not pending:
                 break
         if walked == gate and g.bridges:
-            return _SPLIT
-    return best
+            for k in pending:
+                best[k] = _SPLIT
+            break
+    return list(map(best.__getitem__, keys))
 
 
 def _blocks(g: Graph) -> Iterator[Graph]:
@@ -282,44 +315,60 @@ def _blocks(g: Graph) -> Iterator[Graph]:
         yield Graph(tuple(sorted({x for e in edges for x in e})), tuple(edges))
 
 
-def _by_blocks(
-    g: Graph, threshold: int | None, least: bool
-) -> tuple[int, SpanningTree] | None:
+def _by_blocks(g: Graph, thresholds: Sequence[int | None], least: bool) -> list:
     """:func:`_pick` for g assembled from its blocks: the bridges lie in
     every spanning tree and no co-tree component crosses one, so a tree's
     value is the sum of its blocks' values with host degrees, and the first
     tree of least value (or the first qualified tree) is the union of each
-    block's own and the bridges."""
+    block's own and the bridges.  Each block is walked once for the
+    thresholds every block so far has answered."""
     position, _, degrees = g._scan_index
-    value, tree = 0, set(g.bridges)
+    sums = dict.fromkeys(thresholds, 0)
+    trees = {k: set(g.bridges) for k in sums}
     for h in _blocks(g):
-        found = _pick(h, [degrees[position[v]] for v in h.vertices], threshold, least)
-        if found is None:
-            return None
-        value += found[0]
-        tree |= found[1].tree_edges
-    return value, _searched_tree(g, frozenset(tree))
+        pending = list(sums)
+        picks = _pick(h, [degrees[position[v]] for v in h.vertices], pending, least)
+        for k, found in zip(pending, picks):
+            if found is None:
+                del sums[k]
+            else:
+                sums[k] += found[0]
+                trees[k] |= found[1].tree_edges
+        if not sums:
+            break
+    return [
+        (sums[k], _searched_tree(g, frozenset(trees[k]))) if k in sums else None
+        for k in thresholds
+    ]
 
 
-def _first_tree(
-    g: Graph, threshold: int | None, least: bool
-) -> tuple[int, SpanningTree] | None:
-    """``(value, tree)`` of the first qualified tree of least value, or of
-    the first qualified tree when not ``least``, in enumeration order; None
-    when no tree qualifies.
+def _first_tree(g: Graph, thresholds: Sequence[int | None], least: bool) -> tuple:
+    """For each of ``thresholds``, ``(value, tree)`` of the first qualified
+    tree of least value, or of the first qualified tree when not ``least``,
+    in enumeration order; None when no tree qualifies.  Each result is the
+    one a call with that threshold alone returns; one walk serves them all.
 
-    The scan walks the whole graph first.  After |E| trees without an end
-    it looks for bridges, and if there are any it starts again on each
-    bridge-free block (:func:`_by_blocks`), which walks the sum of the
-    blocks' tree counts instead of their product.  Only the returned tree
-    is checked once more.
+    A threshold that is not an int or None, or is negative, raises
+    ``ValueError``.  The scan walks the whole graph first.  After |E| trees
+    with thresholds still open it looks for bridges, and if there are any
+    it starts again on each bridge-free block for those thresholds
+    (:func:`_by_blocks`), which walks the sum of the blocks' tree counts
+    instead of their product.  Only the returned trees are checked once
+    more, each distinct tree once.
     """
-    found = _pick(g, g._scan_index[2], threshold, least, gate=g.num_edges)
-    if found is _SPLIT:
-        found = _by_blocks(g, threshold, least)
-    if found is not None:
-        _check_spanning_tree(g, found[1].tree_edges)
-    return found
+    for threshold in thresholds:
+        _check_threshold(threshold)
+    found = _pick(g, g._scan_index[2], thresholds, least, gate=g.num_edges)
+    if _SPLIT in found:
+        split = [k for k, f in zip(thresholds, found) if f is _SPLIT]
+        blocks = dict(zip(split, _by_blocks(g, split, least)))
+        found = [blocks[k] if f is _SPLIT else f for k, f in zip(thresholds, found)]
+    checked = set()
+    for f in found:
+        if f is not None and f[1].tree_edges not in checked:
+            _check_spanning_tree(g, f[1].tree_edges)
+            checked.add(f[1].tree_edges)
+    return tuple(found)
 
 
 def min_tree(g: Graph, threshold: int | None = 0) -> tuple[int, SpanningTree] | None:
@@ -329,10 +378,10 @@ def min_tree(g: Graph, threshold: int | None = 0) -> tuple[int, SpanningTree] | 
     A tree qualifies when each odd co-tree component has a vertex of degree
     at least ``threshold``: 0 lets every tree through, and ``None`` or a
     threshold above the maximum degree only trees with all-even co-trees; a
-    negative threshold raises ``ValueError``.  ``min_tree(g)[0]`` is the
-    deficiency of g.  The tree and its value are those of a scan over every
-    tree in enumeration order, found block by block once the scan runs long
-    on a graph with a bridge (:func:`_first_tree`).
+    threshold that is not an int or None, or is negative, raises
+    ``ValueError``.  ``min_tree(g)[0]`` is the deficiency of g.  The tree
+    and its value are those of a scan over every tree in enumeration order,
+    found block by block once the scan runs long on a graph with a bridge
+    (:func:`_first_tree`).
     """
-    _check_threshold(threshold)
-    return _first_tree(g, threshold, least=True)
+    return _first_tree(g, (threshold,), least=True)[0]

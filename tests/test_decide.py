@@ -229,6 +229,17 @@ def test_condition_table_checks_the_host_once(monkeypatch):
             assert cert == decide_existence(g, kind, direction, d), (g, kind, direction, d)
 
 
+def test_condition_table_walk_answers_each_cell_as_alone():
+    # one walk answers the antiparallel cells of a table whose orders repeat
+    # and come out of order; each cell is still the certificate
+    # decide_existence gives for it alone, from its own scan
+    for g in atlas_graphs(7):
+        table = condition_table(g, [2, 1, 2])
+        assert len(table) == 12
+        for (kind, direction, d), cert in table.items():
+            assert cert == decide_existence(g, kind, direction, d), (g, kind, direction, d)
+
+
 def test_build_k5(k5):
     w = build_antiparallel_d_stable(k5, 1)
     assert w is not None

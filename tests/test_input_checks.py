@@ -1,10 +1,12 @@
 """Input checks that no other test reaches: each rejects its input with its
 named error class."""
 
+import re
 from pathlib import Path
 
 import pytest
 
+from trace_forge import spanning
 from trace_forge.decide import (
     build_antiparallel_d_stable,
     decide_existence,
@@ -190,6 +192,26 @@ CASES = {
             "four-edge-connected": lambda d: sufficient_four_edge_connected(K5, d),
         }.items()
         for d in (1.5, True)
+    },
+    "joint-walk-negative-threshold": (
+        lambda: spanning._first_tree(K5, (4, -2), False),
+        ValueError,
+        "must be non-negative, got -2",
+    ),
+    # a degree threshold is an int or None: a bool, a float and a str are
+    # rejected, not read (True would admit every tree, as 1 does)
+    **{
+        f"{name}-threshold-{threshold!r}": (
+            lambda call=call, threshold=threshold: call(threshold),
+            ValueError,
+            re.escape(f"degree threshold must be an integer or None, got {threshold!r}"),
+        )
+        for name, call in {
+            "min-tree": lambda k: min_tree(K5, k),
+            "tree-score": lambda k: qualified_deficiency_of_tree(K4_STAR, k),
+            "joint-walk": lambda k: spanning._first_tree(K5, (0, k, None), True),
+        }.items()
+        for threshold in (True, 4.5, "4")
     },
 }
 

@@ -144,3 +144,93 @@ def test_writer_rejects_floats(doc):
 def test_writer_rejects_non_str_keys(doc):
     with pytest.raises(TypeError):
         cli._json_dump(doc)
+
+
+#: flat records: non-empty str-keyed dicts of str, int, bool and None, with
+#: strings that hold the text between two records, a line break, quotes,
+#: backslashes and non-ASCII letters
+_RECORDS = [
+    {"kind": "stable", "d": 1, "verdict": "yes", "strong": True, "label": None},
+    {"kind": "}, {", "d": -(10**20), "line": "a\nb", "ok": False},
+    {"x": '}\n  },\n  {"', "é漢": "\U0001f600\\", "": 0},
+    {"only": None},
+]
+
+
+def _placed(value) -> dict:
+    """``value`` at depths 0 to 3 of documents, beside other values."""
+    return {
+        "depth-0": value,
+        "depth-1": {"cells": value, "command": "table", "after": [[1, 2]]},
+        "depth-2": {"a": {"cells": value, "n": 3}, "b": [1], "z": value},
+        "depth-3": {"a": [{"cells": value}, value, 5], "b": {"c": {"d": value}}},
+    }
+
+
+def _record_calls(monkeypatch) -> list:
+    """Depths at which the writer takes the one-call path for records."""
+    depths = []
+    records = cli._records
+
+    def record(depth):
+        depths.append(depth)
+        return records(depth)
+
+    monkeypatch.setattr(cli, "_records", record)
+    return depths
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_RECORDS, _RECORDS[:1], [_RECORDS[1], _RECORDS[1]], tuple(_RECORDS)],
+    ids=["four-records", "one-record", "repeated-record", "tuple-of-records"],
+)
+def test_writer_on_flat_records(monkeypatch, value):
+    # a list of flat records is written by one encoder call at any depth
+    depths = _record_calls(monkeypatch)
+    for name, doc in _placed(value).items():
+        depths.clear()
+        assert cli._json_dump(doc) == _reference(doc), name
+        assert depths, name
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [{}],
+        [{"a": 1}, {}],
+        [{"a": {"b": 1}}],
+        [{"a": [1, 2]}],
+        [{"a": 1}, [1]],
+        [{"a": 1}, "b"],
+        [{"a": (1,)}],
+    ],
+    ids=[
+        "empty-record",
+        "record-then-empty",
+        "record-holding-a-dict",
+        "record-holding-a-list",
+        "record-then-list",
+        "record-then-str",
+        "record-holding-a-tuple",
+    ],
+)
+def test_writer_on_lists_that_are_not_flat_records(monkeypatch, value):
+    # anything else takes the general path, with the same bytes
+    depths = _record_calls(monkeypatch)
+    for name, doc in _placed(value).items():
+        assert cli._json_dump(doc) == _reference(doc), name
+    assert depths == []
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[{"a": 1.5}], [{"a": 1}, {"b": 0.0}], [{1: "a"}], [{"a": 1}, {(0, 1): 2}], [{True: 1}]],
+    ids=["float", "float-in-second", "int-key", "tuple-key", "bool-key"],
+)
+def test_writer_rejects_floats_and_non_str_keys_in_records(monkeypatch, value):
+    depths = _record_calls(monkeypatch)
+    for name, doc in _placed(value).items():
+        with pytest.raises(TypeError):
+            cli._json_dump(doc)
+    assert depths == []

@@ -1,6 +1,7 @@
 """Spanning trees, co-tree components, and deficiency quantities."""
 
 import random
+from collections import Counter
 from itertools import combinations, islice
 
 import networkx as nx
@@ -319,7 +320,7 @@ def test_scans_validate_only_the_trees_they_keep(monkeypatch):
         assert 20 < len(walked) <= 20 + 3 * 16
     checked.clear()
     assert min_tree(g, 6) is None and checked == []
-    _, tree = spanning._first_tree(g, 4, False)
+    ((_, tree),) = spanning._first_tree(g, (4,), False)
     assert checked == [tree.tree_edges]
 
 
@@ -352,10 +353,12 @@ def assert_block_scan_matches(g, thresholds):
 
     for threshold in thresholds:
         least, first = global_scans(g, threshold)
-        assert pair(spanning._by_blocks(g, threshold, True)) == least, threshold
-        assert pair(spanning._by_blocks(g, threshold, False)) == first, threshold
+        (by_least,) = spanning._by_blocks(g, (threshold,), True)
+        (by_first,) = spanning._by_blocks(g, (threshold,), False)
+        assert pair(by_least) == least, threshold
+        assert pair(by_first) == first, threshold
         assert pair(min_tree(g, threshold)) == least, threshold
-        assert pair(spanning._first_tree(g, threshold, False)) == first, threshold
+        assert pair(spanning._first_tree(g, (threshold,), False)[0]) == first, threshold
 
 
 def test_block_scan_matches_global_scan_on_bridged_atlas_graphs():
@@ -383,7 +386,101 @@ def test_block_scan_of_a_bridge_free_graph_is_the_global_scan():
     assert list(spanning._blocks(K4_PAIR)) == [K4_PAIR]
     for threshold in (0, None, 4, 6, ring.max_degree() + 1):
         first = next(qualified_trees(ring, threshold), None)
-        found = spanning._by_blocks(ring, threshold, False)
-        assert found == spanning._first_tree(ring, threshold, False) == first
+        (found,) = spanning._by_blocks(ring, (threshold,), False)
+        assert (found,) == spanning._first_tree(ring, (threshold,), False) == (first,)
     for threshold in (None, 6, ring.max_degree() + 1):
-        assert min_tree(ring, threshold) is spanning._by_blocks(ring, threshold, True) is None
+        assert min_tree(ring, threshold) is None
+        assert spanning._by_blocks(ring, (threshold,), True) == [None]
+
+
+WALK_THRESHOLDS = (0, 3, 4, 5, 6, 8, None)
+
+
+def threshold_tuples(rng):
+    """Threshold tuples for one graph: every threshold in a shuffled order,
+    and three draws of one to four thresholds with repeats."""
+    everything = list(WALK_THRESHOLDS)
+    rng.shuffle(everything)
+    draws = [tuple(rng.choices(WALK_THRESHOLDS, k=rng.randint(1, 4))) for _ in range(3)]
+    return [tuple(everything), *draws]
+
+
+def assert_walk_matches_single_scans(g, tuples, leasts=(True, False)):
+    """One walk over several thresholds returns, for each, what the scan
+    with that threshold alone returns."""
+    for least in leasts:
+        single = {}
+        for thresholds in tuples:
+            for k in thresholds:
+                if k not in single:
+                    single[k] = spanning._first_tree(g, (k,), least)[0]
+            got = spanning._first_tree(g, thresholds, least)
+            assert list(got) == [single[k] for k in thresholds], (g.edges, thresholds, least)
+
+
+def test_walk_matches_single_scans_on_atlas():
+    rng = random.Random(31)
+    for g in atlas_graphs(7):
+        assert_walk_matches_single_scans(g, threshold_tuples(rng))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCANS))
+def test_walk_matches_single_scans_on_larger_graphs(name):
+    # k4chain2 and k4chain3 take the block path, and a threshold the whole
+    # graph settles before the gate stays out of the blocks
+    g, _ = PINNED_SCANS[name]
+    assert_walk_matches_single_scans(g, threshold_tuples(random.Random(name)))
+
+
+def test_walk_matches_single_scans_on_the_ring():
+    # a least scan at 0, 3 or 4 walks most of the ring's 393,216 trees, so
+    # only first-qualified walks take those; 5, 6, 8 and None exceed every
+    # degree and the Betti number 13 is odd, so they walk nothing
+    ring = k4_ring(4)
+    assert_walk_matches_single_scans(ring, [WALK_THRESHOLDS, (None, 0, 4, 0), (8, 3)], [False])
+    assert_walk_matches_single_scans(ring, [(5, 6, 8, None), (None, 6, 6)], [True])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "-d", "1,2,3"], ["deficiency", "-d", "4"]],
+    ids=["table", "deficiency"],
+)
+def test_commands_walk_each_graph_once(tmp_path, monkeypatch, capsys, argv):
+    # one walk per graph answers every threshold a command asks for: the
+    # whole graph once, and each block once when the walk goes to the
+    # blocks; each distinct returned tree is checked once
+    from trace_forge import cli, decide
+
+    walks, checked, returned = [], [], []
+    trees, check = spanning.iter_spanning_trees, spanning._check_spanning_tree
+
+    def walking(g):
+        walks.append((g.vertices, g.edges))
+        return trees(g)
+
+    def counting(g, edges):
+        checked.append(edges)
+        check(g, edges)
+
+    def recording(first_tree):
+        def call(g, thresholds, least):
+            found = first_tree(g, thresholds, least)
+            returned.extend(f[1].tree_edges for f in found if f is not None)
+            return found
+
+        return call
+
+    monkeypatch.setattr(spanning, "iter_spanning_trees", walking)
+    monkeypatch.setattr(spanning, "_check_spanning_tree", counting)
+    monkeypatch.setattr(cli, "_first_tree", recording(spanning._first_tree))
+    monkeypatch.setattr(decide, "_first_tree", recording(spanning._first_tree))
+    graphs = [k4_chain(3), K4_PAIR, grid_graph(3), *atlas_graphs(5)]
+    for i, g in enumerate(graphs):
+        path = tmp_path / f"{i}.edges"
+        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges))
+        walks.clear(), checked.clear(), returned.clear()
+        assert cli.main([argv[0], "-i", str(path), *argv[1:], "--json"]) == 0
+        assert len(walks) == len(set(walks)), g.edges
+        assert Counter(checked) == Counter(set(returned)), g.edges
+    capsys.readouterr()
