@@ -2,7 +2,12 @@
 
 Each cell of the kind x direction matrix is decided by its exact structural
 predicate, without a search: an antiparallel stable or strong yes carries a
-qualifying spanning tree, and a no names the violated condition.
+qualifying spanning tree, and a no names the violated condition.  One
+evaluator answers a single cell, the whole table and :func:`find_witness`
+alike.  It reads each graph fact (the minimum degree, the degree parity,
+the Betti number) at most once, and only for a cell that needs it, and one
+tree walk answers every antiparallel cell that reaches the tree test.
+Every entry point checks the host before the cell.
 :func:`find_witness` is the one place that picks how a witness trace comes
 about, by construction or by search.  The constructive pipeline builds an
 antiparallel d-stable trace by repeatedly splitting a high-degree vertex
@@ -77,10 +82,6 @@ def _no(spec, condition, **detail) -> DecisionCertificate:
     )
 
 
-def _yes_tree(spec, tree) -> DecisionCertificate:
-    return DecisionCertificate(verdict=True, spec=spec, witness_tree=tree)
-
-
 def _doubled_euler_tour(g: Graph) -> DoubleTrace:
     """An Euler tour of a connected Eulerian graph, walked twice.
 
@@ -126,49 +127,53 @@ def decide_existence(
     never searches, and :func:`find_witness` turns a yes into a trace.
     """
     require_trace_host(g)
-    return _decide_cell(
-        g, kind, direction, d, lambda threshold: _first_tree(g, (threshold,), False)[0]
-    )
+    return _decide_cells(g, [TraceSpec(kind, direction, d)])[0]
 
 
-def _decide_cell(
-    g: Graph,
-    kind: str,
-    direction: str,
-    d: int | None,
-    first_tree,
-) -> DecisionCertificate:
-    """:func:`decide_existence` on a host that has passed
-    ``require_trace_host``.  ``first_tree(threshold)`` is the first qualified
-    ``(value, tree)`` at ``threshold`` or None, as ``_first_tree`` gives it;
-    only the antiparallel stable and strong cells ask for it."""
-    spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
+def _decide_cells(g: Graph, specs: list[TraceSpec]) -> list[DecisionCertificate]:
+    """The certificate of each of ``specs``, in order, on a host that has
+    passed ``require_trace_host``.
 
-    if kind == "stable":
-        min_degree = g.min_degree()
-        if min_degree <= d:
-            return _no(spec, MIN_DEGREE, min_degree=min_degree)
-
-    if direction == PARALLEL and any(n % 2 for n in map(len, g.adjacency.values())):
-        return _no(spec, NOT_EULERIAN)
-
-    if kind == "stable" and direction == ANTIPARALLEL:
-        threshold = 2 * d + 2
-        found = first_tree(threshold)
+    The minimum degree, the degree parity and the Betti number are each read
+    at most once, on the first cell that needs them.  The antiparallel cells
+    that reach the tree test, a stable one at 2d + 2 once its degree rule
+    passes and the strong one at None on an even Betti number, share one
+    walk; every tree qualified at None has value 0, so the first is the
+    least.
+    """
+    min_degree = eulerian = betti = None
+    certs = []
+    walk: dict[int, int | None] = {}  # cell position -> tree threshold
+    for i, spec in enumerate(specs):
+        if spec.kind == "stable":
+            if min_degree is None:
+                min_degree = g.min_degree()
+            if min_degree <= spec.d:
+                certs.append(_no(spec, MIN_DEGREE, min_degree=min_degree))
+                continue
+        if spec.direction == PARALLEL:
+            if eulerian is None:
+                eulerian = not any(n % 2 for n in map(len, g.adjacency.values()))
+            if not eulerian:
+                certs.append(_no(spec, NOT_EULERIAN))
+                continue
+        elif spec.direction == ANTIPARALLEL and spec.kind == "stable":
+            walk[i] = 2 * spec.d + 2
+        elif spec.direction == ANTIPARALLEL and spec.kind == "strong":
+            if betti is None:
+                betti = betti_number(g)
+            if betti % 2 == 1:
+                certs.append(_no(spec, PARITY_OBSTRUCTION, betti=betti))
+                continue
+            walk[i] = None
+        certs.append(DecisionCertificate(verdict=True, spec=spec))
+    trees = _first_tree(g, list(walk.values()), False) if walk else ()
+    for (i, threshold), found in zip(walk.items(), trees):
         if found is None:
-            return _no(spec, NO_QUALIFIED_TREE, threshold=threshold)
-        return _yes_tree(spec, found[1])
-
-    if kind == "strong" and direction == ANTIPARALLEL:
-        if betti_number(g) % 2 == 1:
-            return _no(spec, PARITY_OBSTRUCTION, betti=betti_number(g))
-        # every tree qualified at None has value 0, so the first is the least
-        found = first_tree(None)
-        if found is None:
-            return _no(spec, NO_QUALIFIED_TREE, threshold=None)
-        return _yes_tree(spec, found[1])
-
-    return DecisionCertificate(verdict=True, spec=spec)
+            certs[i] = _no(specs[i], NO_QUALIFIED_TREE, threshold=threshold)
+        else:
+            certs[i].witness_tree = found[1]
+    return certs
 
 
 def find_witness(
@@ -182,18 +187,19 @@ def find_witness(
     """A trace in one cell of the matrix, or None when the cell is a no.
 
     The antiparallel stable cell is built by
-    :func:`build_antiparallel_d_stable`.  Any other cell asks
-    :func:`decide_existence` first and answers a no without searching.  A
-    parallel yes takes the doubled Euler tour when it satisfies the cell
-    (double, d = 1, strong on a cycle).  The cells with no construction,
-    every cell of direction any, double antiparallel, strong antiparallel,
-    parallel d >= 2 and parallel strong off a cycle, search under
-    ``budget``; no budget means ``search.DEFAULT_BUDGET``.
+    :func:`build_antiparallel_d_stable`.  Any other cell is decided first,
+    host before cell as in :func:`decide_existence`, and a no is answered
+    without searching.  A parallel yes takes the doubled Euler tour when it
+    satisfies the cell (double, d = 1, strong on a cycle).  The cells with
+    no construction, every cell of direction any, double antiparallel,
+    strong antiparallel, parallel d >= 2 and parallel strong off a cycle,
+    search under ``budget``; no budget means ``search.DEFAULT_BUDGET``.
     """
-    spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
     if kind == "stable" and direction == ANTIPARALLEL:
         return build_antiparallel_d_stable(g, d, budget=budget)
-    if not decide_existence(g, kind, direction, d).verdict:
+    require_trace_host(g)
+    spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
+    if not _decide_cells(g, [spec])[0].verdict:
         return None
     if direction == PARALLEL:
         # the graph is connected and Eulerian here, so the doubled tour exists
@@ -312,8 +318,8 @@ def sufficient_four_edge_connected(g: Graph, d: int) -> bool:
     Never contradicts :func:`decide_existence`: True implies the antiparallel
     d-stable cell is a yes.
     """
-    TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     require_connected(g)
+    TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     if g.num_vertices < 2:
         return False
     if g.min_degree() <= d:
@@ -328,28 +334,13 @@ def condition_table(
 ) -> dict[tuple[str, str, int | None], DecisionCertificate]:
     """All nine cells of the matrix; stable cells once per requested d.
 
-    Each cell is :func:`decide_existence`'s certificate; the host is
-    checked once for the whole table, and one tree walk answers every
-    antiparallel cell that asks for a tree.
+    Each cell is :func:`decide_existence`'s certificate for it alone; the
+    host is checked once, and one evaluator call answers every cell.
     """
     require_trace_host(g)
-    found: dict[int | None, tuple[int, SpanningTree] | None] = {}
-    table: dict[tuple[str, str, int | None], DecisionCertificate] = {}
-    for direction in DIRECTIONS:
-        if direction == ANTIPARALLEL:
-            # the cells of direction any have checked every d by now; the
-            # antiparallel stable cells whose degree rule passes ask for
-            # 2d + 2, and the strong cell for None when the Betti number is
-            # even
-            min_degree = g.min_degree()
-            thresholds = [2 * d + 2 for d in d_values if min_degree > d]
-            if betti_number(g) % 2 == 0:
-                thresholds.append(None)
-            if thresholds:
-                found = dict(zip(thresholds, _first_tree(g, thresholds, False)))
-        first_tree = found.__getitem__
-        table[("double", direction, None)] = _decide_cell(g, "double", direction, None, first_tree)
-        for d in d_values:
-            table[("stable", direction, d)] = _decide_cell(g, "stable", direction, d, first_tree)
-        table[("strong", direction, None)] = _decide_cell(g, "strong", direction, None, first_tree)
-    return table
+    specs = [
+        TraceSpec(kind, direction, d)
+        for direction in DIRECTIONS
+        for kind, d in (("double", None), *(("stable", d) for d in d_values), ("strong", None))
+    ]
+    return {(c.spec.kind, c.spec.direction, c.spec.d): c for c in _decide_cells(g, specs)}

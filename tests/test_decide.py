@@ -24,7 +24,7 @@ from trace_forge.errors import (
     NotAntiparallelError,
     NotStableError,
 )
-from trace_forge.graph import betti_number, build_graph, complete_graph
+from trace_forge.graph import Graph, betti_number, build_graph, complete_graph
 from trace_forge.search import find_trace
 from trace_forge.spanning import (
     cotree_decomposition,
@@ -208,21 +208,35 @@ def test_condition_table_k5_d_sweep(k5):
 
 def test_condition_table_checks_the_host_once(monkeypatch):
     """Every cell of the table is the certificate decide_existence gives
-    for it alone, and the host is checked once per table."""
+    for it alone, and the host is checked once per table; the minimum
+    degree, the Betti number and the tree walk are each read at most once
+    per table."""
     import trace_forge.decide as decide_module
 
-    checks = []
-    check = decide_module.require_trace_host
+    owners = {
+        "require_trace_host": decide_module,
+        "betti_number": decide_module,
+        "_first_tree": decide_module,
+        "min_degree": Graph,
+    }
+    hosts = {name: [] for name in owners}  # the graph of each call
 
-    def counted(g):
-        checks.append(g)
-        check(g)
+    def counted(name, f):
+        def call(g, *args):
+            hosts[name].append(g)
+            return f(g, *args)
 
-    monkeypatch.setattr(decide_module, "require_trace_host", counted)
+        return call
+
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     for g in atlas_graphs(7):
-        checks.clear()
+        for seen in hosts.values():
+            seen.clear()
         table = condition_table(g, [1, 2, 3])
-        assert checks == [g]
+        assert hosts["require_trace_host"] == [g]
+        for name in ("min_degree", "betti_number", "_first_tree"):
+            assert hosts[name] in ([], [g]), (g, name, hosts[name])
         assert len(table) == 15
         for (kind, direction, d), cert in table.items():
             # dataclass equality: verdict, cell, witness tree, condition, detail

@@ -9,6 +9,7 @@ import pytest
 from trace_forge import spanning
 from trace_forge.decide import (
     build_antiparallel_d_stable,
+    condition_table,
     decide_existence,
     find_witness,
     sufficient_four_edge_connected,
@@ -178,6 +179,23 @@ CASES = {
         )
         for d in (0, -1, -3)
     },
+    # every decision entry point checks the host before the cell, so a
+    # disconnected host with a bad d names the host
+    **{
+        f"{name}-host-before-d": (
+            call, DisconnectedGraphError, "requires a connected graph"
+        )
+        for name, call in {
+            "decide": lambda: decide_existence(TWO_TRIANGLES, "stable", "any", 0),
+            "table": lambda: condition_table(TWO_TRIANGLES, [1, 0]),
+            "find-witness": lambda: find_witness(TWO_TRIANGLES, "stable", "any", 0),
+            "build-pipeline": lambda: build_antiparallel_d_stable(TWO_TRIANGLES, 0),
+            "four-edge-connected": lambda: sufficient_four_edge_connected(TWO_TRIANGLES, 0),
+        }.items()
+    },
+    "table-bad-d-after-a-good-one": (
+        lambda: condition_table(K3, [1, 0]), ValueError, "stable kind needs d >= 1"
+    ),
     # a stability order is an int: a float and a bool are rejected, not read
     **{
         f"{name}-d-{d}": (

@@ -151,13 +151,20 @@ def test_witnesses_are_dispatched_in_decide_only():
 def test_cli_import_leaves_networkx_unloaded(tmp_path):
     # networkx takes most of the start-up time; only graph6 parsing and
     # edge connectivity load it, on first use.  A deficiency scan of three
-    # K4 blocks joined by two bridges finds the bridges without it.
+    # K4 blocks joined by two bridges finds the bridges without it.  The
+    # import itself loads no top-level package outside the standard library
+    # but trace_forge; modules loaded before it (start-up .pth hooks) do
+    # not count.
     edges = tmp_path / "k4chain3.edges"
     edges.write_text("".join(f"{u} {v}\n" for u, v in k4_chain(3).edges))
     src = str(SOURCE.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     probe = (
-        "import contextlib, io, sys, trace_forge.cli\n"
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "import trace_forge.cli\n"
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(*sorted(loaded - set(sys.stdlib_module_names)), sep=',')\n"
         "print('networkx' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = trace_forge.cli.main(['deficiency', '-i', {str(edges)!r}, '-d', '4'])\n"
@@ -170,7 +177,7 @@ def test_cli_import_leaves_networkx_unloaded(tmp_path):
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert out.stdout.split() == ["False", "0", "False"]
+    assert out.stdout.split() == ["trace_forge", "False", "0", "False"]
 
 
 def _names_imported_from(tree: ast.Module, module: str) -> list[str]:
