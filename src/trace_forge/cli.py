@@ -9,12 +9,12 @@ versioned schema key.
 Every ``--json`` document is written by :func:`_json_dump`, a small writer
 for the values documents hold: str-keyed dicts, lists, tuples, str, int,
 bool and None.  Its text is byte for byte ``json.dumps(doc,
-sort_keys=True, indent=2)``.  That call would run the standard library's
-pure-Python encoder, which ``indent`` forces, one generator step per
-value; the writer escapes strings with the C ``encode_basestring_ascii``
-and writes a list of ints, or of int rows, or a map of such row lists,
-with ``join`` alone, and a list of flat records (the cells of a ``table``
-document) with one call of the C encoder.
+sort_keys=True, indent=2)``, which would run the standard library's
+pure-Python encoder, since ``indent`` forces it.  The writer has one
+layout mechanism besides its general frame stack: a flat container, a
+list of flat rows or records, and a map of row lists (a ``verify``
+document's) are each written by one call of the C encoder and
+``str.replace`` calls anchored on its separators.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from json.encoder import encode_basestring_ascii
 from .decide import (
     NO_QUALIFIED_TREE,
     DecisionCertificate,
+    _witness,
     condition_table,
     decide_existence,
     find_witness,
@@ -57,59 +58,77 @@ EXIT_ERROR = 2
 
 _INDENT = "  "
 _SEQUENCES = frozenset((list, tuple))
-_INTS = frozenset((int,))
-_DICTS = frozenset((dict,))
 _STRS = frozenset((str,))
 _FLAT = frozenset((str, int, bool, type(None)))
 
 
 @functools.cache
-def _layout(depth: int) -> tuple[str, str, str, str, str, str]:
-    """The text around the items at ``depth``, built once per depth.
+def _encoder(depth: int, key_sep: str = ": "):
+    """A C encoder's ``encode`` (no ``indent``, so it runs in C) whose item
+    separator is the comma, line break and indent before an item at ``depth``."""
+    separators = (",\n" + _INDENT * depth, key_sep)
+    return json.JSONEncoder(sort_keys=True, check_circular=False, separators=separators).encode
 
-    ``end`` starts an item's line and ``inner`` a line one deeper.  The
-    other four lay out a list of int rows standing at ``depth``: the text
-    before its first int, between two ints of a row, between two rows, and
-    after its last int.
+
+def _one_call(value, depth: int) -> str | None:
+    """The text of a non-empty list, tuple or dict standing at ``depth``,
+    from one C encoder call, or None when it has none of three shapes:
+    (a) flat, items of type str, int, bool or None, under str keys in a
+    dict; (b) a list of non-empty flat containers, all lists and tuples
+    (rows) or all dicts (records); (c) a str-keyed map of non-empty lists
+    of non-empty flat lists (a ``verify`` document's repetitions).
+
+    The encoder writes the separators of the deepest items; the outer
+    brackets are sliced off, and the text between two containers of a
+    level is replaced where it meets a separator.  A replaced text occurs
+    only where it is meant: each separator, the key separator ``":\\n"`` of
+    (c) included, holds a raw line break, which no ASCII-escaped string
+    holds, and no item of a flat container starts with a bracket.
     """
     end = "\n" + _INDENT * depth
     inner = end + _INDENT
-    row_inner = inner + _INDENT
-    return (
-        end,
-        inner,
-        "[" + inner + "[" + row_inner,
-        "," + row_inner,
-        inner + "]," + inner + "[" + row_inner,
-        inner + "]" + end + "]",
+    deep = inner + _INDENT
+    if type(value) is dict:
+        if {*map(type, value)} != _STRS:
+            return None
+        lists = value.values()
+        types = {*map(type, lists)}
+        if types <= _FLAT:
+            return "{" + inner + _encoder(depth + 1)(value)[1:-1] + end + "}"
+        if not (types <= _SEQUENCES and all(lists)):
+            return None
+        rows = [*chain.from_iterable(lists)]
+        if not ({*map(type, rows)} <= _SEQUENCES and all(rows)):
+            return None
+        if not {*map(type, chain.from_iterable(rows))} <= _FLAT:
+            return None
+        deepest = deep + _INDENT
+        text = (
+            _encoder(depth + 3, ":\n")(value)[1:-3]
+            .replace("]," + deepest + "[", deep + "]," + deep + "[" + deepest)
+            .replace("]]," + deepest, deep + "]" + inner + "]," + inner)
+            .replace(":\n[[", ": [" + deep + "[" + deepest)
+        )
+        return "{" + inner + text + deep + "]" + inner + "]" + end + "}"
+    types = {*map(type, value)}
+    if types <= _FLAT:
+        return "[" + inner + _encoder(depth + 1)(value)[1:-1] + end + "]"
+    if not all(value):
+        return None
+    if types <= _SEQUENCES:
+        opening, closing, keys = "[", "]", ()
+        items = chain.from_iterable(value)
+    elif types == {dict}:
+        opening, closing, keys = "{", "}", chain.from_iterable(value)
+        items = chain.from_iterable(map(dict.values, value))
+    else:
+        return None
+    if not ({*map(type, keys)} <= _STRS and {*map(type, items)} <= _FLAT):
+        return None
+    text = _encoder(depth + 2)(value)[2:-2].replace(
+        closing + "," + deep + opening, inner + closing + "," + inner + opening + deep
     )
-
-
-@functools.cache
-def _records(depth: int) -> tuple:
-    """How a list of flat records standing at ``depth`` is written, built
-    once per depth: a C encoder call, the text it writes between two
-    records and what that text becomes, and the text before and after the
-    records' joined items.
-
-    Without ``indent`` the standard encoder runs in C; its item separator
-    is the line break before an item of a record, so only the brackets
-    between and around the records need the list-level layout.  The text
-    between two records, ``}`` then the separator then ``{``, occurs nowhere
-    else: an ASCII-escaped string holds no raw line break, and a record's
-    items start with a key, never with ``{``.
-    """
-    end = "\n" + _INDENT * depth
-    inner = end + _INDENT
-    sep = "," + inner + _INDENT
-    encoder = json.JSONEncoder(sort_keys=True, check_circular=False, separators=(sep, ": "))
-    return (
-        encoder.encode,
-        "}" + sep + "{",
-        inner + "}," + inner + "{" + inner + _INDENT,
-        "[" + inner + "{" + inner + _INDENT,
-        inner + "}" + end + "]",
-    )
+    return "[" + inner + opening + deep + text + inner + closing + end + "]"
 
 
 def _json_dump(doc: dict) -> str:
@@ -117,88 +136,39 @@ def _json_dump(doc: dict) -> str:
 
     A stack of open containers replaces recursion: each frame holds an
     iterator over its items, each item paired with the text that goes
-    before it (separator, newline, indent and key).  A scalar, a list of
-    ints or a list of non-empty int rows (the components of a ``verify``
-    document) is written in place, the rows after one type check over all
-    their ints.  So is a map whose values are all such lists (a ``verify``
-    document's ``minimal_repetitions``), after one type scan over all its
-    rows and ints, in one comprehension over its sorted keys.  So is a
-    list of flat records, non-empty dicts whose keys are all str and whose
-    values are all str, int, bool or None (the cells of a ``table``
-    document): one C encoder call writes them, and one ``str.replace``
-    lays out the text between records (:func:`_records`).  Any other
-    non-empty container pushes a frame, and an exhausted frame writes its
-    closing bracket.  A value of any other type, a float included, raises
-    ``TypeError``, and so does a non-str key, in ``encode_basestring_ascii``
-    (or in ``sorted``, among str keys).
+    before it (separator, newline, indent and key).  A scalar is written
+    in place, and so is a container that :func:`_one_call` writes in one
+    C encoder call.  Any other non-empty container pushes a frame, and an
+    exhausted frame writes its closing bracket.  A value of any other
+    type, a float included, raises ``TypeError``, and so does a non-str
+    key, in ``encode_basestring_ascii`` (or in ``sorted``, among str keys).
     """
     out: list[str] = []
     frames = [(iter((("", doc),)), 0, "")]
     while frames:
         items, depth, close = frames[-1]
-        end, inner, rows_open, rows_ints, rows_sep, rows_close = _layout(depth)
+        end = "\n" + _INDENT * depth
+        inner = end + _INDENT
         for prefix, value in items:
             out.append(prefix)
             kind = type(value)
-            if kind is list or kind is tuple:
+            if kind is list or kind is tuple or kind is dict:
                 if not value:
-                    out.append("[]")
+                    out.append("{}" if kind is dict else "[]")
                     continue
-                types = {*map(type, value)}
-                if types == _INTS:
-                    ints = ("," + inner).join(map(int.__repr__, value))
-                    out.append("[" + inner + ints + end + "]")
+                text = _one_call(value, depth)
+                if text is not None:
+                    out.append(text)
                     continue
-                if (
-                    types <= _SEQUENCES
-                    and all(value)
-                    and {*map(type, chain.from_iterable(value))} == _INTS
-                ):
-                    join_row = rows_ints.join
-                    rows = rows_sep.join([join_row(map(int.__repr__, row)) for row in value])
-                    out += rows_open, rows, rows_close
-                    continue
-                if (
-                    types == _DICTS
-                    and all(value)
-                    and {*map(type, chain.from_iterable(value))} == _STRS
-                    and {*map(type, chain.from_iterable(map(dict.values, value)))} <= _FLAT
-                ):
-                    encode, between, joined, records_open, records_close = _records(depth)
-                    items = encode(value)[2:-2].replace(between, joined)
-                    out += records_open, items, records_close
-                    continue
-                seps = ["," + inner] * len(value)
-                seps[0] = "[" + inner
-                frames.append((zip(seps, value), depth + 1, end + "]"))
-                break
-            if kind is dict:
-                if not value:
-                    out.append("{}")
-                    continue
-                keys = sorted(value)
-                lists = value.values()
-                if {*map(type, lists)} <= _SEQUENCES and all(lists):
-                    rows = [*chain.from_iterable(lists)]
-                    if (
-                        {*map(type, rows)} <= _SEQUENCES
-                        and all(rows)
-                        and {*map(type, chain.from_iterable(rows))} == _INTS
-                    ):
-                        # each value's rows stand one level deeper
-                        _, _, deep_open, deep_ints, deep_sep, deep_close = _layout(depth + 1)
-                        join_row = deep_ints.join
-                        entries = ("," + inner).join([
-                            encode_basestring_ascii(key) + ": " + deep_open
-                            + deep_sep.join([join_row(map(int.__repr__, row)) for row in value[key]])
-                            + deep_close
-                            for key in keys
-                        ])
-                        out.append("{" + inner + entries + end + "}")
-                        continue
-                seps = ["," + inner + encode_basestring_ascii(key) + ": " for key in keys]
-                seps[0] = "{" + seps[0][1:]
-                frames.append((zip(seps, map(value.__getitem__, keys)), depth + 1, end + "}"))
+                if kind is dict:
+                    keys = sorted(value)
+                    seps = ["," + inner + encode_basestring_ascii(key) + ": " for key in keys]
+                    seps[0] = "{" + seps[0][1:]
+                    frames.append((zip(seps, map(value.__getitem__, keys)), depth + 1, end + "}"))
+                else:
+                    seps = ["," + inner] * len(value)
+                    seps[0] = "[" + inner
+                    frames.append((zip(seps, value), depth + 1, end + "]"))
                 break
             if kind is str:
                 out.append(encode_basestring_ascii(value))
@@ -283,9 +253,8 @@ def cmd_decide(args) -> int:
     g = load_graph(args.input, args.format)
     budget = _budget()
     cert = decide_existence(g, args.kind, args.direction, args.d)
-    trace = None
-    if cert.verdict and cert.witness_tree is None:
-        trace = find_witness(g, args.kind, args.direction, args.d, budget=budget)
+    # a yes without a tree takes its trace from the decided cell
+    trace = _witness(g, cert, budget) if cert.witness_tree is None else None
     if args.oracle:
         # a witness that classifies into the cell confirms a yes unsearched
         witnessed = trace is not None and spec_satisfied(cert.spec, classify_trace(trace))

@@ -199,9 +199,17 @@ def find_witness(
         return build_antiparallel_d_stable(g, d, budget=budget)
     require_trace_host(g)
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
-    if not _decide_cells(g, [spec])[0].verdict:
+    return _witness(g, _decide_cells(g, [spec])[0], budget)
+
+
+def _witness(g: Graph, cert: DecisionCertificate, budget: int | None) -> DoubleTrace | None:
+    """:func:`find_witness`'s trace for a cell already decided on ``g``,
+    other than the antiparallel stable cell: None for a no, else the
+    doubled Euler tour or a search."""
+    spec = cert.spec
+    if not cert.verdict:
         return None
-    if direction == PARALLEL:
+    if spec.direction == PARALLEL:
         # the graph is connected and Eulerian here, so the doubled tour exists
         trace = _doubled_euler_tour(g)
         if spec_satisfied(spec, classify_trace(trace)):

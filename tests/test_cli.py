@@ -533,7 +533,7 @@ def test_table_oracle_searches_large_hosts_under_budget(tmp_path, capsys, monkey
 def test_oracle_disagreement_names_the_cell(capsys, monkeypatch, argv, cell):
     monkeypatch.setattr(cli, "find_trace", lambda g, spec, budget: None)
     # with no witness in hand, decide's yes-cell goes to the oracle
-    monkeypatch.setattr(cli, "find_witness", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "_witness", lambda *args, **kwargs: None)
     code = main(argv + ["-i", str(FIXTURES / "k3.edges"), "--oracle"])
     assert code == 2
     assert capsys.readouterr().err == (
@@ -568,6 +568,26 @@ def test_decide_oracle_trusts_a_witness_in_hand(capsys, monkeypatch):
     code, _ = run(capsys, "decide", "-i", k5, "--kind", "strong",
                   "--direction", "antiparallel", "--oracle")  # fmt: skip
     assert code == 0 and len(searches) == 1
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [["--kind", "double"], ["--kind", "stable", "-d", "1", "--direction", "parallel"]],
+    ids=["double-any", "stable-parallel"],
+)
+def test_decide_decides_a_treeless_yes_once(capsys, monkeypatch, cell):
+    # the witness step takes decide's certificate instead of deciding again
+    calls = []
+    decide_cells = decide._decide_cells
+
+    def counting(g, specs):
+        calls.append(specs)
+        return decide_cells(g, specs)
+
+    monkeypatch.setattr(decide, "_decide_cells", counting)
+    code, out = run(capsys, "decide", "-i", str(FIXTURES / "k5.edges"), *cell)
+    assert code == 0 and out.startswith("verdict: yes\nwitness trace: ")
+    assert len(calls) == 1
 
 
 def test_malformed_budget_fails_plain_table(capsys, monkeypatch):

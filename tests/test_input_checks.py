@@ -120,6 +120,15 @@ CASES = {
         DisconnectedGraphError,
         "requires a connected graph",
     ),
+    # an id that int() rejects on a valid host is re-raised as int() raised it
+    "validate-non-integer-id-on-k3": (
+        lambda: validate_double_trace(K3, (0, "x", 2, 0, 1, 2)),
+        ValueError,
+        re.escape("invalid literal for int()"),
+    ),
+    "validate-none-id-on-k3": (
+        lambda: validate_double_trace(K3, (0, None, 2, 0, 1, 2)), TypeError, "NoneType"
+    ),
     "validate-id-outside-the-host-before-the-length": (
         lambda: validate_double_trace(K3, K3_ANTI + (7,)), UnknownVertexError, "vertex 7 not in host"
     ),

@@ -66,9 +66,13 @@ def test_writer_matches_json_on_long_verify_documents(tmp_path, monkeypatch, cap
 
 
 #: strings heavy in what JSON escapes: quotes, backslashes, control
-#: characters, non-ASCII letters, astral characters and lone surrogates
+#: characters, non-ASCII letters, astral characters and lone surrogates;
+#: and in the brackets, colon and comma that the writer's replaces match
+#: next to a separator
 _TEXT = st.text(
-    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ9\xe9\xdf\u0416\u20ac \u6f22\U0001f600\ud800\udfff'),
+    st.sampled_from(
+        '"\\/\b\f\n\r\t\x00\x1f\x7f aZ9\xe9\xdf\u0416\u20ac \u6f22\U0001f600\ud800\udfff[]{}:,'
+    ),
     max_size=12,
 )
 _LEAVES = (
@@ -107,9 +111,9 @@ def test_writer_matches_json_on_generated_documents(doc):
     ],
 )
 def test_writer_on_int_rows(value):
-    # a list of non-empty int rows, and a map whose values are all such
-    # lists, is written in one piece; anything else there takes the general
-    # path, and a float still raises
+    # a list of non-empty flat rows, and a map whose values are all
+    # non-empty lists of such rows, is written in one piece; anything else
+    # there takes the general path, and a float still raises
     rows_map = {"0": [[1, 2]], "12": value, "3": ((0,), [4, 5])}
     doc = {
         "rows": value,
@@ -168,16 +172,22 @@ def _placed(value) -> dict:
 
 
 def _record_calls(monkeypatch) -> list:
-    """Depths at which the writer takes the one-call path for records."""
-    depths = []
-    records = cli._records
+    """Containers that the writer writes in one encoder call."""
+    written = []
+    one_call = cli._one_call
 
-    def record(depth):
-        depths.append(depth)
-        return records(depth)
+    def record(value, depth):
+        text = one_call(value, depth)
+        if text is not None:
+            written.append(value)
+        return text
 
-    monkeypatch.setattr(cli, "_records", record)
-    return depths
+    monkeypatch.setattr(cli, "_one_call", record)
+    return written
+
+
+def _in_one_call(written: list, value) -> bool:
+    return any(v is value for v in written)
 
 
 @pytest.mark.parametrize(
@@ -187,11 +197,30 @@ def _record_calls(monkeypatch) -> list:
 )
 def test_writer_on_flat_records(monkeypatch, value):
     # a list of flat records is written by one encoder call at any depth
-    depths = _record_calls(monkeypatch)
+    written = _record_calls(monkeypatch)
     for name, doc in _placed(value).items():
-        depths.clear()
+        written.clear()
         assert cli._json_dump(doc) == _reference(doc), name
-        assert depths, name
+        assert _in_one_call(written, value), name
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [["a", True, None], [None], ["]", "], [", 1, False], ("}, {", "")],
+        {'q"\\\u00e9\n': [[1]], "a]],": [[2, 3], [4]], '\u6f22": [[': [[5]], "": [[6]]},
+        {"0": [["a]", 'b"'], ['"']], "1": [["]]"], ["x", "]"]], "2": [['"', "]]", 7]]},
+    ],
+    ids=["rows-of-str-bool-none", "row-map-escaped-keys", "row-map-bracket-and-quote-ends"],
+)
+def test_writer_writes_rows_and_row_maps_in_one_call(monkeypatch, value):
+    # rows of any flat items, and a row map whose keys need escaping or
+    # whose strings end where a separator starts, take one encoder call
+    written = _record_calls(monkeypatch)
+    for name, doc in _placed(value).items():
+        written.clear()
+        assert cli._json_dump(doc) == _reference(doc), name
+        assert _in_one_call(written, value), name
 
 
 @pytest.mark.parametrize(
@@ -216,11 +245,11 @@ def test_writer_on_flat_records(monkeypatch, value):
     ],
 )
 def test_writer_on_lists_that_are_not_flat_records(monkeypatch, value):
-    # anything else takes the general path, with the same bytes
-    depths = _record_calls(monkeypatch)
+    # anything else takes the general path as a list, with the same bytes
+    written = _record_calls(monkeypatch)
     for name, doc in _placed(value).items():
         assert cli._json_dump(doc) == _reference(doc), name
-    assert depths == []
+    assert not _in_one_call(written, value)
 
 
 @pytest.mark.parametrize(
@@ -229,8 +258,8 @@ def test_writer_on_lists_that_are_not_flat_records(monkeypatch, value):
     ids=["float", "float-in-second", "int-key", "tuple-key", "bool-key"],
 )
 def test_writer_rejects_floats_and_non_str_keys_in_records(monkeypatch, value):
-    depths = _record_calls(monkeypatch)
+    written = _record_calls(monkeypatch)
     for name, doc in _placed(value).items():
         with pytest.raises(TypeError):
             cli._json_dump(doc)
-    assert depths == []
+    assert not _in_one_call(written, value)
