@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .decide import (
     NO_QUALIFIED_TREE,
@@ -64,10 +64,17 @@ _FLAT = frozenset((str, int, bool, type(None)))
 
 @functools.cache
 def _encoder(depth: int, key_sep: str = ": "):
-    """A C encoder's ``encode`` (no ``indent``, so it runs in C) whose item
-    separator is the comma, line break and indent before an item at ``depth``."""
-    separators = (",\n" + _INDENT * depth, key_sep)
-    return json.JSONEncoder(sort_keys=True, check_circular=False, separators=separators).encode
+    """A writer of a value's text by one C encoder (no ``indent``, so it runs
+    in C) whose item separator is the comma, line break and indent before an
+    item at ``depth``.  The encoder is built once per depth and key
+    separator; ``JSONEncoder.encode`` would build a new one on every call.
+    Its arguments are ``JSONEncoder``'s: no circular check, no ``default``,
+    ASCII output, sorted keys, no skipped keys, NaN allowed."""
+    encode = c_make_encoder(
+        None, None, encode_basestring_ascii, None, key_sep, ",\n" + _INDENT * depth,
+        True, False, True,
+    )
+    return lambda value: "".join(encode(value, 0))
 
 
 def _one_call(value, depth: int) -> str | None:

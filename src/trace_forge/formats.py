@@ -25,9 +25,12 @@ def parse_edgelist(text: str) -> Graph:
     Each pair is checked as it is read.  A line that is not two such ids
     raises at once, with its line number; the first self-loop or repeated
     edge raises only once every line has parsed, and without a line number,
-    so a malformed line after it is still the error reported.
+    so a malformed line after it is still the error reported.  The
+    accepted edges are kept in file order and sorted once, so a sorted file
+    sorts in one pass.
     """
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     conflict = None  # the message of the first self-loop or repeated edge
     strict = _lax(text)  # one scan of the text keeps the id check off most inputs
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -49,19 +52,21 @@ def parse_edgelist(text: str) -> Graph:
         if strict and not all(f.isascii() and f.isdigit() for f in fields):
             raise ParseError(f"non-decimal vertex id in {raw.strip()!r}", lineno)
         key = (u, v) if u < v else (v, u)  # graph.edge_key, inlined
-        if u == v or key in edges:
+        if u == v or key in seen:
             if conflict is None:
                 conflict = (
                     f"self-loop at vertex {u}" if u == v
                     else f"edge {key} given more than once"
                 )
             continue
-        edges.add(key)
+        seen.add(key)
+        edges.append(key)
     if conflict is not None:
         raise ParseError(conflict)
     if not edges:
         raise ParseError("no edges in input")
-    return Graph(tuple(sorted({*chain.from_iterable(edges)})), tuple(sorted(edges)))
+    edges.sort()
+    return Graph(tuple(sorted({*chain.from_iterable(edges)})), tuple(edges))
 
 
 def parse_graph6(text: str) -> Graph:

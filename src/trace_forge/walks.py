@@ -39,15 +39,31 @@ DIRECTIONS = ("any", PARALLEL, ANTIPARALLEL)
 def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically minimal rotation; reflections are left alone.
 
-    A two-index scan: starts i and j are the two candidates still standing
-    and k is the length of their common prefix.  At the first mismatch the
-    start with the larger entry loses, and so does every start up to k past
-    it, each beaten by its counterpart from the other start; so the scan
-    ends after O(len(seq)) comparisons and needs no auxiliary array.
+    The least rotation starts at an occurrence of the least element, so the
+    cyclic sequence is cut there into blocks, each starting with the least
+    element and holding it once.  Comparing two rotations block by block as
+    tuples orders them as comparing element by element does: where two
+    blocks first differ they differ inside both, or the shorter one ends
+    and the least element that follows it is below the longer one's next
+    entry, which is a tuple's prefix order.  A two-index scan runs over the
+    blocks: starts i and j are the two candidates still standing and k is
+    the length of their common prefix.  At the first mismatch the start
+    with the larger block loses, and so does every start up to k past it,
+    each beaten by its counterpart from the other start; so the scan ends
+    after O(blocks) comparisons, and each occurrence and block is found by
+    C-level ``index`` and slicing.
     """
     seq = tuple(seq)
-    n = len(seq)
-    doubled = seq + seq
+    if not seq:
+        return seq
+    least = min(seq)
+    cuts = [seq.index(least)]
+    for _ in range(seq.count(least) - 1):
+        cuts.append(seq.index(least, cuts[-1] + 1))
+    blocks = [seq[a:b] for a, b in zip(cuts, cuts[1:])]
+    blocks.append(seq[cuts[-1]:] + seq[: cuts[0]])
+    n = len(blocks)
+    doubled = blocks + blocks
     i, j, k = 0, 1, 0
     while i < n and j < n and k < n:
         a, b = doubled[i + k], doubled[j + k]
@@ -61,16 +77,20 @@ def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
         if i == j:
             j += 1
         k = 0
-    start = min(i, j)
+    start = cuts[min(i, j)]
     return seq[start:] + seq[:start]
 
 
-def _index_visits(seq: tuple[int, ...]) -> dict[int, list[tuple[int, int]]]:
+def _index_visits(
+    seq: tuple[int, ...], vertices: Sequence[int]
+) -> dict[int, list[tuple[int, int]]]:
     """vertex -> (predecessor, successor) of each cyclic visit, in sequence
-    order, built in one pass over ``seq``."""
-    index: dict[int, list[tuple[int, int]]] = {}
-    for pred, x, succ in zip(seq[-1:] + seq[:-1], seq, seq[1:] + seq[:1]):
-        index.setdefault(x, []).append((pred, succ))
+    order, for every vertex of ``vertices`` in their order (an empty list
+    for one ``seq`` never visits), built in one pass over ``seq``.  An id
+    outside ``vertices`` raises ``KeyError``."""
+    index: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+    for x, link in zip(seq, zip(seq[-1:] + seq[:-1], seq[1:] + seq[:1])):
+        index[x].append(link)
     return index
 
 
@@ -91,9 +111,10 @@ class DoubleTrace:
 
     @cached_property
     def _visit_index(self) -> dict[int, list[tuple[int, int]]]:
-        """vertex -> (predecessor, successor) of each visit, in sequence order;
-        :func:`validate_double_trace` hands over the one it checked."""
-        return _index_visits(self.sequence)
+        """Each host vertex -> (predecessor, successor) of each visit, in
+        sequence order; :func:`validate_double_trace` hands over the one it
+        checked."""
+        return _index_visits(self.sequence, self.host.vertices)
 
     def visits(self, v: int) -> Iterator[tuple[int, int]]:
         """(predecessor, successor) for every cyclic visit of v."""
@@ -131,14 +152,14 @@ def require_trace_host(g: Graph) -> None:
 def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
     """Check a cyclic vertex sequence and return the canonical trace.
 
-    The visit index of the least rotation proves a non-empty sequence a
-    double trace by itself when it has an entry for every host vertex and
-    no other, and the ends of each vertex's links are its adjacency row
-    taken twice: then every step is an edge (a step's head ends a link at
-    its tail), every edge is walked exactly twice (each traversal of an
-    edge ends one link at either end), and the closed walk reaches every
-    vertex, so the host is connected and has an edge.  The index is kept
-    on the returned trace.
+    The visit index of the least rotation, seeded with the host's vertices,
+    proves a non-empty sequence a double trace by itself when every id is a
+    host vertex, every host vertex is visited, and the ends of each vertex's
+    links are its adjacency row taken twice: then every step is an edge (a
+    step's head ends a link at its tail), every edge is walked exactly twice
+    (each traversal of an edge ends one link at either end), and the closed
+    walk reaches every vertex, so the host is connected and has an edge.
+    The index is kept on the returned trace.
 
     Any other sequence is checked in order: the host is connected and has
     edges, the vertices are in the host, the length is 2|E|, and every
@@ -151,14 +172,20 @@ def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
         require_trace_host(g)  # a host without a trace is reported first
         raise
     rotated = min_rotation(seq)
-    index = _index_visits(rotated)
-    adjacency = g.adjacency
+    try:
+        index = _index_visits(rotated, g.vertices)
+    except KeyError:
+        index = None
     if not (
         seq
-        and index.keys() == adjacency.keys()
+        and index is not None
+        and all(index.values())
         and all(
-            sorted(chain.from_iterable(index[v])) == sorted(row * 2)
-            for v, row in adjacency.items()
+            map(
+                list.__eq__,
+                map(sorted, map(chain.from_iterable, index.values())),
+                [sorted(row * 2) for row in g.adjacency.values()],
+            )
         )
     ):
         _raise_first_fault(g, seq)
@@ -240,7 +267,7 @@ def transition_graph_at(w: DoubleTrace, v: int) -> tuple[tuple[int, ...], ...]:
     adjacency = w.host.adjacency
     if v not in adjacency:
         raise UnknownVertexError(f"vertex {v} not in host")
-    return _components(adjacency[v], w._visit_index.get(v, ()))
+    return _components(adjacency[v], w._visit_index[v])
 
 
 def classify_trace(w: DoubleTrace) -> TraceClass:
@@ -249,25 +276,22 @@ def classify_trace(w: DoubleTrace) -> TraceClass:
     The minimal repetitions at v are the components of its transition graph.
     The stability order is the largest d such that no vertex has a repetition
     of size in [1, d]; it is always finite, bounded above by the host's
-    minimum degree minus one.  The trace is strong when every transition
-    graph is connected.  Each vertex's components are those
-    :func:`transition_graph_at` returns, read in one comprehension over the
-    trace's visit index.
+    minimum degree minus one.  Every component is a repetition, a connected
+    pairing's one component included (it holds all d(v) neighbors), so the
+    order is the least component size minus one.  The trace is strong when
+    every transition graph is connected: no vertex has a second component.
+    Each vertex's components are those :func:`transition_graph_at` returns,
+    read in one pass over the trace's visit index.
     """
-    index = w._visit_index
     adjacency = w.host.adjacency
-    per_vertex = {v: _components(adjacency[v], index.get(v, ())) for v in w.host.vertices}
-    # At v: with a connected pairing only the trivial repetitions exist, so the
-    # bound is d(v) - 1; otherwise the smallest component is itself a
-    # repetition, giving (min component size) - 1.
-    order = min(
-        (len(adjacency[v]) if len(comps) == 1 else min(map(len, comps))) - 1
-        for v, comps in per_vertex.items()
+    # the visit index is keyed by the host's vertices in order, as adjacency is
+    per_vertex = dict(
+        zip(adjacency, map(_components, adjacency.values(), w._visit_index.values()))
     )
     return TraceClass(
         direction=trace_direction(w),
-        stability_order=order,
-        strong=all(len(comps) == 1 for comps in per_vertex.values()),
+        stability_order=min(map(len, chain.from_iterable(per_vertex.values()))) - 1,
+        strong=max(map(len, per_vertex.values())) == 1,
         minimal_repetitions=per_vertex,
     )
 

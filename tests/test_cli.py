@@ -2,10 +2,12 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 from trace_forge import cli, decide, search, walks
@@ -105,6 +107,39 @@ def test_edgelist_parses_every_atlas_graph_as_build_graph():
         # the sort are what make the two equal
         text = "".join(f"{v} {u}\n" for u, v in reversed(g.edges))
         assert parse_edgelist(text) == build_graph(g.edges), g.edges
+
+
+def test_edgelist_graph_ignores_line_and_pair_order():
+    # the accepted edges are sorted from file order, so every order of the
+    # lines and of the ids on a line gives the same graph; a malformed line
+    # still wins over an earlier repeated edge or self-loop, and without it
+    # the first of those two is reported
+    rng = random.Random(38)
+    regular = nx.random_regular_graph(4, 500, seed=38)
+    graphs = atlas_graphs(7) + [build_graph([(int(u), int(v)) for u, v in regular.edges()])]
+    for g in graphs:
+        expected = build_graph(g.edges)
+        for _ in range(2):
+            lines = [f"{u} {v}\n" if rng.random() < 0.5 else f"{v} {u}\n" for u, v in g.edges]
+            rng.shuffle(lines)
+            assert parse_edgelist("".join(lines)) == expected, lines
+        repeat = rng.randint(1, len(lines))
+        loop = rng.choice([at for at in range(len(lines) + 1) if at != repeat])
+        # the repeat goes after its edge's line, the self-loop anywhere else
+        u, v = sorted(map(int, lines[rng.randrange(repeat)].split()))
+        faults = {repeat: (f"{v} {u}\n", f"edge {(u, v)} given more than once"),
+                  loop: (f"{u} {u}\n", f"self-loop at vertex {u}")}
+        bad = list(lines)
+        for at in sorted(faults, reverse=True):
+            bad.insert(at, faults[at][0])
+        with pytest.raises(ParseError) as err:
+            parse_edgelist("".join(bad))
+        assert (err.value.line, str(err.value)) == (None, faults[min(faults)][1])
+        bad.insert(rng.randint(max(faults) + 2, len(bad)), "1 x\n")  # after both
+        with pytest.raises(ParseError) as err:
+            parse_edgelist("".join(bad))
+        assert err.value.line == bad.index("1 x\n") + 1
+        assert str(err.value).endswith("non-integer vertex id in '1 x'")
 
 
 def test_graph6_accepts_header_and_rejects_invalid_data():

@@ -450,3 +450,53 @@ def test_indent_scan_finds_both_forms():
         "json.dump(doc, out, indent=4)\n"
     )
     assert _indented_dumps(tree) == [1, 2, 4]
+
+
+def _load_time_imports(tree: ast.Module) -> set[str]:
+    """The top-level package of each absolute import that runs when the
+    module loads: every one outside a function body."""
+    found = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+# every fresh process pays for these (setup_s); a new one is a reviewed edit
+LOAD_TIME_IMPORTS = {
+    "__future__", "argparse", "dataclasses", "functools", "itertools",
+    "json", "os", "pathlib", "sys", "typing",
+}
+
+
+def test_load_time_imports_stay_within_the_known_set():
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        found |= _load_time_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert found - {"trace_forge"} <= LOAD_TIME_IMPORTS
+
+
+def test_load_time_import_scan_skips_function_bodies():
+    tree = ast.parse(
+        "import os.path, sys\n"
+        "from json.encoder import c_make_encoder\n"
+        "from . import walks\n"
+        "try:\n"
+        "    import operator\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class C:\n"
+        "    import heapq\n"
+        "    def m(self):\n"
+        "        import networkx\n"
+        "def f():\n"
+        "    import networkx\n"
+    )
+    assert _load_time_imports(tree) == {"os", "sys", "json", "operator", "heapq"}

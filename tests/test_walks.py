@@ -28,11 +28,13 @@ from trace_forge.walks import (
 
 from conftest import (
     LONG_TRACE_NAMES,
+    hypercube,
     is_repetition,
     long_traces,
     random_connected_graph,
     random_double_trace,
     repetitions_brute,
+    torus,
 )
 
 K3_ANTI = [0, 1, 2, 0, 2, 1]
@@ -283,13 +285,15 @@ def test_one_directional_reading_differs_on_parallel_traces(k3):
 
 def _least_rotation_brute(seq):
     seq = tuple(seq)
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=())
 
 
 def test_min_rotation_matches_brute_force():
-    """Booth's algorithm against the minimum over all rotations, on random
+    """The block scan against the minimum over all rotations, on random
     sequences and on periodic ones, whose least rotation starts at several
-    places."""
+    places; on every rotation of sequences whose blocks (each starting at an
+    occurrence of the least element) are edge cases; and on seeded traces
+    of Q6, the 12 x 12 torus and a random 4-regular graph."""
     rng = random.Random(5)
     for _ in range(20_000):
         alphabet = rng.randint(1, 4)
@@ -299,6 +303,36 @@ def test_min_rotation_matches_brute_force():
             period = [rng.randrange(alphabet) for _ in range(rng.randint(1, 5))]
             seq = period * rng.randint(2, 6)
         assert min_rotation(seq) == _least_rotation_brute(seq), seq
+    edge_cases = [
+        (),
+        (7,),
+        (0, 3, 2, 5),  # the least element once: at the start,
+        (3, 2, 0, 5),  # in the middle
+        (3, 2, 5, 0),  # and at the end
+        (0, 0, 1, 0, 0, 1),  # runs of the least element
+        (0, 0, 0, 1, 0),
+        (2, 0, 0, 0),
+        (0, 1, 2, 0, 1),  # a block that is a prefix of the other,
+        (0, 1, 0, 1, 2),  # in either order
+        (0, 1, 0, 1, 0, 1, 2),
+        (0, 1, 2, 0, 1, 2, 0, 1),
+        (0, 2, 0, 1, 3, 0, 1),
+        (5, 5, 5),  # one value only
+    ]
+    for case in edge_cases:
+        for seq in [case[i:] + case[:i] for i in range(len(case))] or [case]:
+            assert min_rotation(seq) == _least_rotation_brute(seq), seq
+            assert min_rotation(list(seq)) == _least_rotation_brute(seq), seq
+    regular = nx.random_regular_graph(4, 60, seed=5)
+    for g in (
+        hypercube(6),
+        torus(12),
+        build_graph([(int(u), int(v)) for u, v in regular.edges()]),
+    ):
+        seq = random_double_trace(g, rng).sequence
+        shift = rng.randrange(len(seq))
+        seq = seq[shift:] + seq[:shift]
+        assert min_rotation(seq) == _least_rotation_brute(seq)
 
 
 def test_visit_index_matches_rescan():
