@@ -4,14 +4,14 @@
 A connected graph admits an antiparallel d-stable trace exactly when its
 minimum degree exceeds d and some spanning tree leaves every odd co-tree
 component with a vertex of degree at least 2d + 2.  Both directions run
-constructively here: the builder splits high-degree vertices until the
-co-tree is all even, finds an antiparallel strong trace there, and lifts it
-back; the extractor projects a trace along its repetition sets and pulls an
-all-even tree back up.
+constructively here: ``find_witness`` decides the cell and starts from the
+decision's tree, splits high-degree vertices until the co-tree is all even,
+finds an antiparallel strong trace there, and lifts it back; the extractor
+projects a trace along its repetition sets and pulls an all-even tree back
+up.
 """
 
 from trace_forge import (
-    build_antiparallel_d_stable,
     build_graph,
     classify_trace,
     complete_graph,
@@ -19,6 +19,7 @@ from trace_forge import (
     cotree_decomposition,
     decide_existence,
     extract_qualified_tree_from_trace,
+    find_witness,
     sufficient_four_edge_connected,
 )
 
@@ -36,7 +37,9 @@ for (kind, direction, d), cert in condition_table(k5, [1, 3]).items():
 print("\n=== constructing a witness through the reduction pipeline ===")
 # odd betti number: the builder must split a high-degree vertex first
 g = build_graph([(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)])
-trace = build_antiparallel_d_stable(g, 1)
+cert = decide_existence(g, "stable", "antiparallel", 1)
+print("decision's tree:", sorted(cert.witness_tree.tree_edges))
+trace = find_witness(g, "stable", "antiparallel", 1)
 print("trace:", trace.sequence)
 print("classified:", classify_trace(trace))
 

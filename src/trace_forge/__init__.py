@@ -10,7 +10,6 @@ tree whose odd co-tree components each contain a vertex of degree at least
 
 from .decide import (
     DecisionCertificate,
-    build_antiparallel_d_stable,
     condition_table,
     decide_existence,
     extract_qualified_tree_from_trace,
@@ -93,7 +92,6 @@ __all__ = [
     "DecisionCertificate",
     "decide_existence",
     "find_witness",
-    "build_antiparallel_d_stable",
     "extract_qualified_tree_from_trace",
     "sufficient_four_edge_connected",
     "condition_table",

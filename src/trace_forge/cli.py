@@ -145,8 +145,9 @@ def _json_dump(doc: dict) -> str:
     iterator over its items, each item paired with the text that goes
     before it (separator, newline, indent and key).  A scalar is written
     in place, and so is a container that :func:`_one_call` writes in one
-    C encoder call.  Any other non-empty container pushes a frame, and an
-    exhausted frame writes its closing bracket.  A value of any other
+    C encoder call.  Any other non-empty container pushes a frame, as
+    every one does where the interpreter has no C encoder (no ``_json``),
+    and an exhausted frame writes its closing bracket.  A value of any other
     type, a float included, raises ``TypeError``, and so does a non-str
     key, in ``encode_basestring_ascii`` (or in ``sorted``, among str keys).
     """
@@ -163,7 +164,7 @@ def _json_dump(doc: dict) -> str:
                 if not value:
                     out.append("{}" if kind is dict else "[]")
                     continue
-                text = _one_call(value, depth)
+                text = None if c_make_encoder is None else _one_call(value, depth)
                 if text is not None:
                     out.append(text)
                     continue

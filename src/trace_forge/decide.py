@@ -3,18 +3,19 @@
 Each cell of the kind x direction matrix is decided by its exact structural
 predicate, without a search: an antiparallel stable or strong yes carries a
 qualifying spanning tree, and a no names the violated condition.  One
-evaluator answers a single cell, the whole table and :func:`find_witness`
-alike.  It reads each graph fact (the minimum degree, the degree parity,
-the Betti number) at most once, and only for a cell that needs it, and one
-tree walk answers every antiparallel cell that reaches the tree test.
-Every entry point checks the host before the cell.
-:func:`find_witness` is the one place that picks how a witness trace comes
-about, by construction or by search.  The constructive pipeline builds an
-antiparallel d-stable trace by repeatedly splitting a high-degree vertex
-inside an odd co-tree component until the co-tree is all even, finding an
-antiparallel strong trace there, and lifting it back through the
-identifications; the reverse extraction projects a trace along its
-repetition sets and pulls an all-even tree back up.
+evaluator answers a single cell, the whole table, :func:`find_witness` and
+the extraction alike.  It reads each graph fact (the minimum degree, the
+degree parity, the Betti number) at most once, and only for a cell that
+needs it, and one tree walk answers every antiparallel cell that reaches
+the tree test.  Every entry point checks the host before the cell.
+:func:`_witness` is the one place that turns a decided yes into a trace, by
+construction or by search.  The constructive pipeline starts from the
+certificate's tree and builds an antiparallel d-stable trace by repeatedly
+splitting a high-degree vertex inside an odd co-tree component until the
+co-tree is all even, finding an antiparallel strong trace there, and
+lifting it back through the identifications; the reverse extraction
+projects a trace along its repetition sets and pulls an all-even tree back
+up.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .spanning import (
     SpanningTree,
     _first_tree,
     cotree_decomposition,
-    min_tree,
     qualified_deficiency_of_tree,
 )
 from .transform import (
@@ -186,29 +186,31 @@ def find_witness(
 ) -> DoubleTrace | None:
     """A trace in one cell of the matrix, or None when the cell is a no.
 
-    The antiparallel stable cell is built by
-    :func:`build_antiparallel_d_stable`.  Any other cell is decided first,
-    host before cell as in :func:`decide_existence`, and a no is answered
-    without searching.  A parallel yes takes the doubled Euler tour when it
-    satisfies the cell (double, d = 1, strong on a cycle).  The cells with
-    no construction, every cell of direction any, double antiparallel,
-    strong antiparallel, parallel d >= 2 and parallel strong off a cycle,
-    search under ``budget``; no budget means ``search.DEFAULT_BUDGET``.
+    The cell is decided first, host before cell as in
+    :func:`decide_existence`, and a no is answered without searching; a yes
+    takes its trace from :func:`_witness`.  Any search runs under
+    ``budget``; no budget means ``search.DEFAULT_BUDGET``.
     """
-    if kind == "stable" and direction == ANTIPARALLEL:
-        return build_antiparallel_d_stable(g, d, budget=budget)
     require_trace_host(g)
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
     return _witness(g, _decide_cells(g, [spec])[0], budget)
 
 
 def _witness(g: Graph, cert: DecisionCertificate, budget: int | None) -> DoubleTrace | None:
-    """:func:`find_witness`'s trace for a cell already decided on ``g``,
-    other than the antiparallel stable cell: None for a no, else the
-    doubled Euler tour or a search."""
+    """The trace of a cell already decided on ``g``: None for a no.
+
+    An antiparallel stable or strong yes is built from its certificate's
+    tree by :func:`_build_from_tree`.  A parallel yes takes the doubled
+    Euler tour when it satisfies the cell (double, d = 1, strong on a
+    cycle).  The cells with no construction, every cell of direction any,
+    double antiparallel, parallel d >= 2 and parallel strong off a cycle,
+    search under ``budget``.
+    """
     spec = cert.spec
     if not cert.verdict:
         return None
+    if cert.witness_tree is not None:
+        return _build_from_tree(cert.witness_tree, spec, budget)
     if spec.direction == PARALLEL:
         # the graph is connected and Eulerian here, so the doubled tour exists
         trace = _doubled_euler_tour(g)
@@ -222,29 +224,19 @@ def _witness(g: Graph, cert: DecisionCertificate, budget: int | None) -> DoubleT
     return trace
 
 
-def build_antiparallel_d_stable(
-    g: Graph, d: int, *, budget: int | None = None
-) -> DoubleTrace | None:
-    """Construct an antiparallel d-stable trace, or None when none exists.
+def _build_from_tree(tree: SpanningTree, spec: TraceSpec, budget: int | None) -> DoubleTrace:
+    """An antiparallel trace in ``spec``'s cell from a tree qualified for it.
 
-    Pipeline: start from a minimum qualified tree at threshold 2d + 2.  While
-    the co-tree has an odd component, split the least vertex of degree
-    >= 2d + 2 inside one (strictly reducing the qualified deficiency) and
-    go on with the split graph and its tree.  The fully reduced graph has
-    an all-even co-tree, where an antiparallel strong trace exists and is
-    d-stable because all degrees stay above d; that trace is lifted back
-    through the identifications, the last split first.  The strong search
-    runs under ``budget``; no budget means ``search.DEFAULT_BUDGET``.
+    While the co-tree has an odd component, split the least vertex of
+    degree >= 2d + 2 inside one (strictly reducing the qualified deficiency)
+    and go on with the split graph and its tree.  The fully reduced graph
+    has an all-even co-tree, where an antiparallel strong trace exists and
+    is d-stable because all degrees stay above d; that trace is lifted back
+    through the identifications, the last split first, and checked in the
+    cell.  A tree with no odd component, as every strong cell's is, needs
+    no split: its trace is the search on the host itself.
     """
-    require_trace_host(g)
-    spec = TraceSpec("stable", ANTIPARALLEL, d)  # validates d
-    if g.min_degree() <= d:
-        return None
-    threshold = 2 * d + 2
-    found = min_tree(g, threshold)
-    if found is None:
-        return None
-    tree = found[1]
+    threshold = 2 * spec.d + 2 if spec.kind == "stable" else None
     splits: list[tuple[tuple[int, ...], int]] = []
     while odd := [c for c in cotree_decomposition(tree) if c.is_odd]:
         v = min(
@@ -264,9 +256,10 @@ def build_antiparallel_d_stable(
         )
     for new_vertices, v in reversed(splits):
         trace = lift_trace_through_identification(trace, new_vertices, v)
-    cls = classify_trace(trace)
-    if not spec_satisfied(spec, cls):
-        raise InternalInvariantError(f"pipeline produced a non-conforming trace: {cls}")
+    if splits:
+        cls = classify_trace(trace)
+        if not spec_satisfied(spec, cls):
+            raise InternalInvariantError(f"pipeline produced a non-conforming trace: {cls}")
     return trace
 
 
@@ -275,10 +268,11 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
 
     Projects the trace through a split of each vertex whose transition graph
     is disconnected (the least one first) along its minimal repetition sets,
-    which leaves it strong, takes an all-even co-tree tree there, and
-    transfers the tree back through the identifications, the last projection
-    first.  Every odd component of the result contains a vertex of degree at
-    least 2d + 2 (and there may be none at all).
+    which leaves it strong, takes the evaluator's all-even co-tree tree of
+    the strong cell there, and transfers the tree back through the
+    identifications, the last projection first.  Every odd component of the
+    result contains a vertex of degree at least 2d + 2 (and there may be
+    none at all).
     """
     TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     cls = classify_trace(w)
@@ -298,14 +292,14 @@ def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
         parts = transition_graph_at(w, v)
         projections.append((g, v, fresh_vertex_ids(g, len(parts))))
         w = project_trace_through_split(w, v, parts)
-    if not spec_satisfied(TraceSpec("strong", ANTIPARALLEL), classify_trace(w)):
+    strong = TraceSpec("strong", ANTIPARALLEL)
+    if not spec_satisfied(strong, classify_trace(w)):
         raise InternalInvariantError("projected trace is not strong")
-    found = min_tree(w.host, None)
-    if found is None:
+    tree = _decide_cells(w.host, [strong])[0].witness_tree
+    if tree is None:
         raise InternalInvariantError(
             "strong antiparallel trace exists but no all-even co-tree tree found"
         )
-    tree = found[1]
     for g, v, new_ids in reversed(projections):
         g2 = tree.host
         protected = frozenset(

@@ -13,9 +13,9 @@ import pytest
 
 from trace_forge.cli import main as cli_main
 from trace_forge.decide import (
-    build_antiparallel_d_stable,
     condition_table,
     extract_qualified_tree_from_trace,
+    find_witness,
     sufficient_four_edge_connected,
 )
 from trace_forge.graph import betti_number, build_graph
@@ -210,7 +210,7 @@ def build_results(characterization_sweep):
     for g, d, predicate, oracle in characterization_sweep:
         if not predicate:
             continue
-        results.append((g, d, build_antiparallel_d_stable(g, d)))
+        results.append((g, d, find_witness(g, "stable", "antiparallel", d)))
     return results
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from trace_forge.cli import main
 from trace_forge.decide import (
-    build_antiparallel_d_stable,
     condition_table,
     decide_existence,
     extract_qualified_tree_from_trace,
@@ -255,7 +254,7 @@ def test_condition_table_walk_answers_each_cell_as_alone():
 
 
 def test_build_k5(k5):
-    w = build_antiparallel_d_stable(k5, 1)
+    w = find_witness(k5, "stable", "antiparallel", 1)
     assert w is not None
     assert w.length == 20
     cls = classify_trace(w)
@@ -264,12 +263,12 @@ def test_build_k5(k5):
 
 
 def test_build_k4_returns_none(k4):
-    assert build_antiparallel_d_stable(k4, 1) is None
+    assert find_witness(k4, "stable", "antiparallel", 1) is None
 
 
 def test_build_k5_d3_is_strong(k5):
     # max degree 4 < 2*3+2, so a 3-stable trace cannot afford any repetition
-    w = build_antiparallel_d_stable(k5, 3)
+    w = find_witness(k5, "stable", "antiparallel", 3)
     cls = classify_trace(w)
     assert cls.strong
     assert cls.stability_order == 3
@@ -280,12 +279,64 @@ def test_build_with_actual_splits():
     g = build_graph(
         [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
     )
-    w = build_antiparallel_d_stable(g, 1)
+    w = find_witness(g, "stable", "antiparallel", 1)
     assert w is not None
     cls = classify_trace(w)
     assert cls.direction == "antiparallel"
     assert cls.stability_order >= 1
     assert not cls.strong  # the rebuilt vertex keeps its two repetitions
+
+
+K5_PLUS_DEGREE_TWO = build_graph(
+    [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
+)
+
+
+@pytest.mark.parametrize(
+    "g,kind,d",
+    [
+        (complete_graph(5), "stable", 1),
+        (K5_PLUS_DEGREE_TWO, "stable", 1),
+        (complete_graph(5), "strong", None),
+    ],
+    ids=["k5-stable", "split-stable", "k5-strong"],
+)
+def test_find_decides_once(monkeypatch, g, kind, d):
+    # an antiparallel yes is built from the evaluator's own tree: one
+    # decision and one tree walk, with no second scan for a least tree
+    import trace_forge.decide as decide_module
+    import trace_forge.spanning as spanning_module
+
+    calls = {"decide": 0, "walk": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        decide_module, "_decide_cells", counted("decide", decide_module._decide_cells)
+    )
+    walk = counted("walk", spanning_module._first_tree)
+    monkeypatch.setattr(decide_module, "_first_tree", walk)
+    monkeypatch.setattr(spanning_module, "_first_tree", walk)
+    w = find_witness(g, kind, "antiparallel", d)
+    assert spec_satisfied(TraceSpec(kind, "antiparallel", d), classify_trace(w))
+    assert calls == {"decide": 1, "walk": 1}
+
+
+def test_strong_antiparallel_witness_is_the_search():
+    # a strong cell's tree is all even, so the pipeline splits nothing and
+    # its trace is the strong search on the graph itself
+    spec = TraceSpec("strong", "antiparallel")
+    checked = 0
+    for g in atlas_graphs(5):
+        if betti_number(g) % 2 == 0:
+            assert find_witness(g, "strong", "antiparallel") == find_trace(g, spec), g.edges
+            checked += 1
+    assert checked > 0
 
 
 def test_extract_from_strong_trace(k5):
@@ -311,7 +362,7 @@ def test_build_extract_round_trip():
     g = build_graph(
         [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
     )
-    w = build_antiparallel_d_stable(g, 1)
+    w = find_witness(g, "stable", "antiparallel", 1)
     tree = extract_qualified_tree_from_trace(w, 1)
     assert tree.host == g
     assert qualified_deficiency_of_tree(tree, 4) is not None
@@ -326,7 +377,7 @@ def test_extract_rejects_a_transfer_onto_another_graph(monkeypatch):
     g = build_graph(
         [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
     )
-    w = build_antiparallel_d_stable(g, 1)
+    w = find_witness(g, "stable", "antiparallel", 1)
     k5_star = spanning_tree(complete_graph(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert qualified_deficiency_of_tree(k5_star, None) is not None
     monkeypatch.setattr(
@@ -366,7 +417,7 @@ def test_build_with_three_chained_reductions(monkeypatch):
 
     g = k4_chain(3)
     assert min_tree(g, 4)[0] == 3
-    w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
+    w = find_witness(g, "stable", "antiparallel", 1, budget=20_000_000)
     cls = classify_trace(w)
     assert cls.direction == "antiparallel"
     assert cls.stability_order >= 1
@@ -391,7 +442,7 @@ def test_extract_scans_transition_graphs_once(monkeypatch):
     import trace_forge.walks as walks_module
 
     g = k4_chain(3)
-    w = build_antiparallel_d_stable(g, 1, budget=20_000_000)
+    w = find_witness(g, "stable", "antiparallel", 1, budget=20_000_000)
     calls = {"trace_forge.decide": [], "trace_forge.transform": []}
 
     def counted(trace, v):
@@ -506,5 +557,5 @@ def test_icosahedron_parity_rules_out_d2_and_d3():
     # max degree 5 is below 2d + 2 and the Betti number 19 is odd, so no
     # spanning tree qualifies; the answer needs no tree enumeration
     g = build_graph(list(nx.icosahedral_graph().edges()))
-    assert build_antiparallel_d_stable(g, 2) is None
-    assert build_antiparallel_d_stable(g, 3) is None
+    assert find_witness(g, "stable", "antiparallel", 2) is None
+    assert find_witness(g, "stable", "antiparallel", 3) is None

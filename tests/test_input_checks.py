@@ -8,7 +8,6 @@ import pytest
 
 from trace_forge import spanning
 from trace_forge.decide import (
-    build_antiparallel_d_stable,
     condition_table,
     decide_existence,
     find_witness,
@@ -178,7 +177,9 @@ CASES = {
         "at least one edge",
     ),
     "build-pipeline-on-a-point": (
-        lambda: build_antiparallel_d_stable(POINT, 1), EmptyGraphError, "at least one edge"
+        lambda: find_witness(POINT, "stable", "antiparallel", 1),
+        EmptyGraphError,
+        "at least one edge",
     ),
     **{
         f"four-edge-connected-d{d}": (
@@ -198,7 +199,7 @@ CASES = {
             "decide": lambda: decide_existence(TWO_TRIANGLES, "stable", "any", 0),
             "table": lambda: condition_table(TWO_TRIANGLES, [1, 0]),
             "find-witness": lambda: find_witness(TWO_TRIANGLES, "stable", "any", 0),
-            "build-pipeline": lambda: build_antiparallel_d_stable(TWO_TRIANGLES, 0),
+            "build-pipeline": lambda: find_witness(TWO_TRIANGLES, "stable", "antiparallel", 0),
             "four-edge-connected": lambda: sufficient_four_edge_connected(TWO_TRIANGLES, 0),
         }.items()
     },

@@ -5,6 +5,7 @@ documents of long traces, and on generated documents."""
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -263,3 +264,39 @@ def test_writer_rejects_floats_and_non_str_keys_in_records(monkeypatch, value):
         with pytest.raises(TypeError):
             cli._json_dump(doc)
     assert not _in_one_call(written, value)
+
+
+def test_writer_needs_no_c_encoder(tmp_path, monkeypatch, capsys):
+    # without CPython's C accelerator (no ``_json``) every container takes
+    # the general path, and each document keeps its bytes
+    k5 = str(Path(__file__).parent / "fixtures" / "k5.edges")
+    trace = tmp_path / "k5.trace"
+    runs = [
+        ["table", "-d", "1,2,3"],
+        ["deficiency", "-d", "4"],
+        ["decide", "--kind", "stable", "-d", "1", "--direction", "antiparallel"],
+        ["decide", "--kind", "strong"],
+        ["find", "--kind", "stable", "-d", "1", "--direction", "antiparallel"],
+        ["verify", "-t", str(trace)],
+    ]
+
+    def documents():
+        texts = []
+        for argv in runs:
+            cli.main([*argv, "-i", k5, "--json"])
+            texts.append(capsys.readouterr().out)
+            if argv[0] == "find":
+                trace.write_text(" ".join(map(str, json.loads(texts[-1])["trace"])) + "\n")
+        return texts
+
+    with_c = documents()
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    cli._encoder.cache_clear()
+    try:
+        without_c = documents()
+        assert cli._encoder.cache_info().currsize == 0
+    finally:
+        cli._encoder.cache_clear()
+    assert without_c == with_c
+    for text in without_c:
+        assert text == _reference(json.loads(text)) + "\n"

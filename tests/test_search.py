@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 
 from trace_forge import decide, search
-from trace_forge.decide import build_antiparallel_d_stable, find_witness
+from trace_forge.decide import find_witness
 from trace_forge.errors import BudgetExhaustedError, DisconnectedGraphError
 from trace_forge.graph import build_graph, complete_graph, path_graph
 from trace_forge.search import find_trace
@@ -271,7 +271,7 @@ def test_budget_exhausts_one_node_past_the_budget(graph, budget, nodes):
     # nodes, K6 and K7 at d = 1 exhaust a budget of 100,000 (the benchmark
     # counts a success of either as an incorrect output)
     with pytest.raises(BudgetExhaustedError) as info:
-        build_antiparallel_d_stable(graph, 1, budget=budget)
+        find_witness(graph, "stable", "antiparallel", 1, budget=budget)
     assert info.value.nodes == nodes
 
 
@@ -286,9 +286,10 @@ class _Captured(Exception):
 
 
 def _reduced_host(g, d, monkeypatch, search=True):
-    """The all-even host whose strong trace ``build_antiparallel_d_stable``
-    searches for, and the construction's result. With ``search=False`` the
-    construction stops at that search and the result is None."""
+    """The all-even host whose strong trace ``find_witness`` searches for in
+    the antiparallel d-stable cell, and the construction's result. With
+    ``search=False`` the construction stops at that search and the result
+    is None."""
     hosts = []
     real = decide.find_trace
 
@@ -301,11 +302,11 @@ def _reduced_host(g, d, monkeypatch, search=True):
     with monkeypatch.context() as patch:
         patch.setattr(decide, "find_trace", capture)
         if search:
-            trace = build_antiparallel_d_stable(g, d)
+            trace = find_witness(g, "stable", "antiparallel", d)
         else:
             trace = None
             with pytest.raises(_Captured):
-                build_antiparallel_d_stable(g, d)
+                find_witness(g, "stable", "antiparallel", d)
     (host,) = hosts
     return host, trace
 
@@ -389,7 +390,7 @@ def test_engine_pins_the_benchmark_hosts(graph, size, nodes, first, monkeypatch)
 
 
 def test_budget_boundary_success():
-    trace = build_antiparallel_d_stable(K44, 1, budget=54_154)
+    trace = find_witness(K44, "stable", "antiparallel", 1, budget=54_154)
     assert trace is not None
     cls = classify_trace(trace)
     assert cls.direction == "antiparallel" and cls.stability_order >= 1

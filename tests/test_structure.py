@@ -130,7 +130,7 @@ def _functions_calling(tree: ast.Module, name: str) -> list[str]:
 
 
 def test_witnesses_are_dispatched_in_decide_only():
-    # decide.find_witness chooses between construction and search; the CLI
+    # decide._witness chooses between construction and search; the CLI
     # searches only to re-check verdicts with --oracle, and a decision
     # never searches
     searches = {}
@@ -146,6 +146,16 @@ def test_witnesses_are_dispatched_in_decide_only():
         if isinstance(fn, ast.FunctionDef) and fn.name == "decide_existence"
     ]
     assert _calls_to(body, "find_trace") == _calls_to(body, "find_witness") == []
+
+
+def test_each_cell_is_decided_in_one_place():
+    # the evaluator makes decide.py's one tree walk, the extractor and the
+    # witnesses take their trees from it, and only the witness step and
+    # its pipeline search
+    decide = ast.parse((SOURCE / "decide.py").read_text())
+    assert _functions_calling(decide, "_first_tree") == ["_decide_cells"]
+    assert _calls_to(decide, "min_tree") == []
+    assert _functions_calling(decide, "find_trace") == ["_witness", "_build_from_tree"]
 
 
 def test_cli_import_leaves_networkx_unloaded(tmp_path):
