@@ -69,9 +69,20 @@ def parse_edgelist(text: str) -> Graph:
     return Graph(tuple(sorted({*chain.from_iterable(edges)})), tuple(edges))
 
 
+def _only_line(text: str, what: str) -> str:
+    """The one non-blank line of ``text``, or "" when there is none; blank
+    lines around it are skipped, and a second non-blank line raises with
+    its line number."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if len(lines) > 1:
+        raise ParseError(f"{what} has a second non-blank line", lines[1][0])
+    return lines[0][1] if lines else ""
+
+
 def parse_graph6(text: str) -> Graph:
-    """Standard graph6, one graph per file; the optional header is accepted."""
-    line = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
+    """Standard graph6, one graph per file; the optional header is accepted,
+    and a second graph raises with its line number."""
+    line = _only_line(text, "graph6 input").strip()
     if not line:
         raise ParseError("no graph6 data in input")
     if line.startswith(">>graph6<<"):
@@ -133,7 +144,4 @@ def format_trace_text(w: DoubleTrace) -> str:
 def load_trace_sequence(path: str | Path) -> tuple[int, ...]:
     """The trace on the file's one non-blank line; blank lines around it
     are skipped, and a second non-blank line raises."""
-    lines = [(n, ln) for n, ln in enumerate(_read(path).splitlines(), start=1) if ln.strip()]
-    if len(lines) > 1:
-        raise ParseError("trace file has a second non-blank line", lines[1][0])
-    return parse_trace_text(lines[0][1] if lines else "")
+    return parse_trace_text(_only_line(_read(path), "trace file"))

@@ -31,14 +31,14 @@ The block rule: a bridge lies in every spanning tree and no co-tree
 component crosses one, so a tree's value is the sum of its values on the
 bridge-free blocks, scored with the host's degrees, and the first tree of
 least value (or the first qualified tree) is the union of the bridges and
-each block's own.  ``min_tree`` and the decision walk the whole graph
-first; once |E| trees have passed without an answer they look for bridges
-(``Graph.bridges``, one pass without recursion) and, if there are any,
-walk each block on its own: the sum of the blocks' tree counts instead of
-their product.  The chain of four K4 blocks joined by three bridges walks
-at most 27 + 4 x 16 trees per scan instead of 65,536.  A bridge-free graph
-with many trees still gets an exhaustive scan with no budget: the ring of
-four K4 blocks joined by four single edges has 393,216 trees.
+each block's own.  ``_pick`` walks the whole graph first; once |E| trees
+have passed without an answer it looks for bridges (``Graph.bridges``, one
+pass without recursion) and, if there are any, walks each block on its own
+itself: the sum of the blocks' tree counts instead of their product.  The
+chain of four K4 blocks joined by three bridges walks at most 27 + 4 x 16
+trees per scan instead of 65,536.  A bridge-free graph with many trees
+still gets an exhaustive scan with no budget: the ring of four K4 blocks
+joined by four single edges has 393,216 trees.
 """
 
 from __future__ import annotations
@@ -242,15 +242,8 @@ def iter_spanning_trees(g: Graph) -> Iterator[SpanningTree]:
         taken -= 1
 
 
-_SPLIT = object()  # a scan ran long on a graph with a bridge
-
-
 def _pick(
-    g: Graph,
-    degrees: list[int],
-    thresholds: Sequence[int | None],
-    least: bool,
-    gate: int | None = None,
+    g: Graph, degrees: list[int], thresholds: Sequence[int | None], least: bool
 ) -> list:
     """For each of ``thresholds``, the first qualified ``(value, tree)`` of
     least value, or the first qualified one when not ``least``, over the
@@ -264,9 +257,10 @@ def _pick(
     component parities sum to the Betti number, so an odd Betti number
     then rules out every tree unwalked.  Every tree's value has the parity
     of the Betti number, so a value of 0 or 1 closes a threshold: none can
-    be lower.  The walk ends once every threshold is closed.  Once ``gate``
-    trees have passed and g has a bridge, every threshold still open gets
-    ``_SPLIT``.
+    be lower.  The walk ends once every threshold is closed.  Once |E|
+    trees have passed and g has a bridge, the thresholds still open are
+    answered block by block (:func:`_by_blocks`); a block has no bridge,
+    so its own walk never hands off.
     """
     betti = betti_number(g)  # rejects a disconnected graph before the shortcut
     top = max(degrees)
@@ -299,9 +293,8 @@ def _pick(
             pending = [k for k in pending if best[k] is None or least and best[k][0] > 1]
             if not pending:
                 break
-        if walked == gate and g.bridges:
-            for k in pending:
-                best[k] = _SPLIT
+        if walked == g.num_edges and g.bridges:
+            best.update(zip(pending, _by_blocks(g, pending, least)))
             break
     return list(map(best.__getitem__, keys))
 
@@ -349,20 +342,14 @@ def _first_tree(g: Graph, thresholds: Sequence[int | None], least: bool) -> tupl
     one a call with that threshold alone returns; one walk serves them all.
 
     A threshold that is not an int or None, or is negative, raises
-    ``ValueError``.  The scan walks the whole graph first.  After |E| trees
-    with thresholds still open it looks for bridges, and if there are any
-    it starts again on each bridge-free block for those thresholds
-    (:func:`_by_blocks`), which walks the sum of the blocks' tree counts
-    instead of their product.  Only the returned trees are checked once
+    ``ValueError``.  One :func:`_pick` call answers them all; on a graph
+    with a bridge it hands the thresholds still open after |E| trees to the
+    bridge-free blocks itself.  Only the returned trees are checked once
     more, each distinct tree once.
     """
     for threshold in thresholds:
         _check_threshold(threshold)
-    found = _pick(g, g._scan_index[2], thresholds, least, gate=g.num_edges)
-    if _SPLIT in found:
-        split = [k for k, f in zip(thresholds, found) if f is _SPLIT]
-        blocks = dict(zip(split, _by_blocks(g, split, least)))
-        found = [blocks[k] if f is _SPLIT else f for k, f in zip(thresholds, found)]
+    found = _pick(g, g._scan_index[2], thresholds, least)
     checked = set()
     for f in found:
         if f is not None and f[1].tree_edges not in checked:
@@ -380,8 +367,8 @@ def min_tree(g: Graph, threshold: int | None = 0) -> tuple[int, SpanningTree] | 
     threshold above the maximum degree only trees with all-even co-trees; a
     threshold that is not an int or None, or is negative, raises
     ``ValueError``.  ``min_tree(g)[0]`` is the deficiency of g.  The tree
-    and its value are those of a scan over every tree in enumeration order,
-    found block by block once the scan runs long on a graph with a bridge
-    (:func:`_first_tree`).
+    and its value are those of a scan over every tree in enumeration order;
+    the scan driver finds them block by block itself once it runs long on a
+    graph with a bridge (:func:`_pick`).
     """
     return _first_tree(g, (threshold,), least=True)[0]

@@ -144,8 +144,25 @@ def test_edgelist_graph_ignores_line_and_pair_order():
 
 def test_graph6_accepts_header_and_rejects_invalid_data():
     assert parse_graph6(">>graph6<<Bw\n") == load_graph(FIXTURES / "k3.g6", "graph6")
+    assert parse_graph6("\n\n>>graph6<<Bw\n\n") == parse_graph6("Bw")
     with pytest.raises(ParseError, match="invalid graph6 data"):
         parse_graph6("B~~")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [("C~\nD~{\n", 2), ("\nC~\n\n>>graph6<<D~{\n\n", 4)],
+    ids=["k4-then-k5", "blank-lines-and-header"],
+)
+def test_graph6_rejects_a_second_graph(tmp_path, capsys, text, line):
+    # every line after the graph is read: a second graph is an error, not
+    # silently dropped
+    path = tmp_path / "two.g6"
+    path.write_text(text)
+    assert main(["table", "-i", str(path), "--format", "graph6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: graph6 input has a second non-blank line\n"
 
 
 def test_trace_file_rejects_non_integer_vertex(tmp_path):

@@ -253,6 +253,46 @@ def test_condition_table_walk_answers_each_cell_as_alone():
             assert cert == decide_existence(g, kind, direction, d), (g, kind, direction, d)
 
 
+#: the named graphs of the construct workload that networkx generates
+NAMED_FAMILIES = {
+    "K5": lambda: nx.complete_graph(5),
+    "octahedron": nx.octahedral_graph,
+    "W6": lambda: nx.wheel_graph(6),
+    "W7": lambda: nx.wheel_graph(7),
+    "W8": lambda: nx.wheel_graph(8),
+    "petersen": nx.petersen_graph,
+    "K3,3": lambda: nx.complete_bipartite_graph(3, 3),
+    "K3,4": lambda: nx.complete_bipartite_graph(3, 4),
+    "K4,4": lambda: nx.complete_bipartite_graph(4, 4),
+    "prism4": lambda: nx.circular_ladder_graph(4),
+    "prism5": lambda: nx.circular_ladder_graph(5),
+    "prism6": lambda: nx.circular_ladder_graph(6),
+    "Q3": lambda: nx.convert_node_labels_to_integers(nx.hypercube_graph(3)),
+    "icosahedron": nx.icosahedral_graph,
+}
+
+
+def _verdicts(g: Graph) -> dict:
+    table = condition_table(g, [1, 2])
+    return {cell: (c.verdict, c.condition_label()) for cell, c in table.items()}
+
+
+@pytest.mark.parametrize("name", list(NAMED_FAMILIES))
+def test_verdicts_do_not_depend_on_labels(name):
+    # the conditions read degrees, parities and co-tree components, never
+    # labels: every cell's verdict and named condition is the same under
+    # eight seeded relabellings
+    g = build_graph(list(NAMED_FAMILIES[name]().edges()))
+    expected = _verdicts(g)
+    rng = random.Random(name)
+    for _ in range(8):
+        image = list(g.vertices)
+        rng.shuffle(image)
+        to = dict(zip(g.vertices, image))
+        moved = build_graph([(to[u], to[v]) for u, v in g.edges])
+        assert _verdicts(moved) == expected, (name, to)
+
+
 def test_build_k5(k5):
     w = find_witness(k5, "stable", "antiparallel", 1)
     assert w is not None

@@ -158,6 +158,23 @@ def test_each_cell_is_decided_in_one_place():
     assert _functions_calling(decide, "find_trace") == ["_witness", "_build_from_tree"]
 
 
+def test_scan_driver_owns_the_block_rule():
+    # _pick hands a bridged graph to its blocks itself: no sentinel answer
+    # and no gate argument for a caller to act on
+    spanning = ast.parse((SOURCE / "spanning.py").read_text())
+    assert _functions_calling(spanning, "_by_blocks") == ["_pick"]
+    names = {node.id for node in ast.walk(spanning) if isinstance(node, ast.Name)}
+    assert "_SPLIT" not in names
+    (pick,) = [
+        fn for fn in spanning.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_pick"
+    ]
+    args = pick.args
+    assert [a.arg for a in args.args] == ["g", "degrees", "thresholds", "least"]
+    assert args.posonlyargs == args.kwonlyargs == args.defaults == []
+    assert args.vararg is None and args.kwarg is None
+
+
 def test_cli_import_leaves_networkx_unloaded(tmp_path):
     # networkx takes most of the start-up time; only graph6 parsing and
     # edge connectivity load it, on first use.  A deficiency scan of three
