@@ -36,6 +36,28 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _vertex_id(x) -> int:
+    """``x`` read as a vertex id.  An int is one, and so is an integer of
+    another type through ``__index__`` (a numpy int); a bool, a float and a
+    str are not read but rejected by name."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (bool, float, str)):
+        raise ValueError(f"vertex ids must be integers, got {x!r}")
+    from operator import index  # noqa: PLC0415 - only an id of another type gets here
+
+    return index(x)
+
+
+def _vertex_ids(xs: Iterable) -> tuple[int, ...]:
+    """``xs`` as a tuple of vertex ids, each read as :func:`_vertex_id`
+    reads it; a run of ints passes with one scan of the types."""
+    xs = tuple(xs)
+    if set(map(type, xs)) <= {int}:
+        return xs
+    return tuple(map(_vertex_id, xs))
+
+
 def _components(
     nodes: Iterable[int], links: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, ...], ...]:
@@ -232,11 +254,12 @@ def build_graph(
     """Build and validate a graph from a list of vertex-id pairs.
 
     The vertex set is the union of the endpoints plus any explicitly declared
-    isolated vertices.  Rejects self-loops and repeated edges.
+    isolated vertices.  Rejects self-loops, repeated edges and ids that are
+    no integers.
     """
     edges: set[Edge] = set()
     for u, v in edge_list:
-        u, v = int(u), int(v)
+        u, v = _vertex_id(u), _vertex_id(v)
         if u < 0 or v < 0:
             raise UnknownVertexError("vertex ids must be non-negative")
         if u == v:
@@ -246,7 +269,7 @@ def build_graph(
             raise DuplicateEdgeError(f"edge {key} given more than once")
         edges.add(key)
     # the loop above checked every endpoint; the edges are distinct already
-    isolated = {int(w) for w in isolated_vertices}
+    isolated = set(map(_vertex_id, isolated_vertices))
     if any(w < 0 for w in isolated):
         raise UnknownVertexError("vertex ids must be non-negative")
     vertices = isolated.union(chain.from_iterable(edges))

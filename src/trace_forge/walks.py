@@ -26,7 +26,7 @@ from .errors import (
     WrongLengthError,
     WrongMultiplicityError,
 )
-from .graph import Graph, _components, edge_key, require_connected
+from .graph import Graph, _vertex_ids, edge_key, require_connected
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
@@ -94,12 +94,67 @@ def _index_visits(
     return index
 
 
+def _transition_components(
+    seq: tuple[int, ...], adjacency: dict[int, tuple[int, ...]]
+) -> dict[int, tuple[tuple[int, ...], ...]] | None:
+    """Each vertex of the host with this ``adjacency`` -> the components of
+    its transition graph, each a sorted tuple, ordered by least element;
+    None when ``seq`` is no double trace of that host.
+
+    One pass over the cyclic sequence gives each neighbour of each vertex
+    its link partners there: a visit of x from p to s makes s a partner of
+    p and p one of s at x (a self-link makes p its own partner twice).  A
+    missing key means a step that is no edge or an id that is no vertex.  A
+    step u -> v gives u one partner at v and v one at u, so each end holds
+    as many partners at the other as the edge has traversals.  Every
+    neighbour holding exactly two then proves a non-empty ``seq`` a double
+    trace: every step is an edge, every edge is walked twice, and the
+    closed walk reaches every neighbour of each vertex it visits, so with
+    no isolated vertex it reaches them all and the host is connected.
+
+    Each transition graph is then a union of cycles.  Each cycle is walked
+    from its least node not yet reached, taking at every node the partner
+    it did not come from, so cycles come in order of least element; a node
+    without exactly two partners stops the walk.
+    """
+    if not seq or not all(adjacency.values()):
+        return None
+    partners = {v: {u: [] for u in row} for v, row in adjacency.items()}
+    per_vertex = {}
+    try:
+        for p, x, s in zip(seq[-1:] + seq[:-1], seq, seq[1:] + seq[:1]):
+            at = partners[x]
+            at[p].append(s)
+            at[s].append(p)
+        for v, row in adjacency.items():
+            at = partners[v]
+            cycles = []
+            for start in row:
+                if start not in at:
+                    continue
+                cur, _ = at.pop(start)
+                prev, cycle = start, [start]
+                while cur != start:
+                    cycle.append(cur)
+                    a, b = at.pop(cur)
+                    prev, cur = cur, b if a == prev else a
+                cycles.append(cycle)
+            per_vertex[v] = (
+                (row,) if len(cycles) == 1 else tuple(tuple(sorted(c)) for c in cycles)
+            )
+    except (KeyError, ValueError):
+        return None
+    return per_vertex
+
+
 @dataclass(frozen=True)
 class DoubleTrace:
-    """A validated double trace, stored as its minimal rotation.
+    """A double trace, stored as its minimal rotation.
 
     The sequence is cyclic: the first vertex implicitly follows the last, and
-    no terminal vertex is repeated in storage.
+    no terminal vertex is repeated in storage.  :func:`validate_double_trace`
+    builds a checked one; one built directly is checked when its minimal
+    repetitions are first read.
     """
 
     host: Graph
@@ -112,9 +167,19 @@ class DoubleTrace:
     @cached_property
     def _visit_index(self) -> dict[int, list[tuple[int, int]]]:
         """Each host vertex -> (predecessor, successor) of each visit, in
-        sequence order; :func:`validate_double_trace` hands over the one it
-        checked."""
+        sequence order."""
         return _index_visits(self.sequence, self.host.vertices)
+
+    @cached_property
+    def _repetitions(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Each host vertex, in order, -> its minimal repetitions;
+        :func:`validate_double_trace` hands over the ones its check found.
+        A sequence that is no double trace raises what validating it
+        would."""
+        reps = _transition_components(self.sequence, self.host.adjacency)
+        if reps is None:
+            _raise_first_fault(self.host, self.sequence)
+        return reps
 
     def visits(self, v: int) -> Iterator[tuple[int, int]]:
         """(predecessor, successor) for every cyclic visit of v."""
@@ -152,45 +217,27 @@ def require_trace_host(g: Graph) -> None:
 def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
     """Check a cyclic vertex sequence and return the canonical trace.
 
-    The visit index of the least rotation, seeded with the host's vertices,
-    proves a non-empty sequence a double trace by itself when every id is a
-    host vertex, every host vertex is visited, and the ends of each vertex's
-    links are its adjacency row taken twice: then every step is an edge (a
-    step's head ends a link at its tail), every edge is walked exactly twice
-    (each traversal of an edge ends one link at either end), and the closed
-    walk reaches every vertex, so the host is connected and has an edge.
-    The index is kept on the returned trace.
+    The walk that finds the transition cycles of the least rotation at
+    every vertex proves a sequence a double trace by itself (see
+    :func:`_transition_components`), and its cycles are kept on the
+    returned trace as its minimal repetitions.
 
     Any other sequence is checked in order: the host is connected and has
     edges, the vertices are in the host, the length is 2|E|, and every
     cyclic step is an edge not yet traversed twice; the first check that
-    fails raises.
+    fails raises.  An id that is no integer is reported after the host.
     """
     try:
-        seq = tuple(map(int, sequence))
+        seq = _vertex_ids(sequence)
     except (TypeError, ValueError):
         require_trace_host(g)  # a host without a trace is reported first
         raise
     rotated = min_rotation(seq)
-    try:
-        index = _index_visits(rotated, g.vertices)
-    except KeyError:
-        index = None
-    if not (
-        seq
-        and index is not None
-        and all(index.values())
-        and all(
-            map(
-                list.__eq__,
-                map(sorted, map(chain.from_iterable, index.values())),
-                [sorted(row * 2) for row in g.adjacency.values()],
-            )
-        )
-    ):
+    reps = _transition_components(rotated, g.adjacency)
+    if reps is None:
         _raise_first_fault(g, seq)
     w = DoubleTrace(g, rotated)
-    w.__dict__["_visit_index"] = index  # the cached property's slot
+    w.__dict__["_repetitions"] = reps  # the cached property's slot
     return w
 
 
@@ -262,12 +309,12 @@ def transition_graph_at(w: DoubleTrace, v: int) -> tuple[tuple[int, ...], ...]:
     The transition graph's nodes are v's neighbors, and each visit links its
     predecessor to its successor (a self-link when they agree), so every
     neighbor ends exactly two links.  v's pairing is connected exactly when
-    one component comes back.
+    one component comes back.  They are read from the components the trace
+    keeps.
     """
-    adjacency = w.host.adjacency
-    if v not in adjacency:
+    if v not in w.host.adjacency:
         raise UnknownVertexError(f"vertex {v} not in host")
-    return _components(adjacency[v], w._visit_index[v])
+    return w._repetitions[v]
 
 
 def classify_trace(w: DoubleTrace) -> TraceClass:
@@ -280,14 +327,10 @@ def classify_trace(w: DoubleTrace) -> TraceClass:
     pairing's one component included (it holds all d(v) neighbors), so the
     order is the least component size minus one.  The trace is strong when
     every transition graph is connected: no vertex has a second component.
-    Each vertex's components are those :func:`transition_graph_at` returns,
-    read in one pass over the trace's visit index.
+    Each vertex's components are those :func:`transition_graph_at` returns;
+    the map is a copy of the one the trace keeps.
     """
-    adjacency = w.host.adjacency
-    # the visit index is keyed by the host's vertices in order, as adjacency is
-    per_vertex = dict(
-        zip(adjacency, map(_components, adjacency.values(), w._visit_index.values()))
-    )
+    per_vertex = dict(w._repetitions)
     return TraceClass(
         direction=trace_direction(w),
         stability_order=min(map(len, chain.from_iterable(per_vertex.values()))) - 1,

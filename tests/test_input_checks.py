@@ -119,11 +119,12 @@ CASES = {
         DisconnectedGraphError,
         "requires a connected graph",
     ),
-    # an id that int() rejects on a valid host is re-raised as int() raised it
+    # on a valid host a str id is rejected by name, and an id with no
+    # integer value raises as operator.index raises
     "validate-non-integer-id-on-k3": (
         lambda: validate_double_trace(K3, (0, "x", 2, 0, 1, 2)),
         ValueError,
-        re.escape("invalid literal for int()"),
+        re.escape("vertex ids must be integers, got 'x'"),
     ),
     "validate-none-id-on-k3": (
         lambda: validate_double_trace(K3, (0, None, 2, 0, 1, 2)), TypeError, "NoneType"
@@ -221,6 +222,27 @@ CASES = {
         }.items()
         for d in (1.5, True)
     },
+    # a vertex id is an integer: a float, a bool and a str are rejected by
+    # name, the first one met, not read as int() would read them (1.9 as 1,
+    # True as 1, " 1" as 1); on a host with no trace the host comes first
+    **{
+        f"{name}-id-{bad!r}": (
+            lambda call=call, bad=bad: call(bad),
+            ValueError,
+            re.escape(f"vertex ids must be integers, got {bad!r}"),
+        )
+        for name, call in {
+            "validate": lambda x: validate_double_trace(K3, (0, x, 2, 0, 2, 2.5)),
+            "build-edge": lambda x: build_graph([(0, x), (1, 2), (3, 4.5)]),
+            "build-isolated": lambda x: build_graph([(0, 1)], isolated_vertices=[5, x]),
+        }.items()
+        for bad in (1.9, True, " 1")
+    },
+    "validate-float-id-on-two-triangles": (
+        lambda: validate_double_trace(TWO_TRIANGLES, K3_ANTI + (3, 4, 5, 3, 5, 4.0)),
+        DisconnectedGraphError,
+        "requires a connected graph",
+    ),
     "joint-walk-negative-threshold": (
         lambda: spanning._first_tree(K5, (4, -2), False),
         ValueError,

@@ -403,11 +403,12 @@ def _root_chasers(tree: ast.Module) -> list[str]:
 
 
 def test_one_general_union_find():
-    # graph._components answers every component question; the loops that
-    # keep state it lacks (parity and top degree per root in _score, unions
-    # undone on backtracking in iter_spanning_trees) are the only other
-    # union-finds, and the scoring rule stays in spanning.  The search engine
-    # keeps path ends instead, since its transition graphs are paths and cycles
+    # graph._components answers the component questions of spanning and
+    # transform; the loops that keep state it lacks (parity and top degree
+    # per root in _score, unions undone on backtracking in
+    # iter_spanning_trees) are the only other union-finds, and the scoring
+    # rule stays in spanning.  The search engine keeps path ends and walks
+    # follow cycles instead, since their transition graphs are paths and cycles
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
     chasers = {name: found for name, tree in trees.items() if (found := _root_chasers(tree))}
     assert chasers == {"spanning.py": ["_score", "iter_spanning_trees"]}
@@ -423,9 +424,59 @@ def test_one_general_union_find():
         name for name, tree in trees.items()
         if "_components" in _names_imported_from(tree, "graph")
     ]
-    assert importers == ["spanning.py", "transform.py", "walks.py"]
+    assert importers == ["spanning.py", "transform.py"]
     from_spanning = _names_imported_from(trees["transform.py"], "spanning")
     assert [n for n in from_spanning if n.startswith("_")] == []
+
+
+def _callers(tree: ast.Module, name: str) -> list[str]:
+    """Functions and methods, as ``name`` or ``Class.name``, that call
+    ``name``, once per call."""
+    found = []
+    for node in tree.body:
+        scope = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in scope:
+            if isinstance(fn, ast.FunctionDef):
+                found += [prefix + fn.name] * len(_calls_to(fn, name))
+    return found
+
+
+def test_transition_graphs_come_from_one_walk():
+    # walks._transition_components proves a trace and finds every vertex's
+    # transition cycles in one pass: validation and an unvalidated trace's
+    # first use call it, and the readers take the cycles the trace keeps
+    walks = ast.parse((SOURCE / "walks.py").read_text())
+    assert _callers(walks, "_transition_components") == [
+        "DoubleTrace._repetitions",
+        "validate_double_trace",
+    ]
+    readers = {
+        fn.name: fn for fn in walks.body
+        if isinstance(fn, ast.FunctionDef)
+        and fn.name in ("classify_trace", "transition_graph_at")
+    }
+    assert len(readers) == 2
+    for fn in readers.values():
+        for routine in ("_components", "_transition_components", "_index_visits"):
+            assert _calls_to(fn, routine) == [], (fn.name, routine)
+        assert "_repetitions" in {
+            node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+        }
+
+
+def test_caller_scan_finds_functions_and_methods():
+    tree = ast.parse(
+        "def f():\n"
+        "    g()\n"
+        "    m.g()\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        return g()\n"
+        "def k():\n"
+        "    return 1\n"
+    )
+    assert _callers(tree, "g") == ["f", "f", "C.h"]
 
 
 def test_root_chase_scan_finds_functions_and_methods():

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -28,6 +29,7 @@ from trace_forge.walks import (
 
 from conftest import (
     LONG_TRACE_NAMES,
+    atlas_graphs,
     hypercube,
     is_repetition,
     long_traces,
@@ -64,9 +66,10 @@ def test_validate_rejects_triple_edge(k3):
 
 
 def test_valid_traces_are_accepted_without_a_traversal(monkeypatch):
-    # the visit index proves a valid trace's host connected, so validation
-    # runs no traversal and hands its index to the trace; any fault runs
-    # the ordered checks, the host's connectivity first
+    # the walk over the transition cycles proves a valid trace's host
+    # connected, so validation runs no traversal, builds no visit index and
+    # hands its cycles to the trace; any fault runs the ordered checks, the
+    # host's connectivity first
     traversals = []
     traverse = Graph.connected.func
 
@@ -86,8 +89,10 @@ def test_valid_traces_are_accepted_without_a_traversal(monkeypatch):
         shift = rng.randrange(len(seq))
         w = validate_double_trace(g, seq[shift:] + seq[:shift])
         assert w.sequence == seq
-        assert "_visit_index" in w.__dict__
-        assert w._visit_index == DoubleTrace(g, seq)._visit_index
+        assert "_repetitions" in w.__dict__
+        assert "_visit_index" not in w.__dict__
+        # the cycles do not depend on where the walk starts
+        assert w._repetitions == DoubleTrace(g, seq[shift:] + seq[:shift])._repetitions
     assert traversals == []
     two_triangles = build_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(DisconnectedGraphError):
@@ -475,3 +480,59 @@ def test_validation_faults_match_stepwise_check_on_long_traces(name):
         assert _raised(w.host, seq) == expected
         kinds.add(None if expected is None else expected[0])
     assert {NonAdjacentStepError, WrongMultiplicityError} <= kinds
+
+
+def test_acceptance_is_exact_on_every_sequence_over_small_hosts():
+    # every sequence of length 2|E| over the vertices of each connected
+    # atlas graph with at most 4 vertices and 4 edges: validation accepts
+    # exactly those the step-by-step check passes and raises its first
+    # fault on the others, and an accepted trace's repetitions are the
+    # networkx components at every vertex
+    hosts = [g for g in atlas_graphs(4) if g.num_edges <= 4]
+    assert len(hosts) == 7
+    total = accepted = 0
+    for g in hosts:
+        for seq in product(g.vertices, repeat=2 * g.num_edges):
+            total += 1
+            expected = _first_fault(g, seq)
+            try:
+                w = validate_double_trace(g, seq)
+            except (NonAdjacentStepError, WrongMultiplicityError) as err:
+                assert (type(err), str(err), getattr(err, "index", None)) == expected, seq
+                continue
+            assert expected is None, seq
+            accepted += 1
+            reps = classify_trace(w).minimal_repetitions
+            assert reps == {v: _components_nx(w, v) for v in g.vertices}, seq
+    assert total == 140_078
+    assert accepted > 0
+
+
+@pytest.mark.parametrize(
+    "seq, error",
+    [
+        ((0, 1, 2), WrongLengthError),
+        ((0, 1, 0, 1, 0, 1), WrongMultiplicityError),
+        ((0, 1, 2, 0, 1, 7), UnknownVertexError),
+        ((0, 1, 1, 2, 0, 2), NonAdjacentStepError),
+    ],
+)
+def test_an_unvalidated_non_trace_is_not_classified(k3, seq, error):
+    # a DoubleTrace built around a sequence that is no double trace finds
+    # that out on first use and raises what validation raises for it
+    with pytest.raises(error) as expected:
+        validate_double_trace(k3, seq)
+    for read in (classify_trace, lambda w: transition_graph_at(w, 0)):
+        with pytest.raises(error) as err:
+            read(DoubleTrace(k3, seq))
+        assert str(err.value) == str(expected.value)
+
+
+def test_classifications_do_not_share_the_repetition_map(k3):
+    w = validate_double_trace(k3, K3_ANTI)
+    first = classify_trace(w)
+    first.minimal_repetitions[0] = ((1, 2),)
+    del first.minimal_repetitions[1]
+    again = classify_trace(w)
+    assert again.minimal_repetitions == {0: ((1,), (2,)), 1: ((0, 2),), 2: ((0, 1),)}
+    assert transition_graph_at(w, 0) == ((1,), (2,))
