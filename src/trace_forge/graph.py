@@ -360,6 +360,7 @@ def identify_vertices(g: Graph, targets: Iterable[int], new_id: int) -> Graph:
                 f"targets {a} and {b} share a neighbor"
             )
     target_set = set(targets)
+    new_id = _vertex_id(new_id)
     if new_id < 0:
         raise UnknownVertexError("vertex ids must be non-negative")
     if new_id in g.adjacency and new_id not in target_set:

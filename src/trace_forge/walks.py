@@ -15,7 +15,6 @@ classification against one cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -81,19 +80,6 @@ def min_rotation(seq: Sequence[int]) -> tuple[int, ...]:
     return seq[start:] + seq[:start]
 
 
-def _index_visits(
-    seq: tuple[int, ...], vertices: Sequence[int]
-) -> dict[int, list[tuple[int, int]]]:
-    """vertex -> (predecessor, successor) of each cyclic visit, in sequence
-    order, for every vertex of ``vertices`` in their order (an empty list
-    for one ``seq`` never visits), built in one pass over ``seq``.  An id
-    outside ``vertices`` raises ``KeyError``."""
-    index: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
-    for x, link in zip(seq, zip(seq[-1:] + seq[:-1], seq[1:] + seq[:1])):
-        index[x].append(link)
-    return index
-
-
 def _transition_components(
     seq: tuple[int, ...], adjacency: dict[int, tuple[int, ...]]
 ) -> dict[int, tuple[tuple[int, ...], ...]] | None:
@@ -152,38 +138,41 @@ class DoubleTrace:
     """A double trace, stored as its minimal rotation.
 
     The sequence is cyclic: the first vertex implicitly follows the last, and
-    no terminal vertex is repeated in storage.  :func:`validate_double_trace`
-    builds a checked one; one built directly is checked when its minimal
-    repetitions are first read.
+    no terminal vertex is repeated in storage.  Making one proves it, as
+    :func:`validate_double_trace` describes, so every value is a proved
+    trace, and keeps each host vertex's minimal repetitions in order.
     """
 
     host: Graph
     sequence: tuple[int, ...]
+    _repetitions: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        g = self.host
+        try:
+            seq = _vertex_ids(self.sequence)
+        except (TypeError, ValueError):
+            require_trace_host(g)  # a host without a trace is reported first
+            raise
+        rotated = min_rotation(seq)
+        reps = _transition_components(rotated, g.adjacency)
+        if reps is None:
+            _raise_first_fault(g, seq)
+        object.__setattr__(self, "sequence", rotated)
+        object.__setattr__(self, "_repetitions", reps)
 
     @property
     def length(self) -> int:
         return len(self.sequence)
 
-    @cached_property
-    def _visit_index(self) -> dict[int, list[tuple[int, int]]]:
-        """Each host vertex -> (predecessor, successor) of each visit, in
-        sequence order."""
-        return _index_visits(self.sequence, self.host.vertices)
-
-    @cached_property
-    def _repetitions(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """Each host vertex, in order, -> its minimal repetitions;
-        :func:`validate_double_trace` hands over the ones its check found.
-        A sequence that is no double trace raises what validating it
-        would."""
-        reps = _transition_components(self.sequence, self.host.adjacency)
-        if reps is None:
-            _raise_first_fault(self.host, self.sequence)
-        return reps
-
     def visits(self, v: int) -> Iterator[tuple[int, int]]:
-        """(predecessor, successor) for every cyclic visit of v."""
-        return iter(self._visit_index.get(v, ()))
+        """(predecessor, successor) for every cyclic visit of v, in sequence
+        order; an id outside the host raises :class:`UnknownVertexError`."""
+        if v not in self.host.adjacency:
+            raise UnknownVertexError(f"vertex {v} not in host")
+        seq = self.sequence
+        links = zip(seq[-1:] + seq[:-1], seq[1:] + seq[:1])
+        return (link for x, link in zip(seq, links) if x == v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DoubleTrace({' '.join(map(str, self.sequence))})"
@@ -227,18 +216,7 @@ def validate_double_trace(g: Graph, sequence: Sequence[int]) -> DoubleTrace:
     cyclic step is an edge not yet traversed twice; the first check that
     fails raises.  An id that is no integer is reported after the host.
     """
-    try:
-        seq = _vertex_ids(sequence)
-    except (TypeError, ValueError):
-        require_trace_host(g)  # a host without a trace is reported first
-        raise
-    rotated = min_rotation(seq)
-    reps = _transition_components(rotated, g.adjacency)
-    if reps is None:
-        _raise_first_fault(g, seq)
-    w = DoubleTrace(g, rotated)
-    w.__dict__["_repetitions"] = reps  # the cached property's slot
-    return w
+    return DoubleTrace(g, sequence)
 
 
 def _raise_first_fault(g: Graph, seq: tuple[int, ...]) -> None:

@@ -89,6 +89,17 @@ CASES = {
     "identify-new-id-collides": (
         lambda: identify_vertices(P4, [0, 3], 1), InvalidPartitionError, "collides"
     ),
+    # a new id is read as build_graph reads an edge end
+    "identify-float-new-id": (
+        lambda: identify_vertices(P4, [0, 3], 7.5),
+        ValueError,
+        re.escape("vertex ids must be integers, got 7.5"),
+    ),
+    "identify-bool-new-id": (
+        lambda: identify_vertices(P4, [0, 3], True),
+        ValueError,
+        re.escape("vertex ids must be integers, got True"),
+    ),
     "validate-on-a-point": (
         lambda: validate_double_trace(POINT, ()), EmptyGraphError, "at least one edge"
     ),

@@ -444,13 +444,10 @@ def _callers(tree: ast.Module, name: str) -> list[str]:
 
 def test_transition_graphs_come_from_one_walk():
     # walks._transition_components proves a trace and finds every vertex's
-    # transition cycles in one pass: validation and an unvalidated trace's
-    # first use call it, and the readers take the cycles the trace keeps
+    # transition cycles in one pass: making a DoubleTrace calls it, and the
+    # readers take the cycles the trace keeps
     walks = ast.parse((SOURCE / "walks.py").read_text())
-    assert _callers(walks, "_transition_components") == [
-        "DoubleTrace._repetitions",
-        "validate_double_trace",
-    ]
+    assert _callers(walks, "_transition_components") == ["DoubleTrace.__post_init__"]
     readers = {
         fn.name: fn for fn in walks.body
         if isinstance(fn, ast.FunctionDef)
@@ -458,11 +455,22 @@ def test_transition_graphs_come_from_one_walk():
     }
     assert len(readers) == 2
     for fn in readers.values():
-        for routine in ("_components", "_transition_components", "_index_visits"):
+        for routine in ("_components", "_transition_components"):
             assert _calls_to(fn, routine) == [], (fn.name, routine)
         assert "_repetitions" in {
             node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
         }
+
+
+def test_traces_are_made_only_by_validation():
+    # every DoubleTrace in the library comes from walks.validate_double_trace,
+    # the one name the tracer counts validations by
+    makers = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        callers = _callers(ast.parse(path.read_text()), "DoubleTrace")
+        if callers:
+            makers[path.name] = callers
+    assert makers == {"walks.py": ["validate_double_trace"]}
 
 
 def test_caller_scan_finds_functions_and_methods():

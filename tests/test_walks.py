@@ -19,6 +19,7 @@ from trace_forge.errors import (
 from trace_forge.graph import Graph, build_graph, cycle_graph, edge_key, path_graph
 from trace_forge.walks import (
     DoubleTrace,
+    _transition_components,
     classify_trace,
     direction_profile,
     min_rotation,
@@ -67,9 +68,9 @@ def test_validate_rejects_triple_edge(k3):
 
 def test_valid_traces_are_accepted_without_a_traversal(monkeypatch):
     # the walk over the transition cycles proves a valid trace's host
-    # connected, so validation runs no traversal, builds no visit index and
-    # hands its cycles to the trace; any fault runs the ordered checks, the
-    # host's connectivity first
+    # connected, so validation runs no traversal and the trace keeps its
+    # cycles; any fault runs the ordered checks, the host's connectivity
+    # first
     traversals = []
     traverse = Graph.connected.func
 
@@ -89,10 +90,8 @@ def test_valid_traces_are_accepted_without_a_traversal(monkeypatch):
         shift = rng.randrange(len(seq))
         w = validate_double_trace(g, seq[shift:] + seq[:shift])
         assert w.sequence == seq
-        assert "_repetitions" in w.__dict__
-        assert "_visit_index" not in w.__dict__
         # the cycles do not depend on where the walk starts
-        assert w._repetitions == DoubleTrace(g, seq[shift:] + seq[:shift])._repetitions
+        assert w._repetitions == _transition_components(seq[shift:] + seq[:shift], g.adjacency)
     assert traversals == []
     two_triangles = build_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     with pytest.raises(DisconnectedGraphError):
@@ -358,7 +357,8 @@ def test_visit_index_matches_rescan():
             assert list(w.visits(v)) == rescan
             assert {x for link in w.visits(v) for x in link} == set(g.neighbors(v))
             assert transition_graph_at(w, v) == _components_nx(w, v)
-        assert list(w.visits(max(g.vertices) + 1)) == []
+        with pytest.raises(UnknownVertexError, match="not in host"):
+            w.visits(max(g.vertices) + 1)
 
 
 # -- long traces against references built here --------------------------------
@@ -518,14 +518,26 @@ def test_acceptance_is_exact_on_every_sequence_over_small_hosts():
     ],
 )
 def test_an_unvalidated_non_trace_is_not_classified(k3, seq, error):
-    # a DoubleTrace built around a sequence that is no double trace finds
-    # that out on first use and raises what validation raises for it
+    # no trace goes unvalidated: making a DoubleTrace proves it, so a
+    # sequence that is no double trace raises there what validation raises
     with pytest.raises(error) as expected:
         validate_double_trace(k3, seq)
-    for read in (classify_trace, lambda w: transition_graph_at(w, 0)):
-        with pytest.raises(error) as err:
-            read(DoubleTrace(k3, seq))
-        assert str(err.value) == str(expected.value)
+    with pytest.raises(error) as err:
+        DoubleTrace(k3, seq)
+    assert str(err.value) == str(expected.value)
+
+
+def test_a_trace_made_directly_is_the_validated_one(k3):
+    # both store the least rotation and keep the same repetitions
+    traces = [(k3, tuple(K3_ANTI))] + [(w.host, w.sequence) for w in long_traces().values()]
+    for g, seq in traces:
+        rotated = seq[1:] + seq[:1]
+        made, validated = DoubleTrace(g, rotated), validate_double_trace(g, rotated)
+        assert made == validated
+        assert made.sequence == seq
+        assert classify_trace(made).minimal_repetitions == (
+            classify_trace(validated).minimal_repetitions
+        )
 
 
 def test_classifications_do_not_share_the_repetition_map(k3):
