@@ -21,11 +21,18 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
+
+try:  # the C accelerator json.encoder re-exports, without the json package
+    from _json import encode_basestring_ascii, make_encoder as c_make_encoder
+except ImportError:  # pragma: no cover - an interpreter without _json
+    c_make_encoder = None
+
+    def encode_basestring_ascii(s: str) -> str:
+        from json.encoder import encode_basestring_ascii as encode
+        return encode(s)
 
 from .decide import (
     NO_QUALIFIED_TREE,
@@ -310,7 +317,11 @@ def cmd_find(args) -> int:
         "trace": list(trace.sequence),
         "metadata": meta,
     }
-    _emit(args, doc, [format_trace_text(trace), json.dumps(meta, sort_keys=True)])
+    # json.dumps(meta, sort_keys=True): a flat dict's text with its line breaks
+    # and indents dropped (no ASCII-escaped string holds a raw line break)
+    text = _json_dump(meta) if c_make_encoder is None else _encoder(1)(meta)
+    line = text.replace("{\n" + _INDENT, "{").replace(",\n" + _INDENT, ", ").replace("\n}", "}")
+    _emit(args, doc, [format_trace_text(trace), line])
     return EXIT_YES
 
 

@@ -20,10 +20,8 @@ up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import InternalInvariantError, NotAntiparallelError, NotStableError
-from .graph import Graph, betti_number, edge_connectivity, fresh_vertex_ids, require_connected
+from .graph import Graph, _Value, betti_number, edge_connectivity, fresh_vertex_ids, require_connected
 from .search import find_trace
 from .spanning import (
     SpanningTree,
@@ -56,15 +54,30 @@ NO_QUALIFIED_TREE = "NoQualifiedTree"
 PARITY_OBSTRUCTION = "ParityObstruction"
 
 
-@dataclass
-class DecisionCertificate:
-    """Outcome of one matrix cell, with re-checkable evidence."""
+class DecisionCertificate(_Value):
+    """Outcome of one matrix cell, with re-checkable evidence (a mutable value)."""
 
-    verdict: bool
-    spec: TraceSpec
-    witness_tree: SpanningTree | None = None
-    violated_condition: str | None = None
-    condition_detail: dict = field(default_factory=dict)
+    def __init__(
+        self, verdict: bool, spec: TraceSpec, witness_tree: SpanningTree | None = None,
+        violated_condition: str | None = None, condition_detail: dict | None = None,
+    ):
+        self.verdict = verdict
+        self.spec = spec
+        self.witness_tree = witness_tree
+        self.violated_condition = violated_condition
+        self.condition_detail = {} if condition_detail is None else condition_detail
+
+    def _key(self):
+        return (
+            self.verdict, self.spec, self.witness_tree, self.violated_condition,
+            self.condition_detail,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            "DecisionCertificate(verdict=%r, spec=%r, witness_tree=%r, "
+            "violated_condition=%r, condition_detail=%r)" % self._key()
+        )
 
     def condition_label(self) -> str:
         if self.verdict:

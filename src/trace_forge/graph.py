@@ -10,7 +10,6 @@ the search engine walk ``Graph._darts``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Sequence
@@ -89,8 +88,29 @@ def _components(
     return tuple(map(tuple, buckets.values()))
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Value:
+    """A value equal to one of its own class with the same ``_key()``; unhashable."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+
+class _Frozen(_Value):
+    """A value hashed by its ``_key()``; constructors write the instance dict."""
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
     """A finite simple undirected graph.
 
     ``vertices`` is sorted and ``edges`` holds canonical ``(u, v)`` pairs with
@@ -98,8 +118,11 @@ class Graph:
     and edge sets.
     """
 
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    def __init__(self, vertices: tuple[int, ...], edges: tuple[Edge, ...]):
+        self.__dict__.update(vertices=vertices, edges=edges)
+
+    def _key(self):
+        return self.vertices, self.edges
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -223,23 +246,26 @@ class Graph:
         return f"Graph({self.num_vertices} vertices, {self.num_edges} edges)"
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(_Frozen):
     """An ordered partition of one vertex's neighborhood, used by split_vertex."""
 
-    vertex: int
-    parts: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __init__(self, vertex: int, parts: tuple[frozenset[int], ...]):
+        self.__dict__.update(vertex=vertex, parts=parts)
+        if len(parts) < 2:
             raise InvalidPartitionError("a split needs at least 2 parts")
-        if any(not part for part in self.parts):
+        if any(not part for part in parts):
             raise InvalidPartitionError("split parts must be non-empty")
         seen: set[int] = set()
-        for part in self.parts:
+        for part in parts:
             if seen & part:
                 raise InvalidPartitionError("split parts must be pairwise disjoint")
             seen |= part
+
+    def _key(self):
+        return self.vertex, self.parts
+
+    def __repr__(self) -> str:
+        return "SplitSpec(vertex=%r, parts=%r)" % self._key()
 
 
 def make_graph(vertices: Iterable[int], edges: Iterable[Edge]) -> Graph:

@@ -43,23 +43,22 @@ joined by four single edges has 393,216 trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import NotSpanningTreeError
-from .graph import Edge, Graph, _components, betti_number, require_connected
+from .graph import Edge, Graph, _components, _Frozen, betti_number, require_connected
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(_Frozen):
     """A spanning tree of ``host`` given by its edge subset, checked when
     constructed; the trees of :func:`iter_spanning_trees` skip the check."""
 
-    host: Graph
-    tree_edges: frozenset[Edge]
+    def __init__(self, host: Graph, tree_edges: frozenset[Edge]):
+        self.__dict__.update(host=host, tree_edges=tree_edges)
+        _check_spanning_tree(host, tree_edges)
 
-    def __post_init__(self):
-        _check_spanning_tree(self.host, self.tree_edges)
+    def _key(self):
+        return self.host, self.tree_edges
 
     @property
     def cotree_edges(self) -> frozenset[Edge]:
@@ -89,12 +88,17 @@ def spanning_tree(g: Graph, edges) -> SpanningTree:
     return SpanningTree(g, frozenset((min(e), max(e)) for e in edges))
 
 
-@dataclass(frozen=True)
-class CotreeComponent:
+class CotreeComponent(_Frozen):
     """One connected component of the co-tree, as an edge-induced subgraph."""
 
-    edges: frozenset[Edge]
-    vertices: frozenset[int]
+    def __init__(self, edges: frozenset[Edge], vertices: frozenset[int]):
+        self.__dict__.update(edges=edges, vertices=vertices)
+
+    def _key(self):
+        return self.edges, self.vertices
+
+    def __repr__(self) -> str:
+        return "CotreeComponent(edges=%r, vertices=%r)" % self._key()
 
     @property
     def is_odd(self) -> bool:
@@ -186,8 +190,7 @@ def _searched_tree(g: Graph, edges: frozenset[Edge]) -> SpanningTree:
     """A :class:`SpanningTree` the search below has already proved, built
     without running the check again."""
     t = object.__new__(SpanningTree)
-    object.__setattr__(t, "host", g)
-    object.__setattr__(t, "tree_edges", edges)
+    t.__dict__.update(host=g, tree_edges=edges)
     return t
 
 

@@ -14,7 +14,6 @@ classification against one cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     WrongLengthError,
     WrongMultiplicityError,
 )
-from .graph import Graph, _vertex_ids, edge_key, require_connected
+from .graph import Graph, _Frozen, _vertex_ids, edge_key, require_connected
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
@@ -133,8 +132,7 @@ def _transition_components(
     return per_vertex
 
 
-@dataclass(frozen=True)
-class DoubleTrace:
+class DoubleTrace(_Frozen):
     """A double trace, stored as its minimal rotation.
 
     The sequence is cyclic: the first vertex implicitly follows the last, and
@@ -143,9 +141,9 @@ class DoubleTrace:
     trace, and keeps each host vertex's minimal repetitions in order.
     """
 
-    host: Graph
-    sequence: tuple[int, ...]
-    _repetitions: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, host: Graph, sequence: Sequence[int]):
+        self.__dict__.update(host=host, sequence=sequence)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         g = self.host
@@ -158,8 +156,10 @@ class DoubleTrace:
         reps = _transition_components(rotated, g.adjacency)
         if reps is None:
             _raise_first_fault(g, seq)
-        object.__setattr__(self, "sequence", rotated)
-        object.__setattr__(self, "_repetitions", reps)
+        self.__dict__.update(sequence=rotated, _repetitions=reps)
+
+    def _key(self):
+        return self.host, self.sequence
 
     @property
     def length(self) -> int:
@@ -178,8 +178,7 @@ class DoubleTrace:
         return f"DoubleTrace({' '.join(map(str, self.sequence))})"
 
 
-@dataclass(frozen=True)
-class TraceClass:
+class TraceClass(_Frozen):
     """Where a trace sits in the kind/direction matrix.
 
     ``minimal_repetitions`` maps each vertex, in ascending order, to the
@@ -187,12 +186,17 @@ class TraceClass:
     element; it takes no part in equality, hashing or the repr.
     """
 
-    direction: str
-    stability_order: int
-    strong: bool
-    minimal_repetitions: dict[int, tuple[tuple[int, ...], ...]] = field(
-        repr=False, compare=False
-    )
+    def __init__(self, direction: str, stability_order: int, strong: bool, minimal_repetitions: dict):
+        self.__dict__.update(
+            direction=direction, stability_order=stability_order, strong=strong,
+            minimal_repetitions=minimal_repetitions,
+        )
+
+    def _key(self):
+        return self.direction, self.stability_order, self.strong
+
+    def __repr__(self) -> str:
+        return "TraceClass(direction=%r, stability_order=%r, strong=%r)" % self._key()
 
 
 def require_trace_host(g: Graph) -> None:
@@ -317,27 +321,29 @@ def classify_trace(w: DoubleTrace) -> TraceClass:
     )
 
 
-@dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(_Frozen):
     """A cell of the kind x direction matrix."""
 
-    kind: str
-    direction: str = "any"
-    d: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.kind == "stable":
+    def __init__(self, kind: str, direction: str = "any", d: int | None = None):
+        self.__dict__.update(kind=kind, direction=direction, d=d)
+        if kind not in KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
+        if kind == "stable":
             # an exact type test: bool is an int subclass, and True is no order
-            if self.d is not None and type(self.d) is not int:
-                raise ValueError(f"stable kind needs an integer d, got {self.d!r}")
-            if self.d is None or self.d < 1:
+            if d is not None and type(d) is not int:
+                raise ValueError(f"stable kind needs an integer d, got {d!r}")
+            if d is None or d < 1:
                 raise ValueError("stable kind needs d >= 1")
-        elif self.d is not None:
-            raise ValueError(f"kind {self.kind!r} takes no d")
+        elif d is not None:
+            raise ValueError(f"kind {kind!r} takes no d")
+
+    def _key(self):
+        return self.kind, self.direction, self.d
+
+    def __repr__(self) -> str:
+        return "TraceSpec(kind=%r, direction=%r, d=%r)" % self._key()
 
 
 def spec_satisfied(spec: TraceSpec, cls: TraceClass) -> bool:

@@ -300,3 +300,31 @@ def test_writer_needs_no_c_encoder(tmp_path, monkeypatch, capsys):
     assert without_c == with_c
     for text in without_c:
         assert text == _reference(json.loads(text)) + "\n"
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_find_metadata_line_is_json_dumps(monkeypatch, capsys, c_encoder):
+    # find's text output: the trace, then its metadata as
+    # json.dumps(meta, sort_keys=True), the same with or without the C encoder
+    fixtures = Path(__file__).parent / "fixtures"
+    runs = [
+        ("k5", ["--kind", "stable", "-d", "1", "--direction", "antiparallel"]),
+        ("k5", ["--kind", "strong", "--direction", "antiparallel"]),
+        ("k5", ["--kind", "double", "--direction", "parallel"]),
+        ("p3", ["--kind", "double"]),
+        ("q3", ["--kind", "strong"]),
+    ]
+    if not c_encoder:
+        monkeypatch.setattr(cli, "c_make_encoder", None)
+    cli._encoder.cache_clear()
+    try:
+        for name, argv in runs:
+            argv = ["find", "-i", str(fixtures / f"{name}.edges"), *argv]
+            assert cli.main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert cli.main([*argv, "--json"]) == 0
+            meta = json.loads(capsys.readouterr().out)["metadata"]
+            assert len(lines) == 2 and lines[1] == json.dumps(meta, sort_keys=True)
+        assert (cli._encoder.cache_info().currsize == 0) is not c_encoder
+    finally:
+        cli._encoder.cache_clear()

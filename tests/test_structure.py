@@ -207,6 +207,33 @@ def test_cli_import_leaves_networkx_unloaded(tmp_path):
     assert out.stdout.split() == ["trace_forge", "False", "0", "False"]
 
 
+def test_cli_import_loads_no_dataclasses_or_json():
+    # the value classes are written out, so no method is generated at
+    # import, and the writer's C encoder comes from _json; so the import
+    # loads neither dataclasses (with the inspect, ast, dis and tokenize it
+    # pulls in) nor the json package.  Modules loaded before it (start-up
+    # .pth hooks) do not count.
+    src = str(SOURCE.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import trace_forge.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = out.stdout.split()
+    assert "trace_forge.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+    assert [m for m in loaded if m.partition(".")[0] in unwanted] == []
+
+
 def _names_imported_from(tree: ast.Module, module: str) -> list[str]:
     """Names a package module imports from its sibling ``module``; the
     sibling itself, taken by ``from . import``, counts as ``"*"``."""
@@ -557,8 +584,8 @@ def _load_time_imports(tree: ast.Module) -> set[str]:
 
 # every fresh process pays for these (setup_s); a new one is a reviewed edit
 LOAD_TIME_IMPORTS = {
-    "__future__", "argparse", "dataclasses", "functools", "itertools",
-    "json", "os", "pathlib", "sys", "typing",
+    "__future__", "_json", "argparse", "functools", "itertools",
+    "os", "pathlib", "sys", "typing",
 }
 
 
