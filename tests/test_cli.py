@@ -1,5 +1,6 @@
 """End-to-end CLI contract: exit codes, JSON documents, format parity."""
 
+import hashlib
 import json
 import os
 import random
@@ -770,6 +771,27 @@ def test_dispatch_rejects_and_helps_as_the_full_parser(capsys, argv):
     full = _outcome(capsys, lambda: cli.build_parser().parse_args(argv))
     assert dispatched == full
     assert dispatched[0] in (0, 2)
+
+
+# sha256 of each help text at COLUMNS=80, taken on Python 3.11: argparse
+# lays help out differently on other versions (3.13 writes "-i, --input INPUT")
+HELP_SHA256 = {
+    "": "8761e2f1a34f6865dd4d33eca29344b0f918b42c1154097dc7a997a54f93fc5b",
+    "decide": "0b606a2386949eaaccf898554ce6322753f4b56afaaf0d689343d66bead2957d",
+    "find": "335a372ae59e82873b536b87453777de8b1767b29d3c2ea619e3029ffd59b95a",
+    "verify": "85859977ec87bc16d3895b6ab332edbd2657e1ade82ed0f4232651793aef7fc2",
+    "deficiency": "450dd83c0947f1e4967b3f5f6b318f1a8815c2c29c97a8130626ac4c6380f223",
+    "table": "55ba429175ade62178cb03a801fe5b53ec5f43c963bbd205e3af6419251a5878",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help digests taken on 3.11")
+@pytest.mark.parametrize("command", HELP_SHA256)
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _outcome(capsys, lambda: main([command, "-h"] if command else ["-h"]))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_main_scans_argv_once(tmp_path, capsys, monkeypatch):
