@@ -19,11 +19,11 @@ document's) are each written by one call of the C encoder and
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 try:  # the C accelerator json.encoder re-exports, without the json package
     from _json import encode_basestring_ascii, make_encoder as c_make_encoder
@@ -418,165 +418,127 @@ def _d_list(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
     except ValueError:
+        import argparse  # its ArgumentTypeError makes this argparse's message
+
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-i", "--input", required=True, help="graph file")
-    parser.add_argument(
-        "--format",
-        choices=[EDGELIST, GRAPH6],
-        default=EDGELIST,
-        help="input format (default: edgelist)",
-    )
-    parser.add_argument("--json", action="store_true", help="JSON output")
+#: The default of an option that every argv must give.
+REQUIRED = object()
+
+_INPUT = (
+    (("-i", "--input"), "input", str, REQUIRED, "graph file"),
+    (("--format",), "format", (EDGELIST, GRAPH6), EDGELIST, "input format (default: edgelist)"),
+    (("--json",), "json", None, False, "JSON output"),
+)
+_CELL = (
+    (("--kind",), "kind", KINDS, "double", "trace kind (default: double)"),
+    (("--direction",), "direction", DIRECTIONS, "any", "direction constraint (default: any)"),
+    (("-d",), "d", int, None, "stability order"),
+)
+
+#: Each subcommand's handler, help and options, in help order.  An option
+#: row holds its option strings, dest, a type or a tuple of choices (None
+#: for a flag, which defaults to False), its default or REQUIRED, and help.
+COMMANDS = {
+    "decide": (cmd_decide, "decide existence for one matrix cell", _INPUT + _CELL + (
+        (("--oracle",), "oracle", None, False, "re-verify the verdict by exhaustive search"),
+    )),
+    "find": (cmd_find, "construct a trace for one matrix cell", _INPUT + _CELL),
+    "verify": (cmd_verify, "classify a trace file", _INPUT + _CELL + (
+        (("-t", "--trace"), "trace", str, REQUIRED, "trace file"),
+    )),
+    "deficiency": (cmd_deficiency, "betti number and deficiencies", _INPUT + (
+        (("-d",), "d", int, None, "degree threshold for the qualified deficiency: the threshold "
+         "D = 2d + 2 itself, not the d that the other subcommands' -d takes"),
+    )),
+    "table": (cmd_table, "evaluate the full matrix", _INPUT + (
+        (("-d",), "d_list", _d_list, None, "comma-separated stability orders (default: 1)"),
+        (("--oracle",), "oracle", None, False, "re-verify every cell by exhaustive search"),
+    )),
+}
 
 
-def _add_cell(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kind",
-        choices=KINDS,
-        default="double",
-        help="trace kind (default: double)",
-    )
-    parser.add_argument(
-        "--direction",
-        choices=DIRECTIONS,
-        default="any",
-        help="direction constraint (default: any)",
-    )
-    parser.add_argument("-d", type=int, default=None, help="stability order")
+def build_parser():
+    """The argparse parser of :data:`COMMANDS`, for the argv that
+    :func:`_scan` leaves: it writes the usage, the help and the errors."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trace-forge",
         description="Decide, construct, and verify double traces of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # main() hands argv straight to the parser its first word names
-    parser.subcommands = sub.choices
-
-    p_decide = sub.add_parser("decide", help="decide existence for one matrix cell")
-    _add_common(p_decide)
-    _add_cell(p_decide)
-    p_decide.add_argument(
-        "--oracle",
-        action="store_true",
-        help="re-verify the verdict by exhaustive search",
-    )
-    p_decide.set_defaults(func=cmd_decide)
-
-    p_find = sub.add_parser("find", help="construct a trace for one matrix cell")
-    _add_common(p_find)
-    _add_cell(p_find)
-    p_find.set_defaults(func=cmd_find)
-
-    p_verify = sub.add_parser("verify", help="classify a trace file")
-    _add_common(p_verify)
-    _add_cell(p_verify)
-    p_verify.add_argument("-t", "--trace", required=True, help="trace file")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_def = sub.add_parser("deficiency", help="betti number and deficiencies")
-    _add_common(p_def)
-    p_def.add_argument(
-        "-d",
-        type=int,
-        default=None,
-        help="degree threshold for the qualified deficiency: the threshold "
-        "D = 2d + 2 itself, not the d that the other subcommands' -d takes",
-    )
-    p_def.set_defaults(func=cmd_deficiency)
-
-    p_table = sub.add_parser("table", help="evaluate the full matrix")
-    _add_common(p_table)
-    p_table.add_argument(
-        "-d",
-        dest="d_list",
-        type=_d_list,
-        default=None,
-        help="comma-separated stability orders (default: 1)",
-    )
-    p_table.add_argument(
-        "--oracle",
-        action="store_true",
-        help="re-verify every cell by exhaustive search",
-    )
-    p_table.set_defaults(func=cmd_table)
+    for command, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flags, dest, kind, default, text in options:
+            if kind is None:
+                checked = {"action": "store_true"}
+            else:
+                checked = {"choices": kind} if type(kind) is tuple else {"type": kind}
+            # a required option's default never reaches a namespace
+            p.add_argument(
+                *flags, dest=dest, default=default, required=default is REQUIRED,
+                help=text, **checked,
+            )
+        p.set_defaults(func=func)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on the first call of the process."""
-    return build_parser()
+def _scan(command: str, words: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args([command, *words])`` gives, or None
+    where argparse itself has to parse.
 
-
-def _scan(sub: argparse.ArgumentParser, words: list[str]) -> dict | None:
-    """The values ``sub.parse_args(words)`` gives, or None where argparse
-    itself has to parse.
-
-    Each word must be one of ``sub``'s option strings, exactly.  A store
-    action takes the next word through its ``type`` and ``choices``, and a
-    ``store_true`` action sets True.  Actions left unset take their
-    ``default`` (each option has a dest of its own, as in
-    :func:`build_parser`), then ``set_defaults`` applies.  None comes back
-    for anything else: an unknown or abbreviated option, ``--opt=value``,
-    ``-d1``, a value that starts with ``-`` or is missing, a failed
-    ``type`` or ``choices`` check, a missing required option, ``-h``.
+    Each word must be one of the command's option strings, exactly.  A
+    flag sets True; any other option takes the next word, checked against
+    its choices or converted by its type.  Options left unset take their
+    default.  None comes back for anything else: an unknown command, an
+    unknown or abbreviated option, ``--opt=value``, ``-d1``, a value that
+    starts with ``-`` or is missing, a failed type or choice check, a
+    missing required option, ``-h``.
     """
-    options = sub._option_string_actions
-    values: dict = {}
+    if command not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[command]
+    rows = {flag: row for row in options for flag in row[0]}
+    values = {}
     words = iter(words)
     for word in words:
-        action = options.get(word)
-        if type(action) is argparse._StoreTrueAction:
-            values[action.dest] = True
-            continue
-        if type(action) is not argparse._StoreAction or action.nargs is not None:
+        if word not in rows:
             return None
+        _, dest, kind, _, _ = rows[word]
+        if kind is None:
+            values[dest] = True
+            continue
         value = next(words, "-")
         if value.startswith("-"):
             return None
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+        if type(kind) is tuple:
+            if value not in kind:
                 return None
-        if action.choices is not None and value not in action.choices:
-            return None
-        values[action.dest] = value
-    for action in sub._actions:
-        if action.dest in values or action.default is argparse.SUPPRESS:
-            continue
-        # argparse passes a str default through the action's type
-        if action.required or (action.type is not None and isinstance(action.default, str)):
-            return None
-        values[action.dest] = action.default
-    for dest, value in sub._defaults.items():
-        values.setdefault(dest, value)
-    return values
+        else:
+            # after a failure argparse calls the type again: it reports the
+            # error, or lets it propagate as it would without the scan
+            try:
+                value = kind(value)
+            except Exception:
+                return None
+        values[dest] = value
+    for _, dest, _, default, _ in options:
+        if dest not in values:
+            if default is REQUIRED:
+                return None
+            values[dest] = default
+    return SimpleNamespace(command=command, func=func, **values)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, without argparse where it can.
-
-    When ``argv[0]`` names a subcommand, :func:`_scan` matches the rest
-    against that subcommand's options, and the values it returns, with
-    ``command``, are the namespace.  The full parser runs for anything the
-    scan leaves to argparse, and for no argv, ``-h`` or an unknown command,
-    so that argparse itself writes the usage, the help or the error.
-    """
-    parser = _parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is not None:
-        values = _scan(sub, argv[1:])
-        if values is not None:
-            return argparse.Namespace(command=argv[0], **values)
-    return parser.parse_args(argv)
+def _parse(argv: list[str]):
+    """``build_parser().parse_args(argv)``, without argparse where
+    :func:`_scan` can read ``argv``."""
+    args = _scan(argv[0], argv[1:]) if argv else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import os
 from itertools import chain
-from pathlib import Path
 
 from .errors import ParseError
 from .graph import Graph, build_graph
@@ -99,7 +99,7 @@ def parse_graph6(text: str) -> Graph:
     )
 
 
-def _read(path: str | Path) -> str:
+def _read(path: str | os.PathLike[str]) -> str:
     """The file's text, read unbuffered and decoded whole as UTF-8.
 
     Text mode would also turn ``\\r\\n`` and ``\\r`` into ``\\n``; every
@@ -110,7 +110,7 @@ def _read(path: str | Path) -> str:
         return f.read().decode("utf-8")
 
 
-def load_graph(path: str | Path, fmt: str = EDGELIST) -> Graph:
+def load_graph(path: str | os.PathLike[str], fmt: str = EDGELIST) -> Graph:
     text = _read(path)
     if fmt == EDGELIST:
         return parse_edgelist(text)
@@ -141,7 +141,7 @@ def format_trace_text(w: DoubleTrace) -> str:
     return " ".join(str(x) for x in w.sequence)
 
 
-def load_trace_sequence(path: str | Path) -> tuple[int, ...]:
+def load_trace_sequence(path: str | os.PathLike[str]) -> tuple[int, ...]:
     """The trace on the file's one non-blank line; blank lines around it
     are skipped, and a second non-blank line raises."""
     return parse_trace_text(_only_line(_read(path), "trace file"))

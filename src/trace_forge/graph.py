@@ -10,9 +10,9 @@ the search engine walk ``Graph._darts``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
 
 from .errors import (
     AdjacentTargetsError,

@@ -27,7 +27,7 @@ one AND answers it when the two ends share an open neighbor.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import BudgetExhaustedError
 from .graph import Graph

@@ -43,7 +43,7 @@ joined by four single edges has 393,216 trees.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import NotSpanningTreeError
 from .graph import Edge, Graph, _components, _Frozen, betti_number, require_connected

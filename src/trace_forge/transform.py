@@ -17,8 +17,8 @@ branch is never trusted blindly.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegreeTooSmallError,

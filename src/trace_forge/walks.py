@@ -14,8 +14,8 @@ classification against one cell.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import Iterator, Sequence
 
 from .errors import (
     EmptyGraphError,
@@ -142,21 +142,16 @@ class DoubleTrace(_Frozen):
     """
 
     def __init__(self, host: Graph, sequence: Sequence[int]):
-        self.__dict__.update(host=host, sequence=sequence)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        g = self.host
         try:
-            seq = _vertex_ids(self.sequence)
+            seq = _vertex_ids(sequence)
         except (TypeError, ValueError):
-            require_trace_host(g)  # a host without a trace is reported first
+            require_trace_host(host)  # a host without a trace is reported first
             raise
         rotated = min_rotation(seq)
-        reps = _transition_components(rotated, g.adjacency)
+        reps = _transition_components(rotated, host.adjacency)
         if reps is None:
-            _raise_first_fault(g, seq)
-        self.__dict__.update(sequence=rotated, _repetitions=reps)
+            _raise_first_fault(host, seq)
+        self.__dict__.update(host=host, sequence=rotated, _repetitions=reps)
 
     def _key(self):
         return self.host, self.sequence

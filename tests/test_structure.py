@@ -13,6 +13,7 @@ import trace_forge
 from conftest import k4_chain
 
 SOURCE = Path(trace_forge.__file__).parent
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _self_calls(tree: ast.Module) -> list[str]:
@@ -232,6 +233,41 @@ def test_cli_import_loads_no_dataclasses_or_json():
     assert "trace_forge.cli" in loaded
     unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
     assert [m for m in loaded if m.partition(".")[0] in unwanted] == []
+
+
+def test_scanned_argv_loads_no_argparse():
+    # cli._scan reads a plain argv from the option table, so neither the
+    # import nor the command loads argparse (with gettext, re and enum), and
+    # annotations load neither typing nor pathlib.  python -S keeps site's
+    # .pth hooks from loading any of them first.  An abbreviated option
+    # goes to argparse, which gives the same verdict.
+    k4 = str(FIXTURES / "k4.edges")
+    probe = (
+        "import io, sys\n"
+        "import trace_forge.cli\n"
+        "def run(argv):\n"
+        "    sys.stdout = out = io.StringIO()\n"
+        "    code = trace_forge.cli.main(argv)\n"
+        "    sys.stdout = sys.__stdout__\n"
+        "    print(code, repr(out.getvalue()))\n"
+        f"run(['table', '-i', {k4!r}, '--json'])\n"
+        "print(*[m for m in ('argparse', 'gettext', 're', 'enum', 'typing', 'pathlib')\n"
+        "        if m in sys.modules])\n"
+        f"run(['decide', '-i', {k4!r}, '--kind', 'stable', '-d', '1', '--dir', 'antiparallel'])\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+    )
+    table, loaded, decide, abbreviated = out.stdout.splitlines()
+    assert table.startswith("0 '{\\n  \"cells\": [")
+    assert loaded == ""
+    assert decide == "1 'verdict: no (NoQualifiedTree(D=4))\\n'"
+    assert abbreviated == "True"
 
 
 def _names_imported_from(tree: ast.Module, module: str) -> list[str]:
@@ -474,7 +510,7 @@ def test_transition_graphs_come_from_one_walk():
     # transition cycles in one pass: making a DoubleTrace calls it, and the
     # readers take the cycles the trace keeps
     walks = ast.parse((SOURCE / "walks.py").read_text())
-    assert _callers(walks, "_transition_components") == ["DoubleTrace.__post_init__"]
+    assert _callers(walks, "_transition_components") == ["DoubleTrace.__init__"]
     readers = {
         fn.name: fn for fn in walks.body
         if isinstance(fn, ast.FunctionDef)
@@ -584,8 +620,8 @@ def _load_time_imports(tree: ast.Module) -> set[str]:
 
 # every fresh process pays for these (setup_s); a new one is a reviewed edit
 LOAD_TIME_IMPORTS = {
-    "__future__", "_json", "argparse", "functools", "itertools",
-    "os", "pathlib", "sys", "typing",
+    "__future__", "_json", "collections", "functools", "itertools",
+    "os", "sys", "types",
 }
 
 
