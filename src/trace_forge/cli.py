@@ -471,7 +471,7 @@ def build_parser():
         description="Decide, construct, and verify double traces of graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, summary, options) in COMMANDS.items():
+    for command, (_, summary, options) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for flags, dest, kind, default, text in options:
             if kind is None:
@@ -483,7 +483,6 @@ def build_parser():
                 *flags, dest=dest, default=default, required=default is REQUIRED,
                 help=text, **checked,
             )
-        p.set_defaults(func=func)
     return parser
 
 
@@ -501,7 +500,7 @@ def _scan(command: str, words: list[str]) -> SimpleNamespace | None:
     """
     if command not in COMMANDS:
         return None
-    func, _, options = COMMANDS[command]
+    options = COMMANDS[command][2]
     rows = {flag: row for row in options for flag in row[0]}
     values = {}
     words = iter(words)
@@ -531,7 +530,7 @@ def _scan(command: str, words: list[str]) -> SimpleNamespace | None:
             if default is REQUIRED:
                 return None
             values[dest] = default
-    return SimpleNamespace(command=command, func=func, **values)
+    return SimpleNamespace(command=command, **values)
 
 
 def _parse(argv: list[str]):
@@ -544,7 +543,7 @@ def _parse(argv: list[str]):
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = COMMANDS[args.command][0](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader of stdout has gone: send what is left to devnull, so
