@@ -165,6 +165,62 @@ def test_find_witness_follows_the_decision():
     assert exhausted == 13
 
 
+# The yes-cell classes that still call decide.find_trace. A construction
+# removes its class here; the list only shrinks, and the engine's fallback
+# goes once it is empty.
+SEARCHING = {
+    ("double", "any"),
+    ("stable", "any"),
+    ("strong", "any"),
+    ("double", "antiparallel"),
+    ("stable", "antiparallel"),
+    ("strong", "antiparallel"),
+    ("stable d >= 2", "parallel"),
+    ("strong off a cycle", "parallel"),
+}
+
+
+def _cell_class(g: Graph, kind: str, direction: str, d: int | None) -> tuple[str, str]:
+    if direction == "parallel" and kind == "stable":
+        kind = "stable d >= 2" if d >= 2 else "stable d = 1"
+    elif direction == "parallel" and kind == "strong":
+        on_cycle = all(g.degree(v) == 2 for v in g.vertices)
+        kind = "strong on a cycle" if on_cycle else "strong off a cycle"
+    return kind, direction
+
+
+def test_only_listed_cells_search(monkeypatch):
+    # each yes-cell of a listed class searches at least once, and no other
+    # yes-cell searches at all; budget 1 stops a search at its first node
+    import trace_forge.decide as decide_module
+
+    calls = []
+
+    def counted(g, spec, budget):
+        calls.append(spec)
+        return find_trace(g, spec, budget)
+
+    monkeypatch.setattr(decide_module, "find_trace", counted)
+    searched = set()
+    for g in atlas_graphs(6):
+        table = condition_table(g, [1, 2, 3])
+        for kind, direction, d in DISPATCH_CELLS:
+            if not table[kind, direction, d].verdict:
+                continue
+            cell = _cell_class(g, kind, direction, d)
+            calls.clear()
+            try:
+                find_witness(g, kind, direction, d, budget=1)
+            except BudgetExhaustedError:
+                pass
+            if cell in SEARCHING:
+                assert calls, (g.edges, kind, direction, d)
+                searched.add(cell)
+            else:
+                assert not calls, (g.edges, kind, direction, d)
+    assert searched == SEARCHING
+
+
 def test_condition_table_k3(k3):
     table = condition_table(k3, [1])
     verdicts = {
