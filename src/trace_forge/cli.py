@@ -542,6 +542,12 @@ def _parse(argv: list[str]):
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
+    # no command leaves cyclic garbage (tests/test_cli.py checks each), so the
+    # collector's passes over the caller's heap buy nothing while one runs
+    import gc
+
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         code = COMMANDS[args.command][0](args)
         sys.stdout.flush()
@@ -555,6 +561,9 @@ def main(argv: list[str] | None = None) -> int:
     except (TraceForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if was_enabled:
+            gc.enable()
     return code
 
 

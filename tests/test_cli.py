@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, JSON documents, format parity."""
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -879,3 +880,118 @@ def test_closed_stdout_exits_2_without_traceback(unbuffered):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (2, "")
+
+
+ANTIPARALLEL_1_STABLE = ["--kind", "stable", "-d", "1", "--direction", "antiparallel"]
+
+
+@pytest.mark.parametrize(
+    "argv, budget, expected",
+    [
+        (["table", "-i", "{fix}/k5.edges"], None, 0),
+        (["deficiency", "-i", "{fix}/k4.edges", "-d", "4"], None, 0),
+        (["decide", "-i", "{fix}/k5.edges", *ANTIPARALLEL_1_STABLE], None, 0),
+        (["decide", "-i", "{fix}/k4.edges", *ANTIPARALLEL_1_STABLE], None, 1),
+        (["decide", "-i", "{fix}/k4.edges", *ANTIPARALLEL_1_STABLE, "--oracle"], None, 1),
+        (["find", "-i", "{fix}/k5.edges", *ANTIPARALLEL_1_STABLE], None, 0),
+        (["find", "-i", "{tmp}/k6.edges", *ANTIPARALLEL_1_STABLE], "1000", 2),
+        (["verify", "-i", "{fix}/k3.edges", "-t", "{tmp}/k3.trace"], None, 0),
+        (["verify", "-i", "{fix}/k3.edges", "-t", "{tmp}/short.trace"], None, 2),
+        (["decide", "-i", "{tmp}/missing.edges"], None, 2),
+    ],
+    ids=[
+        "table", "deficiency", "decide-yes", "decide-no", "decide-oracle", "find",
+        "find-budget", "verify", "verify-wrong-length", "missing-input",
+    ],
+)
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys, monkeypatch, argv, budget, expected):
+    # what main frees, it frees by reference counting: this is why it may run
+    # with the collector paused and lose no memory
+    (tmp_path / "k6.edges").write_text("".join(f"{u} {v}\n" for u, v in complete_graph(6).edges))
+    (tmp_path / "k3.trace").write_text("0 1 2 0 2 1\n")
+    (tmp_path / "short.trace").write_text("0 1 2\n")
+    if budget is None:
+        monkeypatch.delenv("TRACE_FORGE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TRACE_FORGE_BUDGET", budget)
+    argv = [a.format(fix=FIXTURES, tmp=tmp_path) for a in argv]
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = main(argv)
+        assert (code, gc.collect(), gc.garbage) == (expected, 0, [])
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    capsys.readouterr()
+
+
+def test_commands_run_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    torus = tmp_path / "torus20.edges"
+    torus.write_text("".join(
+        f"{20 * i + j} {20 * i + (j + 1) % 20}\n{20 * i + j} {20 * ((i + 1) % 20) + j}\n"
+        for i in range(20)
+        for j in range(20)
+    ))
+    assert main(["find", "-i", str(torus), "--kind", "double", "--direction", "parallel"]) == 0
+    trace = tmp_path / "torus20.trace"
+    trace.write_text(capsys.readouterr().out.splitlines()[0] + "\n")
+    # a 1,600-step verify allocates far past the first generation's threshold,
+    # yet no collection runs inside main
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        code = main(["verify", "-i", str(torus), "-t", str(trace), "--json"])
+    finally:
+        gc.callbacks.remove(record)
+    assert (code, collections, gc.isenabled()) == (0, [], True)
+    assert json.loads(capsys.readouterr().out)["classification"]["direction"] == "parallel"
+    # main hands the caller back its collector as it found it, on each exit
+    monkeypatch.setenv("TRACE_FORGE_BUDGET", "1")
+    exits = [
+        (["verify", "-i", str(torus), "-t", str(trace)], 0),
+        (["decide", "-i", str(FIXTURES / "k4.edges"), *ANTIPARALLEL_1_STABLE], 1),
+        (["decide", "-i", str(FIXTURES / "bad.edges")], 2),  # a ParseError
+        (["find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong"], 2),  # the budget
+    ]
+    for enabled in (True, False):
+        for argv, expected in exits:
+            if not enabled:
+                gc.disable()
+            try:
+                assert (main(argv), gc.isenabled()) == (expected, enabled), argv
+            finally:
+                gc.enable()
+    capsys.readouterr()
+    # and when stdout's reader has gone
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import gc, sys\n"
+        "from trace_forge.cli import main\n"
+        "if sys.argv[1] == 'off':\n"
+        "    gc.disable()\n"
+        "print(main(sys.argv[2:]), gc.isenabled(), file=sys.stderr)\n"
+    )
+    for state, after in (("on", "True"), ("off", "False")):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-c", script, state, "table", "-i", str(FIXTURES / "k4.edges")],
+                env={**os.environ, "PYTHONPATH": pythonpath},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, f"2 {after}\n")
