@@ -63,7 +63,7 @@ for direction in ("any", "parallel", "antiparallel"):
 print("  strong antiparallel:", find_trace(k3, TraceSpec("strong", "antiparallel")),
       "(betti 1 is odd)")
 
-print("\n=== parallel traces come from doubled Euler tours ===")
+print("\n=== parallel traces come from one copy-swapped Euler circuit ===")
 k5 = complete_graph(5)
 w = find_witness(k5, "double", "parallel")
 print("K5 parallel double trace:", w.sequence)

@@ -8,12 +8,15 @@ the extraction alike.  It reads each graph fact (the minimum degree, the
 degree parity, the Betti number) at most once, and only for a cell that
 needs it, and one tree walk answers every antiparallel cell that reaches
 the tree test.  Every entry point checks the host before the cell.
-:func:`_witness` is the one place that turns a decided yes into a trace, by
-construction or by search.  The constructive pipeline starts from the
+:func:`_witness` is the one place that turns a decided yes into a trace, with
+one construction per cell class.  A parallel yes copy-swaps an Euler
+circuit; a double yes inserts a detour per co-tree edge into a spanning
+tree walk; a stable or strong yes of direction any twists each co-tree edge
+into the same walk.  The antiparallel pipeline starts from the
 certificate's tree and builds an antiparallel d-stable trace by repeatedly
 splitting a high-degree vertex inside an odd co-tree component until the
-co-tree is all even, finding an antiparallel strong trace there, and
-lifting it back through the identifications; the reverse extraction
+co-tree is all even, finding an antiparallel strong trace there by search,
+and lifting it back through the identifications; the reverse extraction
 projects a trace along its repetition sets and pulls an all-even tree back
 up.
 """
@@ -95,35 +98,6 @@ def _no(spec, condition, **detail) -> DecisionCertificate:
     )
 
 
-def _doubled_euler_tour(g: Graph) -> DoubleTrace:
-    """An Euler tour of a connected Eulerian graph, walked twice.
-
-    Hierholzer from the least vertex, always leaving by the least unused
-    edge.  The doubled tour is a parallel trace and exactly 1-stable: each
-    visit of a simple graph's vertex pairs two distinct neighbours, and the
-    second pass repeats the pair, so each transition component is the pair
-    of one visit.  A pair is the whole neighbourhood only at a vertex of
-    degree 2, so the trace is strong only on a cycle.
-    """
-    unused = {v: list(reversed(g.neighbors(v))) for v in g.vertices}  # least last
-    stale: set[tuple[int, int]] = set()  # (w, u): w's entry for a walked edge
-    stack = [g.vertices[0]]
-    tour: list[int] = []
-    while stack:
-        u = stack[-1]
-        out = unused[u]
-        while out and (u, out[-1]) in stale:
-            out.pop()
-        if out:
-            w = out.pop()
-            stale.add((w, u))
-            stack.append(w)
-        else:
-            tour.append(stack.pop())
-    cycle = tour[:0:-1]  # walking order, without the closing start vertex
-    return validate_double_trace(g, cycle + cycle)
-
-
 def decide_existence(
     g: Graph, kind: str, direction: str = "any", d: int | None = None
 ) -> DecisionCertificate:
@@ -201,8 +175,10 @@ def find_witness(
 
     The cell is decided first, host before cell as in
     :func:`decide_existence`, and a no is answered without searching; a yes
-    takes its trace from :func:`_witness`.  Any search runs under
-    ``budget``; no budget means ``search.DEFAULT_BUDGET``.
+    takes its trace from :func:`_witness`.  Only an antiparallel stable or
+    strong yes searches, for the strong trace of its reduced graph, under
+    ``budget``; no budget means ``search.DEFAULT_BUDGET``.  Every other yes
+    is built without a search.
     """
     require_trace_host(g)
     spec = TraceSpec(kind, direction, d)  # validates the cell coordinates
@@ -212,29 +188,156 @@ def find_witness(
 def _witness(g: Graph, cert: DecisionCertificate, budget: int | None) -> DoubleTrace | None:
     """The trace of a cell already decided on ``g``: None for a no.
 
-    An antiparallel stable or strong yes is built from its certificate's
-    tree by :func:`_build_from_tree`.  A parallel yes takes the doubled
-    Euler tour when it satisfies the cell (double, d = 1, strong on a
-    cycle).  The cells with no construction, every cell of direction any,
-    double antiparallel, parallel d >= 2 and parallel strong off a cycle,
-    search under ``budget``.
+    Each yes has one construction.  An antiparallel stable or strong yes is
+    built from its certificate's tree by :func:`_build_from_tree`, whose
+    strong search runs under ``budget``.  A parallel yes takes
+    :func:`_copy_swap`, a double yes :func:`_detour`, and a stable or strong
+    yes of direction any :func:`_twisted`.  Every trace is classified, and
+    one outside its cell raises :class:`InternalInvariantError`.
     """
-    spec = cert.spec
     if not cert.verdict:
         return None
+    spec = cert.spec
     if cert.witness_tree is not None:
-        return _build_from_tree(cert.witness_tree, spec, budget)
-    if spec.direction == PARALLEL:
-        # the graph is connected and Eulerian here, so the doubled tour exists
-        trace = _doubled_euler_tour(g)
-        if spec_satisfied(spec, classify_trace(trace)):
-            return trace
-    trace = find_trace(g, spec, budget)
-    if trace is None:
-        raise InternalInvariantError(
-            f"predicate says yes but the complete search found no trace for {spec}"
-        )
+        trace = _build_from_tree(cert.witness_tree, spec, budget)
+    elif spec.direction == PARALLEL:
+        trace = _copy_swap(g)
+    elif spec.kind == "double":
+        trace = _detour(g)
+    else:
+        trace = _twisted(g)
+    cls = classify_trace(trace)
+    if not spec_satisfied(spec, cls):
+        raise InternalInvariantError(f"{spec} built a trace outside its cell: {cls}")
     return trace
+
+
+def _tree_walk(g: Graph) -> tuple[list[int], list[tuple[int, int]]]:
+    """The closed walk around a depth-first spanning tree of a connected
+    graph, from the least vertex by ascending neighbours, without its
+    closing vertex, and the co-tree edges.
+
+    The walk takes each tree edge once down and once up.  At each vertex it
+    links the tree neighbours in one cycle, so it is a strong antiparallel
+    double trace of the tree.
+    """
+    adjacency = g.adjacency
+    root = g.vertices[0]
+    seen = {root}
+    tree = set()
+    walk = [root]
+    stack = [(root, iter(adjacency[root]))]
+    while stack:
+        v, pending = stack[-1]
+        for w in pending:
+            if w not in seen:
+                seen.add(w)
+                tree.add((v, w) if v < w else (w, v))
+                walk.append(w)
+                stack.append((w, iter(adjacency[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                walk.append(stack[-1][0])
+    walk.pop()
+    return walk, [e for e in g.edges if e not in tree]
+
+
+def _detour(g: Graph) -> DoubleTrace:
+    """An antiparallel double trace of a connected graph: the tree walk with
+    ``u v u`` inserted at the first visit of u for each co-tree edge uv,
+    u < v."""
+    walk, cotree = _tree_walk(g)
+    detours: dict[int, list[int]] = {}
+    for u, v in cotree:
+        detours.setdefault(u, []).append(v)
+    seq = []
+    for x in walk:
+        seq.append(x)
+        for v in detours.pop(x, ()):
+            seq += (v, x)
+    return validate_double_trace(g, seq)
+
+
+def _twisted(g: Graph) -> DoubleTrace:
+    """A strong double trace of a connected graph, by twisted insertion.
+
+    For each co-tree edge uv the walk reads ``A u B v C`` at the first
+    visits of u and v and becomes ``A u v rev(B) u v C``.  B keeps its
+    transition pairs; at u the pair a-b of the visit becomes the path a-v-b,
+    and at v likewise, so every transition graph stays connected and takes
+    in the new neighbour.  Starting from the strong tree walk, the result is
+    strong: the face walk of a one-face embedding, nonorientable once an
+    edge is twisted (Ringel 1977; Stahl 1978).  A strong trace is d-stable
+    for every d below the minimum degree, so it answers every stable cell
+    of direction any too.
+    """
+    seq, cotree = _tree_walk(g)
+    for u, v in cotree:
+        i, j = seq.index(u), seq.index(v)
+        if i > j:
+            i, j, u, v = j, i, v, u
+        seq[i + 1:j] = [v, *seq[j - 1:i:-1], u]
+    return validate_double_trace(g, seq)
+
+
+def _copy_swap(g: Graph) -> DoubleTrace:
+    """A strong parallel double trace of a connected Eulerian graph.
+
+    Hierholzer from the least vertex, always leaving by the least unused
+    edge, gives an Euler circuit; arc i leaves the tour's vertex i.  Each
+    arc is walked twice, by copy 0 and copy 1.  At each visit of v, copy 0
+    of the in-arc goes on by the tour's out-arc and copy 1 by the out-arc of
+    v's next visit, so v's transition graph is one cycle through all its
+    neighbours.  Copy 0 alone is the tour, one closed walk through every
+    arc; copy 1 falls into closed walks of its own.  Exchanging the two
+    copies' successors at one arc changes no transition and joins that
+    arc's copy-1 walk to the walk through every arc, so one exchange per
+    copy-1 walk leaves a single closed walk.
+    """
+    unused = {v: list(reversed(g.neighbors(v))) for v in g.vertices}  # least last
+    stale: set[tuple[int, int]] = set()  # (w, u): w's entry for a walked edge
+    stack = [g.vertices[0]]
+    tour: list[int] = []
+    while stack:
+        u = stack[-1]
+        out = unused[u]
+        while out and (u, out[-1]) in stale:
+            out.pop()
+        if out:
+            w = out.pop()
+            stale.add((w, u))
+            stack.append(w)
+        else:
+            tour.append(stack.pop())
+    tour = tour[:0:-1]  # walking order, without the closing start vertex
+    m = len(tour)
+    visits: dict[int, list[int]] = {}
+    for i, v in enumerate(tour):
+        visits.setdefault(v, []).append(i)
+    onward = [0] * m  # the arc copy 1 of each arc goes on by
+    for arcs in visits.values():
+        for i, j in zip(arcs, arcs[1:] + arcs[:1]):
+            onward[i - 1] = j
+    exchanged = [False] * m
+    seen = [False] * m
+    for start in range(m):
+        if not seen[start]:
+            exchanged[start] = True
+            a = start
+            while not seen[a]:
+                seen[a] = True
+                a = onward[a]
+    seq = []
+    a, copy = 0, False
+    for _ in range(2 * m):
+        seq.append(tour[a])
+        if copy == exchanged[a]:
+            a, copy = (a + 1) % m, False
+        else:
+            a, copy = onward[a], True
+    return validate_double_trace(g, seq)
 
 
 def _build_from_tree(tree: SpanningTree, spec: TraceSpec, budget: int | None) -> DoubleTrace:
@@ -245,9 +348,9 @@ def _build_from_tree(tree: SpanningTree, spec: TraceSpec, budget: int | None) ->
     and go on with the split graph and its tree.  The fully reduced graph
     has an all-even co-tree, where an antiparallel strong trace exists and
     is d-stable because all degrees stay above d; that trace is lifted back
-    through the identifications, the last split first, and checked in the
-    cell.  A tree with no odd component, as every strong cell's is, needs
-    no split: its trace is the search on the host itself.
+    through the identifications, the last split first.  A tree with no odd
+    component, as every strong cell's is, needs no split: its trace is the
+    search on the host itself.
     """
     threshold = 2 * spec.d + 2 if spec.kind == "stable" else None
     splits: list[tuple[tuple[int, ...], int]] = []
@@ -269,10 +372,6 @@ def _build_from_tree(tree: SpanningTree, spec: TraceSpec, budget: int | None) ->
         )
     for new_vertices, v in reversed(splits):
         trace = lift_trace_through_identification(trace, new_vertices, v)
-    if splits:
-        cls = classify_trace(trace)
-        if not spec_satisfied(spec, cls):
-            raise InternalInvariantError(f"pipeline produced a non-conforming trace: {cls}")
     return trace
 
 

@@ -2,7 +2,8 @@
 
 This module is the engine alone; the cell it searches for is a
 :class:`~trace_forge.walks.TraceSpec`.  It serves the tests, ``--oracle``,
-and the traces that ``decide`` has no construction for yet.  The search
+and the one trace ``decide`` has no construction for yet: the antiparallel
+strong trace at the end of the tree pipeline.  The search
 walks the doubled edge multiset: every edge has two traversal slots and a
 step consumes one.  Constraints prune slots (parallel: the second
 traversal must repeat the first direction; antiparallel: oppose it) and

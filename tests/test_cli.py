@@ -13,7 +13,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
-from trace_forge import cli, decide, search, walks
+from trace_forge import cli, decide, search
 from trace_forge.cli import main
 from trace_forge.formats import (
     load_graph,
@@ -538,34 +538,38 @@ def test_console_entry_point_runs():
 
 
 def test_budget_env_var(tmp_path, capsys, monkeypatch):
+    # K5's antiparallel strong trace is still searched for, from its tree
     monkeypatch.setenv("TRACE_FORGE_BUDGET", "1")
     code, _ = run(
-        capsys, "find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong"
-    )
+        capsys, "find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong",
+        "--direction", "antiparallel",
+    )  # fmt: skip
     assert code == 2  # budget exhausted maps to the error exit code
 
 
 def test_parallel_stable_search_runs_under_budget(tmp_path, capsys, monkeypatch):
-    # the doubled Euler tour of K7 is not 2-stable, so the search runs and
-    # must see the budget instead of demanding one
+    # K7's parallel 2-stable witness is built, not searched for, so even a
+    # budget of one search node answers it with a trace
     path = tmp_path / "k7.edges"
     path.write_text("".join(f"{u} {v}\n" for u, v in complete_graph(7).edges))
-    monkeypatch.setenv("TRACE_FORGE_BUDGET", "1000")
+    monkeypatch.setenv("TRACE_FORGE_BUDGET", "1")
     code = main(
         ["decide", "-i", str(path), "--kind", "stable", "-d", "2", "--direction", "parallel"]
     )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "search budget exhausted" in err
-    assert "explicit search budget" not in err
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert out.startswith("verdict: yes\nwitness trace: ")
 
 
 def test_default_budget_caps_cli_search(capsys, monkeypatch):
-    # K5 has 10 edges; with no TRACE_FORGE_BUDGET the search runs under
-    # search.DEFAULT_BUDGET like every library search
+    # K5 has 10 edges; with no TRACE_FORGE_BUDGET the search for its
+    # antiparallel strong trace runs under search.DEFAULT_BUDGET like every
+    # library search
     monkeypatch.setattr(search, "DEFAULT_BUDGET", 1)
     monkeypatch.delenv("TRACE_FORGE_BUDGET", raising=False)
-    code = main(["find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong"])
+    code = main(
+        ["find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong", "--direction", "antiparallel"]
+    )
     assert code == 2
     assert "search budget exhausted after 2 nodes" in capsys.readouterr().err
 
@@ -597,8 +601,8 @@ def test_oracle_disagreement_names_the_cell(capsys, monkeypatch, argv, cell):
 
 
 def test_decide_oracle_trusts_a_witness_in_hand(capsys, monkeypatch):
-    # find_witness searches for Q3's strong trace; the oracle does not
-    # repeat that search, because the trace classifies into the cell
+    # find_witness builds Q3's strong trace; the oracle does not search,
+    # because the trace classifies into the cell
     searches = []
 
     def counting(find):
@@ -613,7 +617,7 @@ def test_decide_oracle_trusts_a_witness_in_hand(capsys, monkeypatch):
     argv = ["decide", "-i", str(FIXTURES / "q3.edges"), "--kind", "strong"]
     code, out = run(capsys, *argv, "--oracle")
     assert code == 0 and out.startswith("verdict: yes\nwitness trace: ")
-    assert searches == [walks.TraceSpec("strong", "any")]
+    assert searches == []
     # a no-cell and a tree-cell have no trace in hand: the oracle searches
     searches.clear()
     code, _ = run(capsys, *argv[:3], "--kind", "stable", "-d", "3", "--oracle")
@@ -960,7 +964,8 @@ def test_commands_run_with_the_collector_paused(tmp_path, capsys, monkeypatch):
         (["verify", "-i", str(torus), "-t", str(trace)], 0),
         (["decide", "-i", str(FIXTURES / "k4.edges"), *ANTIPARALLEL_1_STABLE], 1),
         (["decide", "-i", str(FIXTURES / "bad.edges")], 2),  # a ParseError
-        (["find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong"], 2),  # the budget
+        (["find", "-i", str(FIXTURES / "k5.edges"), "--kind", "strong",
+          "--direction", "antiparallel"], 2),  # the budget
     ]
     for enabled in (True, False):
         for argv, expected in exits:

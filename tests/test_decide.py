@@ -9,6 +9,7 @@ from pathlib import Path
 import networkx as nx
 import pytest
 
+import trace_forge.search as search_module
 from trace_forge.cli import main
 from trace_forge.decide import (
     condition_table,
@@ -41,10 +42,13 @@ from trace_forge.walks import (
 
 from conftest import (
     atlas_graphs,
+    enumerate_traces,
     fixture_family,
+    hypercube,
     k4_chain,
     qualified_trees,
     random_connected_graph,
+    repetitions_brute,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -109,10 +113,11 @@ def test_parallel_witnesses(k3, k4, k5):
     assert find_witness(k3, "double", "parallel").sequence == (0, 1, 2, 0, 1, 2)
     assert decide_existence(k4, "stable", "parallel", 1).violated_condition == "NotEulerian"
     assert find_witness(k4, "stable", "parallel", 1) is None
-    # K5's doubled Euler tour walks all 10 edges twice and is exactly 1-stable
+    # K5's copy-swapped Euler circuit walks all 10 edges twice and is strong
     tour = find_witness(k5, "double", "parallel")
     cls = classify_trace(tour)
-    assert tour.length == 20 and cls.direction == "parallel" and cls.stability_order == 1
+    assert tour.length == 20 and cls.direction == "parallel" and cls.strong
+    assert cls.stability_order == 3
     cls = classify_trace(find_witness(k5, "stable", "parallel", 3))
     assert cls.direction == "parallel" and cls.stability_order >= 3
     cert = decide_existence(k5, "stable", "parallel", 4)
@@ -162,36 +167,20 @@ def test_find_witness_follows_the_decision():
                 assert spec_satisfied(TraceSpec(kind, direction, d), cls), (g.edges, kind, direction, d)
             else:
                 assert trace is None, (g.edges, kind, direction, d)
-    assert exhausted == 13
+    assert exhausted == 12
 
 
-# The yes-cell classes that still call decide.find_trace. A construction
-# removes its class here; the list only shrinks, and the engine's fallback
-# goes once it is empty.
+# The yes-cell classes that still call decide.find_trace: the antiparallel
+# tree pipeline's strong search.  A construction removes its class here; the
+# list only shrinks, and the engine's fallback goes once it is empty.
 SEARCHING = {
-    ("double", "any"),
-    ("stable", "any"),
-    ("strong", "any"),
-    ("double", "antiparallel"),
     ("stable", "antiparallel"),
     ("strong", "antiparallel"),
-    ("stable d >= 2", "parallel"),
-    ("strong off a cycle", "parallel"),
 }
 
 
-def _cell_class(g: Graph, kind: str, direction: str, d: int | None) -> tuple[str, str]:
-    if direction == "parallel" and kind == "stable":
-        kind = "stable d >= 2" if d >= 2 else "stable d = 1"
-    elif direction == "parallel" and kind == "strong":
-        on_cycle = all(g.degree(v) == 2 for v in g.vertices)
-        kind = "strong on a cycle" if on_cycle else "strong off a cycle"
-    return kind, direction
-
-
-def test_only_listed_cells_search(monkeypatch):
-    # each yes-cell of a listed class searches at least once, and no other
-    # yes-cell searches at all; budget 1 stops a search at its first node
+def _counted_searches(monkeypatch) -> list:
+    """The specs of every decide.find_trace call from here on."""
     import trace_forge.decide as decide_module
 
     calls = []
@@ -201,24 +190,88 @@ def test_only_listed_cells_search(monkeypatch):
         return find_trace(g, spec, budget)
 
     monkeypatch.setattr(decide_module, "find_trace", counted)
+    return calls
+
+
+def test_only_listed_cells_search(monkeypatch):
+    # each yes-cell of a listed class searches at least once, and no other
+    # yes-cell searches at all; budget 1 stops a search at its first node
+    calls = _counted_searches(monkeypatch)
     searched = set()
     for g in atlas_graphs(6):
         table = condition_table(g, [1, 2, 3])
         for kind, direction, d in DISPATCH_CELLS:
             if not table[kind, direction, d].verdict:
                 continue
-            cell = _cell_class(g, kind, direction, d)
             calls.clear()
             try:
                 find_witness(g, kind, direction, d, budget=1)
             except BudgetExhaustedError:
                 pass
-            if cell in SEARCHING:
+            if (kind, direction) in SEARCHING:
                 assert calls, (g.edges, kind, direction, d)
-                searched.add(cell)
+                searched.add((kind, direction))
             else:
                 assert not calls, (g.edges, kind, direction, d)
     assert searched == SEARCHING
+
+
+#: the cells a walk construction answers: double in every direction, and
+#: stable and strong of direction any and parallel
+BUILT_CELLS = [
+    cell for cell in DISPATCH_CELLS if cell[0] == "double" or cell[1] != "antiparallel"
+]
+
+
+def _built(g: Graph, kind: str, direction: str, d: int | None):
+    """find_witness at budget 1, which any search would exhaust: a trace in
+    its cell."""
+    trace = find_witness(g, kind, direction, d, budget=1)
+    cls = classify_trace(trace)
+    assert spec_satisfied(TraceSpec(kind, direction, d), cls), (g.edges, kind, direction, d)
+    return trace, cls
+
+
+def test_cells_without_trees_are_built(monkeypatch):
+    # every yes-cell with no tree, on every connected graph with up to 7
+    # vertices, is answered by its construction with no search.  On up to 6
+    # vertices each trace also meets the brute-force repetition oracle, and
+    # it is a member of the engine's enumeration of its cell wherever that
+    # enumeration ends within 2,000 nodes: a complete one would not finish
+    # (K5's double cell alone passes 5,000,000 nodes)
+    calls = _counted_searches(monkeypatch)
+    monkeypatch.setattr(search_module, "DEFAULT_BUDGET", 2_000)
+    enumerated = 0
+    for g in atlas_graphs(7):
+        table = condition_table(g, [1, 2, 3])
+        for kind, direction, d in BUILT_CELLS:
+            if not table[kind, direction, d].verdict:
+                continue
+            trace, cls = _built(g, kind, direction, d)
+            if g.num_vertices > 6:
+                continue
+            _, order, strong = repetitions_brute(trace)
+            assert (order, strong) == (cls.stability_order, cls.strong), (g.edges, kind, direction, d)
+            try:
+                members = enumerate_traces(g, TraceSpec(kind, direction, d))
+            except BudgetExhaustedError:
+                continue
+            assert trace in members, (g.edges, kind, direction, d)
+            enumerated += 1
+    assert calls == []
+    assert enumerated == 209
+    # the probes whose search exhausted the default budget before the
+    # constructions: a random 4-regular graph on 200 vertices, K12 and Q8
+    quartic = nx.random_regular_graph(4, 200, seed=1)
+    quartic = build_graph(list(quartic.edges()))
+    for g, kind, direction, d in [
+        (quartic, "strong", "any", None),
+        (quartic, "stable", "any", 2),
+        (complete_graph(12), "stable", "any", 2),
+        (hypercube(8), "strong", "parallel", None),
+    ]:
+        _built(g, kind, direction, d)
+    assert calls == []
 
 
 def test_condition_table_k3(k3):
@@ -333,20 +386,35 @@ def _verdicts(g: Graph) -> dict:
     return {cell: (c.verdict, c.condition_label()) for cell, c in table.items()}
 
 
-@pytest.mark.parametrize("name", list(NAMED_FAMILIES))
-def test_verdicts_do_not_depend_on_labels(name):
-    # the conditions read degrees, parities and co-tree components, never
-    # labels: every cell's verdict and named condition is the same under
-    # eight seeded relabellings
+def _relabellings(name: str):
+    """The named graph and its eight seeded relabellings, each with its map."""
     g = build_graph(list(NAMED_FAMILIES[name]().edges()))
-    expected = _verdicts(g)
     rng = random.Random(name)
     for _ in range(8):
         image = list(g.vertices)
         rng.shuffle(image)
         to = dict(zip(g.vertices, image))
-        moved = build_graph([(to[u], to[v]) for u, v in g.edges])
-        assert _verdicts(moved) == expected, (name, to)
+        yield g, build_graph([(to[u], to[v]) for u, v in g.edges]), to
+
+
+@pytest.mark.parametrize("name", list(NAMED_FAMILIES))
+def test_verdicts_do_not_depend_on_labels(name):
+    # the conditions read degrees, parities and co-tree components, never
+    # labels: every cell's verdict and named condition is the same under
+    # eight seeded relabellings
+    for g, moved, to in _relabellings(name):
+        assert _verdicts(moved) == _verdicts(g), (name, to)
+
+
+@pytest.mark.parametrize("name", list(NAMED_FAMILIES))
+def test_built_witnesses_do_not_depend_on_labels(name):
+    # the constructions never search, under any labelling: each built
+    # yes-cell gets a trace in its cell at budget 1
+    for _, moved, to in _relabellings(name):
+        table = condition_table(moved, [1, 2, 3])
+        for kind, direction, d in BUILT_CELLS:
+            if table[kind, direction, d].verdict:
+                _built(moved, kind, direction, d)
 
 
 def test_build_k5(k5):

@@ -240,15 +240,16 @@ def test_unbudgeted_search_runs_under_default_budget():
 
 def test_default_budget_is_read_at_call_time(monkeypatch):
     # K7 has odd Betti number 15, so no antiparallel strong trace exists and
-    # the search runs until the budget stops it; its doubled Euler tour is
-    # not 2-stable, so the parallel 2-stable cell searches too
+    # the search runs until the budget stops it; K6's antiparallel 1-stable
+    # witness searches for a strong trace of its reduced graph, so
+    # find_witness reads the budget too
     monkeypatch.setattr(search, "DEFAULT_BUDGET", 1_000)
     k7 = complete_graph(7)
     with pytest.raises(BudgetExhaustedError) as info:
         find_trace(k7, TraceSpec("strong", "antiparallel"))
     assert info.value.nodes == 1_001
     with pytest.raises(BudgetExhaustedError) as info:
-        find_witness(k7, "stable", "parallel", 2)
+        find_witness(complete_graph(6), "stable", "antiparallel", 1)
     assert info.value.nodes == 1_001
 
 

@@ -151,12 +151,12 @@ def test_witnesses_are_dispatched_in_decide_only():
 
 def test_each_cell_is_decided_in_one_place():
     # the evaluator makes decide.py's one tree walk, the extractor and the
-    # witnesses take their trees from it, and only the witness step and
-    # its pipeline search
+    # witnesses take their trees from it, and only the antiparallel tree
+    # pipeline searches: every other yes-cell is built
     decide = ast.parse((SOURCE / "decide.py").read_text())
     assert _functions_calling(decide, "_first_tree") == ["_decide_cells"]
     assert _calls_to(decide, "min_tree") == []
-    assert _functions_calling(decide, "find_trace") == ["_witness", "_build_from_tree"]
+    assert _functions_calling(decide, "find_trace") == ["_build_from_tree"]
 
 
 def test_scan_driver_owns_the_block_rule():
