@@ -4,11 +4,11 @@
 A connected graph admits an antiparallel d-stable trace exactly when its
 minimum degree exceeds d and some spanning tree leaves every odd co-tree
 component with a vertex of degree at least 2d + 2.  Both directions run
-constructively here: ``find_witness`` decides the cell and starts from the
-decision's tree, splits high-degree vertices until the co-tree is all even,
-finds an antiparallel strong trace there, and lifts it back; the extractor
-projects a trace along its repetition sets and pulls an all-even tree back
-up.
+here: ``find_witness`` decides the cell and starts from the decision's tree,
+splits high-degree vertices until the co-tree is all even, finds an
+antiparallel strong trace there, and lifts it back; the extractor checks
+that the trace is antiparallel and d-stable and, since the characterization
+then guarantees a qualified tree, hands back the decision's tree.
 """
 
 from trace_forge import (
@@ -46,6 +46,7 @@ print("classified:", classify_trace(trace))
 print("\n=== and back: extracting a qualified tree from the trace ===")
 tree = extract_qualified_tree_from_trace(trace, 1)
 print("tree:", sorted(tree.tree_edges))
+print("the decision's tree:", tree == cert.witness_tree)
 for comp in cotree_decomposition(tree):
     tag = "odd" if comp.is_odd else "even"
     print(f"  co-tree component {sorted(comp.edges)} is {tag}; "

@@ -5,7 +5,8 @@ The package decides which graphs admit double traces of each kind
 constructs witnesses, and verifies them.  The antiparallel d-stable case is
 characterized by the minimum degree exceeding d together with a spanning
 tree whose odd co-tree components each contain a vertex of degree at least
-2d + 2; both directions of that equivalence are implemented constructively.
+2d + 2.  A decided yes is built into a trace from that tree, and the tree
+extracted from such a trace is the decision's own certificate.
 """
 
 from .decide import (

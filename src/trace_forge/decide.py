@@ -16,9 +16,9 @@ into the same walk.  The antiparallel pipeline starts from the
 certificate's tree and builds an antiparallel d-stable trace by repeatedly
 splitting a high-degree vertex inside an odd co-tree component until the
 co-tree is all even, finding an antiparallel strong trace there by search,
-and lifting it back through the identifications; the reverse extraction
-projects a trace along its repetition sets and pulls an all-even tree back
-up.
+and lifting it back through the identifications.  The reverse extraction
+checks a trace's class and returns the evaluator's certificate tree for its
+cell, which the characterization guarantees.
 """
 
 from __future__ import annotations
@@ -30,14 +30,8 @@ from .spanning import (
     SpanningTree,
     _first_tree,
     cotree_decomposition,
-    qualified_deficiency_of_tree,
 )
-from .transform import (
-    lift_trace_through_identification,
-    project_trace_through_split,
-    split_reduce_qualified,
-    transfer_tree_on_identification,
-)
+from .transform import lift_trace_through_identification, split_reduce_qualified
 from .walks import (
     ANTIPARALLEL,
     DIRECTIONS,
@@ -47,7 +41,6 @@ from .walks import (
     classify_trace,
     require_trace_host,
     spec_satisfied,
-    transition_graph_at,
     validate_double_trace,
 )
 
@@ -378,50 +371,25 @@ def _build_from_tree(tree: SpanningTree, spec: TraceSpec, budget: int | None) ->
 def extract_qualified_tree_from_trace(w: DoubleTrace, d: int) -> SpanningTree:
     """Turn an antiparallel d-stable trace into a qualifying spanning tree.
 
-    Projects the trace through a split of each vertex whose transition graph
-    is disconnected (the least one first) along its minimal repetition sets,
-    which leaves it strong, takes the evaluator's all-even co-tree tree of
-    the strong cell there, and transfers the tree back through the
-    identifications, the last projection first.  Every odd component of the
-    result contains a vertex of degree at least 2d + 2 (and there may be
-    none at all).
+    By the characterization, a host with such a trace has a spanning tree
+    whose odd co-tree components each contain a vertex of degree at least
+    2d + 2, so once the trace's class is checked the tree is the evaluator's
+    certificate for the antiparallel d-stable cell of the host: the tree
+    :func:`find_witness` builds its trace from.  The paper's converse, which
+    projects the trace until it is strong and transfers an all-even tree
+    back, is replayed in the tests as the reference.
     """
-    TraceSpec("stable", ANTIPARALLEL, d)  # validates d
+    spec = TraceSpec("stable", ANTIPARALLEL, d)  # validates d
     cls = classify_trace(w)
     if cls.direction != ANTIPARALLEL:
         raise NotAntiparallelError("trace is not antiparallel")
     if cls.stability_order < d:
         raise NotStableError(d)
-    threshold = 2 * d + 2
-    # A projection at v leaves v's copies connected and only renames v at its
-    # neighbors, so the first classification names every vertex to project;
-    # the parts are read from the current trace, which carries those renames.
-    projections: list[tuple[Graph, int, tuple[int, ...]]] = []
-    for v in sorted(
-        x for x, comps in cls.minimal_repetitions.items() if len(comps) > 1
-    ):
-        g = w.host
-        parts = transition_graph_at(w, v)
-        projections.append((g, v, fresh_vertex_ids(g, len(parts))))
-        w = project_trace_through_split(w, v, parts)
-    strong = TraceSpec("strong", ANTIPARALLEL)
-    if not spec_satisfied(strong, classify_trace(w)):
-        raise InternalInvariantError("projected trace is not strong")
-    tree = _decide_cells(w.host, [strong])[0].witness_tree
+    tree = _decide_cells(w.host, [spec])[0].witness_tree
     if tree is None:
         raise InternalInvariantError(
-            "strong antiparallel trace exists but no all-even co-tree tree found"
+            "antiparallel d-stable trace exists but no qualified tree found"
         )
-    for g, v, new_ids in reversed(projections):
-        g2 = tree.host
-        protected = frozenset(
-            x for x in g2.vertices if g2.degree(x) >= threshold and x not in new_ids
-        )
-        tree = transfer_tree_on_identification(tree, new_ids, v, protected)
-        if tree.host != g or qualified_deficiency_of_tree(tree, threshold) is None:
-            raise InternalInvariantError(
-                "transferred tree is not a qualified tree of the identified graph"
-            )
     return tree
 
 

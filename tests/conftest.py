@@ -11,6 +11,8 @@ import networkx as nx
 import pytest
 
 from trace_forge import search
+from trace_forge.decide import _decide_cells
+from trace_forge.errors import InternalInvariantError, NotAntiparallelError, NotStableError
 from trace_forge.graph import (
     Edge,
     Graph,
@@ -31,10 +33,15 @@ from trace_forge.spanning import (
     qualified_deficiency_of_tree,
     spanning_tree,
 )
+from trace_forge.transform import project_trace_through_split, transfer_tree_on_identification
 from trace_forge.walks import (
+    ANTIPARALLEL,
     DoubleTrace,
     TraceSpec,
+    classify_trace,
     require_trace_host,
+    spec_satisfied,
+    transition_graph_at,
     validate_double_trace,
 )
 
@@ -331,6 +338,58 @@ def qualified_trees(
         value = qualified_deficiency_of_tree(t, threshold)
         if value is not None:
             yield value, t
+
+
+def converse_tree(w: DoubleTrace, d: int) -> SpanningTree:
+    """The paper's converse: a qualifying spanning tree from an antiparallel
+    d-stable trace, the reference ``extract_qualified_tree_from_trace``
+    skips by taking the evaluator's tree.
+
+    Projects the trace through a split of each vertex whose transition graph
+    is disconnected (the least one first) along its minimal repetition sets,
+    which leaves it strong, takes the evaluator's all-even co-tree tree of
+    the strong cell there, and transfers the tree back through the
+    identifications, the last projection first.  Every odd component of the
+    result contains a vertex of degree at least 2d + 2 (and there may be
+    none at all).
+    """
+    TraceSpec("stable", ANTIPARALLEL, d)  # validates d
+    cls = classify_trace(w)
+    if cls.direction != ANTIPARALLEL:
+        raise NotAntiparallelError("trace is not antiparallel")
+    if cls.stability_order < d:
+        raise NotStableError(d)
+    threshold = 2 * d + 2
+    # A projection at v leaves v's copies connected and only renames v at its
+    # neighbors, so the first classification names every vertex to project;
+    # the parts are read from the current trace, which carries those renames.
+    projections: list[tuple[Graph, int, tuple[int, ...]]] = []
+    for v in sorted(
+        x for x, comps in cls.minimal_repetitions.items() if len(comps) > 1
+    ):
+        g = w.host
+        parts = transition_graph_at(w, v)
+        projections.append((g, v, fresh_vertex_ids(g, len(parts))))
+        w = project_trace_through_split(w, v, parts)
+    strong = TraceSpec("strong", ANTIPARALLEL)
+    if not spec_satisfied(strong, classify_trace(w)):
+        raise InternalInvariantError("projected trace is not strong")
+    tree = _decide_cells(w.host, [strong])[0].witness_tree
+    if tree is None:
+        raise InternalInvariantError(
+            "strong antiparallel trace exists but no all-even co-tree tree found"
+        )
+    for g, v, new_ids in reversed(projections):
+        g2 = tree.host
+        protected = frozenset(
+            x for x in g2.vertices if g2.degree(x) >= threshold and x not in new_ids
+        )
+        tree = transfer_tree_on_identification(tree, new_ids, v, protected)
+        if tree.host != g or qualified_deficiency_of_tree(tree, threshold) is None:
+            raise InternalInvariantError(
+                "transferred tree is not a qualified tree of the identified graph"
+            )
+    return tree
 
 
 def enumerate_traces(g: Graph, spec: TraceSpec) -> list[DoubleTrace]:

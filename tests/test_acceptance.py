@@ -27,6 +27,7 @@ from trace_forge.walks import TraceSpec, classify_trace
 from conftest import (
     atlas_graphs,
     canonical_form,
+    converse_tree,
     fixture_family,
     is_repetition,
     odd_components,
@@ -227,8 +228,13 @@ def test_criterion_6_constructive_round_trip(build_results):
         tree = extract_qualified_tree_from_trace(trace, d)
         if tree.host != g or qualified_deficiency_of_tree(tree, 2 * d + 2) is None:
             violations.append(("bad extracted tree", sorted(g.edges), d))
+        # the paper's converse, replayed: project to a strong trace, take an
+        # all-even tree there and transfer it back
+        tree = converse_tree(trace, d)
+        if tree.host != g or qualified_deficiency_of_tree(tree, 2 * d + 2) is None:
+            violations.append(("bad converse tree", sorted(g.edges), d))
     assert build_results  # the sweep contains yes-instances
-    report(6, "built traces validate and extraction qualifies", violations)
+    report(6, "built traces validate, and extraction and the converse qualify", violations)
 
 
 def test_criterion_7_sufficient_shortcut(characterization_sweep, k5):

@@ -40,8 +40,10 @@ from trace_forge.walks import (
     validate_double_trace,
 )
 
+import conftest
 from conftest import (
     atlas_graphs,
+    converse_tree,
     enumerate_traces,
     fixture_family,
     hypercube,
@@ -504,9 +506,14 @@ def test_strong_antiparallel_witness_is_the_search():
 
 
 def test_extract_from_strong_trace(k5):
+    # a strong trace is 1-stable on K5, so extraction owes a tree qualified
+    # at 2d + 2, not an all-even one; the converse finds nothing to project
+    # and returns the strong cell's all-even tree
     w = find_trace(k5, TraceSpec("strong", "antiparallel"))
     tree = extract_qualified_tree_from_trace(w, 1)
-    assert not any(comp.is_odd for comp in cotree_decomposition(tree))
+    assert tree.host == k5
+    assert qualified_deficiency_of_tree(tree, 4) is not None
+    assert not any(comp.is_odd for comp in cotree_decomposition(converse_tree(w, 1)))
 
 
 def test_extract_rejects_wrong_inputs(k3, k5):
@@ -522,6 +529,21 @@ def test_extract_rejects_wrong_inputs(k3, k5):
         extract_qualified_tree_from_trace(anti, 1)
 
 
+def test_extract_raises_when_the_evaluator_has_no_tree(monkeypatch, k5):
+    # the characterization rules a no out once the trace's class is checked,
+    # so a certificate without a tree is the library's fault
+    import trace_forge.decide as decide_module
+
+    w = find_witness(k5, "stable", "antiparallel", 1)
+    monkeypatch.setattr(
+        decide_module,
+        "_decide_cells",
+        lambda g, specs: [decide_module.DecisionCertificate(False, specs[0])],
+    )
+    with pytest.raises(InternalInvariantError, match="no qualified tree"):
+        extract_qualified_tree_from_trace(w, 1)
+
+
 def test_build_extract_round_trip():
     g = build_graph(
         [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
@@ -532,12 +554,32 @@ def test_build_extract_round_trip():
     assert qualified_deficiency_of_tree(tree, 4) is not None
 
 
+def test_extraction_returns_the_decisions_tree():
+    # by the characterization the evaluator's certificate answers the
+    # extraction, so the tree extracted from find_witness's trace is the very
+    # tree the trace was built from; a cell whose strong search runs out of
+    # budget has no trace to extract from
+    built = exhausted = 0
+    for g in atlas_graphs(6):
+        for d in (1, 2):
+            cert = decide_existence(g, "stable", "antiparallel", d)
+            if not cert.verdict:
+                continue
+            try:
+                w = find_witness(g, "stable", "antiparallel", d, budget=200_000)
+            except BudgetExhaustedError:
+                exhausted += 1
+                continue
+            assert extract_qualified_tree_from_trace(w, d) == cert.witness_tree, (g.edges, d)
+            built += 1
+    assert built + exhausted == 77
+    assert built >= 71
+
+
 def test_extract_rejects_a_transfer_onto_another_graph(monkeypatch):
-    # the extraction checks that each transferred tree spans the graph the
+    # the converse checks that each transferred tree spans the graph the
     # projection came from; a qualified tree of another graph is a broken
     # transfer, not a caller's error
-    import trace_forge.decide as decide_module
-
     g = build_graph(
         [(i, j) for i in range(5) for j in range(i + 1, 5)] + [(0, 5), (1, 5)]
     )
@@ -545,18 +587,18 @@ def test_extract_rejects_a_transfer_onto_another_graph(monkeypatch):
     k5_star = spanning_tree(complete_graph(5), [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert qualified_deficiency_of_tree(k5_star, None) is not None
     monkeypatch.setattr(
-        decide_module, "transfer_tree_on_identification", lambda *args: k5_star
+        conftest, "transfer_tree_on_identification", lambda *args: k5_star
     )
     with pytest.raises(InternalInvariantError, match="transferred tree"):
-        extract_qualified_tree_from_trace(w, 1)
+        converse_tree(w, 1)
 
 
 def test_build_with_three_chained_reductions(monkeypatch):
     # K4 blocks joined by bridges: bridges sit in every spanning tree, so
     # each block keeps its own odd co-tree component around its degree-4
     # vertex and the pipeline must split three times before the base case;
-    # both directions are loops, so every lift and every transfer is called
-    # at the same stack depth
+    # the build and the converse are loops, so every lift and every transfer
+    # is called at the same stack depth
     import trace_forge.decide as decide_module
 
     depths = {"lift": [], "transfer": []}
@@ -574,9 +616,9 @@ def test_build_with_three_chained_reductions(monkeypatch):
         at_depth("lift", decide_module.lift_trace_through_identification),
     )
     monkeypatch.setattr(
-        decide_module,
+        conftest,
         "transfer_tree_on_identification",
-        at_depth("transfer", decide_module.transfer_tree_on_identification),
+        at_depth("transfer", conftest.transfer_tree_on_identification),
     )
 
     g = k4_chain(3)
@@ -591,15 +633,19 @@ def test_build_with_three_chained_reductions(monkeypatch):
     assert len(repetition_vertices) == 3
     tree = extract_qualified_tree_from_trace(w, 1)
     assert qualified_deficiency_of_tree(tree, 4) is not None
+    tree = converse_tree(w, 1)
+    assert tree.host == g
+    assert qualified_deficiency_of_tree(tree, 4) is not None
     for key in ("lift", "transfer"):
         assert len(depths[key]) == 3
         assert len(set(depths[key])) == 1, (key, depths[key])
 
 
 def test_extract_scans_transition_graphs_once(monkeypatch):
-    # the repetition report names every vertex to project, so extraction
-    # builds one transition graph per projection in decide, not one per
-    # vertex on every pass; the projection checks closure on the visits it
+    # extraction takes the evaluator's tree and reads no transition graph;
+    # in the converse the repetition report names every vertex to project,
+    # so it builds one transition graph per projection, not one per vertex
+    # on every pass, and the projection checks closure on the visits it
     # rewrites, so transform builds none
     import trace_forge.decide as decide_module
     import trace_forge.transform as transform_module
@@ -607,22 +653,27 @@ def test_extract_scans_transition_graphs_once(monkeypatch):
 
     g = k4_chain(3)
     w = find_witness(g, "stable", "antiparallel", 1, budget=20_000_000)
-    calls = {"trace_forge.decide": [], "trace_forge.transform": []}
+    calls = {"conftest": [], "trace_forge.decide": [], "trace_forge.transform": []}
 
     def counted(trace, v):
         caller = sys._getframe(1).f_globals["__name__"]
         calls.setdefault(caller, []).append(v)
         return transition_graph_at(trace, v)
 
-    for module in (decide_module, walks_module):
+    for module in (conftest, walks_module):
         monkeypatch.setattr(module, "transition_graph_at", counted)
-    monkeypatch.setattr(transform_module, "transition_graph_at", counted, raising=False)
-    tree = extract_qualified_tree_from_trace(w, 1)
+    for module in (decide_module, transform_module):
+        monkeypatch.setattr(module, "transition_graph_at", counted, raising=False)
+    assert extract_qualified_tree_from_trace(w, 1) == decide_existence(
+        g, "stable", "antiparallel", 1
+    ).witness_tree
+    assert calls == {"conftest": [], "trace_forge.decide": [], "trace_forge.transform": []}
+    tree = converse_tree(w, 1)
     assert qualified_deficiency_of_tree(tree, 4) is not None
-    assert sorted(calls["trace_forge.decide"]) == [
+    assert sorted(calls["conftest"]) == [
         v for v in g.vertices if len(transition_graph_at(w, v)) > 1
     ]
-    assert calls["trace_forge.transform"] == []
+    assert calls["trace_forge.decide"] == calls["trace_forge.transform"] == []
 
 
 def test_sufficient_shortcut(k4, k5):

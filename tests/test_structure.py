@@ -159,6 +159,26 @@ def test_each_cell_is_decided_in_one_place():
     assert _functions_calling(decide, "find_trace") == ["_build_from_tree"]
 
 
+def test_extraction_takes_the_evaluators_tree():
+    # by the characterization the certificate of the trace's cell is the
+    # extracted tree, so extraction decides that cell once and neither
+    # projects, transfers nor reads a transition graph; the paper's converse
+    # is replayed in the tests (conftest.converse_tree)
+    decide = ast.parse((SOURCE / "decide.py").read_text())
+    (body,) = [
+        fn for fn in decide.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "extract_qualified_tree_from_trace"
+    ]
+    assert len(_calls_to(body, "_decide_cells")) == 1
+    for name in (
+        "project_trace_through_split", "transfer_tree_on_identification", "transition_graph_at",
+    ):
+        assert _calls_to(body, name) == [], name
+    assert _names_imported_from(decide, "transform") == [
+        "lift_trace_through_identification", "split_reduce_qualified",
+    ]
+
+
 def test_scan_driver_owns_the_block_rule():
     # _pick hands a bridged graph to its blocks itself: no sentinel answer
     # and no gate argument for a caller to act on
