@@ -111,15 +111,15 @@ def decide_existence(
 
 
 def _decide_cells(g: Graph, specs: list[TraceSpec]) -> list[DecisionCertificate]:
-    """The certificate of each of ``specs``, in order, on a host that has
-    passed ``require_trace_host``.
+    """The certificate of each of ``specs``, in order, on a connected host:
+    one that passed ``require_trace_host``, or a trace's host.
 
-    The minimum degree, the degree parity and the Betti number are each read
-    at most once, on the first cell that needs them.  The antiparallel cells
-    that reach the tree test, a stable one at 2d + 2 once its degree rule
-    passes and the strong one at None on an even Betti number, share one
-    walk; every tree qualified at None has value 0, so the first is the
-    least.
+    The minimum degree, the degree parity and the Betti number |E| - |V| + 1
+    are each read at most once, on the first cell that needs them.  The
+    antiparallel cells that reach the tree test, a stable one at 2d + 2 once
+    its degree rule passes and the strong one at None on an even Betti
+    number, share one walk; every tree qualified at None has value 0, so
+    the first is the least.
     """
     min_degree = eulerian = betti = None
     certs = []
@@ -141,7 +141,7 @@ def _decide_cells(g: Graph, specs: list[TraceSpec]) -> list[DecisionCertificate]
             walk[i] = 2 * spec.d + 2
         elif spec.direction == ANTIPARALLEL and spec.kind == "strong":
             if betti is None:
-                betti = betti_number(g)
+                betti = g.num_edges - g.num_vertices + 1
             if betti % 2 == 1:
                 certs.append(_no(spec, PARITY_OBSTRUCTION, betti=betti))
                 continue

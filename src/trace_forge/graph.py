@@ -6,6 +6,13 @@ operation returns a new value, so sharing across threads is safe.  Each
 value numbers its vertices, edge ends and darts once, on first use: the
 spanning-tree scans read ``Graph._scan_index``, and the bridge finder and
 the search engine walk ``Graph._darts``.
+
+:func:`_components`, the one general union-find, also answers
+connectivity.  A traversal would be faster by a constant (medians of 15
+interleaved passes, 2-core x86 host): 3.6-5.1 against 4.5-6.4 ms over
+the 995 connected atlas graphs, 0.36-0.45 against 0.53-0.72 ms on the
+30x30 torus and 0.46-0.65 against 0.68-0.95 ms on a random 6-regular
+graph on 1,000 vertices.
 """
 
 from __future__ import annotations
@@ -140,19 +147,11 @@ class Graph(_Frozen):
 
     @cached_property
     def connected(self) -> bool:
-        """True iff the graph has exactly one component, found by one
-        traversal from the least vertex per graph value; see
-        :func:`is_connected`."""
+        """True iff the graph has exactly one component, counted by one
+        :func:`_components` call per graph value; see :func:`is_connected`."""
         if not self.vertices:
             raise EmptyGraphError("connectivity of the empty graph is undefined")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.num_vertices
+        return len(_components(self.vertices, self.edges)) == 1
 
     @cached_property
     def _scan_index(

@@ -774,3 +774,37 @@ def test_icosahedron_parity_rules_out_d2_and_d3():
     g = build_graph(list(nx.icosahedral_graph().edges()))
     assert find_witness(g, "stable", "antiparallel", 2) is None
     assert find_witness(g, "stable", "antiparallel", 3) is None
+
+
+HEAVY_FIND_HOSTS = {
+    "K6": lambda: complete_graph(6),
+    "K7": lambda: complete_graph(7),
+    "K4,4": lambda: build_graph(list(nx.complete_bipartite_graph(4, 4).edges())),
+    "icosahedron": lambda: build_graph(list(nx.icosahedral_graph().edges())),
+}
+
+
+@pytest.mark.parametrize(
+    "name, budget, steps",
+    [
+        ("K6", 100_000, None),
+        ("K7", 100_000, None),
+        ("K4,4", 54_153, None),
+        ("K4,4", 54_154, 32),
+        ("icosahedron", 4_288, None),
+        ("icosahedron", 4_289, 60),
+    ],
+)
+def test_heavy_antiparallel_finds_are_pinned(name, budget, steps):
+    # the 1-stable antiparallel finds that make up most of a construct round
+    # trip: K6 and K7 run past a 100,000-node budget, and K4,4 and the
+    # icosahedron need their budget's last node, so a construction or a
+    # change of the engine's search tree shows here first
+    g = HEAVY_FIND_HOSTS[name]()
+    if steps is None:
+        with pytest.raises(BudgetExhaustedError) as exc:
+            find_witness(g, "stable", "antiparallel", 1, budget=budget)
+        assert exc.value.nodes == budget + 1
+    else:
+        w = find_witness(g, "stable", "antiparallel", 1, budget=budget)
+        assert len(w.sequence) == steps

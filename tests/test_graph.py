@@ -63,6 +63,21 @@ def test_connectivity():
         is_connected(build_graph([]))
 
 
+def test_connectivity_matches_networkx_on_atlas():
+    # every atlas graph with a vertex, connected or not, with its isolated
+    # vertices; the atlas's graph with no vertices has no answer
+    answers = []
+    for h in nx.graph_atlas_g():
+        g = build_graph(list(h.edges()), isolated_vertices=h.nodes())
+        if not h:
+            with pytest.raises(EmptyGraphError):
+                g.connected
+            continue
+        assert g.connected == nx.is_connected(h), sorted(h.edges())
+        answers.append(g.connected)
+    assert (len(answers), answers.count(True)) == (1252, 995 + 1)
+
+
 def test_connectivity_is_traversed_once_per_graph(monkeypatch, capsys):
     # a table runs require_connected in every cell; the graph keeps the answer
     traversals = []

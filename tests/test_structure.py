@@ -486,12 +486,14 @@ def _root_chasers(tree: ast.Module) -> list[str]:
 
 
 def test_one_general_union_find():
-    # graph._components answers the component questions of spanning and
-    # transform; the loops that keep state it lacks (parity and top degree
-    # per root in _score, unions undone on backtracking in
-    # iter_spanning_trees) are the only other union-finds, and the scoring
-    # rule stays in spanning.  The search engine keeps path ends and walks
-    # follow cycles instead, since their transition graphs are paths and cycles
+    # graph._components answers every component question: connectivity
+    # (Graph.connected counts its components, with no traversal of its
+    # own) and those of spanning and transform; the loops that keep state
+    # it lacks (parity and top degree per root in _score, unions undone on
+    # backtracking in iter_spanning_trees) are the only other union-finds,
+    # and the scoring rule stays in spanning.  The search engine keeps path
+    # ends and walks follow cycles instead, since their transition graphs
+    # are paths and cycles
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SOURCE.glob("*.py"))}
     chasers = {name: found for name, tree in trees.items() if (found := _root_chasers(tree))}
     assert chasers == {"spanning.py": ["_score", "iter_spanning_trees"]}
@@ -510,6 +512,17 @@ def test_one_general_union_find():
     assert importers == ["spanning.py", "transform.py"]
     from_spanning = _names_imported_from(trees["transform.py"], "spanning")
     assert [n for n in from_spanning if n.startswith("_")] == []
+    (graph_class,) = [
+        node for node in trees["graph.py"].body
+        if isinstance(node, ast.ClassDef) and node.name == "Graph"
+    ]
+    (connected,) = [
+        fn for fn in graph_class.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "connected"
+    ]
+    assert len(_calls_to(connected, "_components")) == 1
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert [type(n).__name__ for n in ast.walk(connected) if isinstance(n, loops)] == []
 
 
 def _callers(tree: ast.Module, name: str) -> list[str]:
